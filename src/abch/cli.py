@@ -430,6 +430,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NotAComplex as exc:
         sys.stderr.write(f"NotAComplex: {exc}\n")
         return EXIT_VERIFICATION
+    except AssertionError as exc:  # a broken internal invariant
+        sys.stderr.write(f"verification failure: {exc}\n")
+        return EXIT_VERIFICATION
     except (ModelError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

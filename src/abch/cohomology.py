@@ -18,18 +18,19 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from abch.complexes import Bidegree, Op, Space, total_bidegrees
+from abch.complexes import Bidegree, Op, Space, d_between, total_bidegrees
 from abch.linalg import (
     Mat,
     cross_gram,
     intersect_many,
+    projection_coords,
     subspace_contains,
     subspace_dim,
     subspace_eq,
     subspace_intersect,
     subspace_sum,
 )
-from abch.laplacians import LaplacianKind, harmonic_space
+from abch.laplacians import THEORY_KINDS, LaplacianKind, harmonic_space
 from abch.scalars import ONE
 from abch.setting import ExactSetting, add_ops, compose
 
@@ -102,13 +103,7 @@ def harmonic_dims(setting: ExactSetting) -> Dict[str, object]:
     out["deRham"] = [
         harmonic_space(setting, LaplacianKind.D, total_bidegrees(n, k)[0]).ncols for k in range(2 * n + 1)
     ]
-    kind_of = {
-        "del": LaplacianKind.DEL,
-        "delbar": LaplacianKind.DELBAR,
-        "bc": LaplacianKind.BC,
-        "a": LaplacianKind.A,
-    }
-    for t, kind in kind_of.items():
+    for t, kind in THEORY_KINDS.items():
         out[t] = [
             [harmonic_space(setting, kind, (p, q)).ncols for q in range(n + 1)] for p in range(n + 1)
         ]
@@ -138,9 +133,9 @@ class SubspaceLib:
 
     def __init__(self, setting: ExactSetting):
         self.s = setting
-        self._cache: Dict[Tuple[str, Bidegree], Mat] = {}
+        self._cache: Dict[Tuple[str, Bidegree], object] = {}
 
-    def _get(self, key: str, b: Bidegree, fn) -> Mat:
+    def _get(self, key: str, b: Bidegree, fn):
         k = (key, b)
         if k not in self._cache:
             self._cache[k] = fn()
@@ -220,6 +215,21 @@ class SubspaceLib:
 
     def harmonic(self, kind: LaplacianKind, b):
         return self._get(f"harm_{kind.value}", b, lambda: harmonic_space(self.s, kind, b))
+
+    def abcdef(self, b) -> Dict[str, Mat]:
+        """The six subspaces a..f of A^{p,q}, each a triple intersection."""
+        return self._get(
+            "abcdef",
+            b,
+            lambda: {
+                "a": intersect_many([self.im_delbar(b), self.im_del(b), self.ker_corner_adj(b)]),
+                "b": intersect_many([self.ker_delbar(b), self.im_del(b), self.ker_corner_adj(b)]),
+                "c": intersect_many([self.ker_deldbar(b), self.im_delbar_star(b), self.ker_del_star(b)]),
+                "d": intersect_many([self.im_delbar(b), self.ker_del(b), self.ker_corner_adj(b)]),
+                "e": intersect_many([self.ker_deldbar(b), self.im_del_star(b), self.ker_delbar_star(b)]),
+                "f": intersect_many([self.ker_deldbar(b), self.im_delbar_star(b), self.im_del_star(b)]),
+            },
+        )
 
 
 # -- orthogonal decompositions ----------------------------------------------------
@@ -323,30 +333,12 @@ def _total_harmonic(setting: ExactSetting, lib: "SubspaceLib", theory: str, k: i
     space = total_bidegrees(setting.n, k)
     if theory == "deRham":
         return harmonic_space(setting, LaplacianKind.D, space[0] if space else (0, k))
-    kind = {
-        "bc": LaplacianKind.BC,
-        "del": LaplacianKind.DEL,
-        "delbar": LaplacianKind.DELBAR,
-        "a": LaplacianKind.A,
-    }[theory]
+    kind = THEORY_KINDS[theory]
     pieces = [_embed_into_total(setting, lib.harmonic(kind, b), b) for b in space]
     pieces = [p for p in pieces if p.ncols]
     if not pieces:
         return Mat.zeros(setting.space_dim(space), 0)
     return Mat.hstack(pieces)
-
-
-def _projection_matrix(S: Mat, T: Mat, G: Mat) -> Mat:
-    from abch.linalg import project_coords
-
-    M = Mat.zeros(T.ncols, S.ncols)
-    if T.ncols == 0:
-        return M
-    for j, col in enumerate(S.cols()):
-        c = project_coords(col, T, G)
-        for i in range(T.ncols):
-            M.rows[i][j] = c[i]
-    return M
 
 
 def diagram_maps(setting: ExactSetting, k: int) -> DiagramReport:
@@ -361,7 +353,7 @@ def diagram_maps(setting: ExactSetting, k: int) -> DiagramReport:
 
     arrows: Dict[str, DiagramArrow] = {}
     for src, dst in ARROWS:
-        M = _projection_matrix(harm[src], harm[dst], G_tot)
+        M = projection_coords(harm[src], harm[dst], G_tot)
         r = M.rank()
         arrows[f"{src}_to_{dst}"] = DiagramArrow(
             name=f"{src}_to_{dst}",
@@ -384,15 +376,9 @@ def bigraded_arrow(setting: ExactSetting, src: str, dst: str, b: Bidegree) -> Di
     """One comparison map between bigraded theories at a single bidegree
     (the degree-level arrows are block-diagonal over bidegrees)."""
     lib = SubspaceLib(setting)
-    kind = {
-        "bc": LaplacianKind.BC,
-        "del": LaplacianKind.DEL,
-        "delbar": LaplacianKind.DELBAR,
-        "a": LaplacianKind.A,
-    }
-    S = lib.harmonic(kind[src], b)
-    T = lib.harmonic(kind[dst], b)
-    M = _projection_matrix(S, T, setting.gram((b,)))
+    S = lib.harmonic(THEORY_KINDS[src], b)
+    T = lib.harmonic(THEORY_KINDS[dst], b)
+    M = projection_coords(S, T, setting.gram((b,)))
     r = M.rank()
     return DiagramArrow(
         name=f"{src}_to_{dst}@{b}", matrix=M, injective=(r == S.ncols), surjective=(r == T.ncols)
@@ -476,14 +462,7 @@ def abc_subspaces(setting: ExactSetting, lib: Optional[SubspaceLib] = None) -> S
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)
-            inter = {
-                "a": intersect_many([lib.im_delbar(b), lib.im_del(b), lib.ker_corner_adj(b)]),
-                "b": intersect_many([lib.ker_delbar(b), lib.im_del(b), lib.ker_corner_adj(b)]),
-                "c": intersect_many([lib.ker_deldbar(b), lib.im_delbar_star(b), lib.ker_del_star(b)]),
-                "d": intersect_many([lib.im_delbar(b), lib.ker_del(b), lib.ker_corner_adj(b)]),
-                "e": intersect_many([lib.ker_deldbar(b), lib.im_del_star(b), lib.ker_delbar_star(b)]),
-                "f": intersect_many([lib.ker_deldbar(b), lib.im_delbar_star(b), lib.im_del_star(b)]),
-            }
+            inter = lib.abcdef(b)
             for x in names:
                 dims[x][p][q] = subspace_dim(inter[x])
             r_dd = subspace_dim(lib.im_deldbar(b))
@@ -514,19 +493,6 @@ def _coords_in(B: Mat, vectors: Mat) -> Mat:
     return X
 
 
-def _projection_map(src_basis: Mat, dst_basis: Mat, G: Mat) -> Mat:
-    from abch.linalg import project_coords
-
-    M = Mat.zeros(dst_basis.ncols, src_basis.ncols)
-    if dst_basis.ncols == 0:
-        return M
-    for j, col in enumerate(src_basis.cols()):
-        c = project_coords(col, dst_basis, G)
-        for i in range(dst_basis.ncols):
-            M.rows[i][j] = c[i]
-    return M
-
-
 def exact_sequence_reports(setting: ExactSetting, lib: Optional[SubspaceLib] = None) -> dict:
     """Exactness of the two five-term sequences at every bidegree:
 
@@ -545,12 +511,7 @@ def exact_sequence_reports(setting: ExactSetting, lib: Optional[SubspaceLib] = N
         for q in range(n + 1):
             b = (p, q)
             G = setting.gram((b,))
-            A_ = intersect_many([lib.im_delbar(b), lib.im_del(b), lib.ker_corner_adj(b)])
-            B_ = intersect_many([lib.ker_delbar(b), lib.im_del(b), lib.ker_corner_adj(b)])
-            C_ = intersect_many([lib.ker_deldbar(b), lib.im_delbar_star(b), lib.ker_del_star(b)])
-            D_ = intersect_many([lib.im_delbar(b), lib.ker_del(b), lib.ker_corner_adj(b)])
-            E_ = intersect_many([lib.ker_deldbar(b), lib.im_del_star(b), lib.ker_delbar_star(b)])
-            F_ = intersect_many([lib.ker_deldbar(b), lib.im_delbar_star(b), lib.im_del_star(b)])
+            A_, B_, C_, D_, E_, F_ = lib.abcdef(b).values()
             Hdb = lib.harmonic(LaplacianKind.DELBAR, b)
             Ha = lib.harmonic(LaplacianKind.A, b)
             Hbc = lib.harmonic(LaplacianKind.BC, b)
@@ -558,16 +519,16 @@ def exact_sequence_reports(setting: ExactSetting, lib: Optional[SubspaceLib] = N
             seq1_nodes = [A_, B_, Hdb, Ha, C_]
             seq1_maps = [
                 _coords_in(B_, A_),
-                _projection_map(B_, Hdb, G),
-                _projection_map(Hdb, Ha, G),
-                _projection_map(Ha, C_, G),
+                projection_coords(B_, Hdb, G),
+                projection_coords(Hdb, Ha, G),
+                projection_coords(Ha, C_, G),
             ]
             seq2_nodes = [D_, Hbc, Hdb, E_, F_]
             seq2_maps = [
                 _coords_in(Hbc, D_),
-                _projection_map(Hbc, Hdb, G),
-                _projection_map(Hdb, E_, G),
-                _projection_map(E_, F_, G),
+                projection_coords(Hbc, Hdb, G),
+                projection_coords(Hdb, E_, G),
+                projection_coords(E_, F_, G),
             ]
             res = {}
             for label, nodes, maps in (("seq1", seq1_nodes, seq1_maps), ("seq2", seq2_nodes, seq2_maps)):
@@ -693,14 +654,7 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
             mat = corner.mat if src else Mat.zeros(setting.space_dim(dst), 0)
             deltas.append(Op(src=src, dst=dst, mat=mat))
             continue
-        blocks = {}
-        for b in src:
-            r, s = b
-            if (r + 1, s) in dst:
-                blocks[((r + 1, s), b)] = setting.ops.del_(b)
-            if (r, s + 1) in dst:
-                blocks[((r, s + 1), b)] = setting.ops.delbar(b)
-        deltas.append(setting.block_op(src, dst, blocks))
+        deltas.append(d_between(setting.ops, src, dst))
     for k in range(2 * n - 1):
         comp = deltas[k + 1].mat @ deltas[k].mat
         if not comp.is_zero():
@@ -775,7 +729,3 @@ def stack_identities(setting: ExactSetting) -> bool:
             if not subspace_eq(joined.column_space(), subspace_sum(lib.im_del(b), lib.im_delbar(b))):
                 return False
     return True
-
-
-# spec-facing alias
-verify_exact_sequences = exact_sequence_reports

@@ -208,14 +208,6 @@ class Op:
     mat: Mat
 
 
-def space_of(b: Bidegree) -> Space:
-    return (b,)
-
-
-def space_dim(n: int, space: Space) -> int:
-    return sum(dim_pq(n, p, q) for (p, q) in space)
-
-
 class BigradedComplex:
     """Bases of every A^{p,q} plus exact matrices of del and delbar."""
 
@@ -332,15 +324,33 @@ def build_complex(model: ComplexModel) -> BigradedComplex:
     return comp
 
 
+def d_between(ops, src: Space, dst: Space) -> Op:
+    """d = del + delbar from the direct sum `src` to the direct sum `dst`,
+    keeping the blocks whose target bidegree lies in `dst`.  `ops` is any
+    source of differentials with `.dim(b)`, `.del_(b)` and `.delbar(b)`."""
+    row_off = {}
+    nrows = 0
+    for b in dst:
+        row_off[b] = nrows
+        nrows += ops.dim(b)
+    mat = Mat.zeros(nrows, sum(ops.dim(b) for b in src))
+    col = 0
+    for b in src:
+        p, q = b
+        for target, block_of in (((p + 1, q), ops.del_), ((p, q + 1), ops.delbar)):
+            if target in row_off:
+                block, r0 = block_of(b), row_off[target]
+                for i, row in enumerate(block.rows):
+                    mat.rows[r0 + i][col : col + block.ncols] = row
+        col += ops.dim(b)
+    return Op(src=src, dst=dst, mat=mat)
+
+
 def d_operator(comp: BigradedComplex, b: Bidegree) -> Op:
     """d = del + delbar as the stacked block map
     A^{p,q} -> A^{p+1,q} (+) A^{p,q+1}."""
     p, q = b
-    return Op(
-        src=(b,),
-        dst=((p + 1, q), (p, q + 1)),
-        mat=Mat.vstack([comp.del_(b), comp.delbar(b)]),
-    )
+    return d_between(comp, (b,), ((p + 1, q), (p, q + 1)))
 
 
 def total_bidegrees(n: int, k: int) -> Space:
@@ -348,25 +358,6 @@ def total_bidegrees(n: int, k: int) -> Space:
     return tuple((p, k - p) for p in range(max(0, k - n), min(n, k) + 1))
 
 
-def total_d(comp: BigradedComplex, k: int) -> Op:
+def total_d(ops, k: int) -> Op:
     """d on the full degree-k space as a block matrix over bidegrees."""
-    n = comp.n
-    src = total_bidegrees(n, k)
-    dst = total_bidegrees(n, k + 1)
-    dst_off = {}
-    off = 0
-    for b in dst:
-        dst_off[b] = off
-        off += dim_pq(n, *b)
-    mat = Mat.zeros(off, space_dim(n, src))
-    col = 0
-    for (p, q) in src:
-        w = dim_pq(n, p, q)
-        for target, block in (((p + 1, q), comp.del_((p, q))), ((p, q + 1), comp.delbar((p, q)))):
-            if target in dst_off:
-                r0 = dst_off[target]
-                for i in range(block.nrows):
-                    for j in range(w):
-                        mat.rows[r0 + i][col + j] = block.rows[i][j]
-        col += w
-    return Op(src=src, dst=dst, mat=mat)
+    return d_between(ops, total_bidegrees(ops.n, k), total_bidegrees(ops.n, k + 1))

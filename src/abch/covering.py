@@ -43,7 +43,16 @@ from abch.complexes import (
     total_bidegrees,
     wedge,
 )
-from abch.linalg import Mat, ShapeMismatch, ip as gram_ip, span_basis
+from abch.laplacians import (
+    THEORY_KINDS,
+    LaplacianKind,
+    assemble,
+    fourth_order_part,
+    prestage_box_check,
+    spectral_gap,
+    spectrum,
+)
+from abch.linalg import Mat, ShapeMismatch, gram_schmidt, ip as gram_ip, projection_coords, span_basis
 from abch.metric import HermitianMetric, identity_metric
 from abch.model import ModelSyntaxError
 from abch.scalars import QQi, ONE, ZERO
@@ -273,8 +282,6 @@ class FourierComplex:
     def total_kernel(self, kind, b: Bidegree) -> Mat:
         """Harmonic space of one Laplacian kind across all modes, as a basis
         in total coordinates."""
-        from abch.laplacians import assemble
-
         cols = []
         space = None
         for idx, st in enumerate(self.settings):
@@ -427,8 +434,6 @@ def gamma_dimension(fourier: FourierComplex, V: Mat, space: Space) -> Fraction:
         if PV.ncols:
             pieces.append(PV)
     # route (i)
-    from abch.linalg import gram_schmidt
-
     total = Fraction(0)
     for piece in pieces:
         ortho = gram_schmidt(piece, G)
@@ -461,18 +466,10 @@ class GammaReport:
 
 
 def gamma_tables(fourier: FourierComplex) -> GammaReport:
-    from abch.laplacians import LaplacianKind, assemble, spectral_gap, spectrum
-
     n = fourier.n
-    kinds = {
-        "del": LaplacianKind.DEL,
-        "delbar": LaplacianKind.DELBAR,
-        "bc": LaplacianKind.BC,
-        "a": LaplacianKind.A,
-    }
     grids: Dict[str, object] = {}
     support_ok = True
-    for name, kind in kinds.items():
+    for name, kind in THEORY_KINDS.items():
         grid = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
         for p in range(n + 1):
             for q in range(n + 1):
@@ -489,9 +486,7 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
         space = total_bidegrees(n, k)
         cols = []
         for idx, st in enumerate(fourier.settings):
-            from abch.laplacians import assemble as _asm
-
-            op = _asm(st, LaplacianKind.D, space[0])
+            op = assemble(st, LaplacianKind.D, space[0])
             ker = op.mat.nullspace()
             if ker.ncols:
                 cols.append(fourier.embed_mode_basis(idx, ker, space))
@@ -517,7 +512,7 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)
-            U = fourier.total_kernel(kinds["delbar"], b)
+            U = fourier.total_kernel(LaplacianKind.DELBAR, b)
             cols = []
             for idx, st in enumerate(fourier.settings):
                 kmat = st.delbar_op(b).mat.nullspace()
@@ -542,8 +537,6 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
 def gap_table(fourier: FourierComplex) -> Dict[str, object]:
     """Global spectral gaps (over all bidegrees and modes) of the second
     order Laplacians, plus per-bidegree delbar gaps."""
-    from abch.laplacians import LaplacianKind, assemble, spectral_gap, spectrum
-
     n = fourier.n
     gaps: Dict[str, object] = {}
     per_bidegree: Dict[str, Optional[float]] = {}
@@ -574,9 +567,6 @@ def metric_independence_check(spec: CoveringSpec, H1: Mat, H2: Mat) -> dict:
     agree for any two invariant metrics; also exhibits the quasi-isometry
     constant and checks the cross-projection between the two harmonic
     spaces has full rank."""
-    from abch.laplacians import LaplacianKind, assemble
-    from abch.linalg import project_coords
-
     fc1 = build_cover(spec, H1)
     fc2 = build_cover(spec, H2)
     n = spec.n
@@ -598,11 +588,7 @@ def metric_independence_check(spec: CoveringSpec, H1: Mat, H2: Mat) -> dict:
                 k2_inv = _invariant_block(fc2, K2, b)
                 G2 = fc2.metric.gram(b)
                 if k2_inv.ncols:
-                    M = Mat.zeros(k2_inv.ncols, k1_inv.ncols)
-                    for j, col in enumerate(k1_inv.cols()):
-                        c = project_coords(col, k2_inv, G2)
-                        for i in range(k2_inv.ncols):
-                            M.rows[i][j] = c[i]
+                    M = projection_coords(k1_inv, k2_inv, G2)
                     if M.rank() != min(k1_inv.ncols, k2_inv.ncols):
                         cross_full_rank = False
                 elif k1_inv.ncols:
@@ -653,14 +639,6 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int 
     the exact matrix identities tilde_BC_4 = tilde_A_4 = lap_delbar^2
     (reduced scale; both sides are fourth order so the scale cancels).
     """
-    from abch.laplacians import (
-        LaplacianKind,
-        assemble,
-        fourth_order_part,
-        spectral_gap,
-        spectrum,
-    )
-
     n = fourier.n
     rng = np.random.default_rng(seed)
     report: Dict[str, object] = {"bidegrees": {}}
@@ -676,8 +654,6 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int 
                 sq = lapd.mat @ lapd.mat
                 if not (t_bc4.mat - sq).is_zero() or not (t_a4.mat - sq).is_zero():
                     tilde4_ok = False
-                from abch.laplacians import prestage_box_check
-
                 if not prestage_box_check(st, b):
                     prestage_ok = False
     report["tilde4_equals_delbar_squared"] = tilde4_ok
@@ -687,32 +663,25 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int 
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)
-            # assemble total numeric operators blockwise over modes
-            gap_db: Optional[float] = None
-            quantitative_ok = True
-            two_op_ok = True
-            for st, nst in zip(fourier.settings, fourier.numeric):
+            # lap_delbar per mode: its Gram and spectral gap
+            mode_gaps = []
+            for nst in fourier.numeric:
                 op = assemble(nst, LaplacianKind.DELBAR, b)
                 G = nst.gram(op.src)
-                ev = spectrum(op.mat, G)
-                g = spectral_gap(ev)
-                if g is not None:
-                    gap_db = g if gap_db is None else min(gap_db, g)
-            if gap_db is None:
+                mode_gaps.append((G, spectral_gap(spectrum(op.mat, G))))
+            found = [g for _, g in mode_gaps if g is not None]
+            if not found:
                 report["bidegrees"][str(b)] = {"gap_delbar": None, "vacuous": True}
                 continue
-            for st, nst in zip(fourier.settings, fourier.numeric):
-                op = assemble(nst, LaplacianKind.DELBAR, b)
-                G = nst.gram(op.src)
-                ev = spectrum(op.mat, G)
-                g = spectral_gap(ev)
+            gap_db = min(found)
+            quantitative_ok = True
+            two_op_ok = True
+            for st, nst, (G, g) in zip(fourier.settings, fourier.numeric, mode_gaps):
                 if g is None:
                     continue
                 C = g * g
                 # theta samples in im((del delbar out)* adjoint)
                 corner_out = nst.deldbar_op(b)
-                corner_adj = nst.adjoint(corner_out)
-                Sbasis = assemble(st, LaplacianKind.DELBAR, b).src  # space anchor
                 Simg = st.adjoint(st.deldbar_op(b)).mat.column_space().to_numpy()
                 dd = corner_out.mat
                 if Simg.shape[1]:

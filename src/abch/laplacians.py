@@ -39,8 +39,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from abch.complexes import Bidegree, Op, Space, total_bidegrees
-from abch.linalg import Mat, intersect_many
+from abch.complexes import Bidegree, Op, Space, d_between, total_bidegrees
+from abch.linalg import Mat, intersect_many, subspace_eq
 from abch.setting import ExactSetting, NumericSetting, add_ops, compose
 
 TOL_ABS = 1e-12
@@ -74,8 +74,32 @@ BC_KINDS = (LaplacianKind.BC, LaplacianKind.BC_TILDE, LaplacianKind.BC_BOX)
 A_KINDS = (LaplacianKind.A, LaplacianKind.A_TILDE, LaplacianKind.A_BOX)
 
 
+# the Laplacian whose kernel realises each bigraded cohomology
+THEORY_KINDS = {
+    "del": LaplacianKind.DEL,
+    "delbar": LaplacianKind.DELBAR,
+    "bc": LaplacianKind.BC,
+    "a": LaplacianKind.A,
+}
+
+
 def _sq(op: Op) -> Op:
     return compose(op, op)
+
+
+def _second_down(setting, b: Bidegree) -> Op:
+    """del* del + delbar* delbar on A^{p,q}."""
+    adj = setting.adjoint
+    dl_out, db_out = setting.del_op(b), setting.delbar_op(b)
+    return add_ops(compose(adj(dl_out), dl_out), compose(adj(db_out), db_out))
+
+
+def _second_up(setting, b: Bidegree) -> Op:
+    """del del* + delbar delbar* on A^{p,q}."""
+    p, q = b
+    adj = setting.adjoint
+    dl_in, db_in = setting.del_op((p - 1, q)), setting.delbar_op((p, q - 1))
+    return add_ops(compose(dl_in, adj(dl_in)), compose(db_in, adj(db_in)))
 
 
 def assemble(setting, kind: LaplacianKind, b: Bidegree) -> Op:
@@ -91,56 +115,26 @@ def assemble(setting, kind: LaplacianKind, b: Bidegree) -> Op:
         d_out = setting.total_d(k)
         d_in = setting.total_d(k - 1)
         return add_ops(compose(adj(d_out), d_out), compose(d_in, adj(d_in)))
-
-    dl_out = setting.del_op(b)
-    dl_in = setting.del_op((p - 1, q))
-    db_out = setting.delbar_op(b)
-    db_in = setting.delbar_op((p, q - 1))
-
     if kind is LaplacianKind.DEL:
+        dl_out, dl_in = setting.del_op(b), setting.del_op((p - 1, q))
         return add_ops(compose(adj(dl_out), dl_out), compose(dl_in, adj(dl_in)))
     if kind is LaplacianKind.DELBAR:
+        db_out, db_in = setting.delbar_op(b), setting.delbar_op((p, q - 1))
         return add_ops(compose(adj(db_out), db_out), compose(db_in, adj(db_in)))
-
-    P = setting.deldbar_op((p - 1, q - 1))  # into (p,q)
-    Q = setting.deldbar_op(b)  # out of (p,q)
-    PPs = compose(P, adj(P))
-    QsQ = compose(adj(Q), Q)
-    second_down = add_ops(compose(adj(dl_out), dl_out), compose(adj(db_out), db_out))
-    second_up = add_ops(compose(dl_in, adj(dl_in)), compose(db_in, adj(db_in)))
-
-    if kind is LaplacianKind.BC:
-        return add_ops(PPs, second_down)
-    if kind is LaplacianKind.BC_BOX:
-        return add_ops(PPs, _sq(second_down))
-    if kind is LaplacianKind.BC_TILDE:
-        # del* delbar delbar* del : through (p+1,q) and (p+1,q-1)
-        r1 = compose(
-            adj(dl_out),
-            compose(setting.delbar_op((p + 1, q - 1)), compose(adj(setting.delbar_op((p + 1, q - 1))), dl_out)),
-        )
-        # delbar* del del* delbar : through (p,q+1) and (p-1,q+1)
-        r2 = compose(
-            adj(db_out),
-            compose(setting.del_op((p - 1, q + 1)), compose(adj(setting.del_op((p - 1, q + 1))), db_out)),
-        )
-        return add_ops(PPs, QsQ, r1, r2, second_down)
-    if kind is LaplacianKind.A:
-        return add_ops(QsQ, second_up)
-    if kind is LaplacianKind.A_BOX:
-        return add_ops(QsQ, _sq(second_up))
-    if kind is LaplacianKind.A_TILDE:
-        # del delbar* delbar del* : through (p-1,q) and (p-1,q+1)
-        s1 = compose(
-            setting.del_op((p - 1, q)),
-            compose(adj(setting.delbar_op((p - 1, q))), compose(setting.delbar_op((p - 1, q)), adj(dl_in))),
-        )
-        # delbar del* del delbar* : through (p,q-1) and (p+1,q-1)
-        s2 = compose(
-            setting.delbar_op((p, q - 1)),
-            compose(adj(setting.del_op((p, q - 1))), compose(setting.del_op((p, q - 1)), adj(db_in))),
-        )
-        return add_ops(QsQ, PPs, s1, s2, second_up)
+    if kind in BC_KINDS:
+        second_down = _second_down(setting, b)
+        if kind is LaplacianKind.BC_TILDE:
+            return add_ops(fourth_order_part(setting, kind, b), second_down)
+        P = setting.deldbar_op((p - 1, q - 1))  # into (p,q)
+        PPs = compose(P, adj(P))
+        return add_ops(PPs, second_down if kind is LaplacianKind.BC else _sq(second_down))
+    if kind in A_KINDS:
+        second_up = _second_up(setting, b)
+        if kind is LaplacianKind.A_TILDE:
+            return add_ops(fourth_order_part(setting, kind, b), second_up)
+        Q = setting.deldbar_op(b)  # out of (p,q)
+        QsQ = compose(adj(Q), Q)
+        return add_ops(QsQ, second_up if kind is LaplacianKind.A else _sq(second_up))
     raise ValueError(f"unknown kind {kind}")
 
 
@@ -154,28 +148,22 @@ def fourth_order_part(setting, kind: LaplacianKind, b: Bidegree) -> Op:
     PPs = compose(P, adj(P))
     QsQ = compose(adj(Q), Q)
     if kind is LaplacianKind.BC_TILDE:
-        dl_out = setting.del_op(b)
-        db_out = setting.delbar_op(b)
-        r1 = compose(
-            adj(dl_out),
-            compose(setting.delbar_op((p + 1, q - 1)), compose(adj(setting.delbar_op((p + 1, q - 1))), dl_out)),
-        )
-        r2 = compose(
-            adj(db_out),
-            compose(setting.del_op((p - 1, q + 1)), compose(adj(setting.del_op((p - 1, q + 1))), db_out)),
-        )
+        dl_out, db_out = setting.del_op(b), setting.delbar_op(b)
+        # del* delbar delbar* del : through (p+1,q) and (p+1,q-1)
+        db_mid = setting.delbar_op((p + 1, q - 1))
+        r1 = compose(adj(dl_out), compose(db_mid, compose(adj(db_mid), dl_out)))
+        # delbar* del del* delbar : through (p,q+1) and (p-1,q+1)
+        dl_mid = setting.del_op((p - 1, q + 1))
+        r2 = compose(adj(db_out), compose(dl_mid, compose(adj(dl_mid), db_out)))
         return add_ops(PPs, QsQ, r1, r2)
     if kind is LaplacianKind.A_TILDE:
-        dl_in = setting.del_op((p - 1, q))
-        db_in = setting.delbar_op((p, q - 1))
-        s1 = compose(
-            setting.del_op((p - 1, q)),
-            compose(adj(setting.delbar_op((p - 1, q))), compose(setting.delbar_op((p - 1, q)), adj(dl_in))),
-        )
-        s2 = compose(
-            setting.delbar_op((p, q - 1)),
-            compose(adj(setting.del_op((p, q - 1))), compose(setting.del_op((p, q - 1)), adj(db_in))),
-        )
+        dl_in, db_in = setting.del_op((p - 1, q)), setting.delbar_op((p, q - 1))
+        # del delbar* delbar del* : through (p-1,q) and (p-1,q+1)
+        db_mid = setting.delbar_op((p - 1, q))
+        s1 = compose(dl_in, compose(adj(db_mid), compose(db_mid, adj(dl_in))))
+        # delbar del* del delbar* : through (p,q-1) and (p+1,q-1)
+        dl_mid = setting.del_op((p, q - 1))
+        s2 = compose(db_in, compose(adj(dl_mid), compose(dl_mid, adj(db_in))))
         return add_ops(QsQ, PPs, s1, s2)
     raise ValueError("fourth-order part is defined for the tilde kinds only")
 
@@ -221,11 +209,12 @@ def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bid
 
 
 def gram_symmetrize(L: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """C^H L (C^H)^{-1} for the Cholesky factor G = C C^H; Hermitian when L is
-    Gram-self-adjoint."""
+    """C^H L (C^H)^{-1} for the Cholesky factor conj(G) = C C^H.  With
+    <u,v> = u^T G conj(v), a Gram-self-adjoint L makes conj(G) L Hermitian,
+    so the result is Hermitian too."""
     if L.shape[0] == 0:
         return L
-    C = np.linalg.cholesky(G)
+    C = np.linalg.cholesky(G.conj())
     A = C.conj().T
     S = A @ L @ np.linalg.inv(A)
     return 0.5 * (S + S.conj().T)
@@ -378,8 +367,6 @@ def duality_residuals(setting, b: Bidegree) -> Dict[str, bool]:
 def kernel_coincidence(setting: ExactSetting, b: Bidegree) -> bool:
     """ker lap_BC = ker tilde_BC = ker box_BC and the Aeppli triple, as exact
     subspace equalities, including the triple-intersection characterisation."""
-    from abch.linalg import subspace_eq
-
     for kinds in (BC_KINDS, A_KINDS):
         spaces = [harmonic_space(setting, k, b) for k in kinds]
         char = harmonic_characterization(setting, kinds[0], b)
@@ -394,8 +381,6 @@ def kahler_identities(setting: ExactSetting) -> Dict[str, bool]:
     total degree, the two anticommutators vanish, tilde_BC collapses to
     lap_delbar^2 + del* del + delbar* delbar, and all nine harmonic spaces
     coincide bidegree-wise."""
-    from abch.linalg import subspace_eq
-
     n = setting.n
     ok_factor = True
     ok_anti = True
@@ -428,12 +413,8 @@ def kahler_identities(setting: ExactSetting) -> Dict[str, bool]:
             if not a2.mat.is_zero():
                 ok_anti = False
             lap_dbar = assemble(setting, LaplacianKind.DELBAR, b)
-            second_down = add_ops(
-                compose(adj(dl), dl),
-                compose(adj(setting.delbar_op(b)), setting.delbar_op(b)),
-            )
             tilde = assemble(setting, LaplacianKind.BC_TILDE, b)
-            concise = add_ops(compose(lap_dbar, lap_dbar), second_down)
+            concise = add_ops(_sq(lap_dbar), _second_down(setting, b))
             if not (tilde.mat - concise.mat).is_zero():
                 ok_tilde = False
             kernels = [harmonic_space(setting, kind, b) for kind in ALL_KINDS if kind is not LaplacianKind.D]
@@ -452,14 +433,10 @@ def kahler_identities(setting: ExactSetting) -> Dict[str, bool]:
 def box_kernel_intersection(setting: ExactSetting, b: Bidegree) -> bool:
     """ker box_BC equals ker(delbar* del*) ∩ ker(del* del + delbar* delbar):
     the kernel of a sum of P_j* P_j is the intersection of the ker P_j."""
-    from abch.linalg import subspace_eq
-
     p, q = b
     adj = setting.adjoint
     P1 = adj(setting.deldbar_op((p - 1, q - 1)))
-    dl_out = setting.del_op(b)
-    db_out = setting.delbar_op(b)
-    P2 = add_ops(compose(adj(dl_out), dl_out), compose(adj(db_out), db_out))
+    P2 = _second_down(setting, b)
     box = assemble(setting, LaplacianKind.BC_BOX, b)
     lhs = box.mat.nullspace()
     rhs = intersect_many([P1.mat.nullspace(), P2.mat.nullspace()])
@@ -475,22 +452,9 @@ def prestage_box_check(setting: ExactSetting, b: Bidegree) -> bool:
     src: Space = ((p, q - 1), (p - 1, q))
     pre: Space = ((p, q - 2), (p - 1, q - 1), (p - 2, q))
     # D2 = (delbar (+) del): A^{p,q-1} (+) A^{p-1,q} -> A^{p,q}
-    D2 = Op(
-        src=src,
-        dst=((p, q),),
-        mat=Mat.hstack([setting.delbar_op((p, q - 1)).mat, setting.del_op((p - 1, q)).mat]),
-    )
+    D2 = d_between(setting.ops, src, ((p, q),))
     # D1 = (delbar (+) d (+) del) into A^{p,q-1} (+) A^{p-1,q}
-    D1 = setting.block_op(
-        pre,
-        src,
-        {
-            ((p, q - 1), (p, q - 2)): setting.delbar_op((p, q - 2)).mat,
-            ((p, q - 1), (p - 1, q - 1)): setting.del_op((p - 1, q - 1)).mat,
-            ((p - 1, q), (p - 1, q - 1)): setting.delbar_op((p - 1, q - 1)).mat,
-            ((p - 1, q), (p - 2, q)): setting.del_op((p - 2, q)).mat,
-        },
-    )
+    D1 = d_between(setting.ops, pre, src)
     box = add_ops(compose(adj(D2), D2), compose(D1, adj(D1)))
     lap_dbar_blocks = Mat.block_diag(
         [assemble(setting, LaplacianKind.DELBAR, (p, q - 1)).mat, assemble(setting, LaplacianKind.DELBAR, (p - 1, q)).mat]

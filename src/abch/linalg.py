@@ -393,47 +393,28 @@ def gram_adjoint(T: Mat, G_src: Mat, G_dst: Mat) -> Mat:
 
 
 def basis_gram(B: Mat, G: Mat) -> Mat:
-    """M[j][k] = <b_k, b_j> for the columns b_* of B."""
-    cols = B.cols()
-    m = len(cols)
-    out = Mat.zeros(m, m)
-    for j in range(m):
-        for k in range(m):
-            out.rows[j][k] = ip(cols[k], cols[j], G)
-    return out
+    """M[j][k] = <b_k, b_j> for the columns b_* of B, i.e. B^H conj(G) B."""
+    return B.conj_t() @ G.conj() @ B
+
+
+def projection_coords(S: Mat, B: Mat, G: Mat) -> Mat:
+    """X with B X = Gram-orthogonal projection of the columns of S onto
+    span(B), from one solve of (B^H conj(G) B) X = B^H conj(G) S."""
+    if B.ncols == 0:
+        return Mat.zeros(0, S.ncols)
+    X = basis_gram(B, G).solve(B.conj_t() @ G.conj() @ S)
+    if X is None:
+        raise ZeroDivisionError("degenerate basis Gram")
+    return X
 
 
 def project_coords(x: Sequence[QQi], B: Mat, G: Mat) -> List[QQi]:
     """Coordinates c with B c = Gram-orthogonal projection of x onto span(B)."""
-    if B.ncols == 0:
-        return []
-    M = basis_gram(B, G)
-    rhs = Mat.column([ip(x, b, G) for b in B.cols()])
-    c = M.solve(rhs)
-    if c is None:
-        raise ZeroDivisionError("degenerate basis Gram")
-    return c.col(0)
+    return projection_coords(Mat.column(x), B, G).col(0)
 
 
 def project(x: Sequence[QQi], B: Mat, G: Mat) -> List[QQi]:
-    if B.ncols == 0:
-        return [ZERO] * len(list(x))
     return B.matvec(project_coords(x, B, G))
-
-
-def projection_matrix_onto(B: Mat, G: Mat) -> Mat:
-    """Matrix of the Gram-orthogonal projection onto span(B)."""
-    n = B.nrows
-    cols = []
-    for j in range(n):
-        e = [ZERO] * n
-        e[j] = ONE
-        cols.append(project(e, B, G))
-    out = Mat.zeros(n, n)
-    for j, c in enumerate(cols):
-        for i in range(n):
-            out.rows[i][j] = c[i]
-    return out
 
 
 def gram_schmidt(B: Mat, G: Mat) -> Mat:
@@ -452,20 +433,6 @@ def gram_schmidt(B: Mat, G: Mat) -> Mat:
         for i in range(B.nrows):
             out.rows[i][j] = w[i]
     return out
-
-
-def orthogonal_complement_in(B: Mat, W: Mat, G: Mat) -> Mat:
-    """Basis of the Gram-orthogonal complement of span(W) inside span(B);
-    requires span(W) ⊆ span(B)."""
-    comp = []
-    for b in B.cols():
-        r = [x - y for x, y in zip(b, project(b, W, G))]
-        comp.append(r)
-    M = Mat.zeros(B.nrows, len(comp))
-    for j, c in enumerate(comp):
-        for i in range(B.nrows):
-            M.rows[i][j] = c[i]
-    return span_basis(M)
 
 
 def cross_gram(U: Mat, V: Mat, G: Mat) -> Mat:

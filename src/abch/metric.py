@@ -7,9 +7,10 @@ product is the product of two minor determinants,
 
     h(phi_I ^ phibar_J, phi_K ^ phibar_L) = det(H[I,K]) * det(conj(H)[J,L]),
 
-distinct bidegrees being orthogonal.  The fundamental form is
-omega = i * sum_jk H_jk phi_j ^ phibar_k and vol = omega^n / n!, which fixes
-vol_coeff = i^n (-1)^{n(n-1)/2} det(H) on the canonical top monomial.
+distinct bidegrees being orthogonal.  The fundamental form lives on the
+vector side, omega = i * sum_jk ((conj H)^{-1})_jk phi_j ^ phibar_k, and
+vol = omega^n / n! fixes vol_coeff = i^n (-1)^{n(n-1)/2} / det(H) on the
+canonical top monomial.
 
 The star on A^{a,b} -> A^{n-b,n-a} is solved column-by-column from its
 defining equation  alpha ^ *(conj beta) = h(alpha, beta) vol; the wedge

@@ -40,15 +40,6 @@ def matrix_payload(m: Mat) -> dict:
     }
 
 
-def numeric_matrix_payload(m: np.ndarray) -> dict:
-    return {
-        "schema": MATRIX_SCHEMA,
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": [[float(x.real), float(x.imag)] for x in m.reshape(-1)],
-    }
-
-
 def metric_hash(H: Mat) -> str:
     text = ";".join(render_coeff(x) for row in H.rows for x in row)
     return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from abch.complexes import Bidegree, Op, Space, total_bidegrees
+from abch.complexes import Bidegree, Op, Space, total_d
 from abch.linalg import Mat, ShapeMismatch
 from abch.metric import HermitianMetric, NumericMetric
 
@@ -75,48 +75,8 @@ class ExactSetting:
     def adjoint(self, op: Op) -> Op:
         return self.metric.adjoint(op)
 
-    def block_op(self, src: Space, dst: Space, blocks: Dict) -> Op:
-        """Assemble an Op from per-(dst,src)-bidegree blocks."""
-        mat = _assemble_blocks_exact(self, src, dst, blocks)
-        return Op(src=src, dst=dst, mat=mat)
-
     def total_d(self, k: int) -> Op:
-        src = total_bidegrees(self.n, k)
-        dst = total_bidegrees(self.n, k + 1)
-        blocks = {}
-        for b in src:
-            p, q = b
-            if (p + 1, q) in dst:
-                blocks[((p + 1, q), b)] = self.ops.del_(b)
-            if (p, q + 1) in dst:
-                blocks[((p, q + 1), b)] = self.ops.delbar(b)
-        return self.block_op(src, dst, blocks)
-
-    def zero_op(self, src: Space, dst: Space) -> Op:
-        return Op(src=src, dst=dst, mat=Mat.zeros(self.space_dim(dst), self.space_dim(src)))
-
-
-def _assemble_blocks_exact(setting, src: Space, dst: Space, blocks: Dict) -> Mat:
-    row_off = {}
-    off = 0
-    for b in dst:
-        row_off[b] = off
-        off += setting.dim(b)
-    nrows = off
-    col_off = {}
-    off = 0
-    for b in src:
-        col_off[b] = off
-        off += setting.dim(b)
-    mat = Mat.zeros(nrows, off)
-    for (db, sb), block in blocks.items():
-        r0, c0 = row_off[db], col_off[sb]
-        if block.nrows != setting.dim(db) or block.ncols != setting.dim(sb):
-            raise ShapeMismatch(f"block ({db},{sb}) has shape {block.shape}")
-        for i in range(block.nrows):
-            for j in range(block.ncols):
-                mat.rows[r0 + i][c0 + j] = block.rows[i][j]
-    return mat
+        return total_d(self.ops, k)
 
 
 class NumericSetting:
@@ -163,24 +123,5 @@ class NumericSetting:
         return Op(src=op.dst, dst=op.src, mat=self.metric.adjoint_mat(op.mat, op.src, op.dst))
 
     def total_d(self, k: int) -> Op:
-        src = total_bidegrees(self.n, k)
-        dst = total_bidegrees(self.n, k + 1)
-        row_off, off = {}, 0
-        for b in dst:
-            row_off[b] = off
-            off += self.dim(b)
-        nrows = off
-        col_off, off = {}, 0
-        for b in src:
-            col_off[b] = off
-            off += self.dim(b)
-        mat = np.zeros((nrows, off), dtype=complex)
-        for b in src:
-            p, q = b
-            if (p + 1, q) in row_off:
-                blk = self.del_op(b).mat
-                mat[row_off[(p + 1, q)] : row_off[(p + 1, q)] + blk.shape[0], col_off[b] : col_off[b] + blk.shape[1]] = blk
-            if (p, q + 1) in row_off:
-                blk = self.delbar_op(b).mat
-                mat[row_off[(p, q + 1)] : row_off[(p, q + 1)] + blk.shape[0], col_off[b] : col_off[b] + blk.shape[1]] = blk
-        return Op(src=src, dst=dst, mat=mat)
+        d = self.exact.total_d(k)
+        return Op(src=d.src, dst=d.dst, mat=d.mat.to_numpy() * self.scale)

@@ -4,6 +4,10 @@ import json
 import os
 
 from abch.cli import main
+from abch.complexes import Op
+from abch.linalg import Mat
+from abch.scalars import ONE
+from abch.setting import ExactSetting
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -106,3 +110,19 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["command"] == "cohomology"
+
+
+def test_broken_invariant_exits_one(capsys, monkeypatch):
+    # a corner map that is not del delbar breaks delta^2 = 0 in the full complex
+    real = ExactSetting.deldbar_op
+
+    def corrupted(self, b):
+        op = real(self, b)
+        ones = Mat([[ONE] * op.mat.ncols for _ in range(op.mat.nrows)], ncols=op.mat.ncols)
+        return Op(src=op.src, dst=op.dst, mat=ones)
+
+    monkeypatch.setattr(ExactSetting, "deldbar_op", corrupted)
+    code, out, err = run(capsys, "abc", fx("iwasawa.cplx"), "--pq", "1,1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failure: delta^2 != 0")

@@ -5,7 +5,7 @@ import pytest
 
 from abch.complexes import build_complex, total_bidegrees
 from abch.linalg import Mat, ip, subspace_eq
-from abch.metric import diagonal_metric, identity_metric
+from abch.metric import HermitianMetric, diagonal_metric, identity_metric, parse_metric
 from abch.model import parse_model
 from abch.scalars import QQi
 from abch.setting import ExactSetting, NumericSetting
@@ -173,7 +173,9 @@ def test_d_plus_dstar_squared_is_blockwise_laplacian(iw):
 
 
 def test_numeric_crosscheck_and_gaps(iw, kt):
-    for s in (iw, kt):
+    # the complex off-diagonal entry makes conj(G) != G for every Gram
+    kt_complex = settings_for(KT, HermitianMetric(*parse_metric("n = 2\nH[1][2] = (1/2 + 1/3 i)")))
+    for s in (iw, kt, kt_complex):
         numeric = NumericSetting(s)
         for b in all_bidegrees(s.n):
             bundle = LaplacianBundle.build(s, numeric, b)

@@ -12,6 +12,7 @@ from abch.linalg import (
     gram_schmidt,
     ip,
     project,
+    projection_coords,
     span_basis,
     subspace_contains,
     subspace_dim,
@@ -107,6 +108,15 @@ def test_projection_is_orthogonal():
     for b in B.cols():
         assert ip(res, b, G) == QQi(0)
     assert subspace_contains(B, Mat.column(px))
+    # several columns in one solve
+    S = Mat(
+        [[QQi(1), QQi(0, 1), ZERO], [QQi(2), ONE, QQi(1, -1)], [QQi(3), ZERO, ONE], [QQi(4), QQi(-1), QQi(0, 2)]],
+        ncols=3,
+    )
+    BX = B @ projection_coords(S, B, G)
+    for j, col in enumerate(S.cols()):
+        assert BX.col(j) == project(col, B, G)
+    assert cross_gram(S - BX, B, G).is_zero()
 
 
 def test_gram_schmidt_orthogonalises():
