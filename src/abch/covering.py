@@ -26,6 +26,7 @@ and the two must agree exactly.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,7 +55,7 @@ from abch.laplacians import (
 )
 from abch.linalg import Mat, ShapeMismatch, gram_schmidt, ip as gram_ip, projection_coords, span_basis
 from abch.metric import HermitianMetric, identity_metric
-from abch.model import ModelSyntaxError
+from abch.model import InputTooLarge, ModelSyntaxError, parse_dimension, parse_int
 from abch.scalars import QQi, ONE, ZERO
 from abch.setting import ExactSetting, NumericSetting
 
@@ -73,6 +74,16 @@ class NotGammaInvariant(Exception):
     """A subspace handed to the Gamma-dimension is not deck-invariant."""
 
 
+# Limits on `.cover` input: the complex dimension of the torus, the
+# truncation radius, and the number of candidate lattice points the mode
+# enumeration may scan (it grows like radius^(2n) times the sublattice scale).
+# Larger input is refused with InputTooLarge before any mode is built.
+MAX_COVER_N = 3
+MAX_RADIUS = 4
+MAX_MODE_CANDIDATES = 100_000
+_RADIUS_RE = re.compile(r"^[0-9]+(?:/[0-9]+|\.[0-9]+)?$")
+
+
 @dataclass(frozen=True)
 class CoveringSpec:
     n: int
@@ -83,7 +94,7 @@ class CoveringSpec:
 
 def parse_cover(text: str) -> CoveringSpec:
     """Parse a `.cover` file: `n`, `base = [[..]]`, `sub = [[..]]`,
-    `radius = <number>`."""
+    `radius = <number>`, with n <= MAX_COVER_N and radius <= MAX_RADIUS."""
     n: Optional[int] = None
     mats: Dict[str, Tuple[Tuple[int, ...], ...]] = {}
     radius: Optional[Fraction] = None
@@ -95,17 +106,31 @@ def parse_cover(text: str) -> CoveringSpec:
             raise ModelSyntaxError("statement needs '='", lineno, 1)
         lhs, rhs = (s.strip() for s in line.split("=", 1))
         if lhs == "n":
-            n = int(rhs)
+            n = parse_dimension(rhs, lineno, MAX_COVER_N)
         elif lhs in ("base", "sub"):
             rows = re.findall(r"\[([^\[\]]*)\]", rhs)
-            mats[lhs] = tuple(tuple(int(x) for x in row.split(",")) for row in rows if row.strip())
+            mats[lhs] = tuple(tuple(parse_int(x, lineno, 1) for x in row.split(",")) for row in rows if row.strip())
         elif lhs == "radius":
-            radius = Fraction(rhs)
+            radius = _parse_radius(rhs, lineno)
         else:
             raise ModelSyntaxError(f"bad statement {lhs!r}", lineno, 1)
     if n is None or radius is None or "base" not in mats or "sub" not in mats:
         raise ModelSyntaxError("cover file needs n, base, sub and radius", 0, 0)
     return CoveringSpec(n=n, base=mats["base"], sub=mats["sub"], radius=radius)
+
+
+def _parse_radius(text: str, line: int) -> Fraction:
+    """`a`, `a/b` or `a.b`, at most MAX_RADIUS."""
+    if _RADIUS_RE.match(text):
+        try:
+            radius = Fraction(text)
+        except (ValueError, ZeroDivisionError):  # too many digits, or a zero denominator
+            pass
+        else:
+            if radius > MAX_RADIUS:
+                raise InputTooLarge(f"radius {text[:20]} exceeds the limit {MAX_RADIUS}", line, 1)
+            return radius
+    raise ModelSyntaxError(f"bad radius {text[:20]!r}", line, 1)
 
 
 def load_cover(path: str) -> CoveringSpec:
@@ -370,6 +395,9 @@ def build_cover(spec: CoveringSpec, H: Optional[Mat] = None) -> FourierComplex:
     S_np = np.array([[float(x) for x in row] for row in S])
     box = [int(np.ceil(np.linalg.norm(S_np[:, i]) * bound + 1e-9)) for i in range(two_n)]
 
+    candidates = math.prod(2 * bi + 1 for bi in box)
+    if candidates > MAX_MODE_CANDIDATES:
+        raise InputTooLarge(f"{candidates} candidate modes exceed the limit {MAX_MODE_CANDIDATES}")
     R2 = R * R
     modes: List[Mode] = []
     for m in itertools.product(*[range(-bi, bi + 1) for bi in box]):

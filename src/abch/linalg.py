@@ -8,6 +8,7 @@ echelon form and nullspace basis is bit-reproducible.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -313,6 +314,31 @@ class Mat:
         return out
 
 
+def compound(M: Mat, k: int) -> Mat:
+    """The k-th compound matrix: entry (I, K) is det M[I, K], for the k-subsets
+    I of rows and K of columns in lexicographic order.  By Cauchy-Binet,
+    compound(A @ B, k) == compound(A, k) @ compound(B, k)."""
+    rsets = list(combinations(range(M.nrows), k))
+    csets = list(combinations(range(M.ncols), k))
+    return Mat(
+        [[Mat([[M.rows[i][j] for j in K] for i in I], ncols=k).det() for K in csets] for I in rsets],
+        ncols=len(csets),
+    )
+
+
+def kron(A: Mat, B: Mat) -> Mat:
+    """Kronecker product: entry (a * B.nrows + b, c * B.ncols + d) is A[a][c] * B[b][d]."""
+    zeros = [ZERO] * B.ncols
+    rows = []
+    for ra in A.rows:
+        for rb in B.rows:
+            row: List[QQi] = []
+            for x in ra:
+                row.extend(zeros if x.is_zero() else [ZERO if y.is_zero() else x * y for y in rb])
+            rows.append(row)
+    return Mat(rows, ncols=A.ncols * B.ncols)
+
+
 # -- subspaces ------------------------------------------------------------
 #
 # A subspace of Q(i)^n is represented by a Mat whose columns span it (not
@@ -387,9 +413,10 @@ def ip(u: Sequence[QQi], v: Sequence[QQi], G: Mat) -> QQi:
     return s
 
 
-def gram_adjoint(T: Mat, G_src: Mat, G_dst: Mat) -> Mat:
-    """S with <T u, v>_dst = <u, S v>_src for all u, v."""
-    return G_src.conj().inv() @ T.conj_t() @ G_dst.conj()
+def gram_adjoint(T: Mat, G_src_inv: Mat, G_dst: Mat) -> Mat:
+    """S with <T u, v>_dst = <u, S v>_src for all u, v, given the inverse of
+    the source Gram: S = conj(G_src)^{-1} T^H conj(G_dst)."""
+    return G_src_inv.conj() @ T.conj_t() @ G_dst.conj()
 
 
 def basis_gram(B: Mat, G: Mat) -> Mat:

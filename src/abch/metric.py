@@ -7,10 +7,21 @@ product is the product of two minor determinants,
 
     h(phi_I ^ phibar_J, phi_K ^ phibar_L) = det(H[I,K]) * det(conj(H)[J,L]),
 
-distinct bidegrees being orthogonal.  The fundamental form lives on the
-vector side, omega = i * sum_jk ((conj H)^{-1})_jk phi_j ^ phibar_k, and
+distinct bidegrees being orthogonal.  In the lexicographic monomial order
+the (p,q) Gram is the Kronecker product C_p(H) (x) C_q(conj H) of compound
+matrices, so each minor is computed once per index pair and shared by every
+entry and bidegree that uses it.  By Cauchy-Binet C_p(H)^{-1} = C_p(H^{-1}),
+so the inverse Gram is the same construction applied to H^{-1}: no Gram is
+ever eliminated.  Each inverse is checked exactly against its Gram,
+gram(b) @ gram_inv(b) == I, once per bidegree; a failed check is an
+AssertionError, which the CLI reports as a verification failure.  Gram
+adjoints take the block-diagonal of these cached inverses.
+
+The fundamental form lives on the vector side,
+omega = i * sum_jk ((conj H)^{-1})_jk phi_j ^ phibar_k, and
 vol = omega^n / n! fixes vol_coeff = i^n (-1)^{n(n-1)/2} / det(H) on the
-canonical top monomial.
+canonical top monomial.  (conj H)^{-1} is the one exact inversion a metric
+makes; its conjugate is H^{-1}.
 
 The star on A^{a,b} -> A^{n-b,n-a} is solved column-by-column from its
 defining equation  alpha ^ *(conj beta) = h(alpha, beta) vol; the wedge
@@ -40,8 +51,8 @@ from abch.complexes import (
     monomial_basis,
     wedge_monomials,
 )
-from abch.linalg import Mat, ShapeMismatch, gram_adjoint
-from abch.model import ModelSyntaxError, parse_coeff
+from abch.linalg import Mat, ShapeMismatch, compound, gram_adjoint, kron
+from abch.model import ModelSyntaxError, parse_coeff, parse_dimension, parse_int
 from abch.scalars import QQi, ONE, ZERO, I
 
 
@@ -92,13 +103,6 @@ def _pairing(n: int, c: int, d: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return tuple(ks), tuple(signs)
 
 
-def _minor_det_exact(H: Mat, rows: Sequence[int], cols: Sequence[int]) -> QQi:
-    sub = Mat([[H.rows[i - 1][j - 1] for j in cols] for i in rows], ncols=len(cols))
-    if sub.nrows == 0:
-        return ONE
-    return sub.det()
-
-
 class HermitianMetric:
     """Exact Hermitian structure for complex dimension n."""
 
@@ -107,41 +111,63 @@ class HermitianMetric:
             raise ShapeMismatch(f"H must be {n}x{n}")
         if H != H.conj_t():
             raise NotHermitian("H is not equal to its conjugate transpose")
-        for k in range(1, n + 1):
-            mk = _minor_det_exact(H, range(1, k + 1), range(1, k + 1))
-            if not mk.is_real() or mk.re <= 0:
-                raise NotPositiveDefinite(f"leading minor {k} is {mk}")
         self.n = n
         self.H = H
+        # (inverse, k) -> the compound C_k(H), or C_k(H^{-1}) if inverse, and
+        # its conjugate; entry [0][0] is the leading k x k minor
+        self._compounds: Dict[Tuple[bool, int], Tuple[Mat, Mat]] = {}
+        for k in range(1, n + 1):
+            mk = self._compound(False, k)[0].rows[0][0]
+            if not mk.is_real() or mk.re <= 0:
+                raise NotPositiveDefinite(f"leading minor {k} is {mk}")
         # the fundamental form lives on the vector side: its coefficient
         # matrix is the inverse of the conjugated coframe Gram, and
         # vol = omega^n / n! picks up 1/det(H)
         self.omega_matrix = H.conj().inv()
-        det = _minor_det_exact(H, range(1, n + 1), range(1, n + 1))
+        self._H_inv = self.omega_matrix.conj()
+        det = self._compound(False, n)[0].rows[0][0]
         i_pow = [ONE, I, -ONE, -I][n % 4]
         sign = -ONE if (n * (n - 1) // 2) % 2 == 1 else ONE
         self.vol_coeff: QQi = i_pow * sign / det
         self._gram: Dict[Bidegree, Mat] = {}
+        self._gram_inv: Dict[Bidegree, Mat] = {}
         self._star: Dict[Bidegree, Mat] = {}
 
     # -- Gram matrices ---------------------------------------------------
 
+    def _compound(self, inverse: bool, k: int) -> Tuple[Mat, Mat]:
+        if (inverse, k) not in self._compounds:
+            C = compound(self._H_inv if inverse else self.H, k)
+            self._compounds[(inverse, k)] = (C, C.conj())
+        return self._compounds[(inverse, k)]
+
+    def _compound_gram(self, b: Bidegree, inverse: bool) -> Mat:
+        """C_p(M) (x) C_q(conj M) for M = H, or M = H^{-1} for the inverse."""
+        p, q = b
+        if not (0 <= p <= self.n and 0 <= q <= self.n):
+            return Mat.zeros(0, 0)
+        return kron(self._compound(inverse, p)[0], self._compound(inverse, q)[1])
+
     def gram(self, b: Bidegree) -> Mat:
         if b not in self._gram:
-            p, q = b
-            basis = monomial_basis(self.n, p, q)
-            Hc = self.H.conj()
-            G = Mat.zeros(len(basis), len(basis))
-            for a_i, ma in enumerate(basis):
-                for b_i, mb in enumerate(basis):
-                    G.rows[a_i][b_i] = _minor_det_exact(self.H, ma.hol, mb.hol) * _minor_det_exact(
-                        Hc, ma.anti, mb.anti
-                    )
-            self._gram[b] = G
+            self._gram[b] = self._compound_gram(b, inverse=False)
         return self._gram[b]
+
+    def gram_inv(self, b: Bidegree) -> Mat:
+        """The inverse of gram(b): the Gram of H^{-1} (Cauchy-Binet),
+        checked exactly against gram(b) the first time it is built."""
+        if b not in self._gram_inv:
+            G_inv = self._compound_gram(b, inverse=True)
+            if self.gram(b) @ G_inv != Mat.identity(G_inv.nrows):
+                raise AssertionError(f"Gram inverse check failed at bidegree {b}")
+            self._gram_inv[b] = G_inv
+        return self._gram_inv[b]
 
     def gram_space(self, space: Space) -> Mat:
         return Mat.block_diag([self.gram(b) for b in space]) if space else Mat.zeros(0, 0)
+
+    def gram_inv_space(self, space: Space) -> Mat:
+        return Mat.block_diag([self.gram_inv(b) for b in space]) if space else Mat.zeros(0, 0)
 
     def ip(self, u: Sequence[QQi], v: Sequence[QQi], space: Space) -> QQi:
         from abch.linalg import ip as _ip
@@ -191,7 +217,7 @@ class HermitianMetric:
         return Op(
             src=op.dst,
             dst=op.src,
-            mat=gram_adjoint(op.mat, self.gram_space(op.src), self.gram_space(op.dst)),
+            mat=gram_adjoint(op.mat, self.gram_inv_space(op.src), self.gram_space(op.dst)),
         )
 
 
@@ -228,8 +254,8 @@ _HENTRY_RE = re.compile(r"^H\[([0-9]+)\]\[([0-9]+)\]$")
 
 
 def parse_metric(text: str) -> Tuple[int, Mat]:
-    """Parse a `.herm` file: `n = <int>` then `H[i][j] = <coeff>` for i <= j;
-    omitted entries default to the identity."""
+    """Parse a `.herm` file: `n = <int>` (at most MAX_N) then
+    `H[i][j] = <coeff>` for i <= j; omitted entries default to the identity."""
     n: Optional[int] = None
     entries: Dict[Tuple[int, int], QQi] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -240,14 +266,14 @@ def parse_metric(text: str) -> Tuple[int, Mat]:
             raise ModelSyntaxError("statement needs '='", lineno, 1)
         lhs, rhs = (s.strip() for s in line.split("=", 1))
         if lhs == "n":
-            n = int(rhs)
+            n = parse_dimension(rhs, lineno)
             continue
         m = _HENTRY_RE.match(lhs)
         if not m:
             raise ModelSyntaxError(f"bad statement {lhs!r}", lineno, 1)
         if n is None:
             raise ModelSyntaxError("n must be declared first", lineno, 1)
-        i, j = int(m.group(1)), int(m.group(2))
+        i, j = parse_int(m.group(1), lineno, 1), parse_int(m.group(2), lineno, 1)
         if not (1 <= i <= n and 1 <= j <= n):
             raise ModelSyntaxError(f"index H[{i}][{j}] outside 1..{n}", lineno, 1)
         if i > j:

@@ -12,7 +12,9 @@ Coefficients are Gaussian rationals written as `a`, `a/b`, `i`, `3i` or
 by conjugation downstream.  Every wedge monomial is normalised to strictly
 increasing holomorphic indices followed by increasing antiholomorphic
 indices, with the reordering sign absorbed into the coefficient, so equal
-models have equal canonical forms.
+models have equal canonical forms.  The dimension n is at most MAX_N: the
+algebra is 4^n-dimensional, so a larger n is refused before anything is
+built.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from abch.scalars import QQi, render_coeff
+
+
+# Largest complex dimension a `.cplx` or `.herm` file may declare.  At n = 6
+# the largest bidegree, A^{3,3}, is 400-dimensional.
+MAX_N = 6
 
 
 class ModelError(Exception):
@@ -51,6 +58,10 @@ class DuplicateEquation(ModelError):
     """Two `d phiK =` lines for the same K."""
 
 
+class InputTooLarge(ModelError):
+    """A declared size exceeds its documented limit."""
+
+
 @dataclass(frozen=True)
 class ComplexModel:
     """Structure constants of d on the (1,0)-coframe.
@@ -77,17 +88,36 @@ class ComplexModel:
 
 
 _GEN_RE = re.compile(r"^(phibar|phi)([0-9]+)$")
-_INT_RE = re.compile(r"^-?[0-9]+$")
+_NAT_RE = re.compile(r"^[0-9]+$")
 _RAT_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 _IMAG_RE = re.compile(r"^(-?)(?:([0-9]+(?:/[0-9]+)?)\s*)?i$")
+
+
+def parse_int(text: str, line: int = 0, col: int = 0) -> int:
+    """A decimal integer; one too long to convert is a syntax error."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ModelSyntaxError(f"bad integer {text[:20]!r}", line, col) from exc
+
+
+def parse_dimension(text: str, line: int, limit: int = MAX_N) -> int:
+    """The right-hand side of `n = <int>`: an integer in 1..limit.  The digit
+    count is checked first, so no oversized integer is ever built."""
+    digits = text.lstrip("0")
+    if not _NAT_RE.match(text) or not digits:
+        raise ModelSyntaxError(f"bad dimension {text[:20]!r}", line, 1)
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        raise InputTooLarge(f"dimension n = {text[:20]} exceeds the limit {limit}", line, 1)
+    return int(digits)
 
 
 def _parse_rational(text: str, line: int, col: int) -> Fraction:
     m = _RAT_RE.match(text)
     if not m:
         raise ModelSyntaxError(f"bad rational {text!r}", line, col)
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = parse_int(m.group(1), line, col)
+    den = parse_int(m.group(2), line, col) if m.group(2) else 1
     if den == 0:
         raise ModelSyntaxError("zero denominator", line, col)
     return Fraction(num, den)
@@ -118,7 +148,7 @@ def _parse_gen(token: str, n: int, line: int, col: int) -> Tuple[bool, int]:
     m = _GEN_RE.match(token.strip())
     if not m:
         raise ModelSyntaxError(f"bad generator {token!r}", line, col)
-    k = int(m.group(2))
+    k = parse_int(m.group(2), line, col)
     if not 1 <= k <= n:
         raise UnknownGenerator(f"generator index {k} outside 1..{n}", line, col)
     return m.group(1) == "phibar", k
@@ -199,9 +229,7 @@ def parse_model(text: str) -> ComplexModel:
         if lhs == "n":
             if n is not None:
                 raise DuplicateEquation("n given twice", lineno, 1)
-            if not _INT_RE.match(rhs) or int(rhs) < 1:
-                raise ModelSyntaxError(f"bad dimension {rhs!r}", lineno, 1)
-            n = int(rhs)
+            n = parse_dimension(rhs, lineno)
             continue
         if lhs == "name":
             name = rhs
@@ -211,7 +239,7 @@ def parse_model(text: str) -> ComplexModel:
             raise ModelSyntaxError(f"bad statement {lhs!r}", lineno, 1)
         if n is None:
             raise ModelSyntaxError("n must be declared before d equations", lineno, 1)
-        k = int(m.group(1))
+        k = parse_int(m.group(1), lineno, 1)
         if not 1 <= k <= n:
             raise UnknownGenerator(f"generator index {k} outside 1..{n}", lineno, 1)
         if k in seen:

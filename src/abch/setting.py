@@ -13,7 +13,7 @@ the engines.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Hashable, Optional
 
 import numpy as np
 
@@ -41,7 +41,12 @@ def add_ops(*ops: Op) -> Op:
 
 
 class ExactSetting:
-    """Exact differentials + metric for one bigraded complex."""
+    """Exact differentials + metric for one bigraded complex.
+
+    The primitive operators (`del_op`, `delbar_op`, `deldbar_op`,
+    `total_d`) are built once each, and so are their adjoints; adjoints of
+    other operators are computed afresh on every call.
+    """
 
     def __init__(self, ops, metric: HermitianMetric):
         self.ops = ops
@@ -49,6 +54,16 @@ class ExactSetting:
         self.n = ops.n
         if metric.n != ops.n:
             raise ShapeMismatch("metric dimension differs from complex dimension")
+        self._primitives: Dict[Hashable, Op] = {}
+        # id of a memoised primitive -> its adjoint, None until first asked;
+        # the primitives live as long as the setting, so their ids are stable
+        self._adjoints: Dict[int, Optional[Op]] = {}
+
+    def _primitive(self, key: Hashable, build: Callable[[], Op]) -> Op:
+        if key not in self._primitives:
+            op = self._primitives[key] = build()
+            self._adjoints[id(op)] = None
+        return self._primitives[key]
 
     def dim(self, b: Bidegree) -> int:
         return self.ops.dim(b)
@@ -61,22 +76,27 @@ class ExactSetting:
 
     def del_op(self, b: Bidegree) -> Op:
         p, q = b
-        return Op(src=(b,), dst=((p + 1, q),), mat=self.ops.del_(b))
+        return self._primitive(("del", b), lambda: Op(src=(b,), dst=((p + 1, q),), mat=self.ops.del_(b)))
 
     def delbar_op(self, b: Bidegree) -> Op:
         p, q = b
-        return Op(src=(b,), dst=((p, q + 1),), mat=self.ops.delbar(b))
+        return self._primitive(("delbar", b), lambda: Op(src=(b,), dst=((p, q + 1),), mat=self.ops.delbar(b)))
 
     def deldbar_op(self, b: Bidegree) -> Op:
         """del delbar : A^{p,q} -> A^{p+1,q+1}."""
         p, q = b
-        return compose(self.del_op((p, q + 1)), self.delbar_op(b))
+        return self._primitive(("deldbar", b), lambda: compose(self.del_op((p, q + 1)), self.delbar_op(b)))
 
     def adjoint(self, op: Op) -> Op:
-        return self.metric.adjoint(op)
+        key = id(op)
+        if key not in self._adjoints:  # not a memoised primitive
+            return self.metric.adjoint(op)
+        if self._adjoints[key] is None:
+            self._adjoints[key] = self.metric.adjoint(op)
+        return self._adjoints[key]
 
     def total_d(self, k: int) -> Op:
-        return total_d(self.ops, k)
+        return self._primitive(("d", k), lambda: total_d(self.ops, k))
 
 
 class NumericSetting:
@@ -93,6 +113,7 @@ class NumericSetting:
         self.metric = nmetric if nmetric is not None else NumericMetric.from_exact(exact.metric)
         self._del: Dict[Bidegree, np.ndarray] = {}
         self._delbar: Dict[Bidegree, np.ndarray] = {}
+        self._total_d: Dict[int, np.ndarray] = {}
 
     def dim(self, b: Bidegree) -> int:
         return self.exact.dim(b)
@@ -124,4 +145,6 @@ class NumericSetting:
 
     def total_d(self, k: int) -> Op:
         d = self.exact.total_d(k)
-        return Op(src=d.src, dst=d.dst, mat=d.mat.to_numpy() * self.scale)
+        if k not in self._total_d:
+            self._total_d[k] = d.mat.to_numpy() * self.scale
+        return Op(src=d.src, dst=d.dst, mat=self._total_d[k])

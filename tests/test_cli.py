@@ -6,6 +6,7 @@ import os
 from abch.cli import main
 from abch.complexes import Op
 from abch.linalg import Mat
+from abch.metric import HermitianMetric
 from abch.scalars import ONE
 from abch.setting import ExactSetting
 
@@ -126,3 +127,22 @@ def test_broken_invariant_exits_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("verification failure: delta^2 != 0")
+
+
+def test_wrong_gram_inverse_exits_one(capsys, monkeypatch):
+    # the Gram of H in place of the Gram of H^{-1} fails the one-time check
+    real = HermitianMetric._compound_gram
+    monkeypatch.setattr(HermitianMetric, "_compound_gram", lambda self, b, inverse: real(self, b, False))
+    code, out, err = run(capsys, "abc", fx("kodaira_thurston.cplx"), "--pq", "1,1", "--metric", fx("diag21.herm"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failure: Gram inverse check failed")
+
+
+def test_oversized_input_exits_two(capsys, tmp_path):
+    big = tmp_path / "big.cplx"
+    big.write_text("n = 7\n")
+    code, out, err = run(capsys, "cohomology", str(big))
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit 6" in err

@@ -18,6 +18,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 KT = "fixtures/kodaira_thurston.cplx"
 IW = "fixtures/iwasawa.cplx"
 DIAG21 = ("--metric", "fixtures/diag21.herm")
+DENSE3 = ("--metric", "fixtures/dense3.herm")  # complex off-diagonal entries
 
 GOLDEN = [
     (("check", KT),
@@ -52,6 +53,12 @@ GOLDEN = [
      "e71a59fff18c900aa6385822510b4075d3bc2e2da17cce2a231fb33a23edb397"),
     (("spectra", KT, "--backend", "both", *DIAG21),
      "6196290e12ebe8d1d480c16b646f8d46f32144f552c3a459960406dab4400a4a"),
+    (("cohomology", IW, *DENSE3),
+     "3db25a86a7db4500fa339dff08eefe2ae2bb3c5d6f726b2d0fd67b7e9016372a"),
+    (("abc", IW, "--pq", "1,1", *DENSE3),
+     "cbe5a73defbb176f7e6a8cc5989d995e35702b3d92eb4172961a9466907c2a1d"),
+    (("spectra", IW, "--backend", "both", "--pq", "1,1", *DENSE3),
+     "e847f9d66e127ab39d0cf9232ff3d4a904883888670e60d6ffac30a46b892caf"),
     (("cover", "fixtures/index2.cover"),
      "162d5e004d530b3784b1e9d500f32d4e9ed37238356ccd937891a2d9e200998f"),
 ]

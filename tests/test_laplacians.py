@@ -165,7 +165,7 @@ def test_d_plus_dstar_squared_is_blockwise_laplacian(iw):
     G = Mat.block_diag([s.gram(sp) for sp in spaces])
     from abch.linalg import gram_adjoint
 
-    Dstar = gram_adjoint(D, G, G)
+    Dstar = gram_adjoint(D, Mat.block_diag([s.metric.gram_inv_space(sp) for sp in spaces]), G)
     S = D + Dstar
     S2 = S @ S
     expected = Mat.block_diag([assemble(s, LaplacianKind.D, spaces[k][0]).mat for k in degrees])

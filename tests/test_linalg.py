@@ -88,7 +88,7 @@ def _pd_gram(n):
 @given(mats(3, 2), mats(2, 3))
 def test_gram_adjoint_property(U, T):
     Gs, Gd = _pd_gram(3), _pd_gram(2)
-    S = gram_adjoint(T, Gs, Gd)
+    S = gram_adjoint(T, Gs.inv(), Gd)
     for u in U.cols():
         for v in (Mat.identity(2)).cols():
             lhs = ip(T.matvec(u), v, Gd)

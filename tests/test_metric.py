@@ -1,6 +1,7 @@
 """Hermitian metrics: Grams, volume, star, adjoints."""
 
 import itertools
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +17,12 @@ from abch.metric import (
     diagonal_metric,
     identity_metric,
     is_kahler,
+    load_metric,
     parse_metric,
 )
 from abch.model import parse_model
 from abch.scalars import QQi, I, ONE
-from abch.setting import ExactSetting
+from abch.setting import ExactSetting, compose
 
 
 def perm_det(M: Mat) -> QQi:
@@ -335,3 +337,35 @@ def test_total_d_adjoint_property():
             u = [QQi(int(rng.integers(-2, 3)), int(rng.integers(-2, 3))) for _ in range(op.mat.ncols)]
             v = [QQi(int(rng.integers(-2, 3)), int(rng.integers(-2, 3))) for _ in range(op.mat.nrows)]
             assert ip(op.mat.matvec(u), v, G_dst) == ip(u, adj.mat.matvec(v), G_src)
+
+
+DENSE3 = load_metric(os.path.join(os.path.dirname(__file__), "..", "fixtures", "dense3.herm"))
+
+
+@pytest.mark.parametrize("metric", [HermitianMetric(*DENSE3), diagonal_metric([2, 3, 1, 5])], ids=["dense3", "diag4"])
+def test_gram_inverse_by_cauchy_binet(metric):
+    n = metric.n
+    for p in range(n + 1):
+        for q in range(n + 1):
+            G, G_inv = metric.gram((p, q)), metric.gram_inv((p, q))
+            assert G @ G_inv == Mat.identity(G.nrows)
+            assert G_inv == G.inv()
+
+
+def test_memoised_adjoints_match_uncached_formula():
+    comp = build_complex(parse_model("n = 2\nd phi2 = phi1 ^ phibar1"))
+    s = ExactSetting(comp, HermitianMetric(*parse_metric("n = 2\nH[1][2] = (1/2 + 1/3 i)")))
+    ops = [s.total_d(k) for k in range(-1, 5)]
+    for p in range(-1, 3):
+        for q in range(-1, 3):
+            ops += [s.del_op((p, q)), s.delbar_op((p, q)), s.deldbar_op((p, q))]
+    for op in ops:
+        uncached = s.gram(op.src).conj().inv() @ op.mat.conj_t() @ s.gram(op.dst).conj()
+        adj = s.adjoint(op)
+        assert adj.mat == uncached
+        assert (adj.src, adj.dst) == (op.dst, op.src)
+        assert s.adjoint(op) is adj
+    # a composite is not memoised, but has the same adjoint
+    corner = compose(s.del_op((0, 1)), s.delbar_op((0, 0)))
+    assert s.adjoint(corner) is not s.adjoint(corner)
+    assert s.adjoint(corner).mat == s.adjoint(s.deldbar_op((0, 0))).mat

@@ -5,10 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abch.covering import MAX_COVER_N, MAX_RADIUS, CoveringSpec, build_cover, parse_cover
+from abch.metric import parse_metric
 from abch.model import (
+    MAX_N,
     BidegreeViolation,
     ComplexModel,
     DuplicateEquation,
+    InputTooLarge,
+    ModelError,
     ModelSyntaxError,
     UnknownGenerator,
     parse_model,
@@ -116,3 +121,53 @@ def models(draw):
 @given(models())
 def test_round_trip(model):
     assert parse_model(render_model(model)) == model
+
+
+# -- fuzzing of the three input parsers -----------------------------------------
+
+_KEYS = st.sampled_from(["n", "name", "d phi1", "d phi3", "d phi0", "H[1][2]", "H[2][2]", "H[3][1]",
+                         "H[1][9]", "base", "sub", "radius", "x"])
+_TOKENS = st.sampled_from([
+    "phi1", "phi2", "phibar1", "phibar3", "phi99", "^", "*", "+", "-", "(", ")", "i", "3i",
+    "1/2", "1/2i", "1/0", "0", "1", "2", "3", "7", "-3", "1.5", "1e9", "9" * 30, "9" * 5000,
+    "[[1, 0], [0, 1]]", "[[2, 0], [0, 1]]", "[[1]]", "[", "]", ",", "=", "#", "x",
+])
+_LINES = st.one_of(
+    st.builds(lambda key, rhs: f"{key} = {' '.join(rhs)}", _KEYS, st.lists(_TOKENS, min_size=1, max_size=5)),
+    st.lists(_TOKENS, max_size=6).map(" ".join),
+)
+_HEADERS = st.sampled_from(["", "n = 1\n", "n = 2\n", "n = 3\n", "n = 7\n", "n = 100000\n"])
+_TEXTS = st.one_of(
+    st.text(max_size=60),
+    st.builds(lambda head, lines: head + "\n".join(lines), _HEADERS, st.lists(_LINES, max_size=6)),
+)
+
+
+@pytest.mark.parametrize("parse", [parse_model, parse_metric, parse_cover], ids=["cplx", "herm", "cover"])
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXTS)
+def test_parsers_accept_or_raise_model_error(parse, text):
+    try:
+        parse(text)
+    except ModelError:
+        pass
+
+
+def test_input_caps():
+    assert parse_model(f"n = {MAX_N}").n == MAX_N
+    assert parse_metric(f"n = {MAX_N}")[0] == MAX_N
+    cover = "base = [[1, 0], [0, 1]]\nsub = [[2, 0], [0, 1]]\n"
+    assert parse_cover(f"n = 1\n{cover}radius = {MAX_RADIUS}").radius == MAX_RADIUS
+    for parse, text in [
+        (parse_model, f"n = {MAX_N + 1}"),
+        (parse_model, "n = " + "9" * 5000),
+        (parse_metric, f"n = {MAX_N + 1}"),
+        (parse_cover, f"n = {MAX_COVER_N + 1}"),
+        (parse_cover, f"n = 1\n{cover}radius = {MAX_RADIUS}.5"),
+    ]:
+        with pytest.raises(InputTooLarge):
+            parse(text)
+    # within both caps, but the mode scan would pass MAX_MODE_CANDIDATES points
+    eye = tuple(tuple(int(i == j) for j in range(2 * MAX_COVER_N)) for i in range(2 * MAX_COVER_N))
+    with pytest.raises(InputTooLarge):
+        build_cover(CoveringSpec(n=MAX_COVER_N, base=eye, sub=eye, radius=Fraction(MAX_RADIUS)))
