@@ -134,11 +134,15 @@ class FormVector:
     def __add__(self, other: "FormVector") -> "FormVector":
         if self.bidegree != other.bidegree or self.n != other.n:
             raise ShapeMismatch("adding forms of different bidegree")
-        return FormVector(self.n, self.bidegree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return FormVector(
+            self.n,
+            self.bidegree,
+            tuple(a if b.is_zero() else b if a.is_zero() else a + b for a, b in zip(self.coeffs, other.coeffs)),
+        )
 
     def scale(self, c) -> "FormVector":
         c = QQi.of(c)
-        return FormVector(self.n, self.bidegree, tuple(c * a for a in self.coeffs))
+        return FormVector(self.n, self.bidegree, tuple(a if a.is_zero() else c * a for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -257,8 +261,9 @@ def _d_of_generator(model: ComplexModel, bar: bool, k: int):
     return del_part, dbar_part
 
 
-def _leibniz_column(model: ComplexModel, m: Monomial, which: str) -> FormVector:
-    """del or delbar of a basis monomial by the graded Leibniz rule."""
+def _leibniz_column(model: ComplexModel, m: Monomial, which: str, gens: dict) -> FormVector:
+    """del or delbar of a basis monomial by the graded Leibniz rule; `gens`
+    memoises `_d_of_generator` by (bar, k)."""
     n = model.n
     p, q = len(m.hol), len(m.anti)
     target = (p + 1, q) if which == "del" else (p, q + 1)
@@ -267,7 +272,9 @@ def _leibniz_column(model: ComplexModel, m: Monomial, which: str) -> FormVector:
     out = FormVector.zero(n, *target)
     factors = [(False, i) for i in m.hol] + [(True, j) for j in m.anti]
     for t, (bar, k) in enumerate(factors):
-        del_part, dbar_part = _d_of_generator(model, bar, k)
+        if (bar, k) not in gens:
+            gens[(bar, k)] = _d_of_generator(model, bar, k)
+        del_part, dbar_part = gens[(bar, k)]
         dgen = del_part if which == "del" else dbar_part
         if dgen.is_zero():
             continue
@@ -292,20 +299,21 @@ def build_complex(model: ComplexModel) -> BigradedComplex:
     n = model.n
     del_mats: Dict[Bidegree, Mat] = {}
     delbar_mats: Dict[Bidegree, Mat] = {}
+    gens: dict = {}
     for p in range(n + 1):
         for q in range(n + 1):
             basis = monomial_basis(n, p, q)
             if p < n:
                 md = Mat.zeros(dim_pq(n, p + 1, q), dim_pq(n, p, q))
                 for j, m in enumerate(basis):
-                    fv = _leibniz_column(model, m, "del")
+                    fv = _leibniz_column(model, m, "del", gens)
                     for i, c in enumerate(fv.coeffs):
                         md.rows[i][j] = c
                 del_mats[(p, q)] = md
             if q < n:
                 mb = Mat.zeros(dim_pq(n, p, q + 1), dim_pq(n, p, q))
                 for j, m in enumerate(basis):
-                    fv = _leibniz_column(model, m, "delbar")
+                    fv = _leibniz_column(model, m, "delbar", gens)
                     for i, c in enumerate(fv.coeffs):
                         mb.rows[i][j] = c
                 delbar_mats[(p, q)] = mb

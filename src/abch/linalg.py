@@ -1,14 +1,25 @@
 """Exact linear algebra over Q(i): Gaussian elimination, ranks, nullspaces,
 subspace arithmetic and Gram-orthogonal projections.
 
-Pivoting is deterministic: elimination always takes the first nonzero entry
-scanning rows top-down within the leftmost unfinished column, so every rank,
-echelon form and nullspace basis is bit-reproducible.
+Every rank, nullspace, image and solve goes through `Mat.rref`, which
+eliminates over the Gaussian integers Z[i] on sparse rows.  Each row is scaled
+once by the lcm of its denominators and stored as {column: (re, im)} with
+integer parts.  Gauss-Jordan steps `row <- pivot * row - factor * pivot_row`
+touch only the nonzero entries of the two rows, and each result is divided by
+the integer gcd of all its parts, so numerators stay small without a gcd per
+entry (fraction-free elimination after Bareiss, Math. Comp. 22 (1968)).  Only
+at the end is each pivot row divided by its pivot and converted back to Q(i).
+The pivot is the first nonzero entry, scanning rows top-down, in the leftmost
+unfinished column.  The reduced row echelon form of a matrix is unique, so
+every rank, echelon form and nullspace basis is bit-reproducible and
+independent of how the elimination is carried out.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -18,6 +29,24 @@ from abch.scalars import QQi, ZERO, ONE
 
 class ShapeMismatch(Exception):
     """Operands have incompatible shapes."""
+
+
+def _primitive(row: dict) -> dict:
+    """Divide a sparse Z[i] row by the integer gcd of all its parts."""
+    g = gcd(*(v for ab in row.values() for v in ab))
+    if g <= 1:
+        return row
+    return {j: (a // g, b // g) for j, (a, b) in row.items()}
+
+
+def _zi_row(row: Sequence[QQi]) -> dict:
+    """A row over Q(i) as a primitive sparse Z[i] row {col: (re, im)}: scaled
+    by the lcm of its denominators, then by the gcd of its parts."""
+    nz = [(j, x.re, x.im) for j, x in enumerate(row) if x.re or x.im]
+    den = lcm(*(q.denominator for _, re, im in nz for q in (re, im)))
+    return _primitive(
+        {j: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)) for j, re, im in nz}
+    )
 
 
 class Mat:
@@ -198,32 +227,54 @@ class Mat:
     # -- elimination ----------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form; returns (R, pivot_columns)."""
-        m = self.copy()
+        """Reduced row echelon form; returns (R, pivot_columns).
+
+        Gauss-Jordan elimination over Z[i] on sparse rows (see the module
+        docstring); each pivot row is divided by its pivot once, at the end."""
+        rows = [_zi_row(r) for r in self.rows]
+        nrows = len(rows)
         pivots: List[int] = []
         r = 0
-        for c in range(m.ncols):
-            if r >= m.nrows:
+        for c in range(self.ncols):
+            if r >= nrows:
                 break
             # first nonzero entry scanning rows top-down
-            pr = None
-            for i in range(r, m.nrows):
-                if not m.rows[i][c].is_zero():
-                    pr = i
-                    break
+            pr = next((i for i in range(r, nrows) if c in rows[i]), None)
             if pr is None:
                 continue
-            if pr != r:
-                m.rows[r], m.rows[pr] = m.rows[pr], m.rows[r]
-            pv = m.rows[r][c]
-            m.rows[r] = [x / pv for x in m.rows[r]]
-            for i in range(m.nrows):
-                if i != r and not m.rows[i][c].is_zero():
-                    f = m.rows[i][c]
-                    m.rows[i] = [a - f * b for a, b in zip(m.rows[i], m.rows[r])]
+            rows[r], rows[pr] = rows[pr], rows[r]
+            prow = rows[r]
+            pa, pb = prow[c]
+            for i in range(nrows):
+                row = rows[i]
+                if i == r or c not in row:
+                    continue
+                # row <- pv * row - f * prow, so the entry in column c cancels
+                fa, fb = row.pop(c)
+                new = {j: (pa * a - pb * b, pa * b + pb * a) for j, (a, b) in row.items()}
+                for j, (a, b) in prow.items():
+                    if j == c:
+                        continue
+                    x, y = new.get(j, (0, 0))
+                    x -= fa * a - fb * b
+                    y -= fa * b + fb * a
+                    if x or y:
+                        new[j] = (x, y)
+                    else:
+                        del new[j]
+                rows[i] = _primitive(new)
             pivots.append(c)
             r += 1
-        return m, pivots
+        out = []
+        for row, c in zip(rows, pivots):
+            pa, pb = row[c]
+            d = pa * pa + pb * pb
+            dense = [ZERO] * self.ncols
+            for j, (a, b) in row.items():
+                dense[j] = QQi(Fraction(a * pa + b * pb, d), Fraction(b * pa - a * pb, d))
+            out.append(dense)
+        out.extend([ZERO] * self.ncols for _ in range(nrows - r))
+        return Mat(out, ncols=self.ncols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -379,12 +430,13 @@ def subspace_sum(*parts: Mat) -> Mat:
 
 
 def subspace_intersect(A: Mat, B: Mat) -> Mat:
-    """Basis of span(A) ∩ span(B): solve A x = B y via the stacked kernel."""
+    """Basis of span(A) ∩ span(B): A x over the x-parts of ker [A | B],
+    i.e. of the solutions of A x = -B y."""
     if A.nrows != B.nrows:
         raise ShapeMismatch("intersect ambient dims differ")
     if A.ncols == 0 or B.ncols == 0:
         return Mat.zeros(A.nrows, 0)
-    K = Mat.hstack([A, -B]).nullspace()  # columns (x; y)
+    K = Mat.hstack([A, B]).nullspace()  # columns (x; y) with A x = -B y
     xs = Mat(K.rows[: A.ncols], ncols=K.ncols)
     return span_basis(A @ xs)
 

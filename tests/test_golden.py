@@ -19,6 +19,7 @@ KT = "fixtures/kodaira_thurston.cplx"
 IW = "fixtures/iwasawa.cplx"
 DIAG21 = ("--metric", "fixtures/diag21.herm")
 DENSE3 = ("--metric", "fixtures/dense3.herm")  # complex off-diagonal entries
+N4 = "fixtures/n4_chain.cplx"  # n = 4: (2,2) is 36-dimensional, degree 4 is 70
 
 GOLDEN = [
     (("check", KT),
@@ -59,6 +60,10 @@ GOLDEN = [
      "cbe5a73defbb176f7e6a8cc5989d995e35702b3d92eb4172961a9466907c2a1d"),
     (("spectra", IW, "--backend", "both", "--pq", "1,1", *DENSE3),
      "e847f9d66e127ab39d0cf9232ff3d4a904883888670e60d6ffac30a46b892caf"),
+    (("ddbar", N4),
+     "163e833dbffda703479a516f26e1de3ab73c8820fa2951d26451e31625fb0e77"),
+    (("abc", N4, "--pq", "2,2"),
+     "02b332c091bc27cd2806979a59a4f7a2f25a466a1db719f417c9a4633030159f"),
     (("cover", "fixtures/index2.cover"),
      "162d5e004d530b3784b1e9d500f32d4e9ed37238356ccd937891a2d9e200998f"),
 ]
