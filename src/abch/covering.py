@@ -49,7 +49,9 @@ from abch.laplacians import (
     LaplacianKind,
     assemble,
     fourth_order_part,
+    gram_norms,
     prestage_box_check,
+    project_off_kernel,
     spectral_gap,
     spectrum,
 )
@@ -711,16 +713,13 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int 
                 # theta samples in im((del delbar out)* adjoint)
                 corner_out = nst.deldbar_op(b)
                 Simg = st.adjoint(st.deldbar_op(b)).mat.column_space().to_numpy()
-                dd = corner_out.mat
                 if Simg.shape[1]:
                     coeff = rng.standard_normal((Simg.shape[1], samples)) + 1j * rng.standard_normal(
                         (Simg.shape[1], samples)
                     )
                     theta = Simg @ coeff
-                    Gd = nst.gram(corner_out.dst)
-                    lhs = np.array([np.real(th @ (G @ np.conj(th))) for th in theta.T])
-                    ddt = (dd @ theta).T
-                    rhs = np.array([np.real(x @ (Gd @ np.conj(x))) for x in ddt])
+                    lhs = gram_norms(theta, G)
+                    rhs = gram_norms(corner_out.mat @ theta, nst.gram(corner_out.dst))
                     if not np.all(C * lhs <= rhs + 1e-9 * np.maximum(rhs, 1.0)):
                         quantitative_ok = False
                 # two-operator bound: C|x|^2 <= |P^t x|^2 + |Q x|^2 on (ker)^perp
@@ -730,18 +729,9 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int 
                 kernel = assemble(st, LaplacianKind.DELBAR, b).mat.nullspace().to_numpy()
                 dim = Qop.mat.shape[1]
                 X = rng.standard_normal((dim, samples)) + 1j * rng.standard_normal((dim, samples))
-                if kernel.shape[1]:
-                    Bk = kernel.T @ G @ np.conj(kernel)
-                    rhsk = (X.T @ G @ np.conj(kernel)).T
-                    X = X - kernel @ np.linalg.solve(Bk.T, rhsk)
-                Gsrc_P = nst.gram(Padj.dst)
-                Gdst_Q = nst.gram(Qop.dst)
-                PX = (Padj.mat @ X).T
-                QX = (Qop.mat @ X).T
-                norm2 = np.array([np.real(x @ (G @ np.conj(x))) for x in X.T])
-                val = np.array(
-                    [np.real(px @ (Gsrc_P @ np.conj(px))) for px in PX]
-                ) + np.array([np.real(qx @ (Gdst_Q @ np.conj(qx))) for qx in QX])
+                X = project_off_kernel(X, kernel, G)
+                norm2 = gram_norms(X, G)
+                val = gram_norms(Padj.mat @ X, nst.gram(Padj.dst)) + gram_norms(Qop.mat @ X, nst.gram(Qop.dst))
                 keep = norm2 > 1e-18
                 if not np.all(g * norm2[keep] <= val[keep] + 1e-9 * np.maximum(val[keep], 1.0)):
                     two_op_ok = False

@@ -279,6 +279,21 @@ class LaplacianBundle:
         return problems
 
 
+def project_off_kernel(X: np.ndarray, K: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The columns of X minus their Gram projections onto the span of the
+    columns of K, i.e. onto the orthogonal complement of that span."""
+    if not K.shape[1]:
+        return X
+    B = K.T @ G @ np.conj(K)  # B[l,j] = <k_l, k_j>, with <u,v> = u^T G conj(v)
+    rhs = (X.T @ G @ np.conj(K)).T  # rhs[j, sample] = <x, k_j>
+    return X - K @ np.linalg.solve(B.T, rhs)
+
+
+def gram_norms(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Re <x, x> = Re x^T G conj(x) for each column x of X."""
+    return np.real(np.einsum("ij,ij->j", X, G @ np.conj(X)))
+
+
 def rayleigh_check(
     L: np.ndarray,
     G: np.ndarray,
@@ -292,14 +307,8 @@ def rayleigh_check(
     dim = L.shape[0]
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((dim, samples)) + 1j * rng.standard_normal((dim, samples))
-    if kernel.shape[1]:
-        # Gram-project each sample onto the orthogonal complement of the kernel
-        K = kernel
-        B = K.T @ G @ np.conj(K)  # B[l,j] = <k_l, k_j>
-        rhs = (X.T @ G @ np.conj(K)).T  # rhs[j, sample] = <x, k_j>
-        coords = np.linalg.solve(B.T, rhs)
-        X = X - K @ coords
-    # <u,v> = u^T G conj(v); quotients Re<Lx,x> / Re<x,x>
+    X = project_off_kernel(X, kernel, G)
+    # quotients Re<Lx,x> / Re<x,x>
     LX = L @ X
     GXc = G @ np.conj(X)
     num = np.real(np.einsum("ij,ij->j", LX, GXc))

@@ -80,10 +80,6 @@ class Mat:
         return m
 
     @staticmethod
-    def from_ints(rows: Sequence[Sequence[int]]) -> "Mat":
-        return Mat([[QQi(x) for x in r] for r in rows], ncols=len(rows[0]) if rows else 0)
-
-    @staticmethod
     def column(entries: Sequence[QQi]) -> "Mat":
         return Mat([[QQi.of(e)] for e in entries], ncols=1)
 

@@ -29,6 +29,10 @@ pairing with the complementary bidegree is a signed permutation, so the
 solve is exact.  Gram adjoints are the primary notion of formal adjoint;
 the star formulas -*delbar* and -*del* are verified against them in tests
 rather than trusted.
+
+NumericMetric is the float view used for spectra: to_numpy() of these same
+cached Grams and inverse Grams, so the numeric adjoint is the exact formula
+evaluated in floating point, with no float Gram, determinant or inversion.
 """
 
 from __future__ import annotations
@@ -169,11 +173,6 @@ class HermitianMetric:
     def gram_inv_space(self, space: Space) -> Mat:
         return Mat.block_diag([self.gram_inv(b) for b in space]) if space else Mat.zeros(0, 0)
 
-    def ip(self, u: Sequence[QQi], v: Sequence[QQi], space: Space) -> QQi:
-        from abch.linalg import ip as _ip
-
-        return _ip(u, v, self.gram_space(space))
-
     # -- fundamental form -----------------------------------------------
 
     def fundamental_form(self) -> FormVector:
@@ -293,83 +292,35 @@ def load_metric(path: str) -> Tuple[int, Mat]:
         return parse_metric(fh.read())
 
 
-# -- numeric backend -----------------------------------------------------------
-
-
-def _minor_det_np(H: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> complex:
-    if not rows:
-        return 1.0 + 0j
-    sub = H[np.ix_([i - 1 for i in rows], [j - 1 for j in cols])]
-    return complex(np.linalg.det(sub))
+# -- numeric view ---------------------------------------------------------------
 
 
 class NumericMetric:
-    """Floating-point mirror of HermitianMetric; accepts arbitrary
-    (possibly irrational) positive-definite Hermitian H."""
+    """Float view of a HermitianMetric: its exact Grams and inverse Grams,
+    each converted to numpy once.  Nothing is built or inverted in floating
+    point, and H needs no float checks: it was certified exactly when the
+    HermitianMetric was made."""
 
-    def __init__(self, n: int, H: np.ndarray):
-        H = np.asarray(H, dtype=complex)
-        if H.shape != (n, n):
-            raise ShapeMismatch(f"H must be {n}x{n}")
-        if not np.allclose(H, H.conj().T):
-            raise NotHermitian("H is not Hermitian")
-        if np.linalg.eigvalsh(H).min() <= 0:
-            raise NotPositiveDefinite("H is not positive definite")
-        self.n = n
-        self.H = H
-        i_pow = (1j) ** (n % 4)
-        sign = -1.0 if (n * (n - 1) // 2) % 2 == 1 else 1.0
-        self.vol_coeff = i_pow * sign / complex(np.linalg.det(H))
-        self._gram: Dict[Bidegree, np.ndarray] = {}
-        self._star: Dict[Bidegree, np.ndarray] = {}
+    def __init__(self, metric: HermitianMetric):
+        self.exact = metric
+        self.n = metric.n
+        # (space, inverse) -> to_numpy() of gram_space(space), or of
+        # gram_inv_space(space) if inverse
+        self._views: Dict[Tuple[Space, bool], np.ndarray] = {}
 
-    @staticmethod
-    def from_exact(metric: HermitianMetric) -> "NumericMetric":
-        return NumericMetric(metric.n, metric.H.to_numpy())
+    def _view(self, space: Space, inverse: bool) -> np.ndarray:
+        key = (space, inverse)
+        if key not in self._views:
+            exact = self.exact.gram_inv_space(space) if inverse else self.exact.gram_space(space)
+            self._views[key] = exact.to_numpy()
+        return self._views[key]
 
     def gram(self, b: Bidegree) -> np.ndarray:
-        if b not in self._gram:
-            p, q = b
-            basis = monomial_basis(self.n, p, q)
-            Hc = self.H.conj()
-            G = np.zeros((len(basis), len(basis)), dtype=complex)
-            for a_i, ma in enumerate(basis):
-                for b_i, mb in enumerate(basis):
-                    G[a_i, b_i] = _minor_det_np(self.H, ma.hol, mb.hol) * _minor_det_np(
-                        Hc, ma.anti, mb.anti
-                    )
-            self._gram[b] = G
-        return self._gram[b]
+        return self._view((b,), False)
 
     def gram_space(self, space: Space) -> np.ndarray:
-        blocks = [self.gram(b) for b in space]
-        if not blocks:
-            return np.zeros((0, 0), dtype=complex)
-        size = sum(g.shape[0] for g in blocks)
-        G = np.zeros((size, size), dtype=complex)
-        off = 0
-        for g in blocks:
-            G[off : off + g.shape[0], off : off + g.shape[0]] = g
-            off += g.shape[0]
-        return G
-
-    def star(self, b: Bidegree) -> np.ndarray:
-        if b not in self._star:
-            n = self.n
-            a, bb = b
-            perm, conj_sign = _conj_perm(n, a, bb)
-            ks, signs = _pairing(n, bb, a)
-            G = self.gram((bb, a))
-            M = np.zeros((dim_pq(n, n - bb, n - a), dim_pq(n, a, bb)), dtype=complex)
-            for j in range(dim_pq(n, a, bb)):
-                jp = perm[j]
-                scale = self.vol_coeff * conj_sign
-                for i in range(G.shape[0]):
-                    M[ks[i], j] = signs[i] * scale * G[i, jp]
-            self._star[b] = M
-        return self._star[b]
+        return self._view(space, False)
 
     def adjoint_mat(self, T: np.ndarray, src: Space, dst: Space) -> np.ndarray:
-        Gs = self.gram_space(src)
-        Gd = self.gram_space(dst)
-        return np.linalg.inv(Gs.conj()) @ T.conj().T @ Gd.conj()
+        """conj(G_src)^{-1} T^H conj(G_dst), as gram_adjoint computes it exactly."""
+        return self._view(src, True).conj() @ T.conj().T @ self._view(dst, False).conj()

@@ -2,9 +2,13 @@
 
 A *setting* bundles the bigraded differentials with a metric and exposes a
 uniform vocabulary: `del_op`, `delbar_op`, their composites, adjoints and
-total-degree d.  ExactSetting works over Q(i) matrices; NumericSetting is its
-floating-point mirror (optionally with the differentials rescaled, used by
-the Fourier covering models where the true twist carries a factor 2*pi).
+total-degree d.  ExactSetting works over Q(i) matrices.  NumericSetting is
+the same class seen in floating point: it overrides only the conversion of
+each differential (to_numpy(), optionally rescaled, used by the Fourier
+covering models where the true twist carries a factor 2*pi), the total d
+(converted from the exact setting's memo) and the adjoint (NumericMetric's
+float view of the exact Grams).  Both memoise primitives and their adjoints
+the same way.
 
 Any object with `.n`, `.dim(b)`, `.del_(b)`, `.delbar(b)` can serve as the
 operator source, so invariant complexes and per-mode Fourier blocks share
@@ -14,8 +18,6 @@ the engines.
 from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Optional
-
-import numpy as np
 
 from abch.complexes import Bidegree, Op, Space, total_d
 from abch.linalg import Mat, ShapeMismatch
@@ -74,77 +76,66 @@ class ExactSetting:
     def gram(self, space: Space) -> Mat:
         return self.metric.gram_space(space)
 
+    def _convert(self, op: Op) -> Op:
+        """Hook applied to each differential built from the complex; the
+        numeric setting turns it into floats."""
+        return op
+
     def del_op(self, b: Bidegree) -> Op:
         p, q = b
-        return self._primitive(("del", b), lambda: Op(src=(b,), dst=((p + 1, q),), mat=self.ops.del_(b)))
+        return self._primitive(
+            ("del", b), lambda: self._convert(Op(src=(b,), dst=((p + 1, q),), mat=self.ops.del_(b)))
+        )
 
     def delbar_op(self, b: Bidegree) -> Op:
         p, q = b
-        return self._primitive(("delbar", b), lambda: Op(src=(b,), dst=((p, q + 1),), mat=self.ops.delbar(b)))
+        return self._primitive(
+            ("delbar", b), lambda: self._convert(Op(src=(b,), dst=((p, q + 1),), mat=self.ops.delbar(b)))
+        )
 
     def deldbar_op(self, b: Bidegree) -> Op:
         """del delbar : A^{p,q} -> A^{p+1,q+1}."""
         p, q = b
         return self._primitive(("deldbar", b), lambda: compose(self.del_op((p, q + 1)), self.delbar_op(b)))
 
+    def _adjoint(self, op: Op) -> Op:
+        return self.metric.adjoint(op)
+
     def adjoint(self, op: Op) -> Op:
         key = id(op)
         if key not in self._adjoints:  # not a memoised primitive
-            return self.metric.adjoint(op)
+            return self._adjoint(op)
         if self._adjoints[key] is None:
-            self._adjoints[key] = self.metric.adjoint(op)
+            self._adjoints[key] = self._adjoint(op)
         return self._adjoints[key]
 
     def total_d(self, k: int) -> Op:
         return self._primitive(("d", k), lambda: total_d(self.ops, k))
 
 
-class NumericSetting:
-    """Floating-point mirror of an ExactSetting.
+class NumericSetting(ExactSetting):
+    """Float view of an ExactSetting, sharing its memo scheme.
 
-    `scale` multiplies the differentials only (not the metric); covering
-    models use it to restore the 2*pi factor carried by Fourier twists.
+    Each primitive is the float conversion of the exact one, times `scale`
+    (not the metric); covering models use it to restore the 2*pi factor
+    carried by Fourier twists.  `deldbar_op` stays the product of the two
+    scaled float factors, so it carries scale**2.
     """
 
-    def __init__(self, exact: ExactSetting, scale: float = 1.0, nmetric: Optional[NumericMetric] = None):
+    def __init__(self, exact: ExactSetting, scale: float = 1.0):
+        super().__init__(exact.ops, NumericMetric(exact.metric))
         self.exact = exact
-        self.n = exact.n
         self.scale = scale
-        self.metric = nmetric if nmetric is not None else NumericMetric.from_exact(exact.metric)
-        self._del: Dict[Bidegree, np.ndarray] = {}
-        self._delbar: Dict[Bidegree, np.ndarray] = {}
-        self._total_d: Dict[int, np.ndarray] = {}
 
-    def dim(self, b: Bidegree) -> int:
-        return self.exact.dim(b)
+    def _convert(self, op: Op) -> Op:
+        return Op(src=op.src, dst=op.dst, mat=op.mat.to_numpy() * self.scale)
 
-    def space_dim(self, space: Space) -> int:
-        return self.exact.space_dim(space)
-
-    def gram(self, space: Space) -> np.ndarray:
-        return self.metric.gram_space(space)
-
-    def del_op(self, b: Bidegree) -> Op:
-        if b not in self._del:
-            self._del[b] = self.exact.ops.del_(b).to_numpy() * self.scale
-        p, q = b
-        return Op(src=(b,), dst=((p + 1, q),), mat=self._del[b])
-
-    def delbar_op(self, b: Bidegree) -> Op:
-        if b not in self._delbar:
-            self._delbar[b] = self.exact.ops.delbar(b).to_numpy() * self.scale
-        p, q = b
-        return Op(src=(b,), dst=((p, q + 1),), mat=self._delbar[b])
-
-    def deldbar_op(self, b: Bidegree) -> Op:
-        p, q = b
-        return compose(self.del_op((p, q + 1)), self.delbar_op(b))
-
-    def adjoint(self, op: Op) -> Op:
+    def _adjoint(self, op: Op) -> Op:
         return Op(src=op.dst, dst=op.src, mat=self.metric.adjoint_mat(op.mat, op.src, op.dst))
 
+    def deldbar_op(self, b: Bidegree) -> Op:
+        # defined here only so the per-class call counts of perfbench see it
+        return super().deldbar_op(b)
+
     def total_d(self, k: int) -> Op:
-        d = self.exact.total_d(k)
-        if k not in self._total_d:
-            self._total_d[k] = d.mat.to_numpy() * self.scale
-        return Op(src=d.src, dst=d.dst, mat=self._total_d[k])
+        return self._primitive(("d", k), lambda: self._convert(self.exact.total_d(k)))

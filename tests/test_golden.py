@@ -60,6 +60,8 @@ GOLDEN = [
      "cbe5a73defbb176f7e6a8cc5989d995e35702b3d92eb4172961a9466907c2a1d"),
     (("spectra", IW, "--backend", "both", "--pq", "1,1", *DENSE3),
      "e847f9d66e127ab39d0cf9232ff3d4a904883888670e60d6ffac30a46b892caf"),
+    (("spectra", IW, "--backend", "both", *DENSE3),
+     "9c41492dfd5a2d1982710b1617116210690ca2c2e62aea168f2ca88a1a5b95fe"),
     (("ddbar", N4),
      "163e833dbffda703479a516f26e1de3ab73c8820fa2951d26451e31625fb0e77"),
     (("abc", N4, "--pq", "2,2"),

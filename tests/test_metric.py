@@ -13,7 +13,6 @@ from abch.metric import (
     HermitianMetric,
     NotHermitian,
     NotPositiveDefinite,
-    NumericMetric,
     diagonal_metric,
     identity_metric,
     is_kahler,
@@ -22,7 +21,7 @@ from abch.metric import (
 )
 from abch.model import parse_model
 from abch.scalars import QQi, I, ONE
-from abch.setting import ExactSetting, compose
+from abch.setting import ExactSetting, NumericSetting, compose
 
 
 def perm_det(M: Mat) -> QQi:
@@ -273,17 +272,6 @@ def test_parse_herm():
     assert H.rows[1][1] == QQi(1)
 
 
-def test_numeric_metric_matches_exact():
-    H = random_rational_hermitian(2, seed=29)
-    em = HermitianMetric(2, H)
-    nm = NumericMetric.from_exact(em)
-    for p in range(3):
-        for q in range(3):
-            assert np.allclose(nm.gram((p, q)), em.gram((p, q)).to_numpy())
-            assert np.allclose(nm.star((p, q)), em.star((p, q)).mat.to_numpy())
-    assert np.isclose(nm.vol_coeff, em.vol_coeff.to_complex())
-
-
 def test_iwasawa_delbar_star_hand_value():
     # delbar* on A^{0,2} with H = id sends phibar1 ^ phibar2 to -phibar3,
     # matching the Gram adjoint of delbar: A^{0,1} -> A^{0,2}
@@ -299,24 +287,23 @@ def test_iwasawa_delbar_star_hand_value():
 
 
 def test_numeric_star_adjoint_residual():
-    # numeric backend: -*delbar* agrees with the numeric Gram adjoint of del
-    # to a relative 1e-10
+    # numeric backend: -*delbar* (the exact star converted to floats) agrees
+    # with the numeric setting's adjoint of del to a relative 1e-10
     comp = build_complex(IWASAWA)
-    H = random_rational_hermitian(3, seed=31)
-    em = HermitianMetric(3, H)
-    nm = NumericMetric.from_exact(em)
+    em = HermitianMetric(3, random_rational_hermitian(3, seed=31))
+    ns = NumericSetting(ExactSetting(comp, em))
     n = 3
     for p in range(n + 1):
         for q in range(n + 1):
-            dl = comp.del_((p, q)).to_numpy()
-            if dl.size == 0:
+            dl = ns.del_op((p, q))
+            if dl.mat.size == 0:
                 continue
-            s1 = nm.star((p + 1, q))
+            s1 = em.star((p + 1, q)).mat.to_numpy()
             mid = comp.delbar((n - q, n - p - 1)).to_numpy()
-            s2 = nm.star((n - q, n - p))
+            s2 = em.star((n - q, n - p)).mat.to_numpy()
             via_star = -(s2 @ mid @ s1)
-            adj = nm.adjoint_mat(dl, ((p, q),), ((p + 1, q),))
-            norm = np.linalg.norm(dl)
+            adj = ns.adjoint(dl).mat
+            norm = np.linalg.norm(dl.mat)
             if norm == 0:
                 assert np.allclose(via_star, adj, atol=1e-12)
             else:
@@ -369,3 +356,25 @@ def test_memoised_adjoints_match_uncached_formula():
     corner = compose(s.del_op((0, 1)), s.delbar_op((0, 0)))
     assert s.adjoint(corner) is not s.adjoint(corner)
     assert s.adjoint(corner).mat == s.adjoint(s.deldbar_op((0, 0))).mat
+
+
+def test_numeric_setting_is_a_float_view_of_the_exact_one():
+    # under a dense complex metric: the numeric Grams are the exact ones
+    # converted, each numeric primitive's adjoint is memoised, and it is the
+    # exact adjoint converted, to a relative 1e-12
+    em = HermitianMetric(*DENSE3)
+    s = ExactSetting(build_complex(IWASAWA), em)
+    ns = NumericSetting(s)
+    for p in range(4):
+        for q in range(4):
+            b = (p, q)
+            assert np.array_equal(ns.gram((b,)), em.gram_space((b,)).to_numpy())
+            prims = [(ns.del_op(b), s.del_op(b)), (ns.delbar_op(b), s.delbar_op(b)),
+                     (ns.deldbar_op(b), s.deldbar_op(b)), (ns.total_d(p + q), s.total_d(p + q))]
+            for nop, op in prims:
+                adj = ns.adjoint(nop)
+                assert ns.adjoint(nop) is adj
+                assert (adj.src, adj.dst) == (op.dst, op.src)
+                expected = s.adjoint(op).mat.to_numpy()
+                assert adj.mat.shape == expected.shape
+                assert np.linalg.norm(adj.mat - expected) <= 1e-12 * np.linalg.norm(expected)
