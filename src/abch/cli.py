@@ -349,7 +349,7 @@ def cmd_cover(args) -> int:
     rep = gamma_tables(fourier)
     gap_rep = gap_and_closed_image(fourier, samples=args.samples, seed=args.seed)
     H2 = H.scale(QQi(2))
-    mi = metric_independence_check(spec, H, H2)
+    mi = metric_independence_check(fourier, H2)
     failures: List[str] = []
     if not rep.inequality_ok:
         failures.append("Gamma-dimension inequality fails")

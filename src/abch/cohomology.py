@@ -24,6 +24,7 @@ from abch.linalg import (
     cross_gram,
     intersect_many,
     projection_coords,
+    span_basis,
     subspace_contains,
     subspace_dim,
     subspace_eq,
@@ -31,7 +32,6 @@ from abch.linalg import (
     subspace_sum,
 )
 from abch.laplacians import THEORY_KINDS, LaplacianKind, harmonic_space
-from abch.scalars import ONE
 from abch.setting import ExactSetting, add_ops, compose
 
 THEORIES = ("deRham", "del", "delbar", "bc", "a")
@@ -128,6 +128,12 @@ def table_symmetries(tables: Dict[str, CohomologyTable], n: int) -> Dict[str, bo
 # -- subspaces at a bidegree -----------------------------------------------------
 
 
+def _block_rows(setting, b: Bidegree) -> Tuple[int, int]:
+    """Offset and width of the A^{p,q} rows in degree-(p+q) coordinates."""
+    space = total_bidegrees(setting.n, b[0] + b[1])
+    return setting.space_dim(space[: space.index(b)]), setting.dim(b)
+
+
 class SubspaceLib:
     """Exact kernel/image subspaces of A^{p,q}, cached per bidegree."""
 
@@ -190,26 +196,15 @@ class SubspaceLib:
         return self._get("im_corner_adj", b, lambda: self.s.adjoint(self.s.deldbar_op(b)).mat.column_space())
 
     def im_d_at(self, b):
-        """The subspace im(d) ∩ A^{p,q}, computed inside the full degree space."""
+        """The subspace im(d) ∩ A^{p,q}: the A^{p,q} rows of d applied to the
+        kernel of its other rows, with d the degree-(p+q-1) differential."""
 
         def compute():
-            p, q = b
-            k = p + q
-            dmat = self.s.total_d(k - 1).mat
-            V = dmat.column_space()
-            space = total_bidegrees(self.s.n, k)
-            off = 0
-            offset = None
-            for bb in space:
-                if bb == b:
-                    offset = off
-                off += self.s.dim(bb)
-            w = self.s.dim(b)
-            E = Mat.zeros(off, w)
-            for i in range(w):
-                E.rows[offset + i][i] = ONE
-            W = subspace_intersect(V, E)
-            return Mat(W.rows[offset : offset + w], ncols=W.ncols)
+            D = self.s.total_d(b[0] + b[1] - 1).mat
+            off, w = _block_rows(self.s, b)
+            D_other = Mat(D.rows[:off] + D.rows[off + w :], ncols=D.ncols)
+            D_b = Mat(D.rows[off : off + w], ncols=D.ncols)
+            return span_basis(D_b @ D_other.nullspace())
 
         return self._get("im_d_at", b, compute)
 
@@ -311,18 +306,9 @@ class DiagramReport:
 
 
 def _embed_into_total(setting: ExactSetting, B: Mat, b: Bidegree) -> Mat:
-    k = b[0] + b[1]
-    space = total_bidegrees(setting.n, k)
-    off = 0
-    offset = 0
-    for bb in space:
-        if bb == b:
-            offset = off
-        off += setting.dim(bb)
-    out = Mat.zeros(off, B.ncols)
-    for i in range(B.nrows):
-        for j in range(B.ncols):
-            out.rows[offset + i][j] = B.rows[i][j]
+    off, w = _block_rows(setting, b)
+    out = Mat.zeros(setting.space_dim(total_bidegrees(setting.n, b[0] + b[1])), B.ncols)
+    out.rows[off : off + w] = [list(r) for r in B.rows]
     return out
 
 

@@ -17,10 +17,12 @@ backend restores the factor 2 pi for spectra.  The truncation norm is
 |mu|^2 := 4 h(mu^{1,0}, mu^{1,0}), which is the Euclidean norm for H = id.
 
 The L2 inner product is normalised by 1/vol(covering torus), so the Gram of
-each mode block is the invariant Gram of the metric; with this convention
-the Gamma-dimension of an invariant subspace V is computed both from the
-defining integral of pointwise norms over the base and as dim(V)/|Gamma|,
-and the two must agree exactly.
+each mode block is the invariant Gram of the metric.  With this convention
+the Gamma-dimension (Atiyah) of a deck-invariant subspace V is dim(V)/|Gamma|:
+integrated over the base, each orthonormal vector of V contributes
+vol(base)/vol(cover) = 1/|Gamma| to the trace of the projection onto V.  The
+code checks that V is deck-invariant and returns dim(V)/|Gamma|; it does not
+evaluate the trace integral as a second, independent route.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from math import pi
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from abch.complexes import (
     Bidegree,
@@ -50,15 +53,15 @@ from abch.laplacians import (
     assemble,
     fourth_order_part,
     gram_norms,
+    numeric_spectrum,
     prestage_box_check,
     project_off_kernel,
     spectral_gap,
-    spectrum,
 )
-from abch.linalg import Mat, ShapeMismatch, gram_schmidt, ip as gram_ip, projection_coords, span_basis
+from abch.linalg import Mat, ShapeMismatch, projection_coords
 from abch.metric import HermitianMetric, identity_metric
 from abch.model import InputTooLarge, ModelSyntaxError, parse_dimension, parse_int
-from abch.scalars import QQi, ONE, ZERO
+from abch.scalars import QQi, ZERO
 from abch.setting import ExactSetting, NumericSetting
 
 TWO_PI = 2.0 * pi
@@ -141,47 +144,6 @@ def load_cover(path: str) -> CoveringSpec:
 
 
 # -- lattice utilities ----------------------------------------------------------
-
-
-def _frac_mat(rows) -> List[List[Fraction]]:
-    return [[Fraction(x) for x in r] for r in rows]
-
-
-def _frac_inv(M: List[List[Fraction]]) -> List[List[Fraction]]:
-    n = len(M)
-    A = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c] != 0), None)
-        if piv is None:
-            raise NotASublattice("lattice matrix is singular")
-        A[c], A[piv] = A[piv], A[c]
-        pv = A[c][c]
-        A[c] = [x / pv for x in A[c]]
-        for r in range(n):
-            if r != c and A[r][c] != 0:
-                f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    return [row[n:] for row in A]
-
-
-def _frac_det(M: List[List[Fraction]]) -> Fraction:
-    n = len(M)
-    A = [row[:] for row in M]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = -det
-        det *= A[c][c]
-        pv = A[c][c]
-        for r in range(c + 1, n):
-            if A[r][c] != 0:
-                f = A[r][c] / pv
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    return det
 
 
 def hermite_normal_form(X: List[List[int]]) -> List[List[int]]:
@@ -283,44 +245,34 @@ class FourierComplex:
     modes: List[Mode]
     settings: List[ExactSetting]  # reduced-scale exact, one per mode
     numeric: List[NumericSetting] = field(default_factory=list)  # true 2 pi scale
+    _kernels: Dict[Tuple[LaplacianKind, Bidegree], Mat] = field(default_factory=dict, repr=False)
 
     def mode_count(self) -> int:
         return len(self.modes)
 
+    def width(self, space: Space) -> int:
+        """Dimension of one mode block of `space`."""
+        return sum(dim_pq(self.n, *b) for b in space)
+
     def total_dim(self, b: Bidegree) -> int:
         return self.mode_count() * dim_pq(self.n, *b)
 
-    def gram_total(self, space: Space) -> Mat:
-        G = self.metric.gram_space(space)
-        return Mat.block_diag([G] * self.mode_count())
+    def stack_modes(self, bases: Sequence[Mat], space: Space) -> Mat:
+        """One basis of `space` per mode, in mode order, placed side by side
+        in total coordinates (modes are the outer row blocks)."""
+        w = self.width(space)
+        if len(bases) != self.mode_count() or any(B.nrows != w for B in bases):
+            raise ShapeMismatch("stack_modes needs one basis of the space per mode")
+        return Mat.block_diag(bases)
 
-    def embed_mode_basis(self, idx: int, B: Mat, space: Space) -> Mat:
-        """Embed a per-mode coefficient basis into total-coordinate layout
-        (modes are the outer blocks)."""
-        w = self.metric.gram_space(space).nrows
-        total = self.mode_count() * w
-        out = Mat.zeros(total, B.ncols)
-        off = idx * w
-        for i in range(B.nrows):
-            for j in range(B.ncols):
-                out.rows[off + i][j] = B.rows[i][j]
-        return out
-
-    def total_kernel(self, kind, b: Bidegree) -> Mat:
+    def total_kernel(self, kind: LaplacianKind, b: Bidegree) -> Mat:
         """Harmonic space of one Laplacian kind across all modes, as a basis
-        in total coordinates."""
-        cols = []
-        space = None
-        for idx, st in enumerate(self.settings):
-            op = assemble(st, kind, b)
-            space = op.src
-            ker = op.mat.nullspace()
-            if ker.ncols:
-                cols.append(self.embed_mode_basis(idx, ker, op.src))
-        if not cols:
-            w = self.metric.gram_space(space).nrows if space else dim_pq(self.n, *b)
-            return Mat.zeros(self.mode_count() * w, 0)
-        return Mat.hstack(cols)
+        in total coordinates; computed once per (kind, b)."""
+        key = (kind, b)
+        if key not in self._kernels:
+            ops = [assemble(st, kind, b) for st in self.settings]
+            self._kernels[key] = self.stack_modes([op.mat.nullspace() for op in ops], ops[0].src)
+        return self._kernels[key]
 
 
 def build_cover(spec: CoveringSpec, H: Optional[Mat] = None) -> FourierComplex:
@@ -335,14 +287,13 @@ def build_cover(spec: CoveringSpec, H: Optional[Mat] = None) -> FourierComplex:
         raise ShapeMismatch(f"lattice matrices must be {two_n}x{two_n}")
     metric = HermitianMetric(n, H) if H is not None else identity_metric(n)
 
-    B = _frac_mat(spec.base)
-    S = _frac_mat(spec.sub)
-    detB, detS = _frac_det(B), _frac_det(S)
+    B = Mat([[QQi(x) for x in row] for row in spec.base])
+    S = Mat([[QQi(x) for x in row] for row in spec.sub])
+    detB, detS = B.det().re, S.det().re  # integer matrices: real determinants
     if detB == 0 or detS == 0:
         raise NotASublattice("lattice matrices must be nonsingular")
-    Binv = _frac_inv(B)
-    X = [[sum(Binv[i][k] * S[k][j] for k in range(two_n)) for j in range(two_n)] for i in range(two_n)]
-    if any(x.denominator != 1 for row in X for x in row):
+    X = B.inv() @ S  # coordinates of the sub generators in the base
+    if any(x.re.denominator != 1 for row in X.rows for x in row):
         raise NotASublattice("sub is not contained in base")
     index = abs(detS / detB)
     if index.denominator != 1 or index == 0:
@@ -350,19 +301,18 @@ def build_cover(spec: CoveringSpec, H: Optional[Mat] = None) -> FourierComplex:
     index = int(index)
     # cross-check the deck-group order against the coset count of the
     # Hermite form of the coordinate matrix
-    hnf = hermite_normal_form([[int(x) for x in row] for row in X])
-    coset_count = 1
-    for i in range(two_n):
-        coset_count *= hnf[i][i]
+    hnf = hermite_normal_form([[int(x.re) for x in row] for row in X.rows])
+    coset_count = math.prod(hnf[i][i] for i in range(two_n))
     if coset_count != index:
         raise AssertionError(f"coset count {coset_count} != index {index}")
 
-    Sinv = _frac_inv(S)
-    Bt = [[B[j][i] for j in range(two_n)] for i in range(two_n)]
+    # rows of S^{-T} and of B^T, as rationals
+    SinvT = [[x.re for x in row] for row in S.inv().transpose().rows]
+    Bt = [[x.re for x in row] for row in B.transpose().rows]
 
     def mu_of(m: Sequence[int]) -> Tuple[Fraction, ...]:
         # mu = S^{-T} m
-        return tuple(sum(Sinv[j][i] * m[j] for j in range(two_n)) for i in range(two_n))
+        return tuple(sum(a * mj for a, mj in zip(row, m)) for row in SinvT)
 
     def twist_coeffs(mu: Sequence[Fraction]):
         a, bvec = mu[:n], mu[n:]
@@ -394,7 +344,7 @@ def build_cover(spec: CoveringSpec, H: Optional[Mat] = None) -> FourierComplex:
     lam_min = float(np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in Qr])).min())
     R = spec.radius
     bound = float(R) / np.sqrt(lam_min)
-    S_np = np.array([[float(x) for x in row] for row in S])
+    S_np = S.to_numpy().real
     box = [int(np.ceil(np.linalg.norm(S_np[:, i]) * bound + 1e-9)) for i in range(two_n)]
 
     candidates = math.prod(2 * bi + 1 for bi in box)
@@ -436,49 +386,25 @@ def _isotypic_classes(fourier: FourierComplex) -> Dict[Tuple, List[int]]:
 
 
 def gamma_dimension(fourier: FourierComplex, V: Mat, space: Space) -> Fraction:
-    """Von Neumann dimension of a deck-invariant subspace, by two routes.
+    """Von Neumann dimension dim(V)/|Gamma| of a deck-invariant subspace.
 
-    Route (i): split V into character-isotypic components, Gram-orthogonalise
-    each exactly, and integrate the pointwise norm of each basis element over
-    the base torus (mixed-frequency terms integrate to zero; diagonal terms
-    are constants, so the integral is vol(base)/vol(cover) = 1/|Gamma| times
-    the squared norm).  Route (ii): dim(V)/|Gamma|.  Returns the common
-    value; raises NotGammaInvariant if V is not preserved by the deck group.
+    The deck group acts on the mode block of mu by the character of mu, so V
+    is invariant iff each character-isotypic part of V (V with the rows
+    outside that character's mode blocks zeroed) stays in V; otherwise
+    NotGammaInvariant is raised.  On an invariant V the Gamma-trace of the
+    orthogonal projection is rank(V)/|Gamma|, because the L2 product is
+    normalised by the volume of the covering torus.
     """
-    w = fourier.metric.gram_space(space).nrows
-    nmodes = fourier.mode_count()
-    if V.nrows != nmodes * w:
+    w = fourier.width(space)
+    if V.nrows != fourier.mode_count() * w:
         raise ShapeMismatch("basis does not live in the total coordinate layout")
-    G = fourier.gram_total(space)
     rank_V = V.rank()
-    classes = _isotypic_classes(fourier)
-    pieces: List[Mat] = []
-    for _, idxs in sorted(classes.items()):
-        P = Mat.zeros(V.nrows, V.nrows)
-        for i in idxs:
-            for r in range(i * w, (i + 1) * w):
-                P.rows[r][r] = ONE
-        PV = span_basis(P @ V)
-        if PV.ncols and Mat.hstack([V, PV]).rank() != rank_V:
+    for idxs in _isotypic_classes(fourier).values():
+        keep = {r for i in idxs for r in range(i * w, (i + 1) * w)}
+        PV = Mat([row if r in keep else [ZERO] * V.ncols for r, row in enumerate(V.rows)], ncols=V.ncols)
+        if not PV.is_zero() and Mat.hstack([V, PV]).rank() != rank_V:
             raise NotGammaInvariant("a character-isotypic projection leaves the subspace")
-        if PV.ncols:
-            pieces.append(PV)
-    # route (i)
-    total = Fraction(0)
-    for piece in pieces:
-        ortho = gram_schmidt(piece, G)
-        for col in ortho.cols():
-            norm2 = gram_ip(col, col, G)
-            if not norm2.is_real() or norm2.re <= 0:
-                raise AssertionError("degenerate Gram norm")
-            pointwise_integral = Fraction(1, fourier.index) * norm2.re
-            total += pointwise_integral / norm2.re
-    route_counting = Fraction(rank_V, fourier.index)
-    if total != route_counting:
-        raise AssertionError(
-            f"Gamma-dimension routes disagree: integral {total} vs counting {route_counting}"
-        )
-    return total
+    return Fraction(rank_V, fourier.index)
 
 
 # -- Gamma tables and verification reports -----------------------------------------
@@ -506,24 +432,14 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
                 b = (p, q)
                 K = fourier.total_kernel(kind, b)
                 grid[p][q] = gamma_dimension(fourier, K, (b,))
-                for idx, st in enumerate(fourier.settings):
-                    if not fourier.modes[idx].is_zero:
-                        if assemble(st, kind, b).mat.nullspace().ncols:
-                            support_ok = False
+                support_ok = support_ok and _in_zero_mode(fourier, K, (b,))
         grids[name] = grid
     betti = []
     for k in range(2 * n + 1):
         space = total_bidegrees(n, k)
-        cols = []
-        for idx, st in enumerate(fourier.settings):
-            op = assemble(st, LaplacianKind.D, space[0])
-            ker = op.mat.nullspace()
-            if ker.ncols:
-                cols.append(fourier.embed_mode_basis(idx, ker, space))
-            if ker.ncols and not fourier.modes[idx].is_zero:
-                support_ok = False
-        K = Mat.hstack(cols) if cols else Mat.zeros(fourier.mode_count() * fourier.metric.gram_space(space).nrows, 0)
+        K = fourier.total_kernel(LaplacianKind.D, space[0])
         betti.append(gamma_dimension(fourier, K, space))
+        support_ok = support_ok and _in_zero_mode(fourier, K, space)
     grids["deRham"] = betti
 
     ineq_ok = True
@@ -543,12 +459,7 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
         for q in range(n + 1):
             b = (p, q)
             U = fourier.total_kernel(LaplacianKind.DELBAR, b)
-            cols = []
-            for idx, st in enumerate(fourier.settings):
-                kmat = st.delbar_op(b).mat.nullspace()
-                if kmat.ncols:
-                    cols.append(fourier.embed_mode_basis(idx, kmat, (b,)))
-            V = Mat.hstack(cols) if cols else U
+            V = fourier.stack_modes([st.delbar_op(b).mat.nullspace() for st in fourier.settings], (b,))
             if gamma_dimension(fourier, U, (b,)) > gamma_dimension(fourier, V, (b,)):
                 mono_ok = False
 
@@ -578,8 +489,7 @@ def gap_table(fourier: FourierComplex) -> Dict[str, object]:
             targets = [(p, q) for p in range(n + 1) for q in range(n + 1)]
         for b in targets:
             for st in fourier.numeric:
-                op = assemble(st, kind, b)
-                ev = spectrum(op.mat, st.gram(op.src))
+                _, _, ev = numeric_spectrum(st, kind, b)
                 g = spectral_gap(ev)
                 if g is not None:
                     best = g if best is None else min(best, g)
@@ -592,14 +502,14 @@ def gap_table(fourier: FourierComplex) -> Dict[str, object]:
     return gaps
 
 
-def metric_independence_check(spec: CoveringSpec, H1: Mat, H2: Mat) -> dict:
+def metric_independence_check(fc1: FourierComplex, H2: Mat) -> dict:
     """Gamma-dimensions of the Bott-Chern and Aeppli harmonic spaces must
-    agree for any two invariant metrics; also exhibits the quasi-isometry
-    constant and checks the cross-projection between the two harmonic
-    spaces has full rank."""
-    fc1 = build_cover(spec, H1)
-    fc2 = build_cover(spec, H2)
-    n = spec.n
+    agree for the metric of `fc1` and a second invariant metric H2 on the
+    same cover; also exhibits the quasi-isometry constant and checks the
+    cross-projection between the two harmonic spaces has full rank."""
+    H1 = fc1.metric.H
+    fc2 = build_cover(fc1.spec, H2)
+    n = fc1.n
     agree = True
     cross_full_rank = True
     for kind in (LaplacianKind.BC, LaplacianKind.A):
@@ -626,14 +536,12 @@ def metric_independence_check(spec: CoveringSpec, H1: Mat, H2: Mat) -> dict:
 
     # quasi-isometry constant on the coframe metric
     H1n, H2n = H1.to_numpy(), H2.to_numpy()
-    import scipy.linalg as sla
-
-    lam = sla.eigvalsh(H1n, H2n)
+    lam = scipy.linalg.eigvalsh(H1n, H2n)
     C = max(float(lam.max()), 1.0 / float(lam.min()))
     rng = np.random.default_rng(271828)
     ratios_ok = True
     for _ in range(200):
-        v = rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         r = float(np.real(v.conj() @ H1n @ v) / np.real(v.conj() @ H2n @ v))
         if not (1.0 / C - 1e-9 <= r <= C + 1e-9):
             ratios_ok = False
@@ -645,17 +553,27 @@ def metric_independence_check(spec: CoveringSpec, H1: Mat, H2: Mat) -> dict:
     }
 
 
+def _zero_mode_rows(fourier: FourierComplex, space: Space) -> range:
+    """Rows of the zero-mode block of `space` in total coordinates."""
+    w = fourier.width(space)
+    zero_idx = next(i for i, md in enumerate(fourier.modes) if md.is_zero)
+    return range(zero_idx * w, (zero_idx + 1) * w)
+
+
+def _in_zero_mode(fourier: FourierComplex, K: Mat, space: Space) -> bool:
+    """Is every column of the total-coordinate basis K supported in the
+    zero-mode block?"""
+    rows = _zero_mode_rows(fourier, space)
+    return all(x.is_zero() for i, row in enumerate(K.rows) if i not in rows for x in row)
+
+
 def _invariant_block(fourier: FourierComplex, K: Mat, b: Bidegree) -> Mat:
     """Restrict a total-coordinate basis to the zero-mode block; valid when
     every column is supported there (checked)."""
-    w = dim_pq(fourier.n, *b)
-    zero_idx = next(i for i, md in enumerate(fourier.modes) if md.is_zero)
-    off = zero_idx * w
-    for j in range(K.ncols):
-        for i in range(K.nrows):
-            if not K.rows[i][j].is_zero() and not (off <= i < off + w):
-                raise AssertionError("harmonic basis not supported in the zero mode")
-    return Mat(K.rows[off : off + w], ncols=K.ncols)
+    if not _in_zero_mode(fourier, K, (b,)):
+        raise AssertionError("harmonic basis not supported in the zero mode")
+    rows = _zero_mode_rows(fourier, (b,))
+    return Mat(K.rows[rows.start : rows.stop], ncols=K.ncols)
 
 
 def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int = 271828) -> dict:
@@ -696,9 +614,8 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int 
             # lap_delbar per mode: its Gram and spectral gap
             mode_gaps = []
             for nst in fourier.numeric:
-                op = assemble(nst, LaplacianKind.DELBAR, b)
-                G = nst.gram(op.src)
-                mode_gaps.append((G, spectral_gap(spectrum(op.mat, G))))
+                _, G, ev = numeric_spectrum(nst, LaplacianKind.DELBAR, b)
+                mode_gaps.append((G, spectral_gap(ev)))
             found = [g for _, g in mode_gaps if g is not None]
             if not found:
                 report["bidegrees"][str(b)] = {"gap_delbar": None, "vacuous": True}

@@ -243,6 +243,15 @@ def spectral_gap(ev: np.ndarray) -> Optional[float]:
     return float(nz.min()) if len(nz) else None
 
 
+def numeric_spectrum(
+    numeric: NumericSetting, kind: LaplacianKind, b: Bidegree
+) -> Tuple[Op, np.ndarray, np.ndarray]:
+    """The float Laplacian of one kind, the Gram of its space and its spectrum."""
+    op = assemble(numeric, kind, b)
+    G = numeric.gram(op.src)
+    return op, G, spectrum(op.mat, G)
+
+
 @dataclass
 class LaplacianBundle:
     """All Laplacians at one bidegree with kernels, spectra and gaps."""
@@ -260,8 +269,7 @@ class LaplacianBundle:
             op = assemble(setting, kind, b)
             matrices[kind] = op
             kernels[kind] = op.mat.nullspace()
-            nop = assemble(numeric, kind, b)
-            ev = spectrum(nop.mat, numeric.gram(nop.src))
+            _, _, ev = numeric_spectrum(numeric, kind, b)
             spectra[kind] = ev
             gaps[kind] = spectral_gap(ev)
         return LaplacianBundle(b, matrices, kernels, spectra, gaps)
@@ -309,10 +317,8 @@ def rayleigh_check(
     X = rng.standard_normal((dim, samples)) + 1j * rng.standard_normal((dim, samples))
     X = project_off_kernel(X, kernel, G)
     # quotients Re<Lx,x> / Re<x,x>
-    LX = L @ X
-    GXc = G @ np.conj(X)
-    num = np.real(np.einsum("ij,ij->j", LX, GXc))
-    den = np.real(np.einsum("ij,ij->j", X, GXc))
+    num = np.real(np.einsum("ij,ij->j", L @ X, G @ np.conj(X)))
+    den = gram_norms(X, G)
     keep = den > 1e-20
     quot = num[keep] / den[keep]
     mn = float(quot.min()) if len(quot) else float("inf")
@@ -328,9 +334,7 @@ def verify_gap_inequality(
     seed: int = DEFAULT_SEED,
 ) -> dict:
     """Spectral-gap Rayleigh bound on (ker)^perp for one operator."""
-    op = assemble(numeric, kind, b)
-    G = numeric.gram(op.src)
-    ev = spectrum(op.mat, G)
+    op, G, ev = numeric_spectrum(numeric, kind, b)
     gap = spectral_gap(ev)
     if gap is None:
         return {"kind": kind.value, "bidegree": b, "gap": None, "vacuous": True, "ok": True}

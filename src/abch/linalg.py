@@ -278,18 +278,15 @@ class Mat:
     def nullspace(self) -> "Mat":
         """Columns form a basis of ker(self); shape ncols x nullity."""
         R, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
-        cols = []
-        for f in free:
-            v = [ZERO] * self.ncols
-            v[f] = ONE
+        pivot_set = set(pivots)
+        free = [j for j in range(self.ncols) if j not in pivot_set]
+        out = Mat.zeros(self.ncols, len(free))
+        for k, f in enumerate(free):
+            out.rows[f][k] = ONE
             for r, p in enumerate(pivots):
-                v[p] = -R.rows[r][f]
-            cols.append(v)
-        out = Mat.zeros(self.ncols, len(cols))
-        for j, v in enumerate(cols):
-            for i in range(self.ncols):
-                out.rows[i][j] = v[i]
+                x = R.rows[r][f]
+                if not x.is_zero():
+                    out.rows[p][k] = -x
         return out
 
     def column_space(self) -> "Mat":
@@ -492,29 +489,7 @@ def project(x: Sequence[QQi], B: Mat, G: Mat) -> List[QQi]:
     return B.matvec(project_coords(x, B, G))
 
 
-def gram_schmidt(B: Mat, G: Mat) -> Mat:
-    """Gram-orthogonalise the columns of B (no normalisation, stays exact)."""
-    ws: List[List[QQi]] = []
-    for b in B.cols():
-        w = list(b)
-        for prev in ws:
-            denom = ip(prev, prev, G)
-            coef = ip(b, prev, G) / denom
-            w = [wi - coef * pi for wi, pi in zip(w, prev)]
-        if any(not x.is_zero() for x in w):
-            ws.append(w)
-    out = Mat.zeros(B.nrows, len(ws))
-    for j, w in enumerate(ws):
-        for i in range(B.nrows):
-            out.rows[i][j] = w[i]
-    return out
-
-
 def cross_gram(U: Mat, V: Mat, G: Mat) -> Mat:
-    """Matrix of inner products <u_a, v_b>; zero iff the spans are orthogonal."""
-    ucols, vcols = U.cols(), V.cols()
-    out = Mat.zeros(len(ucols), len(vcols))
-    for a, u in enumerate(ucols):
-        for b, v in enumerate(vcols):
-            out.rows[a][b] = ip(u, v, G)
-    return out
+    """Matrix of inner products <u_a, v_b> = U^T G conj(V); zero iff the spans
+    are orthogonal."""
+    return U.transpose() @ G @ V.conj()

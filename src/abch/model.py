@@ -76,16 +76,6 @@ class ComplexModel:
     d20: Dict[int, Dict[Tuple[int, int], QQi]] = field(default_factory=dict)
     d11: Dict[int, Dict[Tuple[int, int], QQi]] = field(default_factory=dict)
 
-    def __eq__(self, other):
-        if not isinstance(other, ComplexModel):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.name == other.name
-            and self.d20 == other.d20
-            and self.d11 == other.d11
-        )
-
 
 _GEN_RE = re.compile(r"^(phibar|phi)([0-9]+)$")
 _NAT_RE = re.compile(r"^[0-9]+$")

@@ -120,21 +120,17 @@ ONE = QQi(1)
 I = QQi(0, 1)
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)  # "3" or "-1/2"
-
-
 def render_coeff(c: QQi) -> str:
     """Canonical text form: `a`, `a/b`, `i`, `-i`, `3i`, or `(a/b + c/d i)`."""
     if c.im == 0:
-        return _rat_str(c.re)
+        return str(c.re)
     if c.re == 0:
         if c.im == 1:
             return "i"
         if c.im == -1:
             return "-i"
-        return f"{_rat_str(c.im)}i"
+        return f"{c.im}i"
     sign = "+" if c.im > 0 else "-"
     im_abs = abs(c.im)
-    im_part = "i" if im_abs == 1 else f"{_rat_str(im_abs)}i"
-    return f"({_rat_str(c.re)} {sign} {im_part})"
+    im_part = "i" if im_abs == 1 else f"{im_abs}i"
+    return f"({c.re} {sign} {im_part})"

@@ -276,7 +276,7 @@ def test_criterion_9_covering_suite():
     fc = build_cover(spec)
     if fc.index != 2:
         failures.append("|Gamma| != 2")
-    # integral route vs counting route for every harmonic space
+    # Gamma-dimension (deck-invariance checked) is rank/|Gamma| for every harmonic space
     kinds = {
         "del": LaplacianKind.DEL,
         "delbar": LaplacianKind.DELBAR,
@@ -286,7 +286,7 @@ def test_criterion_9_covering_suite():
     for tname, kind in kinds.items():
         for b in bidegrees(1):
             K = fc.total_kernel(kind, b)
-            d = gamma_dimension(fc, K, (b,))  # raises if the routes disagree
+            d = gamma_dimension(fc, K, (b,))  # raises if K is not deck-invariant
             if d != Fraction(K.rank(), 2):
                 failures.append(f"gamma dim of {tname} at {b}")
     rep = gamma_tables(fc)
@@ -300,7 +300,7 @@ def test_criterion_9_covering_suite():
         failures.append("gap(lap_delbar) != gap(lap_d)/2")
     if not rep.equality_everywhere or not rep.inequality_ok:
         failures.append("covering inequality is not an equality")
-    mi = metric_independence_check(spec, Mat.identity(1), Mat([[QQi(2)]], ncols=1))
+    mi = metric_independence_check(build_cover(spec, Mat.identity(1)), Mat([[QQi(2)]], ncols=1))
     if not (mi["gamma_dims_agree"] and mi["cross_projection_full_rank"] and mi["sampled_ratios_within_bound"]):
         failures.append("metric independence for H in {1, 2}")
     conclude(9, "index-2 covering suite", failures)

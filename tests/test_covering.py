@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from abch.cli import main
 from abch.complexes import dim_pq
 from abch.covering import (
     CoveringSpec,
@@ -109,8 +110,9 @@ def test_gamma_dimension_zero_iff_zero(cover2):
 def test_gamma_dimension_additivity(cover2):
     # full mode blocks are invariant and mutually orthogonal
     w = dim_pq(1, 0, 0)
-    V = cover2.embed_mode_basis(0, Mat.identity(w), ((0, 0),))
-    W = cover2.embed_mode_basis(1, Mat.identity(w), ((0, 0),))
+    none = [Mat.zeros(w, 0)] * (cover2.mode_count() - 1)
+    V = cover2.stack_modes([Mat.identity(w)] + none, ((0, 0),))
+    W = cover2.stack_modes(none[:1] + [Mat.identity(w)] + none[1:], ((0, 0),))
     dv = gamma_dimension(cover2, V, ((0, 0),))
     dw = gamma_dimension(cover2, W, ((0, 0),))
     dvw = gamma_dimension(cover2, Mat.hstack([V, W]), ((0, 0),))
@@ -219,7 +221,7 @@ def test_eckmann_alternating_sums_on_cover(cover2):
 def test_metric_independence():
     H1 = Mat.identity(1)
     H2 = Mat([[QQi(2)]], ncols=1)
-    rep = metric_independence_check(SPEC2, H1, H2)
+    rep = metric_independence_check(build_cover(SPEC2, H1), H2)
     assert rep["gamma_dims_agree"]
     assert rep["cross_projection_full_rank"]
     assert abs(rep["quasi_isometry_constant"] - 2.0) < 1e-9
@@ -237,10 +239,32 @@ def test_n2_cover_metric_independence():
 
     H1 = Mat.identity(2)
     H2 = diagonal_metric([2, 1]).H
-    rep = metric_independence_check(spec, H1, H2)
+    rep = metric_independence_check(build_cover(spec, H1), H2)
     assert rep["gamma_dims_agree"]
     assert rep["cross_projection_full_rank"]
     assert abs(rep["quasi_isometry_constant"] - 2.0) < 1e-9
+
+
+def test_cover_builds_each_cover_once(monkeypatch, tmp_path):
+    # `abch cover` builds the cover under H and under 2 H, and nothing twice
+    import abch.cli
+    import abch.covering
+
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(build_cover(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(abch.cli, "build_cover", counted)
+    monkeypatch.setattr(abch.covering, "build_cover", counted)
+    path = tmp_path / "half.cover"
+    path.write_text("n = 1\nbase = [[1, 0], [0, 1]]\nsub = [[2, 0], [0, 1]]\nradius = 1/2\n")
+    assert main(["cover", str(path), "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(built) == 2
+    # the kernels the report used are kept, not recomputed
+    K = built[0].total_kernel(LaplacianKind.BC, (1, 0))
+    assert built[0].total_kernel(LaplacianKind.BC, (1, 0)) is K
 
 
 def test_gap_and_closed_image(cover2):

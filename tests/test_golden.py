@@ -68,6 +68,10 @@ GOLDEN = [
      "02b332c091bc27cd2806979a59a4f7a2f25a466a1db719f417c9a4633030159f"),
     (("cover", "fixtures/index2.cover"),
      "162d5e004d530b3784b1e9d500f32d4e9ed37238356ccd937891a2d9e200998f"),
+    (("cover", "fixtures/index2.cover", "--metric", "fixtures/h3.herm"),
+     "15aaa9c32edc763f9845b449226cf3d1ae2ce961b78fae4f676996417d0c788f"),
+    (("cover", "fixtures/index2_n2.cover"),  # n = 2: 4-dimensional lattices
+     "a00600bfc5e30685ed8c917b6d2307d4d546b3f054c151db5292ecf931bbcced"),
 ]
 
 

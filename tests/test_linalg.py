@@ -9,7 +9,6 @@ from abch.linalg import (
     Mat,
     cross_gram,
     gram_adjoint,
-    gram_schmidt,
     ip,
     project,
     projection_coords,
@@ -117,22 +116,6 @@ def test_projection_is_orthogonal():
     for j, col in enumerate(S.cols()):
         assert BX.col(j) == project(col, B, G)
     assert cross_gram(S - BX, B, G).is_zero()
-
-
-def test_gram_schmidt_orthogonalises():
-    G = _pd_gram(4)
-    B = Mat(
-        [[ONE, ONE, ZERO], [ZERO, ONE, ONE], [ONE, ZERO, ONE], [ZERO, ZERO, ONE]],
-        ncols=3,
-    )
-    W = gram_schmidt(B, G)
-    assert W.ncols == B.rank()
-    X = cross_gram(W, W, G)
-    for i in range(W.ncols):
-        for j in range(W.ncols):
-            if i != j:
-                assert X.rows[i][j] == QQi(0)
-    assert subspace_eq(span_basis(B), span_basis(W))
 
 
 def test_span_basis_canonical():
