@@ -6,10 +6,15 @@ The space of (p,q)-forms has the monomial basis
 
 with strictly increasing index sets, ordered lexicographically on the pair
 (hol, anti).  The exterior derivative splits as d = del + delbar with
-del raising p and delbar raising q; both are extended from the coframe by
-the graded Leibniz rule del(a ^ b) = del a ^ b + (-1)^{deg a} a ^ del b.
-`build_complex` certifies del^2 = delbar^2 = del delbar + delbar del = 0
-exactly and rejects inconsistent structure constants.
+del raising p and delbar raising q.  Both are derivations, and each dg is a
+2-form, so on a basis monomial m = g_1 ^ ... ^ g_k
+
+    d m = sum_t (-1)^t dg_t ^ (m without g_t),   t = 0..k-1.
+
+One kernel, `wedge_into`, adds each such term; the Fourier twists of the
+covering models use it too.  `build_complex` certifies
+del^2 = delbar^2 = del delbar + delbar del = 0 exactly and rejects
+inconsistent structure constants.
 """
 
 from __future__ import annotations
@@ -121,10 +126,6 @@ class FormVector:
             raise ShapeMismatch("coefficient count does not match basis size")
 
     @staticmethod
-    def zero(n: int, p: int, q: int) -> "FormVector":
-        return FormVector(n, (p, q), tuple([ZERO] * dim_pq(n, p, q)))
-
-    @staticmethod
     def monomial(n: int, m: Monomial, coeff: QQi = ONE) -> "FormVector":
         p, q = len(m.hol), len(m.anti)
         coeffs = [ZERO] * dim_pq(n, p, q)
@@ -139,13 +140,6 @@ class FormVector:
             self.bidegree,
             tuple(a if b.is_zero() else b if a.is_zero() else a + b for a, b in zip(self.coeffs, other.coeffs)),
         )
-
-    def scale(self, c) -> "FormVector":
-        c = QQi.of(c)
-        return FormVector(self.n, self.bidegree, tuple(a if a.is_zero() else c * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
 
 def wedge(a: FormVector, b: FormVector) -> FormVector:
@@ -175,30 +169,44 @@ def wedge(a: FormVector, b: FormVector) -> FormVector:
     return FormVector(n, (p, q), tuple(out))
 
 
+Terms = List[Tuple[Monomial, QQi]]  # a form as (monomial, coefficient) pairs
+
+
+def wedge_into(out: Mat, j: int, idx: Dict[Monomial, int], terms: Terms, m: Monomial, sign: int) -> None:
+    """Add sign * (sum of c * mono over `terms`) ^ m into column j of `out`,
+    whose rows are the monomials numbered by `idx`."""
+    rows = out.rows
+    for mono, c in terms:
+        s, w = wedge_monomials(mono, m)
+        if s:
+            i = idx[w]
+            rows[i][j] = rows[i][j] + (c if s == sign else -c)
+
+
+@lru_cache(maxsize=None)
+def conjugation_perm(n: int, p: int, q: int) -> Tuple[Tuple[int, ...], int]:
+    """Complex conjugation A^{p,q} -> A^{q,p} on basis monomials: the
+    (q,p)-index of the conjugate of each (p,q)-monomial, and the common sign
+    (-1)^{pq} of reordering it."""
+    idx = basis_index(n, q, p)
+    perm = tuple(idx[Monomial(m.anti, m.hol)] for m in monomial_basis(n, p, q))
+    return perm, -1 if (p * q) % 2 else 1
+
+
 def conjugate(a: FormVector) -> FormVector:
     """Complex conjugation A^{p,q} -> A^{q,p}; antilinear involution."""
-    n = a.n
     p, q = a.bidegree
-    out = [ZERO] * dim_pq(n, q, p)
-    idx = basis_index(n, q, p)
-    sign = -ONE if (p * q) % 2 == 1 else ONE
-    for m, c in zip(monomial_basis(n, p, q), a.coeffs):
-        if c.is_zero():
-            continue
-        k = idx[Monomial(m.anti, m.hol)]
-        out[k] = out[k] + sign * c.conj()
-    return FormVector(n, (q, p), tuple(out))
+    C = conjugation_matrix(a.n, p, q)
+    return FormVector(a.n, (q, p), tuple(C.matvec([c.conj() for c in a.coeffs])))
 
 
 def conjugation_matrix(n: int, p: int, q: int) -> Mat:
     """Signed permutation C with conj(v) = C @ entrywise-conj(v),
     mapping (p,q)-coordinates to (q,p)-coordinates."""
-    src = monomial_basis(n, p, q)
-    idx = basis_index(n, q, p)
-    C = Mat.zeros(dim_pq(n, q, p), dim_pq(n, p, q))
-    sign = -ONE if (p * q) % 2 == 1 else ONE
-    for j, m in enumerate(src):
-        C.rows[idx[Monomial(m.anti, m.hol)]][j] = sign
+    perm, sign = conjugation_perm(n, p, q)
+    C = Mat.zeros(len(perm), len(perm))
+    for j, i in enumerate(perm):
+        C.rows[i][j] = ONE if sign == 1 else -ONE
     return C
 
 
@@ -233,91 +241,58 @@ class BigradedComplex:
         p, q = b
         return self._delbar.get(b, Mat.zeros(dim_pq(self.n, p, q + 1), dim_pq(self.n, p, q)))
 
-    def bidegrees(self):
-        n = self.n
-        return [(p, q) for p in range(n + 1) for q in range(n + 1)]
 
-
-def _d_of_generator(model: ComplexModel, bar: bool, k: int):
-    """d of a single coframe generator as ((2,0)+(1,1)) or ((1,1)+(0,2))
-    FormVectors; conjugate equations are generated, never stored."""
-    n = model.n
+def _d_of_generator(model: ComplexModel, bar: bool, k: int) -> Tuple[Terms, Terms]:
+    """The del and delbar parts of d phi_k, or of d phibar_k if `bar`, as
+    term lists; conjugate equations are generated, never stored."""
+    d20, d11 = model.d20.get(k, {}), model.d11.get(k, {})
     if not bar:
-        del_part = FormVector.zero(n, 2, 0)
-        for (i, j), c in model.d20.get(k, {}).items():
-            del_part = del_part + FormVector.monomial(n, Monomial((i, j), ()), c)
-        dbar_part = FormVector.zero(n, 1, 1)
-        for (i, j), c in model.d11.get(k, {}).items():
-            dbar_part = dbar_part + FormVector.monomial(n, Monomial((i,), (j,)), c)
-        return del_part, dbar_part
-    # d phibar_k = conj(d phi_k)
-    del_part = FormVector.zero(n, 1, 1)  # (1,1)-component of d phibar_k
-    for (i, j), c in model.d11.get(k, {}).items():
-        # conj(phi_i ^ phibar_j) = -(phi_j ^ phibar_i)
-        del_part = del_part + FormVector.monomial(n, Monomial((j,), (i,)), -c.conj())
-    dbar_part = FormVector.zero(n, 0, 2)
-    for (i, j), c in model.d20.get(k, {}).items():
-        dbar_part = dbar_part + FormVector.monomial(n, Monomial((), (i, j)), c.conj())
-    return del_part, dbar_part
+        return (
+            [(Monomial((i, j), ()), c) for (i, j), c in d20.items()],
+            [(Monomial((i,), (j,)), c) for (i, j), c in d11.items()],
+        )
+    # d phibar_k = conj(d phi_k), and conj(phi_i ^ phibar_j) = -(phi_j ^ phibar_i)
+    return (
+        [(Monomial((j,), (i,)), -c.conj()) for (i, j), c in d11.items()],
+        [(Monomial((), (i, j)), c.conj()) for (i, j), c in d20.items()],
+    )
 
 
-def _leibniz_column(model: ComplexModel, m: Monomial, which: str, gens: dict) -> FormVector:
-    """del or delbar of a basis monomial by the graded Leibniz rule; `gens`
-    memoises `_d_of_generator` by (bar, k)."""
+def _drop(m: Monomial, t: int) -> Monomial:
+    """m without its t-th factor, counting the hol factors first."""
+    p = len(m.hol)
+    if t < p:
+        return Monomial(m.hol[:t] + m.hol[t + 1 :], m.anti)
+    return Monomial(m.hol, m.anti[: t - p] + m.anti[t - p + 1 :])
+
+
+def _differentials(model: ComplexModel) -> Tuple[Dict[Bidegree, Mat], Dict[Bidegree, Mat]]:
+    """The del and delbar matrices at every bidegree, not yet certified: one
+    `wedge_into` per factor of each basis monomial (module docstring)."""
     n = model.n
-    p, q = len(m.hol), len(m.anti)
-    target = (p + 1, q) if which == "del" else (p, q + 1)
-    if target[0] > n or target[1] > n:
-        return FormVector.zero(n, *target)
-    out = FormVector.zero(n, *target)
-    factors = [(False, i) for i in m.hol] + [(True, j) for j in m.anti]
-    for t, (bar, k) in enumerate(factors):
-        if (bar, k) not in gens:
-            gens[(bar, k)] = _d_of_generator(model, bar, k)
-        del_part, dbar_part = gens[(bar, k)]
-        dgen = del_part if which == "del" else dbar_part
-        if dgen.is_zero():
-            continue
-        # (-1)^{t} from moving d past the first t degree-one factors
-        sgn = -ONE if t % 2 == 1 else ONE
-        before = factors[:t]
-        after = factors[t + 1 :]
-        piece = dgen.scale(sgn)
-        for bar2, k2 in reversed(before):
-            g = FormVector.monomial(n, Monomial((), (k2,)) if bar2 else Monomial((k2,), ()))
-            piece = wedge(g, piece)
-        for bar2, k2 in after:
-            g = FormVector.monomial(n, Monomial((), (k2,)) if bar2 else Monomial((k2,), ()))
-            piece = wedge(piece, g)
-        out = out + piece
-    return out
+    dgen = {(bar, k): _d_of_generator(model, bar, k) for bar in (False, True) for k in range(1, n + 1)}
+    mats: Tuple[Dict[Bidegree, Mat], Dict[Bidegree, Mat]] = ({}, {})
+    for p in range(n + 1):
+        for q in range(n + 1):
+            basis = monomial_basis(n, p, q)
+            for part, target in enumerate(((p + 1, q), (p, q + 1))):
+                if max(target) > n:
+                    continue
+                idx = basis_index(n, *target)
+                M = Mat.zeros(len(idx), len(basis))
+                for j, m in enumerate(basis):
+                    gens = [dgen[(False, k)] for k in m.hol] + [dgen[(True, k)] for k in m.anti]
+                    for t, dg in enumerate(gens):
+                        wedge_into(M, j, idx, dg[part], _drop(m, t), -1 if t % 2 else 1)
+                mats[part][(p, q)] = M
+    return mats
 
 
 def build_complex(model: ComplexModel) -> BigradedComplex:
     """Assemble del/delbar at every bidegree and certify the complex
     identities exactly; raises NotAComplex otherwise."""
     n = model.n
-    del_mats: Dict[Bidegree, Mat] = {}
-    delbar_mats: Dict[Bidegree, Mat] = {}
-    gens: dict = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            basis = monomial_basis(n, p, q)
-            if p < n:
-                md = Mat.zeros(dim_pq(n, p + 1, q), dim_pq(n, p, q))
-                for j, m in enumerate(basis):
-                    fv = _leibniz_column(model, m, "del", gens)
-                    for i, c in enumerate(fv.coeffs):
-                        md.rows[i][j] = c
-                del_mats[(p, q)] = md
-            if q < n:
-                mb = Mat.zeros(dim_pq(n, p, q + 1), dim_pq(n, p, q))
-                for j, m in enumerate(basis):
-                    fv = _leibniz_column(model, m, "delbar", gens)
-                    for i, c in enumerate(fv.coeffs):
-                        mb.rows[i][j] = c
-                delbar_mats[(p, q)] = mb
-    comp = BigradedComplex(model, del_mats, delbar_mats)
+    comp = BigradedComplex(model, *_differentials(model))
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)

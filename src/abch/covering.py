@@ -40,12 +40,14 @@ import scipy.linalg
 
 from abch.complexes import (
     Bidegree,
-    FormVector,
+    Monomial,
     Space,
+    Terms,
+    basis_index,
     dim_pq,
     monomial_basis,
     total_bidegrees,
-    wedge,
+    wedge_into,
 )
 from abch.laplacians import (
     THEORY_KINDS,
@@ -53,6 +55,7 @@ from abch.laplacians import (
     assemble,
     fourth_order_part,
     gram_norms,
+    harmonic_space,
     numeric_spectrum,
     prestage_box_check,
     project_off_kernel,
@@ -204,36 +207,27 @@ class ModeOps:
     def __init__(self, n: int, mode: Mode):
         self.n = n
         self.mode = mode
-        self._del: Dict[Bidegree, Mat] = {}
-        self._delbar: Dict[Bidegree, Mat] = {}
+        # i mu^{1,0} and i mu^{0,1} as term lists
+        self._xi10 = [(Monomial((k,), ()), c) for k, c in enumerate(mode.c10, 1) if not c.is_zero()]
+        self._xi01 = [(Monomial((), (k,)), c) for k, c in enumerate(mode.c01, 1) if not c.is_zero()]
+        self._mats: Dict[Tuple[Bidegree, Bidegree], Mat] = {}
 
     def dim(self, b: Bidegree) -> int:
         return dim_pq(self.n, *b)
 
-    def _wedge_matrix(self, xi: FormVector, b: Bidegree) -> Mat:
-        n = self.n
-        p, q = b
-        tp, tq = p + xi.bidegree[0], q + xi.bidegree[1]
-        out = Mat.zeros(dim_pq(n, tp, tq), dim_pq(n, p, q))
-        if out.nrows == 0 or out.ncols == 0:
-            return out
-        for j, m in enumerate(monomial_basis(n, p, q)):
-            col = wedge(xi, FormVector.monomial(n, m))
-            for i, c in enumerate(col.coeffs):
-                out.rows[i][j] = c
-        return out
+    def _twist(self, terms: Terms, b: Bidegree, target: Bidegree) -> Mat:
+        if (b, target) not in self._mats:
+            out = self._mats[(b, target)] = Mat.zeros(dim_pq(self.n, *target), dim_pq(self.n, *b))
+            idx = basis_index(self.n, *target)
+            for j, m in enumerate(monomial_basis(self.n, *b)):
+                wedge_into(out, j, idx, terms, m, 1)
+        return self._mats[(b, target)]
 
     def del_(self, b: Bidegree) -> Mat:
-        if b not in self._del:
-            xi = FormVector(self.n, (1, 0), self.mode.c10)
-            self._del[b] = self._wedge_matrix(xi, b)
-        return self._del[b]
+        return self._twist(self._xi10, b, (b[0] + 1, b[1]))
 
     def delbar(self, b: Bidegree) -> Mat:
-        if b not in self._delbar:
-            xi = FormVector(self.n, (0, 1), self.mode.c01)
-            self._delbar[b] = self._wedge_matrix(xi, b)
-        return self._delbar[b]
+        return self._twist(self._xi01, b, (b[0], b[1] + 1))
 
 
 @dataclass
@@ -270,8 +264,8 @@ class FourierComplex:
         in total coordinates; computed once per (kind, b)."""
         key = (kind, b)
         if key not in self._kernels:
-            ops = [assemble(st, kind, b) for st in self.settings]
-            self._kernels[key] = self.stack_modes([op.mat.nullspace() for op in ops], ops[0].src)
+            space = total_bidegrees(self.n, sum(b)) if kind is LaplacianKind.D else (b,)
+            self._kernels[key] = self.stack_modes([harmonic_space(st, kind, b) for st in self.settings], space)
         return self._kernels[key]
 
 
@@ -320,27 +314,13 @@ def build_cover(spec: CoveringSpec, H: Optional[Mat] = None) -> FourierComplex:
         c01 = tuple(QQi(Fraction(-bk, 2), Fraction(ak, 2)) for ak, bk in zip(a, bvec))
         return c10, c01
 
-    def norm2_of(mu: Sequence[Fraction]) -> Fraction:
-        # 4 h(mu^{1,0}, mu^{1,0}) with mu^{1,0} = sum (a_k - i b_k)/2 phi_k
-        a, bvec = mu[:n], mu[n:]
-        u = [QQi(Fraction(ak, 2), Fraction(-bk, 2)) for ak, bk in zip(a, bvec)]
-        s = ZERO
-        for j in range(n):
-            for k in range(n):
-                s = s + metric.H.rows[j][k] * u[j] * u[k].conj()
-        if not s.is_real():
-            raise AssertionError("norm form is not real")
-        return 4 * s.re
+    # |mu|^2 = 4 h(mu^{1,0}, mu^{1,0}) is mu^T Qr mu for the real symmetric
+    # form Qr = [[Re H, -Im H], [Im H, Re H]] (H is Hermitian)
+    Hrows = metric.H.rows
+    Qr = [[h.re for h in row] + [-h.im for h in row] for row in Hrows]
+    Qr += [[h.im for h in row] + [h.re for h in row] for row in Hrows]
 
     # box bound from the smallest eigenvalue of the real quadratic form
-    e = [[Fraction(int(i == j)) for j in range(two_n)] for i in range(two_n)]
-    Qr = [[Fraction(0)] * two_n for _ in range(two_n)]
-    base_vals = [norm2_of(e[i]) for i in range(two_n)]
-    for i in range(two_n):
-        Qr[i][i] = base_vals[i]
-        for j in range(i + 1, two_n):
-            mixed = norm2_of([e[i][k] + e[j][k] for k in range(two_n)])
-            Qr[i][j] = Qr[j][i] = (mixed - base_vals[i] - base_vals[j]) / 2
     lam_min = float(np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in Qr])).min())
     R = spec.radius
     bound = float(R) / np.sqrt(lam_min)
@@ -354,7 +334,8 @@ def build_cover(spec: CoveringSpec, H: Optional[Mat] = None) -> FourierComplex:
     modes: List[Mode] = []
     for m in itertools.product(*[range(-bi, bi + 1) for bi in box]):
         mu = mu_of(m)
-        q2 = norm2_of(mu)
+        nz = [(i, x) for i, x in enumerate(mu) if x]
+        q2 = sum((x * y * Qr[i][j] for i, x in nz for j, y in nz), Fraction(0))
         if q2 <= R2:
             c10, c01 = twist_coeffs(mu)
             phases = tuple(
@@ -643,7 +624,7 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int 
                 Pop = nst.delbar_op((p, q - 1))
                 Qop = nst.delbar_op(b)
                 Padj = nst.adjoint(Pop)
-                kernel = assemble(st, LaplacianKind.DELBAR, b).mat.nullspace().to_numpy()
+                kernel = harmonic_space(st, LaplacianKind.DELBAR, b).to_numpy()
                 dim = Qop.mat.shape[1]
                 X = rng.standard_normal((dim, samples)) + 1j * rng.standard_normal((dim, samples))
                 X = project_off_kernel(X, kernel, G)

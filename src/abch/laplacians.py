@@ -257,22 +257,19 @@ class LaplacianBundle:
     """All Laplacians at one bidegree with kernels, spectra and gaps."""
 
     bidegree: Bidegree
-    matrices: Dict[LaplacianKind, Op]
     kernels: Dict[LaplacianKind, Mat]
     spectra: Dict[LaplacianKind, np.ndarray]
     gaps: Dict[LaplacianKind, Optional[float]]
 
     @staticmethod
     def build(setting: ExactSetting, numeric: NumericSetting, b: Bidegree) -> "LaplacianBundle":
-        matrices, kernels, spectra, gaps = {}, {}, {}, {}
+        kernels, spectra, gaps = {}, {}, {}
         for kind in ALL_KINDS:
-            op = assemble(setting, kind, b)
-            matrices[kind] = op
-            kernels[kind] = op.mat.nullspace()
+            kernels[kind] = harmonic_space(setting, kind, b)
             _, _, ev = numeric_spectrum(numeric, kind, b)
             spectra[kind] = ev
             gaps[kind] = spectral_gap(ev)
-        return LaplacianBundle(b, matrices, kernels, spectra, gaps)
+        return LaplacianBundle(b, kernels, spectra, gaps)
 
     def crosscheck(self) -> List[str]:
         """Exact kernel dimension vs numeric zero multiplicity, per kind."""
@@ -338,7 +335,7 @@ def verify_gap_inequality(
     gap = spectral_gap(ev)
     if gap is None:
         return {"kind": kind.value, "bidegree": b, "gap": None, "vacuous": True, "ok": True}
-    kernel = assemble(setting, kind, b).mat.nullspace().to_numpy()
+    kernel = harmonic_space(setting, kind, b).to_numpy()
     mn, ok = rayleigh_check(op.mat, G, kernel, gap, samples=samples, seed=seed)
     return {
         "kind": kind.value,

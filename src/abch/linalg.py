@@ -460,21 +460,25 @@ def ip(u: Sequence[QQi], v: Sequence[QQi], G: Mat) -> QQi:
 
 def gram_adjoint(T: Mat, G_src_inv: Mat, G_dst: Mat) -> Mat:
     """S with <T u, v>_dst = <u, S v>_src for all u, v, given the inverse of
-    the source Gram: S = conj(G_src)^{-1} T^H conj(G_dst)."""
-    return G_src_inv.conj() @ T.conj_t() @ G_dst.conj()
+    the source Gram: S = conj(G_src)^{-1} T^H conj(G_dst).  Both Grams must
+    be Hermitian, so that each conjugate is the transpose, which builds no
+    new entries."""
+    return G_src_inv.transpose() @ T.conj_t() @ G_dst.transpose()
 
 
 def basis_gram(B: Mat, G: Mat) -> Mat:
-    """M[j][k] = <b_k, b_j> for the columns b_* of B, i.e. B^H conj(G) B."""
-    return B.conj_t() @ G.conj() @ B
+    """M[j][k] = <b_k, b_j> for the columns b_* of B, i.e. B^H conj(G) B;
+    G must be Hermitian (conj(G) is taken as its transpose)."""
+    return B.conj_t() @ G.transpose() @ B
 
 
 def projection_coords(S: Mat, B: Mat, G: Mat) -> Mat:
     """X with B X = Gram-orthogonal projection of the columns of S onto
-    span(B), from one solve of (B^H conj(G) B) X = B^H conj(G) S."""
+    span(B), from one solve of (B^H conj(G) B) X = B^H conj(G) S; G must be
+    Hermitian (conj(G) is taken as its transpose)."""
     if B.ncols == 0:
         return Mat.zeros(0, S.ncols)
-    X = basis_gram(B, G).solve(B.conj_t() @ G.conj() @ S)
+    X = basis_gram(B, G).solve(B.conj_t() @ G.transpose() @ S)
     if X is None:
         raise ZeroDivisionError("degenerate basis Gram")
     return X

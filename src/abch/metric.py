@@ -51,6 +51,7 @@ from abch.complexes import (
     Op,
     Space,
     basis_index,
+    conjugation_perm,
     dim_pq,
     monomial_basis,
     wedge_monomials,
@@ -74,16 +75,6 @@ class SingularPairing(Exception):
 
 
 # -- shared combinatorics ----------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _conj_perm(n: int, a: int, b: int) -> Tuple[Tuple[int, ...], int]:
-    """Permutation J -> index of (anti, hol) in the (b,a)-basis, and the
-    reordering sign (-1)^{ab}."""
-    idx = basis_index(n, b, a)
-    perm = tuple(idx[Monomial(m.anti, m.hol)] for m in monomial_basis(n, a, b))
-    sign = -1 if (a * b) % 2 == 1 else 1
-    return perm, sign
 
 
 @lru_cache(maxsize=None)
@@ -191,20 +182,15 @@ class HermitianMetric:
         if b not in self._star:
             n = self.n
             a, bb = b
-            perm, conj_sign = _conj_perm(n, a, bb)
+            perm, conj_sign = conjugation_perm(n, a, bb)
             ks, signs = _pairing(n, bb, a)
             G = self.gram((bb, a))
-            rows_out = dim_pq(n, n - bb, n - a)
-            M = Mat.zeros(rows_out, dim_pq(n, a, bb))
-            for j in range(dim_pq(n, a, bb)):
-                jp = perm[j]
-                scale = self.vol_coeff if conj_sign == 1 else -self.vol_coeff
-                # solve W sigma = scale * G[:, jp] with W the signed permutation
-                for i in range(G.nrows):
-                    entry = scale * G.rows[i][jp]
-                    if not entry.is_zero():
-                        s = signs[i]
-                        M.rows[ks[i]][j] = entry if s == 1 else -entry
+            M = Mat.zeros(dim_pq(n, n - bb, n - a), len(perm))
+            for j, jp in enumerate(perm):
+                # solve W sigma = conj_sign * vol_coeff * G[:, jp] with W the signed permutation
+                for i, (k, s) in enumerate(zip(ks, signs)):
+                    if not G.rows[i][jp].is_zero():
+                        M.rows[k][j] = G.rows[i][jp] * self.vol_coeff * (conj_sign * s)
             self._star[b] = M
         src: Space = (b,)
         dst: Space = ((self.n - b[1], self.n - b[0]),)

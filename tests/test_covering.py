@@ -1,14 +1,17 @@
 """Fourier coverings: mode sets, Gamma-dimensions, gaps, independence."""
 
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
 from abch.cli import main
-from abch.complexes import dim_pq
+from abch.complexes import DegreeOverflow, FormVector, dim_pq, monomial_basis, wedge
 from abch.covering import (
     CoveringSpec,
+    Mode,
+    ModeOps,
     NotASublattice,
     NotGammaInvariant,
     build_cover,
@@ -16,6 +19,7 @@ from abch.covering import (
     gamma_tables,
     gap_and_closed_image,
     hermite_normal_form,
+    load_cover,
     metric_independence_check,
     parse_cover,
 )
@@ -23,6 +27,7 @@ from abch.laplacians import LaplacianKind, assemble, spectrum
 from abch.linalg import Mat, subspace_eq
 from abch.scalars import QQi, ONE
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 SPEC2 = CoveringSpec(n=1, base=((1, 0), (0, 1)), sub=((2, 0), (0, 1)), radius=Fraction(1))
 
 
@@ -85,6 +90,55 @@ def test_twist_matches_frequency(cover2):
         a, b = md.mu
         m = st.del_op((0, 0)).mat
         assert m.rows[0][0] == QQi(Fraction(b, 2), Fraction(a, 2))
+
+
+def _assert_twists_are_wedges(ops):
+    """Each del/delbar column of a mode is the wedge of its twist form with
+    the basis monomial, computed by `wedge`."""
+    n = ops.n
+    xis = (FormVector(n, (1, 0), ops.mode.c10), FormVector(n, (0, 1), ops.mode.c01))
+    for p in range(n + 1):
+        for q in range(n + 1):
+            for M, xi in zip((ops.del_((p, q)), ops.delbar((p, q))), xis):
+                for j, m in enumerate(monomial_basis(n, p, q)):
+                    try:
+                        want = wedge(xi, FormVector.monomial(n, m)).coeffs
+                    except DegreeOverflow:
+                        want = ()
+                    assert tuple(M.col(j)) == want, (p, q, m)
+
+
+@pytest.mark.parametrize("name", ["index2", "index2_n2"])
+def test_mode_twists_are_wedges(name):
+    fc = build_cover(load_cover(os.path.join(FIXTURES, f"{name}.cover")))
+    for st in fc.settings:
+        _assert_twists_are_wedges(st.ops)
+
+
+def test_twist_with_several_complex_coefficients_is_a_wedge():
+    # the fixture modes have one nonzero coordinate each
+    c = (QQi(Fraction(1, 2), 3), QQi(0, -1), QQi(Fraction(-2, 3), Fraction(1, 5)))
+    zero = (Fraction(0),) * 6
+    mode = Mode(m=(0,) * 6, mu=zero, c10=c, c01=tuple(-x.conj() for x in c), norm2=Fraction(0), char_key=zero)
+    _assert_twists_are_wedges(ModeOps(3, mode))
+
+
+def test_mode_norm_is_the_metric_norm():
+    # |mu|^2 = 4 h(mu^{1,0}, mu^{1,0}) under a metric with imaginary entries
+    H = Mat([[QQi(2), QQi(1, 1)], [QQi(1, -1), QQi(3)]])
+    spec = CoveringSpec(
+        n=2,
+        base=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        sub=((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        radius=Fraction(2),
+    )
+    fc = build_cover(spec, H)
+    assert fc.mode_count() > 1
+    for md in fc.modes:
+        u = [QQi(a / 2, -b / 2) for a, b in zip(md.mu[:2], md.mu[2:])]
+        h = sum((H.rows[j][k] * u[j] * u[k].conj() for j in range(2) for k in range(2)), QQi(0))
+        assert h.im == 0 and md.norm2 == 4 * h.re
+        assert type(md.norm2) is Fraction and md.norm2 <= spec.radius**2
 
 
 def test_gamma_dimension_harmonics(cover2):

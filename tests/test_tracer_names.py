@@ -4,6 +4,7 @@ their qualified names.  A rename that drops a name it counts would crash
 benchmark."""
 
 import importlib.util
+import inspect
 import os
 
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
@@ -24,3 +25,11 @@ def test_every_counted_name_is_traced():
     # the assemble hook splits time by `isinstance(setting, abch.setting.NumericSetting)`
     pre, _ = t._hooks(tracer.ASSEMBLE)
     assert pre is not None
+
+
+def test_no_traced_callable_is_a_generator():
+    # cProfile counts every resume of a generator as a call, the tracer counts
+    # one, so `perfbench/run.py --check-trace` would report a mismatch
+    tracer = _load_tracer()
+    gens = [t.name for t in tracer.discover() if inspect.isgeneratorfunction(inspect.unwrap(t.fn))]
+    assert gens == []
