@@ -16,7 +16,7 @@ backends are cross-checked against each other.
 from abch.scalars import QQi
 from abch.model import ComplexModel, parse_model, render_model, load_model
 from abch.complexes import BigradedComplex, build_complex
-from abch.metric import HermitianMetric, build_metric, identity_metric, load_metric
+from abch.metric import HermitianMetric, identity_metric, load_metric
 
 __all__ = [
     "QQi",
@@ -27,7 +27,6 @@ __all__ = [
     "BigradedComplex",
     "build_complex",
     "HermitianMetric",
-    "build_metric",
     "identity_metric",
     "load_metric",
 ]

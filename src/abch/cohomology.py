@@ -2,10 +2,14 @@
 kernel/image subspace grids with their exact sequences, and the full
 combined complex around a corner bidegree.
 
-Every dimension is a rank-nullity computation over Q(i).  Harmonic-space
-dimensions from the Laplacian engine give a second, independent route to
-the same numbers; tests assert the two agree (finite-dimensional Hodge
-theory) rather than trusting either alone.
+Every dimension is a rank-nullity computation over Q(i): the nullity of
+the maps leaving A^{p,q} (A^k for de Rham), stacked, minus the rank of the
+maps entering it, joined.  `laplacians.THEORY_OPS` names those maps for each
+theory and `ExactSetting.out`/`into` builds them; `SubspaceLib.ker`/`im`
+name kernel and image subspaces the same way.  Harmonic-space dimensions
+from the Laplacian engine give a second, independent route to the same
+numbers; tests assert the two agree (finite-dimensional Hodge theory)
+rather than trusting either alone.
 
 Images of linear maps between finite-dimensional spaces are closed, so the
 reduced and unreduced quotients coincide and only one notion of cohomology
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from abch.complexes import Bidegree, Op, Space, d_between, total_bidegrees
 from abch.linalg import (
@@ -31,7 +35,7 @@ from abch.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from abch.laplacians import THEORY_KINDS, LaplacianKind, harmonic_space
+from abch.laplacians import THEORY_KINDS, THEORY_OPS, LaplacianKind, harmonic_space
 from abch.setting import ExactSetting, add_ops, compose
 
 THEORIES = ("deRham", "del", "delbar", "bc", "a")
@@ -57,38 +61,27 @@ def _nullity(m: Mat) -> int:
     return m.ncols - m.rank()
 
 
+def _rank_nullity(setting: ExactSetting, theory: str, b) -> int:
+    """nullity of the stacked maps leaving A^b minus the rank of the joined
+    maps entering it (b a bidegree, or a total degree for de Rham)."""
+    leaving, entering = THEORY_OPS[theory]
+    stacked = Mat.vstack([setting.out(name, b).mat for name in leaving])
+    joined = Mat.hstack([setting.into(name, b).mat for name in entering])
+    return _nullity(stacked) - joined.rank()
+
+
 def betti_numbers(setting: ExactSetting) -> List[int]:
-    n = setting.n
-    out = []
-    for k in range(2 * n + 1):
-        d_out = setting.total_d(k).mat
-        d_in = setting.total_d(k - 1).mat if k > 0 else None
-        rank_in = d_in.rank() if d_in is not None else 0
-        out.append(_nullity(d_out) - rank_in)
-    return out
+    return [_rank_nullity(setting, "deRham", k) for k in range(2 * setting.n + 1)]
 
 
 def cohomology(theory: str, setting: ExactSetting) -> CohomologyTable:
     """Quotient dimensions by exact rank arithmetic."""
     n = setting.n
+    if theory not in THEORY_OPS:
+        raise ValueError(f"unknown theory {theory}")
     if theory == "deRham":
         return CohomologyTable("deRham", betti=betti_numbers(setting))
-    grid = [[0] * (n + 1) for _ in range(n + 1)]
-    for p in range(n + 1):
-        for q in range(n + 1):
-            b = (p, q)
-            if theory == "delbar":
-                grid[p][q] = _nullity(setting.delbar_op(b).mat) - setting.delbar_op((p, q - 1)).mat.rank()
-            elif theory == "del":
-                grid[p][q] = _nullity(setting.del_op(b).mat) - setting.del_op((p - 1, q)).mat.rank()
-            elif theory == "bc":
-                stacked = Mat.vstack([setting.del_op(b).mat, setting.delbar_op(b).mat])
-                grid[p][q] = _nullity(stacked) - setting.deldbar_op((p - 1, q - 1)).mat.rank()
-            elif theory == "a":
-                joined = Mat.hstack([setting.del_op((p - 1, q)).mat, setting.delbar_op((p, q - 1)).mat])
-                grid[p][q] = _nullity(setting.deldbar_op(b).mat) - joined.rank()
-            else:
-                raise ValueError(f"unknown theory {theory}")
+    grid = [[_rank_nullity(setting, theory, (p, q)) for q in range(n + 1)] for p in range(n + 1)]
     return CohomologyTable(theory, grid=grid)
 
 
@@ -139,61 +132,33 @@ class SubspaceLib:
 
     def __init__(self, setting: ExactSetting):
         self.s = setting
-        self._cache: Dict[Tuple[str, Bidegree], object] = {}
+        self._cache: Dict[Tuple[Hashable, Bidegree], object] = {}
 
-    def _get(self, key: str, b: Bidegree, fn):
+    def _get(self, key: Hashable, b: Bidegree, fn):
         k = (key, b)
         if k not in self._cache:
             self._cache[k] = fn()
         return self._cache[k]
 
-    def ker_del(self, b):
-        return self._get("ker_del", b, lambda: self.s.del_op(b).mat.nullspace())
+    def ker(self, name: str, b: Bidegree, star: bool = False) -> Mat:
+        """ker T in A^{p,q}: T the map `name` leaving (p,q), or with `star`
+        the adjoint of the one entering it."""
 
-    def ker_delbar(self, b):
-        return self._get("ker_delbar", b, lambda: self.s.delbar_op(b).mat.nullspace())
+        def compute():
+            T = self.s.adjoint(self.s.into(name, b)) if star else self.s.out(name, b)
+            return T.mat.nullspace()
 
-    def im_del(self, b):
-        p, q = b
-        return self._get("im_del", b, lambda: self.s.del_op((p - 1, q)).mat.column_space())
+        return self._get(("ker", name, star), b, compute)
 
-    def im_delbar(self, b):
-        p, q = b
-        return self._get("im_delbar", b, lambda: self.s.delbar_op((p, q - 1)).mat.column_space())
+    def im(self, name: str, b: Bidegree, star: bool = False) -> Mat:
+        """im T in A^{p,q}: T the map `name` entering (p,q), or with `star`
+        the adjoint of the one leaving it."""
 
-    def ker_deldbar(self, b):
-        return self._get("ker_deldbar", b, lambda: self.s.deldbar_op(b).mat.nullspace())
+        def compute():
+            T = self.s.adjoint(self.s.out(name, b)) if star else self.s.into(name, b)
+            return T.mat.column_space()
 
-    def im_deldbar(self, b):
-        p, q = b
-        return self._get("im_deldbar", b, lambda: self.s.deldbar_op((p - 1, q - 1)).mat.column_space())
-
-    def ker_del_star(self, b):
-        p, q = b
-        return self._get("ker_del_star", b, lambda: self.s.adjoint(self.s.del_op((p - 1, q))).mat.nullspace())
-
-    def ker_delbar_star(self, b):
-        p, q = b
-        return self._get(
-            "ker_delbar_star", b, lambda: self.s.adjoint(self.s.delbar_op((p, q - 1))).mat.nullspace()
-        )
-
-    def im_del_star(self, b):
-        return self._get("im_del_star", b, lambda: self.s.adjoint(self.s.del_op(b)).mat.column_space())
-
-    def im_delbar_star(self, b):
-        return self._get("im_delbar_star", b, lambda: self.s.adjoint(self.s.delbar_op(b)).mat.column_space())
-
-    def ker_corner_adj(self, b):
-        """ker (del delbar)* at (p,q): adjoint of the corner map into (p,q)."""
-        p, q = b
-        return self._get(
-            "ker_corner_adj", b, lambda: self.s.adjoint(self.s.deldbar_op((p - 1, q - 1))).mat.nullspace()
-        )
-
-    def im_corner_adj(self, b):
-        """im (del delbar)* at (p,q): adjoint of the corner map out of (p,q)."""
-        return self._get("im_corner_adj", b, lambda: self.s.adjoint(self.s.deldbar_op(b)).mat.column_space())
+        return self._get(("im", name, star), b, compute)
 
     def im_d_at(self, b):
         """The subspace im(d) ∩ A^{p,q}: the A^{p,q} rows of d applied to the
@@ -213,16 +178,17 @@ class SubspaceLib:
 
     def abcdef(self, b) -> Dict[str, Mat]:
         """The six subspaces a..f of A^{p,q}, each a triple intersection."""
+        ker, im = self.ker, self.im
         return self._get(
             "abcdef",
             b,
             lambda: {
-                "a": intersect_many([self.im_delbar(b), self.im_del(b), self.ker_corner_adj(b)]),
-                "b": intersect_many([self.ker_delbar(b), self.im_del(b), self.ker_corner_adj(b)]),
-                "c": intersect_many([self.ker_deldbar(b), self.im_delbar_star(b), self.ker_del_star(b)]),
-                "d": intersect_many([self.im_delbar(b), self.ker_del(b), self.ker_corner_adj(b)]),
-                "e": intersect_many([self.ker_deldbar(b), self.im_del_star(b), self.ker_delbar_star(b)]),
-                "f": intersect_many([self.ker_deldbar(b), self.im_delbar_star(b), self.im_del_star(b)]),
+                "a": intersect_many([im("delbar", b), im("del", b), ker("deldbar", b, True)]),
+                "b": intersect_many([ker("delbar", b), im("del", b), ker("deldbar", b, True)]),
+                "c": intersect_many([ker("deldbar", b), im("delbar", b, True), ker("del", b, True)]),
+                "d": intersect_many([im("delbar", b), ker("del", b), ker("deldbar", b, True)]),
+                "e": intersect_many([ker("deldbar", b), im("del", b, True), ker("delbar", b, True)]),
+                "f": intersect_many([ker("deldbar", b), im("delbar", b, True), im("del", b, True)]),
             },
         )
 
@@ -244,17 +210,17 @@ def verify_hodge_decomposition(setting: ExactSetting, b: Bidegree) -> Dict[str, 
     G = setting.gram((b,))
     out = {}
     h_bc = lib.harmonic(LaplacianKind.BC, b)
-    part2 = lib.im_deldbar(b)
-    part3 = subspace_sum(lib.im_del_star(b), lib.im_delbar_star(b))
-    stacked = Mat.vstack([setting.del_op(b).mat, setting.delbar_op(b).mat])
+    part2 = lib.im("deldbar", b)
+    part3 = subspace_sum(lib.im("del", b, True), lib.im("delbar", b, True))
+    stacked = Mat.vstack([setting.out("del", b).mat, setting.out("delbar", b).mat])
     out["bc"] = _decomposition_report(
         setting, b, G, [h_bc, part2, part3], kernel=stacked.nullspace(), kernel_parts=[h_bc, part2]
     )
     h_a = lib.harmonic(LaplacianKind.A, b)
-    parts_a2 = subspace_sum(lib.im_del(b), lib.im_delbar(b))
-    parts_a3 = lib.im_corner_adj(b)
+    parts_a2 = subspace_sum(lib.im("del", b), lib.im("delbar", b))
+    parts_a3 = lib.im("deldbar", b, True)
     out["a"] = _decomposition_report(
-        setting, b, G, [h_a, parts_a2, parts_a3], kernel=lib.ker_deldbar(b), kernel_parts=[h_a, parts_a2]
+        setting, b, G, [h_a, parts_a2, parts_a3], kernel=lib.ker("deldbar", b), kernel_parts=[h_a, parts_a2]
     )
     return out
 
@@ -305,13 +271,6 @@ class DiagramReport:
     all_isomorphisms: bool
 
 
-def _embed_into_total(setting: ExactSetting, B: Mat, b: Bidegree) -> Mat:
-    off, w = _block_rows(setting, b)
-    out = Mat.zeros(setting.space_dim(total_bidegrees(setting.n, b[0] + b[1])), B.ncols)
-    out.rows[off : off + w] = [list(r) for r in B.rows]
-    return out
-
-
 def _total_harmonic(setting: ExactSetting, lib: "SubspaceLib", theory: str, k: int) -> Mat:
     """Harmonic space of a theory at total degree k, embedded in the full
     degree-k coordinate space (direct sum over p+q = k for the bigraded
@@ -319,12 +278,14 @@ def _total_harmonic(setting: ExactSetting, lib: "SubspaceLib", theory: str, k: i
     space = total_bidegrees(setting.n, k)
     if theory == "deRham":
         return harmonic_space(setting, LaplacianKind.D, space[0] if space else (0, k))
-    kind = THEORY_KINDS[theory]
-    pieces = [_embed_into_total(setting, lib.harmonic(kind, b), b) for b in space]
-    pieces = [p for p in pieces if p.ncols]
-    if not pieces:
-        return Mat.zeros(setting.space_dim(space), 0)
-    return Mat.hstack(pieces)
+    return Mat.block_diag([lib.harmonic(THEORY_KINDS[theory], b) for b in space])
+
+
+def _arrow(name: str, S: Mat, T: Mat, G: Mat) -> DiagramArrow:
+    """The Gram projection of span S onto span T, flagged by exact rank."""
+    M = projection_coords(S, T, G)
+    r = M.rank()
+    return DiagramArrow(name=name, matrix=M, injective=(r == S.ncols), surjective=(r == T.ncols))
 
 
 def diagram_maps(setting: ExactSetting, k: int) -> DiagramReport:
@@ -337,16 +298,7 @@ def diagram_maps(setting: ExactSetting, k: int) -> DiagramReport:
     G_tot = setting.gram(space)
     harm = {t: _total_harmonic(setting, lib, t, k) for t in ("bc", "del", "delbar", "a", "deRham")}
 
-    arrows: Dict[str, DiagramArrow] = {}
-    for src, dst in ARROWS:
-        M = projection_coords(harm[src], harm[dst], G_tot)
-        r = M.rank()
-        arrows[f"{src}_to_{dst}"] = DiagramArrow(
-            name=f"{src}_to_{dst}",
-            matrix=M,
-            injective=(r == harm[src].ncols),
-            surjective=(r == harm[dst].ncols),
-        )
+    arrows = {f"{src}_to_{dst}": _arrow(f"{src}_to_{dst}", harm[src], harm[dst], G_tot) for src, dst in ARROWS}
 
     direct = arrows["bc_to_a"].matrix
     commutes = True
@@ -361,14 +313,8 @@ def diagram_maps(setting: ExactSetting, k: int) -> DiagramReport:
 def bigraded_arrow(setting: ExactSetting, src: str, dst: str, b: Bidegree) -> DiagramArrow:
     """One comparison map between bigraded theories at a single bidegree
     (the degree-level arrows are block-diagonal over bidegrees)."""
-    lib = SubspaceLib(setting)
-    S = lib.harmonic(THEORY_KINDS[src], b)
-    T = lib.harmonic(THEORY_KINDS[dst], b)
-    M = projection_coords(S, T, setting.gram((b,)))
-    r = M.rank()
-    return DiagramArrow(
-        name=f"{src}_to_{dst}@{b}", matrix=M, injective=(r == S.ncols), surjective=(r == T.ncols)
-    )
+    S, T = (harmonic_space(setting, THEORY_KINDS[t], b) for t in (src, dst))
+    return _arrow(f"{src}_to_{dst}@{b}", S, T, setting.gram((b,)))
 
 
 # -- del-delbar conditions ----------------------------------------------------------
@@ -399,16 +345,16 @@ def ddbar_conditions(setting: ExactSetting, lib: Optional[SubspaceLib] = None) -
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)
-            kk = subspace_intersect(lib.ker_del(b), lib.ker_delbar(b))
-            im_dd = lib.im_deldbar(b)
-            ker_dd = lib.ker_deldbar(b)
-            sums = subspace_sum(lib.im_del(b), lib.im_delbar(b))
+            kk = subspace_intersect(lib.ker("del", b), lib.ker("delbar", b))
+            im_dd = lib.im("deldbar", b)
+            ker_dd = lib.ker("deldbar", b)
+            sums = subspace_sum(lib.im("del", b), lib.im("delbar", b))
             rhs = {
                 "a": subspace_intersect(kk, lib.im_d_at(b)),
-                "b": subspace_intersect(lib.ker_del(b), lib.im_delbar(b)),
+                "b": subspace_intersect(lib.ker("del", b), lib.im("delbar", b)),
                 "c": subspace_intersect(kk, sums),
                 "d": subspace_sum(sums, kk),
-                "e": subspace_sum(lib.ker_del(b), lib.im_delbar(b)),
+                "e": subspace_sum(lib.ker("del", b), lib.im("delbar", b)),
                 "f": subspace_sum(sums, kk),
             }
             lhs = {"a": im_dd, "b": im_dd, "c": im_dd, "d": ker_dd, "e": ker_dd, "f": ker_dd}
@@ -451,14 +397,16 @@ def abc_subspaces(setting: ExactSetting, lib: Optional[SubspaceLib] = None) -> S
             inter = lib.abcdef(b)
             for x in names:
                 dims[x][p][q] = subspace_dim(inter[x])
-            r_dd = subspace_dim(lib.im_deldbar(b))
-            qdims["a"][p][q] = subspace_dim(subspace_intersect(lib.im_delbar(b), lib.im_del(b))) - r_dd
-            qdims["b"][p][q] = subspace_dim(subspace_intersect(lib.im_del(b), lib.ker_delbar(b))) - r_dd
-            qdims["d"][p][q] = subspace_dim(subspace_intersect(lib.im_delbar(b), lib.ker_del(b))) - r_dd
-            kdd = subspace_dim(lib.ker_deldbar(b))
-            qdims["c"][p][q] = kdd - subspace_dim(subspace_sum(lib.ker_delbar(b), lib.im_del(b)))
-            qdims["e"][p][q] = kdd - subspace_dim(subspace_sum(lib.ker_del(b), lib.im_delbar(b)))
-            qdims["f"][p][q] = kdd - subspace_dim(subspace_sum(lib.ker_del(b), lib.ker_delbar(b)))
+            ker_del, ker_delbar = lib.ker("del", b), lib.ker("delbar", b)
+            im_del, im_delbar = lib.im("del", b), lib.im("delbar", b)
+            r_dd = subspace_dim(lib.im("deldbar", b))
+            qdims["a"][p][q] = subspace_dim(subspace_intersect(im_delbar, im_del)) - r_dd
+            qdims["b"][p][q] = subspace_dim(subspace_intersect(im_del, ker_delbar)) - r_dd
+            qdims["d"][p][q] = subspace_dim(subspace_intersect(im_delbar, ker_del)) - r_dd
+            kdd = subspace_dim(lib.ker("deldbar", b))
+            qdims["c"][p][q] = kdd - subspace_dim(subspace_sum(ker_delbar, im_del))
+            qdims["e"][p][q] = kdd - subspace_dim(subspace_sum(ker_del, im_delbar))
+            qdims["f"][p][q] = kdd - subspace_dim(subspace_sum(ker_del, ker_delbar))
     agree = all(dims[x] == qdims[x] for x in names)
     conj_ok = all(
         dims["a"][p][q] == dims["a"][q][p]
@@ -575,12 +523,8 @@ def inequality_report(
                 identity = False
             if defect[p][q] == 0:
                 equality_at.append(b)
-            ker_split = subspace_eq(
-                lib.ker_deldbar(b), subspace_sum(lib.ker_del(b), lib.ker_delbar(b))
-            )
-            im_split = subspace_eq(
-                lib.im_deldbar(b), subspace_intersect(lib.im_del(b), lib.im_delbar(b))
-            )
+            ker_split = subspace_eq(lib.ker("deldbar", b), subspace_sum(lib.ker("del", b), lib.ker("delbar", b)))
+            im_split = subspace_eq(lib.im("deldbar", b), subspace_intersect(lib.im("del", b), lib.im("delbar", b)))
             if (defect[p][q] == 0) != (ker_split and im_split):
                 criterion_ok = False
     degree_sums = []
@@ -636,7 +580,7 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
     for k in range(2 * n):
         src, dst = spaces[k], spaces[k + 1]
         if k == p + q - 2:
-            corner = setting.deldbar_op((p - 1, q - 1))
+            corner = setting.into("deldbar", target)
             mat = corner.mat if src else Mat.zeros(setting.space_dim(dst), 0)
             deltas.append(Op(src=src, dst=dst, mat=mat))
             continue
@@ -708,10 +652,10 @@ def stack_identities(setting: ExactSetting) -> bool:
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)
-            stacked = Mat.vstack([setting.del_op(b).mat, setting.delbar_op(b).mat])
-            if not subspace_eq(stacked.nullspace(), subspace_intersect(lib.ker_del(b), lib.ker_delbar(b))):
+            stacked = Mat.vstack([setting.out("del", b).mat, setting.out("delbar", b).mat])
+            if not subspace_eq(stacked.nullspace(), subspace_intersect(lib.ker("del", b), lib.ker("delbar", b))):
                 return False
-            joined = Mat.hstack([setting.del_op((p - 1, q)).mat, setting.delbar_op((p, q - 1)).mat])
-            if not subspace_eq(joined.column_space(), subspace_sum(lib.im_del(b), lib.im_delbar(b))):
+            joined = Mat.hstack([setting.into("del", b).mat, setting.into("delbar", b).mat])
+            if not subspace_eq(joined.column_space(), subspace_sum(lib.im("del", b), lib.im("delbar", b))):
                 return False
     return True

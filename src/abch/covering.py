@@ -239,6 +239,7 @@ class FourierComplex:
     modes: List[Mode]
     settings: List[ExactSetting]  # reduced-scale exact, one per mode
     numeric: List[NumericSetting] = field(default_factory=list)  # true 2 pi scale
+    _mode_kernels: Dict[Tuple[LaplacianKind, Bidegree], List[Mat]] = field(default_factory=dict, repr=False)
     _kernels: Dict[Tuple[LaplacianKind, Bidegree], Mat] = field(default_factory=dict, repr=False)
 
     def mode_count(self) -> int:
@@ -259,13 +260,21 @@ class FourierComplex:
             raise ShapeMismatch("stack_modes needs one basis of the space per mode")
         return Mat.block_diag(bases)
 
+    def mode_kernels(self, kind: LaplacianKind, b: Bidegree) -> List[Mat]:
+        """Harmonic space of one Laplacian kind in each mode, in mode order;
+        computed once per (kind, b)."""
+        key = (kind, b)
+        if key not in self._mode_kernels:
+            self._mode_kernels[key] = [harmonic_space(st, kind, b) for st in self.settings]
+        return self._mode_kernels[key]
+
     def total_kernel(self, kind: LaplacianKind, b: Bidegree) -> Mat:
-        """Harmonic space of one Laplacian kind across all modes, as a basis
-        in total coordinates; computed once per (kind, b)."""
+        """The per-mode harmonic spaces stacked into one basis in total
+        coordinates; computed once per (kind, b)."""
         key = (kind, b)
         if key not in self._kernels:
             space = total_bidegrees(self.n, sum(b)) if kind is LaplacianKind.D else (b,)
-            self._kernels[key] = self.stack_modes([harmonic_space(st, kind, b) for st in self.settings], space)
+            self._kernels[key] = self.stack_modes(self.mode_kernels(kind, b), space)
         return self._kernels[key]
 
 
@@ -604,13 +613,14 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int 
             gap_db = min(found)
             quantitative_ok = True
             two_op_ok = True
-            for st, nst, (G, g) in zip(fourier.settings, fourier.numeric, mode_gaps):
+            kernels = fourier.mode_kernels(LaplacianKind.DELBAR, b)
+            for st, nst, K, (G, g) in zip(fourier.settings, fourier.numeric, kernels, mode_gaps):
                 if g is None:
                     continue
                 C = g * g
                 # theta samples in im((del delbar out)* adjoint)
-                corner_out = nst.deldbar_op(b)
-                Simg = st.adjoint(st.deldbar_op(b)).mat.column_space().to_numpy()
+                corner_out = nst.out("deldbar", b)
+                Simg = st.adjoint(st.out("deldbar", b)).mat.column_space().to_numpy()
                 if Simg.shape[1]:
                     coeff = rng.standard_normal((Simg.shape[1], samples)) + 1j * rng.standard_normal(
                         (Simg.shape[1], samples)
@@ -621,13 +631,11 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int 
                     if not np.all(C * lhs <= rhs + 1e-9 * np.maximum(rhs, 1.0)):
                         quantitative_ok = False
                 # two-operator bound: C|x|^2 <= |P^t x|^2 + |Q x|^2 on (ker)^perp
-                Pop = nst.delbar_op((p, q - 1))
-                Qop = nst.delbar_op(b)
-                Padj = nst.adjoint(Pop)
-                kernel = harmonic_space(st, LaplacianKind.DELBAR, b).to_numpy()
+                Padj = nst.adjoint(nst.into("delbar", b))
+                Qop = nst.out("delbar", b)
                 dim = Qop.mat.shape[1]
                 X = rng.standard_normal((dim, samples)) + 1j * rng.standard_normal((dim, samples))
-                X = project_off_kernel(X, kernel, G)
+                X = project_off_kernel(X, K.to_numpy(), G)
                 norm2 = gram_norms(X, G)
                 val = gram_norms(Padj.mat @ X, nst.gram(Padj.dst)) + gram_norms(Qop.mat @ X, nst.gram(Qop.dst))
                 keep = norm2 > 1e-18

@@ -82,24 +82,31 @@ THEORY_KINDS = {
     "a": LaplacianKind.A,
 }
 
+# the differentials leaving and entering A^{p,q} (A^k for de Rham) that
+# define each cohomology: ker of the leaving ones over im of the entering ones
+THEORY_OPS = {
+    "deRham": (("d",), ("d",)),
+    "del": (("del",), ("del",)),
+    "delbar": (("delbar",), ("delbar",)),
+    "bc": (("del", "delbar"), ("deldbar",)),
+    "a": (("deldbar",), ("del", "delbar")),
+}
+
 
 def _sq(op: Op) -> Op:
     return compose(op, op)
 
 
-def _second_down(setting, b: Bidegree) -> Op:
-    """del* del + delbar* delbar on A^{p,q}."""
+def _down(setting, names, b) -> Op:
+    """Sum of T* T over the maps T named `names` leaving A^b."""
     adj = setting.adjoint
-    dl_out, db_out = setting.del_op(b), setting.delbar_op(b)
-    return add_ops(compose(adj(dl_out), dl_out), compose(adj(db_out), db_out))
+    return add_ops(*[compose(adj(T), T) for T in (setting.out(name, b) for name in names)])
 
 
-def _second_up(setting, b: Bidegree) -> Op:
-    """del del* + delbar delbar* on A^{p,q}."""
-    p, q = b
+def _up(setting, names, b) -> Op:
+    """Sum of T T* over the maps T named `names` entering A^b."""
     adj = setting.adjoint
-    dl_in, db_in = setting.del_op((p - 1, q)), setting.delbar_op((p, q - 1))
-    return add_ops(compose(dl_in, adj(dl_in)), compose(db_in, adj(db_in)))
+    return add_ops(*[compose(T, adj(T)) for T in (setting.into(name, b) for name in names)])
 
 
 def assemble(setting, kind: LaplacianKind, b: Bidegree) -> Op:
@@ -108,32 +115,20 @@ def assemble(setting, kind: LaplacianKind, b: Bidegree) -> Op:
     For kind `d` the operator lives on the full degree-(p+q) space; all other
     kinds act on A^{p,q} itself.
     """
-    p, q = b
-    adj = setting.adjoint
-    if kind is LaplacianKind.D:
-        k = p + q
-        d_out = setting.total_d(k)
-        d_in = setting.total_d(k - 1)
-        return add_ops(compose(adj(d_out), d_out), compose(d_in, adj(d_in)))
-    if kind is LaplacianKind.DEL:
-        dl_out, dl_in = setting.del_op(b), setting.del_op((p - 1, q))
-        return add_ops(compose(adj(dl_out), dl_out), compose(dl_in, adj(dl_in)))
-    if kind is LaplacianKind.DELBAR:
-        db_out, db_in = setting.delbar_op(b), setting.delbar_op((p, q - 1))
-        return add_ops(compose(adj(db_out), db_out), compose(db_in, adj(db_in)))
+    if kind in (LaplacianKind.D, LaplacianKind.DEL, LaplacianKind.DELBAR):
+        name, key = kind.value, (sum(b) if kind is LaplacianKind.D else b)
+        return add_ops(_down(setting, (name,), key), _up(setting, (name,), key))
     if kind in BC_KINDS:
-        second_down = _second_down(setting, b)
+        second_down = _down(setting, ("del", "delbar"), b)
         if kind is LaplacianKind.BC_TILDE:
             return add_ops(fourth_order_part(setting, kind, b), second_down)
-        P = setting.deldbar_op((p - 1, q - 1))  # into (p,q)
-        PPs = compose(P, adj(P))
+        PPs = _up(setting, ("deldbar",), b)
         return add_ops(PPs, second_down if kind is LaplacianKind.BC else _sq(second_down))
     if kind in A_KINDS:
-        second_up = _second_up(setting, b)
+        second_up = _up(setting, ("del", "delbar"), b)
         if kind is LaplacianKind.A_TILDE:
             return add_ops(fourth_order_part(setting, kind, b), second_up)
-        Q = setting.deldbar_op(b)  # out of (p,q)
-        QsQ = compose(adj(Q), Q)
+        QsQ = _down(setting, ("deldbar",), b)
         return add_ops(QsQ, second_up if kind is LaplacianKind.A else _sq(second_up))
     raise ValueError(f"unknown kind {kind}")
 
@@ -141,28 +136,25 @@ def assemble(setting, kind: LaplacianKind, b: Bidegree) -> Op:
 def fourth_order_part(setting, kind: LaplacianKind, b: Bidegree) -> Op:
     """The fourth-order terms of the tilde Laplacians (on Kahler models these
     equal lap_delbar squared)."""
-    p, q = b
     adj = setting.adjoint
-    P = setting.deldbar_op((p - 1, q - 1))
-    Q = setting.deldbar_op(b)
-    PPs = compose(P, adj(P))
-    QsQ = compose(adj(Q), Q)
+    PPs = _up(setting, ("deldbar",), b)
+    QsQ = _down(setting, ("deldbar",), b)
     if kind is LaplacianKind.BC_TILDE:
-        dl_out, db_out = setting.del_op(b), setting.delbar_op(b)
+        dl_out, db_out = setting.out("del", b), setting.out("delbar", b)
         # del* delbar delbar* del : through (p+1,q) and (p+1,q-1)
-        db_mid = setting.delbar_op((p + 1, q - 1))
+        db_mid = setting.into("delbar", dl_out.dst[0])
         r1 = compose(adj(dl_out), compose(db_mid, compose(adj(db_mid), dl_out)))
         # delbar* del del* delbar : through (p,q+1) and (p-1,q+1)
-        dl_mid = setting.del_op((p - 1, q + 1))
+        dl_mid = setting.into("del", db_out.dst[0])
         r2 = compose(adj(db_out), compose(dl_mid, compose(adj(dl_mid), db_out)))
         return add_ops(PPs, QsQ, r1, r2)
     if kind is LaplacianKind.A_TILDE:
-        dl_in, db_in = setting.del_op((p - 1, q)), setting.delbar_op((p, q - 1))
+        dl_in, db_in = setting.into("del", b), setting.into("delbar", b)
         # del delbar* delbar del* : through (p-1,q) and (p-1,q+1)
-        db_mid = setting.delbar_op((p - 1, q))
+        db_mid = setting.out("delbar", dl_in.src[0])
         s1 = compose(dl_in, compose(adj(db_mid), compose(db_mid, adj(dl_in))))
         # delbar del* del delbar* : through (p,q-1) and (p+1,q-1)
-        dl_mid = setting.del_op((p, q - 1))
+        dl_mid = setting.out("del", db_in.src[0])
         s2 = compose(db_in, compose(adj(dl_mid), compose(dl_mid, adj(db_in))))
         return add_ops(QsQ, PPs, s1, s2)
     raise ValueError("fourth-order part is defined for the tilde kinds only")
@@ -177,32 +169,21 @@ def harmonic_space(setting: ExactSetting, kind: LaplacianKind, b: Bidegree) -> M
 
 
 def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bidegree) -> Mat:
-    """The independent kernel characterisation:
+    """The independent kernel characterisation: the common kernel of the
+    maps leaving A^{p,q} and of the adjoints of the maps entering it, as
+    THEORY_OPS lists them for the theory of `kind`:
 
     BC kinds:  ker del  ∩ ker delbar ∩ ker (del delbar)*
     A kinds:   ker (del delbar) ∩ ker del* ∩ ker delbar*
     second-order kinds: ker(outgoing) ∩ ker(adjoint of incoming).
     """
-    p, q = b
+    theory = "deRham" if kind is LaplacianKind.D else kind.value.split("_")[0]  # bc_box -> bc
+    key = sum(b) if kind is LaplacianKind.D else b
+    leaving, entering = THEORY_OPS[theory]
     adj = setting.adjoint
-    if kind in BC_KINDS:
-        P = setting.deldbar_op((p - 1, q - 1))
-        stacked = Mat.vstack([setting.del_op(b).mat, setting.delbar_op(b).mat, adj(P).mat])
-        return stacked.nullspace()
-    if kind in A_KINDS:
-        Q = setting.deldbar_op(b)
-        stacked = Mat.vstack(
-            [Q.mat, adj(setting.del_op((p - 1, q))).mat, adj(setting.delbar_op((p, q - 1))).mat]
-        )
-        return stacked.nullspace()
-    if kind is LaplacianKind.DEL:
-        return Mat.vstack([setting.del_op(b).mat, adj(setting.del_op((p - 1, q))).mat]).nullspace()
-    if kind is LaplacianKind.DELBAR:
-        return Mat.vstack([setting.delbar_op(b).mat, adj(setting.delbar_op((p, q - 1))).mat]).nullspace()
-    if kind is LaplacianKind.D:
-        k = p + q
-        return Mat.vstack([setting.total_d(k).mat, adj(setting.total_d(k - 1)).mat]).nullspace()
-    raise ValueError(kind)
+    rows = [setting.out(name, key).mat for name in leaving]
+    rows += [adj(setting.into(name, key)).mat for name in entering]
+    return Mat.vstack(rows).nullspace()
 
 
 # -- numeric spectra --------------------------------------------------------------
@@ -407,24 +388,24 @@ def kahler_identities(setting: ExactSetting) -> Dict[str, bool]:
         for q in range(n + 1):
             b = (p, q)
             adj = setting.adjoint
-            dl = setting.del_op(b)
-            dbs = adj(setting.delbar_op((p, q - 1)))  # delbar*: (p,q) -> (p,q-1)
+            dl, db = setting.out("del", b), setting.out("delbar", b)
+            dbs = adj(setting.into("delbar", b))  # delbar*: (p,q) -> (p,q-1)
             a1 = add_ops(
-                compose(setting.del_op((p, q - 1)), dbs),
-                compose(adj(setting.delbar_op((p + 1, q - 1))), dl),
+                compose(setting.out("del", dbs.dst[0]), dbs),
+                compose(adj(setting.into("delbar", dl.dst[0])), dl),
             )
             if not a1.mat.is_zero():
                 ok_anti = False
-            dls = adj(setting.del_op((p - 1, q)))  # del*: (p,q) -> (p-1,q)
+            dls = adj(setting.into("del", b))  # del*: (p,q) -> (p-1,q)
             a2 = add_ops(
-                compose(setting.delbar_op((p - 1, q)), dls),
-                compose(adj(setting.del_op((p - 1, q + 1))), setting.delbar_op(b)),
+                compose(setting.out("delbar", dls.dst[0]), dls),
+                compose(adj(setting.into("del", db.dst[0])), db),
             )
             if not a2.mat.is_zero():
                 ok_anti = False
             lap_dbar = assemble(setting, LaplacianKind.DELBAR, b)
             tilde = assemble(setting, LaplacianKind.BC_TILDE, b)
-            concise = add_ops(_sq(lap_dbar), _second_down(setting, b))
+            concise = add_ops(_sq(lap_dbar), _down(setting, ("del", "delbar"), b))
             if not (tilde.mat - concise.mat).is_zero():
                 ok_tilde = False
             kernels = [harmonic_space(setting, kind, b) for kind in ALL_KINDS if kind is not LaplacianKind.D]
@@ -443,10 +424,8 @@ def kahler_identities(setting: ExactSetting) -> Dict[str, bool]:
 def box_kernel_intersection(setting: ExactSetting, b: Bidegree) -> bool:
     """ker box_BC equals ker(delbar* del*) ∩ ker(del* del + delbar* delbar):
     the kernel of a sum of P_j* P_j is the intersection of the ker P_j."""
-    p, q = b
-    adj = setting.adjoint
-    P1 = adj(setting.deldbar_op((p - 1, q - 1)))
-    P2 = _second_down(setting, b)
+    P1 = setting.adjoint(setting.into("deldbar", b))
+    P2 = _down(setting, ("del", "delbar"), b)
     box = assemble(setting, LaplacianKind.BC_BOX, b)
     lhs = box.mat.nullspace()
     rhs = intersect_many([P1.mat.nullspace(), P2.mat.nullspace()])
@@ -466,11 +445,7 @@ def prestage_box_check(setting: ExactSetting, b: Bidegree) -> bool:
     # D1 = (delbar (+) d (+) del) into A^{p,q-1} (+) A^{p-1,q}
     D1 = d_between(setting.ops, pre, src)
     box = add_ops(compose(adj(D2), D2), compose(D1, adj(D1)))
-    lap_dbar_blocks = Mat.block_diag(
-        [assemble(setting, LaplacianKind.DELBAR, (p, q - 1)).mat, assemble(setting, LaplacianKind.DELBAR, (p - 1, q)).mat]
-    )
+    lap_dbar_blocks = Mat.block_diag([assemble(setting, LaplacianKind.DELBAR, c).mat for c in src])
     # del del* on A^{p,q-1} and delbar delbar* on A^{p-1,q}
-    dl1 = setting.del_op((p - 1, q - 1))
-    db1 = setting.delbar_op((p - 1, q - 1))
-    extra = Mat.block_diag([compose(dl1, adj(dl1)).mat, compose(db1, adj(db1)).mat])
+    extra = Mat.block_diag([_up(setting, ("del",), src[0]).mat, _up(setting, ("delbar",), src[1]).mat])
     return (box.mat - (lap_dbar_blocks + extra)).is_zero()

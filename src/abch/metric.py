@@ -218,12 +218,6 @@ def diagonal_metric(entries: Sequence[int]) -> HermitianMetric:
     return HermitianMetric(n, H)
 
 
-def build_metric(comp_or_n, H: Mat) -> HermitianMetric:
-    """Build and validate the metric; accepts n or a BigradedComplex."""
-    n = comp_or_n.n if isinstance(comp_or_n, BigradedComplex) else int(comp_or_n)
-    return HermitianMetric(n, H)
-
-
 def is_kahler(comp: BigradedComplex, metric: HermitianMetric) -> bool:
     """Exact test that the fundamental form is d-closed."""
     omega = metric.fundamental_form()

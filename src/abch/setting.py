@@ -1,14 +1,19 @@
 """Operator providers shared by the Laplacian and cohomology engines.
 
 A *setting* bundles the bigraded differentials with a metric and exposes a
-uniform vocabulary: `del_op`, `delbar_op`, their composites, adjoints and
-total-degree d.  ExactSetting works over Q(i) matrices.  NumericSetting is
-the same class seen in floating point: it overrides only the conversion of
-each differential (to_numpy(), optionally rescaled, used by the Fourier
-covering models where the true twist carries a factor 2*pi), the total d
-(converted from the exact setting's memo) and the adjoint (NumericMetric's
-float view of the exact Grams).  Both memoise primitives and their adjoints
-the same way.
+uniform vocabulary: `del_op`, `delbar_op`, their composite `deldbar_op`,
+adjoints and total-degree d.  Engines name each differential by the way it
+crosses a space: `out(name, b)` is the map `name` leaving A^b and
+`into(name, b)` the one entering it, where `name` is a key of `SHIFTS` (the
+bidegree the map raises) and `b` a bidegree, or a total degree for `d`.
+
+ExactSetting works over Q(i) matrices.  NumericSetting is the same class
+seen in floating point: it overrides only the conversion of each
+differential (to_numpy(), optionally rescaled, used by the Fourier covering
+models where the true twist carries a factor 2*pi), the total d (converted
+from the exact setting's memo) and the adjoint (NumericMetric's float view
+of the exact Grams).  Both memoise primitives and their adjoints the same
+way; `out` and `into` return the memoised primitives.
 
 Any object with `.n`, `.dim(b)`, `.del_(b)`, `.delbar(b)` can serve as the
 operator source, so invariant complexes and per-mode Fourier blocks share
@@ -17,11 +22,16 @@ the engines.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Dict, Hashable, Optional, Union
 
 from abch.complexes import Bidegree, Op, Space, total_d
 from abch.linalg import Mat, ShapeMismatch
 from abch.metric import HermitianMetric, NumericMetric
+
+
+# the bidegree each differential raises; d is keyed by total degree
+SHIFTS = {"del": (1, 0), "delbar": (0, 1), "deldbar": (1, 1), "d": 1}
+Degree = Union[Bidegree, int]
 
 
 def compose(op2: Op, op1: Op) -> Op:
@@ -97,6 +107,15 @@ class ExactSetting:
         """del delbar : A^{p,q} -> A^{p+1,q+1}."""
         p, q = b
         return self._primitive(("deldbar", b), lambda: compose(self.del_op((p, q + 1)), self.delbar_op(b)))
+
+    def out(self, name: str, b: Degree) -> Op:
+        """The differential `name` leaving A^b."""
+        return self.total_d(b) if name == "d" else getattr(self, f"{name}_op")(b)
+
+    def into(self, name: str, b: Degree) -> Op:
+        """The differential `name` entering A^b (zero-column at the range ends)."""
+        s = SHIFTS[name]
+        return self.out(name, b - s if name == "d" else (b[0] - s[0], b[1] - s[1]))
 
     def _adjoint(self, op: Op) -> Op:
         return self.metric.adjoint(op)

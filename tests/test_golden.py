@@ -66,6 +66,11 @@ GOLDEN = [
      "163e833dbffda703479a516f26e1de3ab73c8820fa2951d26451e31625fb0e77"),
     (("abc", N4, "--pq", "2,2"),
      "02b332c091bc27cd2806979a59a4f7a2f25a466a1db719f417c9a4633030159f"),
+    (("cohomology", N4),  # rank-nullity at n = 4
+     "dc0abe287f47b3c1812c10cd2d7d5540b7baa914100c4afc99c95b6004cb6b05"),
+    # star subspaces and exact-sequence projections under a complex metric
+    (("inequality", IW, *DENSE3),
+     "5767797be1214e3966088c569580a74fca01cb6283f200de113355777aaa8124"),
     (("cover", "fixtures/index2.cover"),
      "162d5e004d530b3784b1e9d500f32d4e9ed37238356ccd937891a2d9e200998f"),
     (("cover", "fixtures/index2.cover", "--metric", "fixtures/h3.herm"),
