@@ -1,12 +1,12 @@
 """Command-line front end.
 
-    abch <command> <path> [--metric m.herm] [--cover c.cover]
+    abch <command> <path> [--metric m.herm]
          [--backend exact|numeric|both] [--format md|json|csv]
          [--pq P,Q] [--seed N] [--out FILE]
 
 Commands: check, cohomology, spectra, diagram, ddbar, inequality, abc,
 cover.  The positional path is a `.cplx` model for every command except
-`cover`, which takes a `.cover` file (or `--cover`).  Exit code 0 means all
+`cover`, which takes a `.cover` file.  Exit code 0 means all
 requested verifications passed, 1 a verification failure, 2 an input error.
 Output is byte-identical across runs for a fixed configuration; the sampling
 seed defaults to 271828 and `ABCH_TOL_REL` overrides the relative zero
@@ -30,7 +30,7 @@ from abch.covering import (
 )
 from abch.laplacians import ALL_KINDS, DEFAULT_SEED, LaplacianBundle
 from abch.linalg import Mat
-from abch.metric import HermitianMetric, identity_metric, load_metric
+from abch.metric import HermitianMetric, load_metric
 from abch.model import ModelError, load_model
 from abch.scalars import QQi
 from abch.setting import ExactSetting, NumericSetting
@@ -53,16 +53,21 @@ def _parse_pq(text: Optional[str], n: int) -> Optional[Tuple[int, int]]:
     return (p, q)
 
 
+def _metric_matrix(args, n: int, what: str) -> Mat:
+    """H from `--metric`, checked against the dimension n of the `what`
+    input, or the identity."""
+    if not args.metric:
+        return Mat.identity(n)
+    mn, H = load_metric(args.metric)
+    if mn != n:
+        raise ModelError(f"metric dimension {mn} does not match {what} dimension {n}")
+    return H
+
+
 def _load_setting(args) -> Tuple[ExactSetting, str]:
     model = load_model(args.path)
     comp = build_complex(model)
-    if args.metric:
-        mn, H = load_metric(args.metric)
-        if mn != comp.n:
-            raise ModelError(f"metric dimension {mn} does not match model dimension {comp.n}")
-        metric = HermitianMetric(comp.n, H)
-    else:
-        metric = identity_metric(comp.n)
+    metric = HermitianMetric(comp.n, _metric_matrix(args, comp.n, "model"))
     return ExactSetting(comp, metric), model.name or args.path
 
 
@@ -239,10 +244,9 @@ def cmd_ddbar(args) -> int:
 
 def cmd_inequality(args) -> int:
     setting, name = _load_setting(args)
-    lib = coh.SubspaceLib(setting)
-    grids = coh.abc_subspaces(setting, lib)
-    seqs = coh.exact_sequence_reports(setting, lib)
-    rep = coh.inequality_report(setting, grids=grids, lib=lib)
+    grids = coh.abc_subspaces(setting)
+    seqs = coh.exact_sequence_reports(setting)
+    rep = coh.inequality_report(setting)
     failures: List[str] = []
     if not grids.routes_agree:
         failures.append("intersection and quotient dimensions disagree")
@@ -337,14 +341,8 @@ def cmd_abc(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    path = args.cover or args.path
-    spec = load_cover(path)
-    if args.metric:
-        mn, H = load_metric(args.metric)
-        if mn != spec.n:
-            raise ModelError(f"metric dimension {mn} does not match cover dimension {spec.n}")
-    else:
-        H = Mat.identity(spec.n)
+    spec = load_cover(args.path)
+    H = _metric_matrix(args, spec.n, "cover")
     fourier = build_cover(spec, H)
     rep = gamma_tables(fourier)
     gap_rep = gap_and_closed_image(fourier, samples=args.samples, seed=args.seed)
@@ -361,7 +359,7 @@ def cmd_cover(args) -> int:
         failures.append("a spectral-gap bound fails")
     if not (mi["gamma_dims_agree"] and mi["cross_projection_full_rank"] and mi["sampled_ratios_within_bound"]):
         failures.append("metric independence fails")
-    lines = [f"# cover {path}", "", f"- deck group order: {fourier.index}",
+    lines = [f"# cover {args.path}", "", f"- deck group order: {fourier.index}",
              f"- modes: {fourier.mode_count()}", ""]
     for t in ("bc", "a", "del", "delbar"):
         lines += reporting.grid_md(f"h_{t} (Gamma)", rep.grids[t])
@@ -382,7 +380,7 @@ def cmd_cover(args) -> int:
     )
     payload = {
         "command": "cover",
-        "cover": path,
+        "cover": args.path,
         "index": fourier.index,
         "mode_count": fourier.mode_count(),
         "grids": rep.grids,
@@ -413,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("path", help="model file (.cplx), or cover file (.cover) for `cover`")
     ap.add_argument("--metric", help="Hermitian metric file (.herm); identity if omitted")
-    ap.add_argument("--cover", help="cover file (.cover) for the `cover` command")
     ap.add_argument("--backend", choices=["exact", "numeric", "both"], default="exact")
     ap.add_argument("--format", choices=["md", "json", "csv"], default="md")
     ap.add_argument("--pq", help="bidegree P,Q")

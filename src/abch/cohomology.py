@@ -5,8 +5,10 @@ combined complex around a corner bidegree.
 Every dimension is a rank-nullity computation over Q(i): the nullity of
 the maps leaving A^{p,q} (A^k for de Rham), stacked, minus the rank of the
 maps entering it, joined.  `laplacians.THEORY_OPS` names those maps for each
-theory and `ExactSetting.out`/`into` builds them; `SubspaceLib.ker`/`im`
-name kernel and image subspaces the same way.  Harmonic-space dimensions
+theory and `ExactSetting.out`/`into` builds them; `ExactSetting.ker`/`im`
+name kernel and image subspaces the same way.  Tables, grids and subspaces
+are memoised in the setting (`ExactSetting.cached`), so every report that
+needs one shares it.  Harmonic-space dimensions
 from the Laplacian engine give a second, independent route to the same
 numbers; tests assert the two agree (finite-dimensional Hodge theory)
 rather than trusting either alone.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from abch.complexes import Bidegree, Op, Space, d_between, total_bidegrees
 from abch.linalg import (
@@ -86,7 +88,7 @@ def cohomology(theory: str, setting: ExactSetting) -> CohomologyTable:
 
 
 def all_tables(setting: ExactSetting) -> Dict[str, CohomologyTable]:
-    return {t: cohomology(t, setting) for t in THEORIES}
+    return setting.cached("all_tables", lambda: {t: cohomology(t, setting) for t in THEORIES})
 
 
 def harmonic_dims(setting: ExactSetting) -> Dict[str, object]:
@@ -127,70 +129,34 @@ def _block_rows(setting, b: Bidegree) -> Tuple[int, int]:
     return setting.space_dim(space[: space.index(b)]), setting.dim(b)
 
 
-class SubspaceLib:
-    """Exact kernel/image subspaces of A^{p,q}, cached per bidegree."""
+def im_d_at(setting: ExactSetting, b: Bidegree) -> Mat:
+    """The subspace im(d) ∩ A^{p,q}: the A^{p,q} rows of d applied to the
+    kernel of its other rows, with d the degree-(p+q-1) differential."""
 
-    def __init__(self, setting: ExactSetting):
-        self.s = setting
-        self._cache: Dict[Tuple[Hashable, Bidegree], object] = {}
+    def build():
+        D = setting.total_d(b[0] + b[1] - 1).mat
+        off, w = _block_rows(setting, b)
+        D_other = Mat(D.rows[:off] + D.rows[off + w :], ncols=D.ncols)
+        D_b = Mat(D.rows[off : off + w], ncols=D.ncols)
+        return span_basis(D_b @ D_other.nullspace())
 
-    def _get(self, key: Hashable, b: Bidegree, fn):
-        k = (key, b)
-        if k not in self._cache:
-            self._cache[k] = fn()
-        return self._cache[k]
+    return setting.cached(("im_d_at", b), build)
 
-    def ker(self, name: str, b: Bidegree, star: bool = False) -> Mat:
-        """ker T in A^{p,q}: T the map `name` leaving (p,q), or with `star`
-        the adjoint of the one entering it."""
 
-        def compute():
-            T = self.s.adjoint(self.s.into(name, b)) if star else self.s.out(name, b)
-            return T.mat.nullspace()
-
-        return self._get(("ker", name, star), b, compute)
-
-    def im(self, name: str, b: Bidegree, star: bool = False) -> Mat:
-        """im T in A^{p,q}: T the map `name` entering (p,q), or with `star`
-        the adjoint of the one leaving it."""
-
-        def compute():
-            T = self.s.adjoint(self.s.out(name, b)) if star else self.s.into(name, b)
-            return T.mat.column_space()
-
-        return self._get(("im", name, star), b, compute)
-
-    def im_d_at(self, b):
-        """The subspace im(d) ∩ A^{p,q}: the A^{p,q} rows of d applied to the
-        kernel of its other rows, with d the degree-(p+q-1) differential."""
-
-        def compute():
-            D = self.s.total_d(b[0] + b[1] - 1).mat
-            off, w = _block_rows(self.s, b)
-            D_other = Mat(D.rows[:off] + D.rows[off + w :], ncols=D.ncols)
-            D_b = Mat(D.rows[off : off + w], ncols=D.ncols)
-            return span_basis(D_b @ D_other.nullspace())
-
-        return self._get("im_d_at", b, compute)
-
-    def harmonic(self, kind: LaplacianKind, b):
-        return self._get(f"harm_{kind.value}", b, lambda: harmonic_space(self.s, kind, b))
-
-    def abcdef(self, b) -> Dict[str, Mat]:
-        """The six subspaces a..f of A^{p,q}, each a triple intersection."""
-        ker, im = self.ker, self.im
-        return self._get(
-            "abcdef",
-            b,
-            lambda: {
-                "a": intersect_many([im("delbar", b), im("del", b), ker("deldbar", b, True)]),
-                "b": intersect_many([ker("delbar", b), im("del", b), ker("deldbar", b, True)]),
-                "c": intersect_many([ker("deldbar", b), im("delbar", b, True), ker("del", b, True)]),
-                "d": intersect_many([im("delbar", b), ker("del", b), ker("deldbar", b, True)]),
-                "e": intersect_many([ker("deldbar", b), im("del", b, True), ker("delbar", b, True)]),
-                "f": intersect_many([ker("deldbar", b), im("delbar", b, True), im("del", b, True)]),
-            },
-        )
+def abcdef(setting: ExactSetting, b: Bidegree) -> Dict[str, Mat]:
+    """The six subspaces a..f of A^{p,q}, each a triple intersection."""
+    ker, im = setting.ker, setting.im
+    return setting.cached(
+        ("abcdef", b),
+        lambda: {
+            "a": intersect_many([im("delbar", b), im("del", b), ker("deldbar", b, True)]),
+            "b": intersect_many([ker("delbar", b), im("del", b), ker("deldbar", b, True)]),
+            "c": intersect_many([ker("deldbar", b), im("delbar", b, True), ker("del", b, True)]),
+            "d": intersect_many([im("delbar", b), ker("del", b), ker("deldbar", b, True)]),
+            "e": intersect_many([ker("deldbar", b), im("del", b, True), ker("delbar", b, True)]),
+            "f": intersect_many([ker("deldbar", b), im("delbar", b, True), im("del", b, True)]),
+        },
+    )
 
 
 # -- orthogonal decompositions ----------------------------------------------------
@@ -206,21 +172,21 @@ def verify_hodge_decomposition(setting: ExactSetting, b: Bidegree) -> Dict[str, 
       ker(del (+) delbar) = H_BC (+) im del delbar,
       ker(del delbar)     = H_A  (+) (im del + im delbar).
     """
-    lib = SubspaceLib(setting)
+    ker, im = setting.ker, setting.im
     G = setting.gram((b,))
     out = {}
-    h_bc = lib.harmonic(LaplacianKind.BC, b)
-    part2 = lib.im("deldbar", b)
-    part3 = subspace_sum(lib.im("del", b, True), lib.im("delbar", b, True))
+    h_bc = harmonic_space(setting, LaplacianKind.BC, b)
+    part2 = im("deldbar", b)
+    part3 = subspace_sum(im("del", b, True), im("delbar", b, True))
     stacked = Mat.vstack([setting.out("del", b).mat, setting.out("delbar", b).mat])
     out["bc"] = _decomposition_report(
         setting, b, G, [h_bc, part2, part3], kernel=stacked.nullspace(), kernel_parts=[h_bc, part2]
     )
-    h_a = lib.harmonic(LaplacianKind.A, b)
-    parts_a2 = subspace_sum(lib.im("del", b), lib.im("delbar", b))
-    parts_a3 = lib.im("deldbar", b, True)
+    h_a = harmonic_space(setting, LaplacianKind.A, b)
+    parts_a2 = subspace_sum(im("del", b), im("delbar", b))
+    parts_a3 = im("deldbar", b, True)
     out["a"] = _decomposition_report(
-        setting, b, G, [h_a, parts_a2, parts_a3], kernel=lib.ker("deldbar", b), kernel_parts=[h_a, parts_a2]
+        setting, b, G, [h_a, parts_a2, parts_a3], kernel=ker("deldbar", b), kernel_parts=[h_a, parts_a2]
     )
     return out
 
@@ -271,14 +237,14 @@ class DiagramReport:
     all_isomorphisms: bool
 
 
-def _total_harmonic(setting: ExactSetting, lib: "SubspaceLib", theory: str, k: int) -> Mat:
+def _total_harmonic(setting: ExactSetting, theory: str, k: int) -> Mat:
     """Harmonic space of a theory at total degree k, embedded in the full
     degree-k coordinate space (direct sum over p+q = k for the bigraded
     theories, the de Rham harmonic space itself otherwise)."""
     space = total_bidegrees(setting.n, k)
     if theory == "deRham":
         return harmonic_space(setting, LaplacianKind.D, space[0] if space else (0, k))
-    return Mat.block_diag([lib.harmonic(THEORY_KINDS[theory], b) for b in space])
+    return Mat.block_diag([harmonic_space(setting, THEORY_KINDS[theory], b) for b in space])
 
 
 def _arrow(name: str, S: Mat, T: Mat, G: Mat) -> DiagramArrow:
@@ -293,10 +259,9 @@ def diagram_maps(setting: ExactSetting, k: int) -> DiagramReport:
     representatives: each source basis vector is mapped by the identity and
     Gram-projected onto the target harmonic space, with flags decided by
     exact rank.  The bigraded nodes are the direct sums over p+q = k."""
-    lib = SubspaceLib(setting)
     space = total_bidegrees(setting.n, k)
     G_tot = setting.gram(space)
-    harm = {t: _total_harmonic(setting, lib, t, k) for t in ("bc", "del", "delbar", "a", "deRham")}
+    harm = {t: _total_harmonic(setting, t, k) for t in ("bc", "del", "delbar", "a", "deRham")}
 
     arrows = {f"{src}_to_{dst}": _arrow(f"{src}_to_{dst}", harm[src], harm[dst], G_tot) for src, dst in ARROWS}
 
@@ -323,7 +288,7 @@ def bigraded_arrow(setting: ExactSetting, src: str, dst: str, b: Bidegree) -> Di
 CONDITION_NAMES = ("a", "b", "c", "d", "e", "f")
 
 
-def ddbar_conditions(setting: ExactSetting, lib: Optional[SubspaceLib] = None) -> dict:
+def ddbar_conditions(setting: ExactSetting) -> dict:
     """The six comparison conditions, each tested as an exact subspace
     equality at every bidegree.  Conditions are reported independently;
     a model where they disagree is flagged, not an error.
@@ -338,23 +303,22 @@ def ddbar_conditions(setting: ExactSetting, lib: Optional[SubspaceLib] = None) -
       e) ker del delbar = ker del + im delbar
       f) ker del delbar = im del + im delbar + kk   (kk in place of ker d)
     """
-    n = setting.n
-    lib = lib or SubspaceLib(setting)
+    n, ker, im = setting.n, setting.ker, setting.im
     holds = {name: True for name in CONDITION_NAMES}
     witnesses: Dict[str, dict] = {}
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)
-            kk = subspace_intersect(lib.ker("del", b), lib.ker("delbar", b))
-            im_dd = lib.im("deldbar", b)
-            ker_dd = lib.ker("deldbar", b)
-            sums = subspace_sum(lib.im("del", b), lib.im("delbar", b))
+            kk = subspace_intersect(ker("del", b), ker("delbar", b))
+            im_dd = im("deldbar", b)
+            ker_dd = ker("deldbar", b)
+            sums = subspace_sum(im("del", b), im("delbar", b))
             rhs = {
-                "a": subspace_intersect(kk, lib.im_d_at(b)),
-                "b": subspace_intersect(lib.ker("del", b), lib.im("delbar", b)),
+                "a": subspace_intersect(kk, im_d_at(setting, b)),
+                "b": subspace_intersect(ker("del", b), im("delbar", b)),
                 "c": subspace_intersect(kk, sums),
                 "d": subspace_sum(sums, kk),
-                "e": subspace_sum(lib.ker("del", b), lib.im("delbar", b)),
+                "e": subspace_sum(ker("del", b), im("delbar", b)),
                 "f": subspace_sum(sums, kk),
             }
             lhs = {"a": im_dd, "b": im_dd, "c": im_dd, "d": ker_dd, "e": ker_dd, "f": ker_dd}
@@ -383,27 +347,30 @@ class SubspaceGrids:
     conjugation_ok: bool
 
 
-def abc_subspaces(setting: ExactSetting, lib: Optional[SubspaceLib] = None) -> SubspaceGrids:
+def abc_subspaces(setting: ExactSetting) -> SubspaceGrids:
     """Dimension grids of the six kernel/image subspaces, by the
     intersection route and independently by the quotient route."""
-    n = setting.n
-    lib = lib or SubspaceLib(setting)
+    return setting.cached("abc_subspaces", lambda: _abc_subspaces(setting))
+
+
+def _abc_subspaces(setting: ExactSetting) -> SubspaceGrids:
+    n, ker, im = setting.n, setting.ker, setting.im
     names = "abcdef"
     dims = {x: [[0] * (n + 1) for _ in range(n + 1)] for x in names}
     qdims = {x: [[0] * (n + 1) for _ in range(n + 1)] for x in names}
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)
-            inter = lib.abcdef(b)
+            inter = abcdef(setting, b)
             for x in names:
                 dims[x][p][q] = subspace_dim(inter[x])
-            ker_del, ker_delbar = lib.ker("del", b), lib.ker("delbar", b)
-            im_del, im_delbar = lib.im("del", b), lib.im("delbar", b)
-            r_dd = subspace_dim(lib.im("deldbar", b))
+            ker_del, ker_delbar = ker("del", b), ker("delbar", b)
+            im_del, im_delbar = im("del", b), im("delbar", b)
+            r_dd = subspace_dim(im("deldbar", b))
             qdims["a"][p][q] = subspace_dim(subspace_intersect(im_delbar, im_del)) - r_dd
             qdims["b"][p][q] = subspace_dim(subspace_intersect(im_del, ker_delbar)) - r_dd
             qdims["d"][p][q] = subspace_dim(subspace_intersect(im_delbar, ker_del)) - r_dd
-            kdd = subspace_dim(lib.ker("deldbar", b))
+            kdd = subspace_dim(ker("deldbar", b))
             qdims["c"][p][q] = kdd - subspace_dim(subspace_sum(ker_delbar, im_del))
             qdims["e"][p][q] = kdd - subspace_dim(subspace_sum(ker_del, im_delbar))
             qdims["f"][p][q] = kdd - subspace_dim(subspace_sum(ker_del, ker_delbar))
@@ -427,7 +394,7 @@ def _coords_in(B: Mat, vectors: Mat) -> Mat:
     return X
 
 
-def exact_sequence_reports(setting: ExactSetting, lib: Optional[SubspaceLib] = None) -> dict:
+def exact_sequence_reports(setting: ExactSetting) -> dict:
     """Exactness of the two five-term sequences at every bidegree:
 
       0 -> A -> B -> H_delbar -> H_A -> C -> 0
@@ -438,17 +405,16 @@ def exact_sequence_reports(setting: ExactSetting, lib: Optional[SubspaceLib] = N
     dimension sum must vanish.
     """
     n = setting.n
-    lib = lib or SubspaceLib(setting)
     per_bidegree = {}
     all_ok = True
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)
             G = setting.gram((b,))
-            A_, B_, C_, D_, E_, F_ = lib.abcdef(b).values()
-            Hdb = lib.harmonic(LaplacianKind.DELBAR, b)
-            Ha = lib.harmonic(LaplacianKind.A, b)
-            Hbc = lib.harmonic(LaplacianKind.BC, b)
+            A_, B_, C_, D_, E_, F_ = abcdef(setting, b).values()
+            Hdb = harmonic_space(setting, LaplacianKind.DELBAR, b)
+            Ha = harmonic_space(setting, LaplacianKind.A, b)
+            Hbc = harmonic_space(setting, LaplacianKind.BC, b)
 
             seq1_nodes = [A_, B_, Hdb, Ha, C_]
             seq1_maps = [
@@ -473,9 +439,7 @@ def exact_sequence_reports(setting: ExactSetting, lib: Optional[SubspaceLib] = N
                     if incoming.rank() != outgoing.ncols - outgoing.rank():
                         exact = False
                 exact = exact and maps[-1].rank() == nodes[-1].ncols  # surjective at the last
-                alt = 0
-                for i, node in enumerate(nodes):
-                    alt += (node.ncols if isinstance(node, Mat) else node) * (1 if i % 2 == 0 else -1)
+                alt = sum((-1) ** i * node.ncols for i, node in enumerate(nodes))
                 res[label] = {"exact": exact, "alternating_sum": alt}
                 if not exact or alt != 0:
                     all_ok = False
@@ -494,19 +458,13 @@ class InequalityReport:
     degree_sums: List[Tuple[int, int, int]]  # (k, lhs_k, rhs_k)
 
 
-def inequality_report(
-    setting: ExactSetting,
-    tables: Optional[Dict[str, CohomologyTable]] = None,
-    grids: Optional[SubspaceGrids] = None,
-    lib: Optional[SubspaceLib] = None,
-) -> InequalityReport:
+def inequality_report(setting: ExactSetting) -> InequalityReport:
     """h_bc + h_a = h_del + h_delbar + a + f at every (p,q); the defect a+f
     vanishes exactly when ker deldbar = ker del + ker delbar and
     im deldbar = im del ∩ im delbar."""
-    n = setting.n
-    lib = lib or SubspaceLib(setting)
-    tables = tables or all_tables(setting)
-    grids = grids or abc_subspaces(setting, lib)
+    n, ker, im = setting.n, setting.ker, setting.im
+    tables = all_tables(setting)
+    grids = abc_subspaces(setting)
     lhs = [[0] * (n + 1) for _ in range(n + 1)]
     rhs = [[0] * (n + 1) for _ in range(n + 1)]
     defect = [[0] * (n + 1) for _ in range(n + 1)]
@@ -523,8 +481,8 @@ def inequality_report(
                 identity = False
             if defect[p][q] == 0:
                 equality_at.append(b)
-            ker_split = subspace_eq(lib.ker("deldbar", b), subspace_sum(lib.ker("del", b), lib.ker("delbar", b)))
-            im_split = subspace_eq(lib.im("deldbar", b), subspace_intersect(lib.im("del", b), lib.im("delbar", b)))
+            ker_split = subspace_eq(ker("deldbar", b), subspace_sum(ker("del", b), ker("delbar", b)))
+            im_split = subspace_eq(im("deldbar", b), subspace_intersect(im("del", b), im("delbar", b)))
             if (defect[p][q] == 0) != (ker_split and im_split):
                 criterion_ok = False
     degree_sums = []
@@ -647,15 +605,14 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
 def stack_identities(setting: ExactSetting) -> bool:
     """ker(del stacked with delbar) = ker del ∩ ker delbar and
     im(del joined with delbar) = im del + im delbar, at every bidegree."""
-    n = setting.n
-    lib = SubspaceLib(setting)
+    n, ker, im = setting.n, setting.ker, setting.im
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)
             stacked = Mat.vstack([setting.out("del", b).mat, setting.out("delbar", b).mat])
-            if not subspace_eq(stacked.nullspace(), subspace_intersect(lib.ker("del", b), lib.ker("delbar", b))):
+            if not subspace_eq(stacked.nullspace(), subspace_intersect(ker("del", b), ker("delbar", b))):
                 return False
             joined = Mat.hstack([setting.into("del", b).mat, setting.into("delbar", b).mat])
-            if not subspace_eq(joined.column_space(), subspace_sum(lib.im("del", b), lib.im("delbar", b))):
+            if not subspace_eq(joined.column_space(), subspace_sum(im("del", b), im("delbar", b))):
                 return False
     return True

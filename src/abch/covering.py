@@ -63,7 +63,7 @@ from abch.laplacians import (
 )
 from abch.linalg import Mat, ShapeMismatch, projection_coords
 from abch.metric import HermitianMetric, identity_metric
-from abch.model import InputTooLarge, ModelSyntaxError, parse_dimension, parse_int
+from abch.model import InputTooLarge, ModelSyntaxError, parse_dimension, parse_int, record_once
 from abch.scalars import QQi, ZERO
 from abch.setting import ExactSetting, NumericSetting
 
@@ -106,6 +106,7 @@ def parse_cover(text: str) -> CoveringSpec:
     n: Optional[int] = None
     mats: Dict[str, Tuple[Tuple[int, ...], ...]] = {}
     radius: Optional[Fraction] = None
+    seen: set = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -113,6 +114,7 @@ def parse_cover(text: str) -> CoveringSpec:
         if "=" not in line:
             raise ModelSyntaxError("statement needs '='", lineno, 1)
         lhs, rhs = (s.strip() for s in line.split("=", 1))
+        record_once(seen, lhs, lineno)  # a bad lhs raises below on its first line
         if lhs == "n":
             n = parse_dimension(rhs, lineno, MAX_COVER_N)
         elif lhs in ("base", "sub"):
@@ -239,7 +241,6 @@ class FourierComplex:
     modes: List[Mode]
     settings: List[ExactSetting]  # reduced-scale exact, one per mode
     numeric: List[NumericSetting] = field(default_factory=list)  # true 2 pi scale
-    _mode_kernels: Dict[Tuple[LaplacianKind, Bidegree], List[Mat]] = field(default_factory=dict, repr=False)
     _kernels: Dict[Tuple[LaplacianKind, Bidegree], Mat] = field(default_factory=dict, repr=False)
 
     def mode_count(self) -> int:
@@ -261,12 +262,9 @@ class FourierComplex:
         return Mat.block_diag(bases)
 
     def mode_kernels(self, kind: LaplacianKind, b: Bidegree) -> List[Mat]:
-        """Harmonic space of one Laplacian kind in each mode, in mode order;
-        computed once per (kind, b)."""
-        key = (kind, b)
-        if key not in self._mode_kernels:
-            self._mode_kernels[key] = [harmonic_space(st, kind, b) for st in self.settings]
-        return self._mode_kernels[key]
+        """Harmonic space of one Laplacian kind in each mode, in mode order
+        (each memoised in its mode's setting)."""
+        return [harmonic_space(st, kind, b) for st in self.settings]
 
     def total_kernel(self, kind: LaplacianKind, b: Bidegree) -> Mat:
         """The per-mode harmonic spaces stacked into one basis in total
@@ -473,11 +471,8 @@ def gap_table(fourier: FourierComplex) -> Dict[str, object]:
     per_bidegree: Dict[str, Optional[float]] = {}
     for name, kind in (("d", LaplacianKind.D), ("del", LaplacianKind.DEL), ("delbar", LaplacianKind.DELBAR)):
         best: Optional[float] = None
-        if kind is LaplacianKind.D:
-            targets = [total_bidegrees(n, k)[0] for k in range(2 * n + 1)]
-        else:
-            targets = [(p, q) for p in range(n + 1) for q in range(n + 1)]
-        for b in targets:
+        # lap_d at (p, q) acts on degree p + q; numeric_spectrum memoises it per degree
+        for b in [(p, q) for p in range(n + 1) for q in range(n + 1)]:
             for st in fourier.numeric:
                 _, _, ev = numeric_spectrum(st, kind, b)
                 g = spectral_gap(ev)

@@ -93,6 +93,10 @@ THEORY_OPS = {
 }
 
 
+def _acts_on(kind: LaplacianKind, b: Bidegree):
+    return sum(b) if kind is LaplacianKind.D else b  # lap_d acts on the whole total degree
+
+
 def _sq(op: Op) -> Op:
     return compose(op, op)
 
@@ -116,7 +120,7 @@ def assemble(setting, kind: LaplacianKind, b: Bidegree) -> Op:
     kinds act on A^{p,q} itself.
     """
     if kind in (LaplacianKind.D, LaplacianKind.DEL, LaplacianKind.DELBAR):
-        name, key = kind.value, (sum(b) if kind is LaplacianKind.D else b)
+        name, key = kind.value, _acts_on(kind, b)
         return add_ops(_down(setting, (name,), key), _up(setting, (name,), key))
     if kind in BC_KINDS:
         second_down = _down(setting, ("del", "delbar"), b)
@@ -164,8 +168,9 @@ def fourth_order_part(setting, kind: LaplacianKind, b: Bidegree) -> Op:
 
 
 def harmonic_space(setting: ExactSetting, kind: LaplacianKind, b: Bidegree) -> Mat:
-    """Exact nullspace basis of the assembled Laplacian (columns)."""
-    return assemble(setting, kind, b).mat.nullspace()
+    """Exact nullspace basis of the assembled Laplacian (columns), memoised
+    in the setting per kind and space."""
+    return setting.cached(("harmonic", kind, _acts_on(kind, b)), lambda: assemble(setting, kind, b).mat.nullspace())
 
 
 def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bidegree) -> Mat:
@@ -178,7 +183,7 @@ def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bid
     second-order kinds: ker(outgoing) ∩ ker(adjoint of incoming).
     """
     theory = "deRham" if kind is LaplacianKind.D else kind.value.split("_")[0]  # bc_box -> bc
-    key = sum(b) if kind is LaplacianKind.D else b
+    key = _acts_on(kind, b)
     leaving, entering = THEORY_OPS[theory]
     adj = setting.adjoint
     rows = [setting.out(name, key).mat for name in leaving]
@@ -227,10 +232,15 @@ def spectral_gap(ev: np.ndarray) -> Optional[float]:
 def numeric_spectrum(
     numeric: NumericSetting, kind: LaplacianKind, b: Bidegree
 ) -> Tuple[Op, np.ndarray, np.ndarray]:
-    """The float Laplacian of one kind, the Gram of its space and its spectrum."""
-    op = assemble(numeric, kind, b)
-    G = numeric.gram(op.src)
-    return op, G, spectrum(op.mat, G)
+    """The float Laplacian of one kind, the Gram of its space and its
+    spectrum, memoised in the setting per kind and space."""
+
+    def build():
+        op = assemble(numeric, kind, b)
+        G = numeric.gram(op.src)
+        return op, G, spectrum(op.mat, G)
+
+    return numeric.cached(("spectrum", kind, _acts_on(kind, b)), build)
 
 
 @dataclass

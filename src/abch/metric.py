@@ -57,7 +57,7 @@ from abch.complexes import (
     wedge_monomials,
 )
 from abch.linalg import Mat, ShapeMismatch, compound, gram_adjoint, kron
-from abch.model import ModelSyntaxError, parse_coeff, parse_dimension, parse_int
+from abch.model import ModelSyntaxError, parse_coeff, parse_dimension, parse_int, record_once
 from abch.scalars import QQi, ONE, ZERO, I
 
 
@@ -237,6 +237,7 @@ def parse_metric(text: str) -> Tuple[int, Mat]:
     `H[i][j] = <coeff>` for i <= j; omitted entries default to the identity."""
     n: Optional[int] = None
     entries: Dict[Tuple[int, int], QQi] = {}
+    seen: set = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -245,6 +246,7 @@ def parse_metric(text: str) -> Tuple[int, Mat]:
             raise ModelSyntaxError("statement needs '='", lineno, 1)
         lhs, rhs = (s.strip() for s in line.split("=", 1))
         if lhs == "n":
+            record_once(seen, lhs, lineno)
             n = parse_dimension(rhs, lineno)
             continue
         m = _HENTRY_RE.match(lhs)
@@ -257,6 +259,7 @@ def parse_metric(text: str) -> Tuple[int, Mat]:
             raise ModelSyntaxError(f"index H[{i}][{j}] outside 1..{n}", lineno, 1)
         if i > j:
             raise ModelSyntaxError("give only the upper triangle i <= j", lineno, 1)
+        record_once(seen, f"H[{i}][{j}]", lineno)
         entries[(i, j)] = parse_coeff(rhs, lineno, 1)
     if n is None:
         raise ModelSyntaxError("missing `n = <int>`", 0, 0)

@@ -55,7 +55,8 @@ class ModelSyntaxError(ModelError):
 
 
 class DuplicateEquation(ModelError):
-    """Two `d phiK =` lines for the same K."""
+    """A statement repeated for the same key, e.g. two `d phiK =` lines for
+    the same K."""
 
 
 class InputTooLarge(ModelError):
@@ -100,6 +101,14 @@ def parse_dimension(text: str, line: int, limit: int = MAX_N) -> int:
     if len(digits) > len(str(limit)) or int(digits) > limit:
         raise InputTooLarge(f"dimension n = {text[:20]} exceeds the limit {limit}", line, 1)
     return int(digits)
+
+
+def record_once(seen: set, key: str, line: int) -> None:
+    """Add the canonical key of a statement to `seen`; a repeat raises
+    DuplicateEquation, so no statement silently overrides an earlier one."""
+    if key in seen:
+        raise DuplicateEquation(f"{key} given twice", line, 1)
+    seen.add(key)
 
 
 def _parse_rational(text: str, line: int, col: int) -> Fraction:
@@ -217,11 +226,11 @@ def parse_model(text: str) -> ComplexModel:
         lhs = lhs.strip()
         rhs = rhs.strip()
         if lhs == "n":
-            if n is not None:
-                raise DuplicateEquation("n given twice", lineno, 1)
+            record_once(seen, lhs, lineno)
             n = parse_dimension(rhs, lineno)
             continue
         if lhs == "name":
+            record_once(seen, lhs, lineno)
             name = rhs
             continue
         m = re.match(r"^d\s+phi([0-9]+)$", lhs)
@@ -232,9 +241,7 @@ def parse_model(text: str) -> ComplexModel:
         k = parse_int(m.group(1), lineno, 1)
         if not 1 <= k <= n:
             raise UnknownGenerator(f"generator index {k} outside 1..{n}", lineno, 1)
-        if k in seen:
-            raise DuplicateEquation(f"second equation for d phi{k}", lineno, 1)
-        seen.add(k)
+        record_once(seen, f"d phi{k}", lineno)
 
         part20: Dict[Tuple[int, int], QQi] = {}
         part11: Dict[Tuple[int, int], QQi] = {}

@@ -82,12 +82,8 @@ def grid_md(title: str, grid: Sequence[Sequence], row_label: str = "p\\q") -> Li
 
 
 def _cell(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, float):
         return format(x, ".12g")
-    if isinstance(x, (bool, int)):
-        return str(x)
     return str(x)
 
 

@@ -12,8 +12,14 @@ seen in floating point: it overrides only the conversion of each
 differential (to_numpy(), optionally rescaled, used by the Fourier covering
 models where the true twist carries a factor 2*pi), the total d (converted
 from the exact setting's memo) and the adjoint (NumericMetric's float view
-of the exact Grams).  Both memoise primitives and their adjoints the same
-way; `out` and `into` return the memoised primitives.
+of the exact Grams).
+
+Each setting has one memo, `cached(key, build)`, which holds every object
+derived from it: the primitives (`out` and `into` return them, and their
+adjoints are kept beside them), the exact subspaces `ker(name, b, star)`
+and `im(name, b, star)` (exact settings only), and the harmonic spaces,
+spectra, tables and subspace grids the engines build from them.  Memoised
+objects are shared, so no caller writes into one.
 
 Any object with `.n`, `.dim(b)`, `.del_(b)`, `.delbar(b)` can serve as the
 operator source, so invariant complexes and per-mode Fourier blocks share
@@ -22,7 +28,7 @@ the engines.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional, Union
+from typing import Any, Callable, Dict, Hashable, Optional, Union
 
 from abch.complexes import Bidegree, Op, Space, total_d
 from abch.linalg import Mat, ShapeMismatch
@@ -57,7 +63,9 @@ class ExactSetting:
 
     The primitive operators (`del_op`, `delbar_op`, `deldbar_op`,
     `total_d`) are built once each, and so are their adjoints; adjoints of
-    other operators are computed afresh on every call.
+    other operators are computed afresh on every call.  Primitives are
+    memoised under `(name, b)`; every other key is, or starts with, a tag
+    that is not a differential's name.
     """
 
     def __init__(self, ops, metric: HermitianMetric):
@@ -66,16 +74,21 @@ class ExactSetting:
         self.n = ops.n
         if metric.n != ops.n:
             raise ShapeMismatch("metric dimension differs from complex dimension")
-        self._primitives: Dict[Hashable, Op] = {}
+        self._memo: Dict[Hashable, Any] = {}
         # id of a memoised primitive -> its adjoint, None until first asked;
         # the primitives live as long as the setting, so their ids are stable
         self._adjoints: Dict[int, Optional[Op]] = {}
 
+    def cached(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The value `build()` memoised under `key`, built on first request."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def _primitive(self, key: Hashable, build: Callable[[], Op]) -> Op:
-        if key not in self._primitives:
-            op = self._primitives[key] = build()
-            self._adjoints[id(op)] = None
-        return self._primitives[key]
+        if key not in self._memo:  # memoise it and open its adjoint slot
+            self._adjoints[id(self.cached(key, build))] = None
+        return self._memo[key]
 
     def dim(self, b: Bidegree) -> int:
         return self.ops.dim(b)
@@ -116,6 +129,18 @@ class ExactSetting:
         """The differential `name` entering A^b (zero-column at the range ends)."""
         s = SHIFTS[name]
         return self.out(name, b - s if name == "d" else (b[0] - s[0], b[1] - s[1]))
+
+    def ker(self, name: str, b: Bidegree, star: bool = False) -> Mat:
+        """ker T in A^b: T the map `name` leaving A^b, or with `star` the
+        adjoint of the one entering it."""
+        T = self.adjoint(self.into(name, b)) if star else self.out(name, b)
+        return self.cached(("ker", name, b, star), T.mat.nullspace)
+
+    def im(self, name: str, b: Bidegree, star: bool = False) -> Mat:
+        """im T in A^b: T the map `name` entering A^b, or with `star` the
+        adjoint of the one leaving it."""
+        T = self.adjoint(self.out(name, b)) if star else self.into(name, b)
+        return self.cached(("im", name, b, star), T.mat.column_space)
 
     def _adjoint(self, op: Op) -> Op:
         return self.metric.adjoint(op)

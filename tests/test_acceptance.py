@@ -154,7 +154,7 @@ def test_criterion_3_iwasawa():
             failures.append(f"h_{t} grid {tables[t].grid} != published {grid}")
     if tables["deRham"].betti != IWASAWA_BETTI:
         failures.append(f"betti {tables['deRham'].betti} != published {IWASAWA_BETTI}")
-    ineq = coh.inequality_report(s, tables=tables)
+    ineq = coh.inequality_report(s)
     if not ineq.identity_holds:
         failures.append("defect identity h_bc+h_a = h_del+h_delbar+a+f fails")
     for p, q in bidegrees(3):

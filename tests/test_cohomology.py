@@ -292,5 +292,5 @@ def test_subspace_grids_complex_rational_metric():
     grids = abc_subspaces(s)
     assert grids.routes_agree
     assert grids.conjugation_ok
-    rep = inequality_report(s, grids=grids)
+    rep = inequality_report(s)
     assert rep.identity_holds and rep.criterion_consistent

@@ -23,9 +23,12 @@ from abch.covering import (
     metric_independence_check,
     parse_cover,
 )
+import abch.covering
+import abch.laplacians
 from abch.laplacians import LaplacianKind, assemble, spectrum
 from abch.linalg import Mat, subspace_eq
 from abch.scalars import QQi, ONE
+from abch.setting import NumericSetting
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 SPEC2 = CoveringSpec(n=1, base=((1, 0), (0, 1)), sub=((2, 0), (0, 1)), radius=Fraction(1))
@@ -326,6 +329,22 @@ def test_gap_and_closed_image(cover2):
     assert rep["tilde4_equals_delbar_squared"]
     assert rep["prestage_box_identity"]
     assert rep["all_ok"]
+
+
+def test_gap_report_reads_the_delbar_spectra_of_gamma_tables(monkeypatch):
+    fourier = build_cover(SPEC2)
+    gamma_tables(fourier)
+    numeric_delbar = []
+
+    def counted(setting, kind, b):
+        if isinstance(setting, NumericSetting) and kind is LaplacianKind.DELBAR:
+            numeric_delbar.append(b)
+        return assemble(setting, kind, b)
+
+    monkeypatch.setattr(abch.laplacians, "assemble", counted)
+    monkeypatch.setattr(abch.covering, "assemble", counted)
+    assert gap_and_closed_image(fourier, samples=20)["all_ok"]
+    assert numeric_delbar == []
 
 
 def test_not_a_sublattice():

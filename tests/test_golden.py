@@ -71,6 +71,10 @@ GOLDEN = [
     # star subspaces and exact-sequence projections under a complex metric
     (("inequality", IW, *DENSE3),
      "5767797be1214e3966088c569580a74fca01cb6283f200de113355777aaa8124"),
+    # star subspaces under a complex metric on n = 2: a gram_adjoint that
+    # leaves the inverse source Gram unconjugated changes this report only
+    (("inequality", KT, "--metric", "fixtures/kt_complex.herm"),
+     "78a1eaaef299fbd6e8f8b73c7c012e2e91d42c2de9f1f9ddb32bc2a9a7965ffa"),
     (("cover", "fixtures/index2.cover"),
      "162d5e004d530b3784b1e9d500f32d4e9ed37238356ccd937891a2d9e200998f"),
     (("cover", "fixtures/index2.cover", "--metric", "fixtures/h3.herm"),

@@ -1,5 +1,7 @@
 """Laplacian assembly: self-adjointness, kernels, spectra, dualities."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from abch.metric import HermitianMetric, diagonal_metric, identity_metric, parse
 from abch.model import parse_model
 from abch.scalars import QQi
 from abch.setting import ExactSetting, NumericSetting
+import abch.laplacians
 from abch.laplacians import (
     ALL_KINDS,
     LaplacianBundle,
@@ -21,6 +24,7 @@ from abch.laplacians import (
     harmonic_space,
     kahler_identities,
     kernel_coincidence,
+    numeric_spectrum,
     prestage_box_check,
     spectral_gap,
     spectrum,
@@ -51,6 +55,33 @@ def kt():
 
 def all_bidegrees(n):
     return [(p, q) for p in range(n + 1) for q in range(n + 1)]
+
+
+def test_harmonic_spaces_and_spectra_are_memoised_per_space(iw):
+    # lap_d acts on the whole total degree, so (1, 0) and (0, 1) share it
+    D = LaplacianKind.D
+    assert harmonic_space(iw, D, (1, 0)) is harmonic_space(iw, D, (0, 1))
+    numeric = NumericSetting(iw)
+    assert numeric_spectrum(numeric, D, (1, 0)) is numeric_spectrum(numeric, D, (0, 1))
+    BC = LaplacianKind.BC
+    assert harmonic_space(iw, BC, (1, 0)) is not harmonic_space(iw, BC, (0, 1))
+
+
+def test_bundles_assemble_each_laplacian_once(monkeypatch):
+    s = settings_for(IWASAWA)
+    numeric = NumericSetting(s)
+    calls = Counter()
+
+    def counted(setting, kind, b):
+        calls[(id(setting), kind, sum(b) if kind is LaplacianKind.D else b)] += 1
+        return assemble(setting, kind, b)
+
+    monkeypatch.setattr(abch.laplacians, "assemble", counted)
+    for b in all_bidegrees(3):
+        LaplacianBundle.build(s, numeric, b)
+    # per setting: lap_d on the 7 total degrees, 8 kinds on the 16 bidegrees
+    assert len(calls) == 2 * (7 + 8 * 16)
+    assert set(calls.values()) == {1}
 
 
 def test_torus_laplacians_vanish():

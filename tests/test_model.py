@@ -75,6 +75,28 @@ def test_duplicate_equation():
         parse_model("n=2\nd phi1 = phi1 ^ phi2\nd phi1 = phi1 ^ phi2")
 
 
+_COVER = "n = 1\nbase = [[1, 0], [0, 1]]\nsub = [[2, 0], [0, 1]]\nradius = 1\n"
+REPEATS = {
+    "cplx-n": (parse_model, "n = 2\nn = 2", 2),
+    "cplx-name": (parse_model, "n = 2\nname = a\nname = b", 3),
+    "cplx-d": (parse_model, "n = 2\nd phi2 = phi1 ^ phibar1\nd phi02 = phi1 ^ phibar1", 3),
+    "herm-n": (parse_metric, "n = 2\nH[2][2] = 3\nn = 1", 3),  # was a bare IndexError
+    "herm-H": (parse_metric, "n = 2\nH[1][2] = i\nH[01][2] = i", 3),
+    "cover-n": (parse_cover, _COVER + "n = 1", 5),
+    "cover-base": (parse_cover, _COVER + "base = [[1, 0], [0, 1]]", 5),
+    "cover-sub": (parse_cover, _COVER + "sub = [[1, 0], [0, 2]]", 5),
+    "cover-radius": (parse_cover, _COVER + "radius = 2", 5),
+}
+
+
+@pytest.mark.parametrize("parse,text,line", REPEATS.values(), ids=REPEATS.keys())
+def test_repeated_statement_is_rejected(parse, text, line):
+    # a repeated key, compared after parsing, is an error, not last-wins
+    with pytest.raises(DuplicateEquation) as err:
+        parse(text)
+    assert err.value.line == line
+
+
 def test_syntax_errors_carry_position():
     with pytest.raises(ModelSyntaxError) as err:
         parse_model("n=2\nd phi1 = phi1 * phi2")

@@ -1,4 +1,4 @@
-"""`ExactSetting.out`/`into` and `SubspaceLib.ker`/`im` against the same
+"""`ExactSetting.out`/`into` and `ExactSetting.ker`/`im` against the same
 operators written out the long way, with explicit shifted bidegrees, at every
 bidegree and at the ends of the range (zero-column maps into (0, q) and
 (p, 0), d at degrees 0 and 2n), under complex metrics."""
@@ -8,7 +8,6 @@ import os
 import numpy as np
 import pytest
 
-from abch.cohomology import SubspaceLib
 from abch.complexes import build_complex
 from abch.metric import HermitianMetric, load_metric, parse_metric
 from abch.model import load_model
@@ -99,14 +98,14 @@ def test_numeric_setting_inherits_the_vocabulary(setting):
 
 
 def test_subspace_lib_matches_explicit_bidegrees(setting):
-    lib = SubspaceLib(setting)
     adj = setting.adjoint
     for name in BIGRADED:
         for b in bidegrees(setting.n):
-            assert lib.ker(name, b) == old_out(setting, name, b).mat.nullspace()
-            assert lib.im(name, b) == old_into(setting, name, b).mat.column_space()
+            assert setting.ker(name, b) == old_out(setting, name, b).mat.nullspace()
+            assert setting.im(name, b) == old_into(setting, name, b).mat.column_space()
             # star: ker of the adjoint of the map entering, im of the adjoint of the map leaving
-            assert lib.ker(name, b, star=True) == adj(old_into(setting, name, b)).mat.nullspace()
-            assert lib.im(name, b, star=True) == adj(old_out(setting, name, b)).mat.column_space()
-            for sub in (lib.ker(name, b), lib.im(name, b), lib.ker(name, b, True), lib.im(name, b, True)):
+            assert setting.ker(name, b, star=True) == adj(old_into(setting, name, b)).mat.nullspace()
+            assert setting.im(name, b, star=True) == adj(old_out(setting, name, b)).mat.column_space()
+            for sub in (setting.ker(name, b), setting.im(name, b),
+                        setting.ker(name, b, True), setting.im(name, b, True)):
                 assert sub.nrows == setting.dim(b)
