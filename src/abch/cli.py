@@ -384,7 +384,7 @@ def cmd_cover(args) -> int:
         "index": fourier.index,
         "mode_count": fourier.mode_count(),
         "grids": rep.grids,
-        "gaps": {k: v for k, v in rep.gaps.items()},
+        "gaps": rep.gaps,
         "inequality_ok": rep.inequality_ok,
         "equality_everywhere": rep.equality_everywhere,
         "metric_independence": mi,

@@ -136,8 +136,8 @@ def im_d_at(setting: ExactSetting, b: Bidegree) -> Mat:
     def build():
         D = setting.total_d(b[0] + b[1] - 1).mat
         off, w = _block_rows(setting, b)
-        D_other = Mat(D.rows[:off] + D.rows[off + w :], ncols=D.ncols)
-        D_b = Mat(D.rows[off : off + w], ncols=D.ncols)
+        D_other = D.take_rows([i for i in range(D.nrows) if not off <= i < off + w])
+        D_b = D.take_rows(range(off, off + w))
         return span_basis(D_b @ D_other.nullspace())
 
     return setting.cached(("im_d_at", b), build)
@@ -197,7 +197,7 @@ def _decomposition_report(setting, b, G, parts, kernel, kernel_parts) -> dict:
         cross_gram(parts[i], parts[j], G).is_zero() for i in range(3) for j in range(i + 1, 3)
     )
     total = setting.dim(b)
-    kernel_ok = subspace_eq(kernel, subspace_sum(*kernel_parts)) if kernel.ncols or kernel_parts else True
+    kernel_ok = subspace_eq(kernel, subspace_sum(*kernel_parts))
     return {
         "dims": dims,
         "orthogonal": orth,

@@ -172,15 +172,16 @@ def wedge(a: FormVector, b: FormVector) -> FormVector:
 Terms = List[Tuple[Monomial, QQi]]  # a form as (monomial, coefficient) pairs
 
 
-def wedge_into(out: Mat, j: int, idx: Dict[Monomial, int], terms: Terms, m: Monomial, sign: int) -> None:
-    """Add sign * (sum of c * mono over `terms`) ^ m into column j of `out`,
-    whose rows are the monomials numbered by `idx`."""
-    rows = out.rows
+def wedge_into(out: Dict[Tuple[int, int], QQi], j: int, idx: Dict[Monomial, int], terms: Terms, m: Monomial,
+               sign: int) -> None:
+    """Add sign * (sum of c * mono over `terms`) ^ m into column j of the
+    matrix entries `out` ((row, column) -> value), whose rows are the
+    monomials numbered by `idx`."""
     for mono, c in terms:
         s, w = wedge_monomials(mono, m)
         if s:
-            i = idx[w]
-            rows[i][j] = rows[i][j] + (c if s == sign else -c)
+            key = (idx[w], j)
+            out[key] = out.get(key, ZERO) + (c if s == sign else -c)
 
 
 @lru_cache(maxsize=None)
@@ -204,10 +205,7 @@ def conjugation_matrix(n: int, p: int, q: int) -> Mat:
     """Signed permutation C with conj(v) = C @ entrywise-conj(v),
     mapping (p,q)-coordinates to (q,p)-coordinates."""
     perm, sign = conjugation_perm(n, p, q)
-    C = Mat.zeros(len(perm), len(perm))
-    for j, i in enumerate(perm):
-        C.rows[i][j] = ONE if sign == 1 else -ONE
-    return C
+    return Mat.from_entries(len(perm), len(perm), {(i, j): ONE if sign == 1 else -ONE for j, i in enumerate(perm)})
 
 
 @dataclass(frozen=True)
@@ -279,12 +277,12 @@ def _differentials(model: ComplexModel) -> Tuple[Dict[Bidegree, Mat], Dict[Bideg
                 if max(target) > n:
                     continue
                 idx = basis_index(n, *target)
-                M = Mat.zeros(len(idx), len(basis))
+                entries: Dict[Tuple[int, int], QQi] = {}
                 for j, m in enumerate(basis):
                     gens = [dgen[(False, k)] for k in m.hol] + [dgen[(True, k)] for k in m.anti]
                     for t, dg in enumerate(gens):
-                        wedge_into(M, j, idx, dg[part], _drop(m, t), -1 if t % 2 else 1)
-                mats[part][(p, q)] = M
+                        wedge_into(entries, j, idx, dg[part], _drop(m, t), -1 if t % 2 else 1)
+                mats[part][(p, q)] = Mat.from_entries(len(idx), len(basis), entries)
     return mats
 
 
@@ -316,17 +314,15 @@ def d_between(ops, src: Space, dst: Space) -> Op:
     for b in dst:
         row_off[b] = nrows
         nrows += ops.dim(b)
-    mat = Mat.zeros(nrows, sum(ops.dim(b) for b in src))
+    blocks = []
     col = 0
     for b in src:
         p, q = b
         for target, block_of in (((p + 1, q), ops.del_), ((p, q + 1), ops.delbar)):
             if target in row_off:
-                block, r0 = block_of(b), row_off[target]
-                for i, row in enumerate(block.rows):
-                    mat.rows[r0 + i][col : col + block.ncols] = row
+                blocks.append((row_off[target], col, block_of(b)))
         col += ops.dim(b)
-    return Op(src=src, dst=dst, mat=mat)
+    return Op(src=src, dst=dst, mat=Mat.from_blocks(nrows, col, blocks))
 
 
 def d_operator(comp: BigradedComplex, b: Bidegree) -> Op:

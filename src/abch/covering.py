@@ -52,10 +52,10 @@ from abch.complexes import (
 from abch.laplacians import (
     THEORY_KINDS,
     LaplacianKind,
-    assemble,
     fourth_order_part,
     gram_norms,
     harmonic_space,
+    laplacian,
     numeric_spectrum,
     prestage_box_check,
     project_off_kernel,
@@ -64,7 +64,7 @@ from abch.laplacians import (
 from abch.linalg import Mat, ShapeMismatch, projection_coords
 from abch.metric import HermitianMetric, identity_metric
 from abch.model import InputTooLarge, ModelSyntaxError, parse_dimension, parse_int, record_once
-from abch.scalars import QQi, ZERO
+from abch.scalars import QQi
 from abch.setting import ExactSetting, NumericSetting
 
 TWO_PI = 2.0 * pi
@@ -219,10 +219,11 @@ class ModeOps:
 
     def _twist(self, terms: Terms, b: Bidegree, target: Bidegree) -> Mat:
         if (b, target) not in self._mats:
-            out = self._mats[(b, target)] = Mat.zeros(dim_pq(self.n, *target), dim_pq(self.n, *b))
+            entries: Dict[Tuple[int, int], QQi] = {}
             idx = basis_index(self.n, *target)
             for j, m in enumerate(monomial_basis(self.n, *b)):
-                wedge_into(out, j, idx, terms, m, 1)
+                wedge_into(entries, j, idx, terms, m, 1)
+            self._mats[(b, target)] = Mat.from_entries(dim_pq(self.n, *target), dim_pq(self.n, *b), entries)
         return self._mats[(b, target)]
 
     def del_(self, b: Bidegree) -> Mat:
@@ -389,7 +390,7 @@ def gamma_dimension(fourier: FourierComplex, V: Mat, space: Space) -> Fraction:
     rank_V = V.rank()
     for idxs in _isotypic_classes(fourier).values():
         keep = {r for i in idxs for r in range(i * w, (i + 1) * w)}
-        PV = Mat([row if r in keep else [ZERO] * V.ncols for r, row in enumerate(V.rows)], ncols=V.ncols)
+        PV = V.take_rows([r if r in keep else None for r in range(V.nrows)])
         if not PV.is_zero() and Mat.hstack([V, PV]).rank() != rank_V:
             raise NotGammaInvariant("a character-isotypic projection leaves the subspace")
     return Fraction(rank_V, fourier.index)
@@ -549,7 +550,7 @@ def _in_zero_mode(fourier: FourierComplex, K: Mat, space: Space) -> bool:
     """Is every column of the total-coordinate basis K supported in the
     zero-mode block?"""
     rows = _zero_mode_rows(fourier, space)
-    return all(x.is_zero() for i, row in enumerate(K.rows) if i not in rows for x in row)
+    return K.take_rows([i for i in range(K.nrows) if i not in rows]).is_zero()
 
 
 def _invariant_block(fourier: FourierComplex, K: Mat, b: Bidegree) -> Mat:
@@ -557,8 +558,7 @@ def _invariant_block(fourier: FourierComplex, K: Mat, b: Bidegree) -> Mat:
     every column is supported there (checked)."""
     if not _in_zero_mode(fourier, K, (b,)):
         raise AssertionError("harmonic basis not supported in the zero mode")
-    rows = _zero_mode_rows(fourier, (b,))
-    return Mat(K.rows[rows.start : rows.stop], ncols=K.ncols)
+    return K.take_rows(_zero_mode_rows(fourier, (b,)))
 
 
 def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int = 271828) -> dict:
@@ -581,7 +581,7 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int 
         for p in range(n + 1):
             for q in range(n + 1):
                 b = (p, q)
-                lapd = assemble(st, LaplacianKind.DELBAR, b)
+                lapd = laplacian(st, LaplacianKind.DELBAR, b)
                 t_bc4 = fourth_order_part(st, LaplacianKind.BC_TILDE, b)
                 t_a4 = fourth_order_part(st, LaplacianKind.A_TILDE, b)
                 sq = lapd.mat @ lapd.mat

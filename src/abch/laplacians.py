@@ -45,6 +45,8 @@ from abch.setting import ExactSetting, NumericSetting, add_ops, compose
 
 TOL_ABS = 1e-12
 TOL_REL = 1e-9
+# bound on ||S - S^H||_F / ||S||_F for a Gram-symmetrised operator S
+HERMITIAN_TOL = 1e-9
 DEFAULT_SEED = 271828
 
 
@@ -164,13 +166,19 @@ def fourth_order_part(setting, kind: LaplacianKind, b: Bidegree) -> Op:
     raise ValueError("fourth-order part is defined for the tilde kinds only")
 
 
+def laplacian(setting, kind: LaplacianKind, b: Bidegree) -> Op:
+    """The assembled Laplacian of one kind, memoised in the setting per kind
+    and space."""
+    return setting.cached(("laplacian", kind, _acts_on(kind, b)), lambda: assemble(setting, kind, b))
+
+
 # -- harmonic spaces (exact) ---------------------------------------------------
 
 
 def harmonic_space(setting: ExactSetting, kind: LaplacianKind, b: Bidegree) -> Mat:
     """Exact nullspace basis of the assembled Laplacian (columns), memoised
     in the setting per kind and space."""
-    return setting.cached(("harmonic", kind, _acts_on(kind, b)), lambda: assemble(setting, kind, b).mat.nullspace())
+    return setting.cached(("harmonic", kind, _acts_on(kind, b)), lambda: laplacian(setting, kind, b).mat.nullspace())
 
 
 def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bidegree) -> Mat:
@@ -197,12 +205,18 @@ def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bid
 def gram_symmetrize(L: np.ndarray, G: np.ndarray) -> np.ndarray:
     """C^H L (C^H)^{-1} for the Cholesky factor conj(G) = C C^H.  With
     <u,v> = u^T G conj(v), a Gram-self-adjoint L makes conj(G) L Hermitian,
-    so the result is Hermitian too."""
+    so the result S is Hermitian up to rounding; a relative residual
+    ||S - S^H||_F above HERMITIAN_TOL is a broken invariant (AssertionError),
+    and below it S is averaged with S^H."""
     if L.shape[0] == 0:
         return L
     C = np.linalg.cholesky(G.conj())
     A = C.conj().T
     S = A @ L @ np.linalg.inv(A)
+    residual, size = np.linalg.norm(S - S.conj().T), np.linalg.norm(S)
+    if residual > HERMITIAN_TOL * size:
+        raise AssertionError(f"Gram-symmetrised operator is not Hermitian: ||S - S^H|| = {residual:.3g}, "
+                             f"||S|| = {size:.3g}")
     return 0.5 * (S + S.conj().T)
 
 
@@ -212,6 +226,8 @@ def spectrum(L: np.ndarray, G: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     try:
         ev = scipy.linalg.eigvalsh(gram_symmetrize(L, G))
+    except AssertionError:  # a failed Hermiticity check is not a solver failure
+        raise
     except Exception as exc:  # pragma: no cover - depends on LAPACK failure
         raise EigSolverFailure(str(exc)) from exc
     lam_max = float(ev[-1]) if len(ev) else 0.0
@@ -236,7 +252,7 @@ def numeric_spectrum(
     spectrum, memoised in the setting per kind and space."""
 
     def build():
-        op = assemble(numeric, kind, b)
+        op = laplacian(numeric, kind, b)
         G = numeric.gram(op.src)
         return op, G, spectrum(op.mat, G)
 
@@ -455,7 +471,7 @@ def prestage_box_check(setting: ExactSetting, b: Bidegree) -> bool:
     # D1 = (delbar (+) d (+) del) into A^{p,q-1} (+) A^{p-1,q}
     D1 = d_between(setting.ops, pre, src)
     box = add_ops(compose(adj(D2), D2), compose(D1, adj(D1)))
-    lap_dbar_blocks = Mat.block_diag([assemble(setting, LaplacianKind.DELBAR, c).mat for c in src])
+    lap_dbar_blocks = Mat.block_diag([laplacian(setting, LaplacianKind.DELBAR, c).mat for c in src])
     # del del* on A^{p,q-1} and delbar delbar* on A^{p-1,q}
     extra = Mat.block_diag([_up(setting, ("del",), src[0]).mat, _up(setting, ("delbar",), src[1]).mat])
     return (box.mat - (lap_dbar_blocks + extra)).is_zero()

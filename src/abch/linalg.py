@@ -1,18 +1,40 @@
 """Exact linear algebra over Q(i): Gaussian elimination, ranks, nullspaces,
 subspace arithmetic and Gram-orthogonal projections.
 
+Storage.  A `Mat` holds one positive integer denominator `den` and sparse
+rows `{column: (re, im)}` of Python ints, so entry (i, j) is
+(re + im i) / den.  Every matrix is kept canonical: no row stores a zero
+entry, and gcd(den, every part) == 1 (a zero matrix has den 1).  Equal
+matrices therefore have equal storage, and `==` compares it structurally.
+Every operation works on the integer parts of the nonzero entries only and
+normalises its result with one gcd pass over them (`_canon`, which stops at
+the first part coprime to the denominator); operations that cannot create a
+common factor (negation, conjugation, transposition, and stacking of
+canonical blocks over the lcm of their denominators) skip it.  `QQi` values
+appear only at the edges: the constructors fed by the parsers
+(`Mat(rows)`, `Mat.from_entries`), `m[i, j]`, `col`, `rows` and `matvec`,
+which rendering and witnesses read.  Row dicts are never changed in place
+once a `Mat` holds them, so results may share rows with their operands.
+
 Every rank, nullspace, image and solve goes through `Mat.rref`, which
-eliminates over the Gaussian integers Z[i] on sparse rows.  Each row is scaled
-once by the lcm of its denominators and stored as {column: (re, im)} with
-integer parts.  Gauss-Jordan steps `row <- pivot * row - factor * pivot_row`
-touch only the nonzero entries of the two rows, and each result is divided by
-the integer gcd of all its parts, so numerators stay small without a gcd per
-entry (fraction-free elimination after Bareiss, Math. Comp. 22 (1968)).  Only
-at the end is each pivot row divided by its pivot and converted back to Q(i).
-The pivot is the first nonzero entry, scanning rows top-down, in the leftmost
-unfinished column.  The reduced row echelon form of a matrix is unique, so
-every rank, echelon form and nullspace basis is bit-reproducible and
-independent of how the elimination is carried out.
+eliminates over the Gaussian integers Z[i] starting from the stored rows,
+each divided by the gcd of its parts.  Gauss-Jordan steps
+`row <- pivot * row - factor * pivot_row` touch only the nonzero entries of
+the two rows, and each result is divided by the integer gcd of all its
+parts, so numerators stay small without a gcd per entry (fraction-free
+elimination after Bareiss, Math. Comp. 22 (1968)).  Only at the end is each
+pivot row divided by its pivot, and the rows are put over one common
+denominator.  The pivot is the first nonzero entry, scanning rows top-down,
+in the leftmost unfinished column.  The reduced row echelon form of a
+matrix is unique, so every rank, echelon form and nullspace basis is
+bit-reproducible and independent of how the elimination is carried out.
+`det` and `compound` use Bareiss's exact-division elimination over Z[i].
+
+`to_numpy` gives the same floats as converting each entry through
+`Fraction`: `float(Fraction)` divides the reduced numerator by the reduced
+denominator, Python's `int / int` is correctly rounded, and the correctly
+rounded value of a rational does not depend on the fraction that names it,
+so `re / den` and `im / den` are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -20,18 +42,45 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from abch.scalars import QQi, ZERO, ONE
+from abch.scalars import QQi, ZERO
+
+Row = Dict[int, Tuple[int, int]]
 
 
 class ShapeMismatch(Exception):
     """Operands have incompatible shapes."""
 
 
-def _primitive(row: dict) -> dict:
+def _new(rows: List[Row], den: int, ncols: int) -> "Mat":
+    """A Mat over storage that is already canonical."""
+    m = object.__new__(Mat)
+    m._r, m._d, m.nrows, m.ncols = rows, den, len(rows), ncols
+    return m
+
+
+def _canon(rows: List[Row], den: int, ncols: int) -> "Mat":
+    """A Mat over zero-free rows with a positive denominator, divided by the
+    gcd of the denominator and every part."""
+    g = den
+    if g != 1:
+        for row in rows:
+            for a, b in row.values():
+                g = gcd(g, a, b)
+                if g == 1:
+                    break
+            if g == 1:
+                break
+        if g != 1:
+            rows = [{j: (a // g, b // g) for j, (a, b) in row.items()} for row in rows]
+            den //= g
+    return _new(rows, den, ncols)
+
+
+def _primitive(row: Row) -> Row:
     """Divide a sparse Z[i] row by the integer gcd of all its parts."""
     g = gcd(*(v for ab in row.values() for v in ab))
     if g <= 1:
@@ -39,52 +88,155 @@ def _primitive(row: dict) -> dict:
     return {j: (a // g, b // g) for j, (a, b) in row.items()}
 
 
-def _zi_row(row: Sequence[QQi]) -> dict:
-    """A row over Q(i) as a primitive sparse Z[i] row {col: (re, im)}: scaled
-    by the lcm of its denominators, then by the gcd of its parts."""
-    nz = [(j, x.re, x.im) for j, x in enumerate(row) if x.re or x.im]
-    den = lcm(*(q.denominator for _, re, im in nz for q in (re, im)))
-    return _primitive(
-        {j: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)) for j, re, im in nz}
-    )
+def _qqi(a: int, b: int, den: int) -> QQi:
+    return QQi(Fraction(a, den), Fraction(b, den))
+
+
+def _parts(c: QQi) -> Tuple[int, int, int]:
+    """c as (re, im, den) with integer parts and a positive denominator."""
+    den = lcm(c.re.denominator, c.im.denominator)
+    return c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator), den
+
+
+def _from_qqi(nrows: int, ncols: int, entries: Iterable[Tuple[int, int, QQi]]) -> "Mat":
+    """The matrix with the (i, j, value) entries and zeros elsewhere.  Over
+    the lcm of the reduced denominators it is canonical with no gcd pass."""
+    nz = [(i, j, x.re, x.im) for i, j, x in ((i, j, QQi.of(x)) for i, j, x in entries) if x.re or x.im]
+    den = lcm(*(q.denominator for _, _, re, im in nz for q in (re, im)))
+    rows: List[Row] = [{} for _ in range(nrows)]
+    for i, j, re, im in nz:
+        rows[i][j] = (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+    return _new(rows, den, ncols)
+
+
+def _mul_rows(A: "Mat", B: "Mat") -> List[Row]:
+    """The integer rows of A @ B, over the denominator A.den * B.den."""
+    Br = B._r
+    out: List[Row] = []
+    for ra in A._r:
+        acc: Dict[int, List[int]] = {}
+        get = acc.get
+        for k, (a, b) in ra.items():
+            if b:
+                for j, (c, d) in Br[k].items():
+                    e = get(j)
+                    if e is None:
+                        acc[j] = [a * c - b * d, a * d + b * c]
+                    else:
+                        e[0] += a * c - b * d
+                        e[1] += a * d + b * c
+            else:
+                for j, (c, d) in Br[k].items():
+                    e = get(j)
+                    if e is None:
+                        acc[j] = [a * c, a * d]
+                    else:
+                        e[0] += a * c
+                        e[1] += a * d
+        out.append({j: (x, y) for j, (x, y) in acc.items() if x or y})
+    return out
+
+
+def _det(rows: List[Row], n: int) -> Tuple[int, int]:
+    """Determinant of an n x n Z[i] matrix by Bareiss's fraction-free
+    elimination: every division by the previous pivot is exact."""
+    rows = list(rows)
+    sign = 1
+    qa, qb = 1, 0  # previous pivot
+    for c in range(n):
+        pr = next((i for i in range(c, n) if c in rows[i]), None)
+        if pr is None:
+            return 0, 0
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            sign = -sign
+        prow = rows[c]
+        pa, pb = prow[c]
+        qn = qa * qa + qb * qb
+        for i in range(c + 1, n):
+            row = rows[i]
+            new = {j: (pa * a - pb * b, pa * b + pb * a) for j, (a, b) in row.items() if j != c}
+            if c in row:
+                fa, fb = row[c]
+                for j, (a, b) in prow.items():
+                    if j != c:
+                        x, y = new.get(j, (0, 0))
+                        new[j] = (x - fa * a + fb * b, y - fa * b - fb * a)
+            if (qa, qb) != (1, 0):  # divide by the previous pivot q: times conj(q) / |q|^2
+                new = {j: ((x * qa + y * qb) // qn, (y * qa - x * qb) // qn) for j, (x, y) in new.items()}
+            rows[i] = {j: v for j, v in new.items() if v[0] or v[1]}
+        qa, qb = pa, pb
+    return sign * qa, sign * qb
 
 
 class Mat:
-    """Dense matrix over Q(i); rows is a list of lists of QQi."""
+    """Matrix over Q(i): sparse Gaussian-integer rows over one positive
+    denominator, kept canonical (module docstring)."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("_r", "_d", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Sequence[QQi]], ncols: Optional[int] = None):
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
+        """The matrix with these rows of Q(i) entries."""
+        rows = [list(r) for r in rows]
+        if rows:
+            ncols = len(rows[0])
+            if any(len(r) != ncols for r in rows):
                 raise ShapeMismatch("ragged rows")
-        else:
-            if ncols is None:
-                raise ShapeMismatch("empty matrix needs explicit ncols")
-            self.ncols = ncols
+        elif ncols is None:
+            raise ShapeMismatch("empty matrix needs explicit ncols")
+        m = _from_qqi(len(rows), ncols, ((i, j, x) for i, r in enumerate(rows) for j, x in enumerate(r)))
+        self._r, self._d, self.nrows, self.ncols = m._r, m._d, m.nrows, m.ncols
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "Mat":
-        return Mat([[ZERO] * ncols for _ in range(nrows)], ncols=ncols)
+        return _new([{} for _ in range(nrows)], 1, ncols)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        m = Mat.zeros(n, n)
-        for i in range(n):
-            m.rows[i][i] = ONE
-        return m
+        return _new([{i: (1, 0)} for i in range(n)], 1, n)
 
     @staticmethod
     def column(entries: Sequence[QQi]) -> "Mat":
-        return Mat([[QQi.of(e)] for e in entries], ncols=1)
+        return Mat([[e] for e in entries], ncols=1)
+
+    @staticmethod
+    def from_entries(nrows: int, ncols: int, entries: Mapping[Tuple[int, int], QQi]) -> "Mat":
+        """The nrows x ncols matrix with the given (i, j) -> entry values
+        and zeros elsewhere."""
+        for i, j in entries:
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ShapeMismatch(f"entry ({i}, {j}) outside {nrows}x{ncols}")
+        return _from_qqi(nrows, ncols, ((i, j, x) for (i, j), x in entries.items()))
+
+    @staticmethod
+    def from_blocks(nrows: int, ncols: int, blocks: Iterable[Tuple[int, int, "Mat"]]) -> "Mat":
+        """The nrows x ncols matrix with each block (r0, c0, M) placed with
+        its top-left corner at (r0, c0), and zeros elsewhere; blocks must
+        not overlap."""
+        blocks = list(blocks)
+        den = lcm(*(m._d for _, _, m in blocks))
+        rows: List[Row] = [{} for _ in range(nrows)]
+        for r0, c0, m in blocks:
+            if r0 < 0 or c0 < 0 or r0 + m.nrows > nrows or c0 + m.ncols > ncols:
+                raise ShapeMismatch(f"block {m.shape} at ({r0}, {c0}) outside {nrows}x{ncols}")
+            s = den // m._d
+            for i, row in enumerate(m._r, r0):
+                if not row:
+                    continue
+                if s == 1 and c0 == 0 and not rows[i]:
+                    rows[i] = row
+                    continue
+                tgt = rows[i] = dict(rows[i])
+                for j, (a, b) in row.items():
+                    tgt[c0 + j] = (a * s, b * s)
+        # each block is canonical over its own denominator, so the whole is
+        # canonical over their lcm
+        return _new(rows, den, ncols)
 
     def copy(self) -> "Mat":
-        return Mat([list(r) for r in self.rows], ncols=self.ncols)
+        return _new(list(self._r), self._d, self.ncols)
 
     # -- shape & access --------------------------------------------------
 
@@ -92,89 +244,106 @@ class Mat:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def __getitem__(self, ij):
+    def __getitem__(self, ij) -> QQi:
         i, j = ij
-        return self.rows[i][j]
+        v = self._r[i].get(j)
+        return ZERO if v is None else _qqi(v[0], v[1], self._d)
+
+    @property
+    def rows(self) -> Tuple[Tuple[QQi, ...], ...]:
+        """Every entry as a QQi, row by row (a read-only dense view)."""
+        return tuple(tuple(self[i, j] for j in range(self.ncols)) for i in range(self.nrows))
 
     def col(self, j: int) -> List[QQi]:
-        return [self.rows[i][j] for i in range(self.nrows)]
+        return [self[i, j] for i in range(self.nrows)]
 
     def cols(self) -> List[List[QQi]]:
         return [self.col(j) for j in range(self.ncols)]
 
+    def take_rows(self, idx: Sequence[Optional[int]]) -> "Mat":
+        """The matrix whose row k is row idx[k] of self, or zero where
+        idx[k] is None."""
+        return _canon([{} if i is None else self._r[i] for i in idx], self._d, self.ncols)
+
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _combine(self, other: "Mat", sign: int, what: str) -> "Mat":
+        """self + sign * other."""
         if self.shape != other.shape:
-            raise ShapeMismatch(f"add {self.shape} vs {other.shape}")
-        return Mat(
-            [[self.rows[i][j] + other.rows[i][j] for j in range(self.ncols)] for i in range(self.nrows)],
-            ncols=self.ncols,
-        )
+            raise ShapeMismatch(f"{what} {self.shape} vs {other.shape}")
+        d1, d2 = self._d, other._d
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        s1, s2 = den // d1, sign * (den // d2)
+        rows: List[Row] = []
+        for ra, rb in zip(self._r, other._r):
+            if not rb:
+                rows.append(ra if s1 == 1 else {j: (a * s1, b * s1) for j, (a, b) in ra.items()})
+                continue
+            row = dict(ra) if s1 == 1 else {j: (a * s1, b * s1) for j, (a, b) in ra.items()}
+            for j, (c, d) in rb.items():
+                v = row.get(j)
+                if v is None:
+                    row[j] = (c * s2, d * s2)
+                else:
+                    x, y = v[0] + c * s2, v[1] + d * s2
+                    if x or y:
+                        row[j] = (x, y)
+                    else:
+                        del row[j]
+            rows.append(row)
+        return _canon(rows, den, self.ncols)
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._combine(other, 1, "add")
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"sub {self.shape} vs {other.shape}")
-        return Mat(
-            [[self.rows[i][j] - other.rows[i][j] for j in range(self.ncols)] for i in range(self.nrows)],
-            ncols=self.ncols,
-        )
+        return self._combine(other, -1, "sub")
 
     def __neg__(self) -> "Mat":
-        return Mat([[-x for x in r] for r in self.rows], ncols=self.ncols)
+        return _new([{j: (-a, -b) for j, (a, b) in r.items()} for r in self._r], self._d, self.ncols)
 
     def scale(self, c) -> "Mat":
-        c = QQi.of(c)
-        return Mat([[c * x for x in r] for r in self.rows], ncols=self.ncols)
+        cr, ci, cd = _parts(QQi.of(c))
+        if not (cr or ci):
+            return Mat.zeros(self.nrows, self.ncols)
+        rows = [{j: (a * cr - b * ci, a * ci + b * cr) for j, (a, b) in r.items()} for r in self._r]
+        return _canon(rows, self._d * cd, self.ncols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"matmul {self.shape} @ {other.shape}")
-        out = Mat.zeros(self.nrows, other.ncols)
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            oi = out.rows[i]
-            for k in range(self.ncols):
-                a = ri[k]
-                if a.is_zero():
-                    continue
-                rk = other.rows[k]
-                for j in range(other.ncols):
-                    b = rk[j]
-                    if not b.is_zero():
-                        oi[j] = oi[j] + a * b
-        return out
+        return _canon(_mul_rows(self, other), self._d * other._d, other.ncols)
 
     def matvec(self, v: Sequence[QQi]) -> List[QQi]:
         if self.ncols != len(v):
             raise ShapeMismatch("matvec shape")
-        out = []
-        for i in range(self.nrows):
-            s = ZERO
-            for k, a in enumerate(self.rows[i]):
-                if not a.is_zero() and not v[k].is_zero():
-                    s = s + a * v[k]
-            out.append(s)
-        return out
+        x = Mat.column(v)
+        return _canon(_mul_rows(self, x), self._d * x._d, 1).col(0)
 
     def transpose(self) -> "Mat":
-        return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)], ncols=self.nrows)
+        cols: List[Row] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self._r):
+            for j, v in row.items():
+                cols[j][i] = v
+        return _new(cols, self._d, self.nrows)
 
     def conj(self) -> "Mat":
-        return Mat([[x.conj() for x in r] for r in self.rows], ncols=self.ncols)
+        return _new([{j: (a, -b) for j, (a, b) in r.items()} for r in self._r], self._d, self.ncols)
 
     def conj_t(self) -> "Mat":
-        return self.transpose().conj()
+        cols: List[Row] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self._r):
+            for j, (a, b) in row.items():
+                cols[j][i] = (a, -b)
+        return _new(cols, self._d, self.nrows)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for r in self.rows for x in r)
+        return not any(self._r)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.shape == other.shape and all(
-            self.rows[i][j] == other.rows[i][j] for i in range(self.nrows) for j in range(self.ncols)
-        )
+        return self.shape == other.shape and self._d == other._d and self._r == other._r
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in r) for r in self.rows)
@@ -184,50 +353,50 @@ class Mat:
 
     @staticmethod
     def vstack(blocks: Sequence["Mat"]) -> "Mat":
-        blocks = [b for b in blocks]
+        blocks = list(blocks)
         if not blocks:
             raise ShapeMismatch("vstack of nothing")
         ncols = blocks[0].ncols
         if any(b.ncols != ncols for b in blocks):
             raise ShapeMismatch("vstack ncols differ")
-        rows: List[List[QQi]] = []
+        placed, r0 = [], 0
         for b in blocks:
-            rows.extend(list(r) for r in b.rows)
-        return Mat(rows, ncols=ncols)
+            placed.append((r0, 0, b))
+            r0 += b.nrows
+        return Mat.from_blocks(r0, ncols, placed)
 
     @staticmethod
     def hstack(blocks: Sequence["Mat"]) -> "Mat":
-        blocks = [b for b in blocks]
+        blocks = list(blocks)
         if not blocks:
             raise ShapeMismatch("hstack of nothing")
         nrows = blocks[0].nrows
         if any(b.nrows != nrows for b in blocks):
             raise ShapeMismatch("hstack nrows differ")
-        rows = [sum((list(b.rows[i]) for b in blocks), []) for i in range(nrows)]
-        return Mat(rows, ncols=sum(b.ncols for b in blocks))
+        placed, c0 = [], 0
+        for b in blocks:
+            placed.append((0, c0, b))
+            c0 += b.ncols
+        return Mat.from_blocks(nrows, c0, placed)
 
     @staticmethod
     def block_diag(blocks: Sequence["Mat"]) -> "Mat":
-        blocks = [b for b in blocks]
-        nr = sum(b.nrows for b in blocks)
-        nc = sum(b.ncols for b in blocks)
-        out = Mat.zeros(nr, nc)
-        r0 = c0 = 0
+        placed, r0, c0 = [], 0, 0
         for b in blocks:
-            for i in range(b.nrows):
-                out.rows[r0 + i][c0 : c0 + b.ncols] = list(b.rows[i])
+            placed.append((r0, c0, b))
             r0 += b.nrows
             c0 += b.ncols
-        return out
+        return Mat.from_blocks(r0, c0, placed)
 
     # -- elimination ----------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns).
 
-        Gauss-Jordan elimination over Z[i] on sparse rows (see the module
-        docstring); each pivot row is divided by its pivot once, at the end."""
-        rows = [_zi_row(r) for r in self.rows]
+        Gauss-Jordan elimination over Z[i] on the stored rows (see the
+        module docstring); each pivot row is divided by its pivot once, at
+        the end."""
+        rows = [_primitive(r) for r in self._r]
         nrows = len(rows)
         pivots: List[int] = []
         r = 0
@@ -246,8 +415,8 @@ class Mat:
                 if i == r or c not in row:
                     continue
                 # row <- pv * row - f * prow, so the entry in column c cancels
-                fa, fb = row.pop(c)
-                new = {j: (pa * a - pb * b, pa * b + pb * a) for j, (a, b) in row.items()}
+                fa, fb = row[c]
+                new = {j: (pa * a - pb * b, pa * b + pb * a) for j, (a, b) in row.items() if j != c}
                 for j, (a, b) in prow.items():
                     if j == c:
                         continue
@@ -261,16 +430,29 @@ class Mat:
                 rows[i] = _primitive(new)
             pivots.append(c)
             r += 1
-        out = []
+        # divide each pivot row by its pivot: row * conj(pv) / |pv|^2 (each
+        # row is primitive, so a real pivot leaves nothing to cancel)
+        out: List[Row] = []
+        dens: List[int] = []
         for row, c in zip(rows, pivots):
             pa, pb = row[c]
+            if pb == 0:
+                if pa < 0:
+                    row, pa = {j: (-a, -b) for j, (a, b) in row.items()}, -pa
+                out.append(row)
+                dens.append(pa)
+                continue
             d = pa * pa + pb * pb
-            dense = [ZERO] * self.ncols
-            for j, (a, b) in row.items():
-                dense[j] = QQi(Fraction(a * pa + b * pb, d), Fraction(b * pa - a * pb, d))
-            out.append(dense)
-        out.extend([ZERO] * self.ncols for _ in range(nrows - r))
-        return Mat(out, ncols=self.ncols), pivots
+            row = {j: (a * pa + b * pb, b * pa - a * pb) for j, (a, b) in row.items()}
+            g = gcd(d, *(v for ab in row.values() for v in ab))
+            out.append({j: (a // g, b // g) for j, (a, b) in row.items()})
+            dens.append(d // g)
+        # over the lcm of the row denominators; canonical because every row is
+        den = lcm(*dens)
+        out = [row if dr == den else {j: (a * (den // dr), b * (den // dr)) for j, (a, b) in row.items()}
+               for row, dr in zip(out, dens)]
+        out.extend({} for _ in range(nrows - r))
+        return _new(out, den, self.ncols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -279,24 +461,19 @@ class Mat:
         """Columns form a basis of ker(self); shape ncols x nullity."""
         R, pivots = self.rref()
         pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        out = Mat.zeros(self.ncols, len(free))
-        for k, f in enumerate(free):
-            out.rows[f][k] = ONE
-            for r, p in enumerate(pivots):
-                x = R.rows[r][f]
-                if not x.is_zero():
-                    out.rows[p][k] = -x
-        return out
+        free = {f: k for k, f in enumerate(j for j in range(self.ncols) if j not in pivot_set)}
+        out: List[Row] = [{} for _ in range(self.ncols)]
+        for f, k in free.items():
+            out[f] = {k: (R._d, 0)}
+        for row, p in zip(R._r, pivots):
+            out[p] = {free[j]: (-a, -b) for j, (a, b) in row.items() if j in free}
+        return _canon(out, R._d, len(free))
 
     def column_space(self) -> "Mat":
         """Columns form a basis of the image: the pivot columns of self."""
         _, piv = self.rref()
-        out = Mat.zeros(self.nrows, len(piv))
-        for k, j in enumerate(piv):
-            for i in range(self.nrows):
-                out.rows[i][k] = self.rows[i][j]
-        return out
+        pos = {j: k for k, j in enumerate(piv)}
+        return _canon([{pos[j]: v for j, v in row.items() if j in pos} for row in self._r], self._d, len(piv))
 
     def solve(self, b: "Mat") -> Optional["Mat"]:
         """Solve self @ X = b exactly; None if inconsistent (least solution
@@ -308,11 +485,10 @@ class Mat:
         n = self.ncols
         if any(p >= n for p in pivots):
             return None
-        X = Mat.zeros(n, b.ncols)
-        for r, p in enumerate(pivots):
-            for j in range(b.ncols):
-                X.rows[p][j] = R.rows[r][n + j]
-        return X
+        X: List[Row] = [{} for _ in range(n)]
+        for row, p in zip(R._r, pivots):
+            X[p] = {j - n: v for j, v in row.items() if j >= n}
+        return _canon(X, R._d, b.ncols)
 
     def inv(self) -> "Mat":
         if self.nrows != self.ncols:
@@ -323,38 +499,20 @@ class Mat:
         return X
 
     def det(self) -> QQi:
-        """Determinant by fraction elimination (square matrices)."""
+        """Determinant (square matrices)."""
         if self.nrows != self.ncols:
             raise ShapeMismatch("det of non-square")
-        m = self.copy()
-        n = m.nrows
-        d = ONE
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if not m.rows[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                return ZERO
-            if pr != c:
-                m.rows[c], m.rows[pr] = m.rows[pr], m.rows[c]
-                d = -d
-            pv = m.rows[c][c]
-            d = d * pv
-            for i in range(c + 1, n):
-                if not m.rows[i][c].is_zero():
-                    f = m.rows[i][c] / pv
-                    m.rows[i] = [a - f * b for a, b in zip(m.rows[i], m.rows[c])]
-        return d
+        a, b = _det(self._r, self.nrows)
+        return _qqi(a, b, self._d ** self.nrows)
 
     # -- numeric bridge ----------------------------------------------------
 
     def to_numpy(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.ncols), dtype=complex)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                out[i, j] = self.rows[i][j].to_complex()
+        d = self._d
+        for i, row in enumerate(self._r):
+            for j, (a, b) in row.items():
+                out[i, j] = complex(a / d, b / d)
         return out
 
 
@@ -362,25 +520,28 @@ def compound(M: Mat, k: int) -> Mat:
     """The k-th compound matrix: entry (I, K) is det M[I, K], for the k-subsets
     I of rows and K of columns in lexicographic order.  By Cauchy-Binet,
     compound(A @ B, k) == compound(A, k) @ compound(B, k)."""
-    rsets = list(combinations(range(M.nrows), k))
     csets = list(combinations(range(M.ncols), k))
-    return Mat(
-        [[Mat([[M.rows[i][j] for j in K] for i in I], ncols=k).det() for K in csets] for I in rsets],
-        ncols=len(csets),
-    )
+    rows: List[Row] = []
+    for I in combinations(range(M.nrows), k):
+        row: Row = {}
+        for c, K in enumerate(csets):
+            sub = [{pos: M._r[i][j] for pos, j in enumerate(K) if j in M._r[i]} for i in I]
+            a, b = _det(sub, k)
+            if a or b:
+                row[c] = (a, b)
+        rows.append(row)
+    return _canon(rows, M._d ** k, len(csets))
 
 
 def kron(A: Mat, B: Mat) -> Mat:
     """Kronecker product: entry (a * B.nrows + b, c * B.ncols + d) is A[a][c] * B[b][d]."""
-    zeros = [ZERO] * B.ncols
-    rows = []
-    for ra in A.rows:
-        for rb in B.rows:
-            row: List[QQi] = []
-            for x in ra:
-                row.extend(zeros if x.is_zero() else [ZERO if y.is_zero() else x * y for y in rb])
-            rows.append(row)
-    return Mat(rows, ncols=A.ncols * B.ncols)
+    w = B.ncols
+    rows: List[Row] = []
+    for ra in A._r:
+        for rb in B._r:
+            # Z[i] has no zero divisors, so no product of nonzeros vanishes
+            rows.append({c * w + d: (a * x - b * y, a * y + b * x) for c, (a, b) in ra.items() for d, (x, y) in rb.items()})
+    return _canon(rows, A._d * B._d, A.ncols * w)
 
 
 # -- subspaces ------------------------------------------------------------
@@ -390,18 +551,12 @@ def kron(A: Mat, B: Mat) -> Mat:
 
 
 def span_basis(A: Mat) -> Mat:
-    """Canonical basis of the column span (pivot columns of the rref of A^T
-    re-expressed through elimination on columns)."""
+    """Canonical basis of the column span: the nonzero rows of the rref of
+    A^T, as columns."""
     if A.ncols == 0:
         return A
     R, pivots = A.transpose().rref()
-    # Rows of R with pivots are a reduced generating set; transpose back.
-    rows = [R.rows[r] for r in range(len(pivots))]
-    out = Mat.zeros(A.nrows, len(pivots))
-    for j, row in enumerate(rows):
-        for i in range(A.nrows):
-            out.rows[i][j] = row[i]
-    return out
+    return R.take_rows(range(len(pivots))).transpose()
 
 
 def subspace_dim(A: Mat) -> int:
@@ -430,7 +585,7 @@ def subspace_intersect(A: Mat, B: Mat) -> Mat:
     if A.ncols == 0 or B.ncols == 0:
         return Mat.zeros(A.nrows, 0)
     K = Mat.hstack([A, B]).nullspace()  # columns (x; y) with A x = -B y
-    xs = Mat(K.rows[: A.ncols], ncols=K.ncols)
+    xs = K.take_rows(range(A.ncols))
     return span_basis(A @ xs)
 
 

@@ -112,7 +112,7 @@ class HermitianMetric:
         # its conjugate; entry [0][0] is the leading k x k minor
         self._compounds: Dict[Tuple[bool, int], Tuple[Mat, Mat]] = {}
         for k in range(1, n + 1):
-            mk = self._compound(False, k)[0].rows[0][0]
+            mk = self._compound(False, k)[0][0, 0]
             if not mk.is_real() or mk.re <= 0:
                 raise NotPositiveDefinite(f"leading minor {k} is {mk}")
         # the fundamental form lives on the vector side: its coefficient
@@ -120,7 +120,7 @@ class HermitianMetric:
         # vol = omega^n / n! picks up 1/det(H)
         self.omega_matrix = H.conj().inv()
         self._H_inv = self.omega_matrix.conj()
-        det = self._compound(False, n)[0].rows[0][0]
+        det = self._compound(False, n)[0][0, 0]
         i_pow = [ONE, I, -ONE, -I][n % 4]
         sign = -ONE if (n * (n - 1) // 2) % 2 == 1 else ONE
         self.vol_coeff: QQi = i_pow * sign / det
@@ -172,7 +172,7 @@ class HermitianMetric:
         coeffs = [ZERO] * dim_pq(n, 1, 1)
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                coeffs[idx[Monomial((j,), (k,))]] = I * self.omega_matrix.rows[j - 1][k - 1]
+                coeffs[idx[Monomial((j,), (k,))]] = I * self.omega_matrix[j - 1, k - 1]
         return FormVector(n, (1, 1), tuple(coeffs))
 
     # -- Hodge star --------------------------------------------------------
@@ -184,14 +184,14 @@ class HermitianMetric:
             a, bb = b
             perm, conj_sign = conjugation_perm(n, a, bb)
             ks, signs = _pairing(n, bb, a)
-            G = self.gram((bb, a))
-            M = Mat.zeros(dim_pq(n, n - bb, n - a), len(perm))
-            for j, jp in enumerate(perm):
-                # solve W sigma = conj_sign * vol_coeff * G[:, jp] with W the signed permutation
-                for i, (k, s) in enumerate(zip(ks, signs)):
-                    if not G.rows[i][jp].is_zero():
-                        M.rows[k][j] = G.rows[i][jp] * self.vol_coeff * (conj_sign * s)
-            self._star[b] = M
+            # solve W sigma = conj_sign * vol_coeff * G[:, perm[j]] for each
+            # column j, with W the signed permutation: row ks[i] of the star
+            # is signs[i] * conj_sign * vol_coeff times row i of G[:, perm]
+            G = self.gram((bb, a)).transpose().take_rows(perm).transpose()
+            at = {k: i for i, k in enumerate(ks)}
+            pos = G.take_rows([at[k] if signs[at[k]] > 0 else None for k in range(len(ks))])
+            neg = G.take_rows([at[k] if signs[at[k]] < 0 else None for k in range(len(ks))])
+            self._star[b] = (pos - neg).scale(self.vol_coeff * conj_sign)
         src: Space = (b,)
         dst: Space = ((self.n - b[1], self.n - b[0]),)
         return Op(src=src, dst=dst, mat=self._star[b])
@@ -212,10 +212,7 @@ def identity_metric(n: int) -> HermitianMetric:
 
 def diagonal_metric(entries: Sequence[int]) -> HermitianMetric:
     n = len(entries)
-    H = Mat.zeros(n, n)
-    for i, e in enumerate(entries):
-        H.rows[i][i] = QQi(e)
-    return HermitianMetric(n, H)
+    return HermitianMetric(n, Mat.from_entries(n, n, {(i, i): QQi(e) for i, e in enumerate(entries)}))
 
 
 def is_kahler(comp: BigradedComplex, metric: HermitianMetric) -> bool:
@@ -263,11 +260,11 @@ def parse_metric(text: str) -> Tuple[int, Mat]:
         entries[(i, j)] = parse_coeff(rhs, lineno, 1)
     if n is None:
         raise ModelSyntaxError("missing `n = <int>`", 0, 0)
-    H = Mat.identity(n)
+    cells = {(i, i): ONE for i in range(n)}
     for (i, j), c in entries.items():
-        H.rows[i - 1][j - 1] = c
-        H.rows[j - 1][i - 1] = c.conj()
-    return n, H
+        cells[(i - 1, j - 1)] = c
+        cells[(j - 1, i - 1)] = c.conj()
+    return n, Mat.from_entries(n, n, cells)
 
 
 def load_metric(path: str) -> Tuple[int, Mat]:

@@ -19,8 +19,9 @@ class QQi:
     __slots__ = ("re", "im")
 
     def __init__(self, re: _RatLike = 0, im: _RatLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction is immutable and already reduced: keep it as it is
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QQi is immutable")

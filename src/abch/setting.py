@@ -17,9 +17,10 @@ of the exact Grams).
 Each setting has one memo, `cached(key, build)`, which holds every object
 derived from it: the primitives (`out` and `into` return them, and their
 adjoints are kept beside them), the exact subspaces `ker(name, b, star)`
-and `im(name, b, star)` (exact settings only), and the harmonic spaces,
-spectra, tables and subspace grids the engines build from them.  Memoised
-objects are shared, so no caller writes into one.
+and `im(name, b, star)` (exact settings only), and the assembled
+Laplacians, harmonic spaces, spectra, tables and subspace grids the engines
+build from them.  Memoised objects are shared, so no caller writes into
+one.
 
 Any object with `.n`, `.dim(b)`, `.del_(b)`, `.delbar(b)` can serve as the
 operator source, so invariant complexes and per-mode Fourier blocks share

@@ -2,6 +2,7 @@
 
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -181,9 +182,7 @@ def test_not_gamma_invariant(cover2):
     w = dim_pq(1, 0, 0)
     zero_idx = next(i for i, m in enumerate(cover2.modes) if m.is_zero)
     half_idx = next(i for i, m in enumerate(cover2.modes) if m.mu == (Fraction(1, 2), Fraction(0)))
-    v = Mat.zeros(cover2.total_dim((0, 0)), 1)
-    v.rows[zero_idx * w][0] = ONE
-    v.rows[half_idx * w][0] = ONE
+    v = Mat.from_entries(cover2.total_dim((0, 0)), 1, {(zero_idx * w, 0): ONE, (half_idx * w, 0): ONE})
     with pytest.raises(NotGammaInvariant):
         gamma_dimension(cover2, v, ((0, 0),))
 
@@ -194,9 +193,7 @@ def test_integer_mu_modes_are_invariant(cover2):
     w = dim_pq(1, 0, 0)
     zero_idx = next(i for i, m in enumerate(cover2.modes) if m.is_zero)
     one_idx = next(i for i, m in enumerate(cover2.modes) if m.mu == (Fraction(1), Fraction(0)))
-    v = Mat.zeros(cover2.total_dim((0, 0)), 1)
-    v.rows[zero_idx * w][0] = ONE
-    v.rows[one_idx * w][0] = ONE
+    v = Mat.from_entries(cover2.total_dim((0, 0)), 1, {(zero_idx * w, 0): ONE, (one_idx * w, 0): ONE})
     assert gamma_dimension(cover2, v, ((0, 0),)) == Fraction(1, 2)
 
 
@@ -342,9 +339,25 @@ def test_gap_report_reads_the_delbar_spectra_of_gamma_tables(monkeypatch):
         return assemble(setting, kind, b)
 
     monkeypatch.setattr(abch.laplacians, "assemble", counted)
-    monkeypatch.setattr(abch.covering, "assemble", counted)
+    monkeypatch.setattr(abch.covering, "assemble", counted, raising=False)
     assert gap_and_closed_image(fourier, samples=20)["all_ok"]
     assert numeric_delbar == []
+
+
+def test_cover_assembles_each_laplacian_once(monkeypatch, capsys):
+    # gamma_tables, gap_and_closed_image and prestage_box_check share one
+    # assembled Laplacian per (setting, kind, space)
+    calls = Counter()
+
+    def counted(setting, kind, b):
+        calls[(id(setting), kind, sum(b) if kind is LaplacianKind.D else b)] += 1
+        return assemble(setting, kind, b)
+
+    monkeypatch.setattr(abch.laplacians, "assemble", counted)
+    assert main(["cover", os.path.join(FIXTURES, "index2.cover"), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 262
+    assert sum(calls.values()) == 262
 
 
 def test_not_a_sublattice():

@@ -1,5 +1,6 @@
 """Laplacian assembly: self-adjointness, kernels, spectra, dualities."""
 
+import os
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from abch.model import parse_model
 from abch.scalars import QQi
 from abch.setting import ExactSetting, NumericSetting
 import abch.laplacians
+from abch.cli import main
 from abch.laplacians import (
     ALL_KINDS,
     LaplacianBundle,
@@ -82,6 +84,20 @@ def test_bundles_assemble_each_laplacian_once(monkeypatch):
     # per setting: lap_d on the 7 total degrees, 8 kinds on the 16 bidegrees
     assert len(calls) == 2 * (7 + 8 * 16)
     assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("model, metric", [("iwasawa.cplx", "dense3.herm"), ("kodaira_thurston.cplx", "kt_complex.herm")])
+def test_non_hermitian_symmetrisation_is_a_verification_failure(monkeypatch, capsys, model, metric):
+    # re-inject the Cholesky factor of G in place of conj(G): under a metric
+    # with complex entries the symmetrised operator is then far from Hermitian
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda A: cholesky(A.conj()))
+    fx = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    argv = ["spectra", os.path.join(fx, model), "--metric", os.path.join(fx, metric), "--backend", "both"]
+    assert main(argv + ["--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "verification failure: Gram-symmetrised operator is not Hermitian" in err
 
 
 def test_torus_laplacians_vanish():
@@ -187,12 +203,7 @@ def test_d_plus_dstar_squared_is_blockwise_laplacian(iw):
     for d in dims:
         offs.append(offs[-1] + d)
     total = offs[-1]
-    D = Mat.zeros(total, total)
-    for k in range(2 * n):
-        blk = s.total_d(k).mat
-        for i in range(blk.nrows):
-            for j in range(blk.ncols):
-                D.rows[offs[k + 1] + i][offs[k] + j] = blk.rows[i][j]
+    D = Mat.from_blocks(total, total, [(offs[k + 1], offs[k], s.total_d(k).mat) for k in range(2 * n)])
     G = Mat.block_diag([s.gram(sp) for sp in spaces])
     from abch.linalg import gram_adjoint
 

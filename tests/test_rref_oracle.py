@@ -1,17 +1,25 @@
-"""The Z[i] elimination behind `Mat.rref` against the Q(i) reference oracle.
+"""Every operation of `abch.linalg` against the dense Q(i) reference oracle.
 
-`oracle_rref` is the Gauss-Jordan loop `Mat.rref` ran before the sparse
-Gaussian-integer kernel: it divides the pivot row by the pivot and eliminates
-with `QQi` arithmetic on dense rows.  The reduced row echelon form is unique,
-so every result built on `rref` must be the same under both.
+`tests/dense_linalg.py` is the dense `QQi` matrix abch used before its
+sparse Gaussian-integer storage: every operation works cell by cell in
+`QQi` arithmetic.  `oracle_rref` is the Gauss-Jordan loop `Mat.rref` ran
+before the sparse Gaussian-integer kernel: it divides the pivot row by the
+pivot and eliminates with `QQi` arithmetic on dense rows, and it stands in
+for the reference's own `rref` here.  The reduced row echelon form is
+unique, so every result built on `rref` must be the same under both.  Every
+matrix `abch.linalg` returns must also be in canonical form.
 """
 
 from fractions import Fraction
+from math import gcd
 from typing import List
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dense_linalg as dense
+from abch import linalg
 from abch.linalg import Mat
 from abch.scalars import QQi, ZERO
 
@@ -51,6 +59,13 @@ rats = st.builds(Fraction, st.integers(-5, 5), dens)
 entries = st.one_of(st.just(ZERO), st.builds(QQi, rats, rats))
 
 
+def mats(nrows, ncols):
+    """Matrices of `entries`, rows dependent as often as not."""
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows).map(
+        lambda rows: Mat(rows, ncols=ncols)
+    )
+
+
 @st.composite
 def systems(draw):
     """(A, b) for A @ X = b: 0-row, wide and tall A, with duplicated and
@@ -66,7 +81,58 @@ def systems(draw):
     return Mat(rows, ncols=ncols), Mat(b, ncols=nrhs)
 
 
-def _results(A: Mat, b: Mat):
+@st.composite
+def operands(draw):
+    """A, B (r x c), C (c x k), a square S, a vector v (length c), a scalar s
+    and a Hermitian positive-definite Gram G on Q(i)^r."""
+    r, c, k, n = (draw(st.integers(0, 4)) for _ in range(4))
+    A, B, C, S = draw(mats(r, c)), draw(mats(r, c)), draw(mats(c, k)), draw(mats(n, n))
+    v = draw(st.lists(entries, min_size=c, max_size=c))
+    M = draw(mats(r, r))
+    G = M.conj_t() @ M + Mat.identity(r)
+    return A, B, C, S, v, draw(entries), G
+
+
+def to_dense(m: Mat) -> dense.Mat:
+    return dense.Mat([list(row) for row in m.rows], ncols=m.ncols)
+
+
+def plain(x):
+    """Results of either implementation in one comparable form."""
+    if isinstance(x, (Mat, dense.Mat)):
+        return ("Mat", x.shape, tuple(tuple(row) for row in x.rows))
+    if isinstance(x, np.ndarray):
+        return ("ndarray", x.shape, x.dtype.str, x.tobytes())
+    if isinstance(x, (list, tuple)):
+        return tuple(plain(y) for y in x)
+    return x
+
+
+def assert_canonical(x):
+    """No stored zero entry, and gcd(den, every part) == 1 with den > 0."""
+    if isinstance(x, Mat):
+        assert len(x._r) == x.nrows
+        assert isinstance(x._d, int) and x._d > 0
+        g = x._d
+        for row in x._r:
+            for j, (a, b) in row.items():
+                assert 0 <= j < x.ncols
+                assert a or b, "zero entry stored"
+                g = gcd(g, a, b)
+        assert g == 1, "denominator not reduced"
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            assert_canonical(y)
+
+
+def run(thunk):
+    try:
+        return thunk()
+    except Exception as exc:  # both sides must fail alike
+        return ("raises", type(exc).__name__)
+
+
+def _results(A, b):
     if A.nrows == A.ncols:
         try:
             inv = A.inv()
@@ -80,25 +146,128 @@ def _results(A: Mat, b: Mat):
 q = QQi
 P = 2**61 - 1
 # the pivot of column 0 is 2i/P, in row 1; row 2 is twice row 1
-IMAG_PIVOT = Mat(
-    [[ZERO, q(Fraction(1, 65537), 3), q(1, -1)],
-     [q(0, Fraction(2, P)), q(1), ZERO],
-     [q(0, Fraction(4, P)), q(2), ZERO]],
-    ncols=3,
-)
+IMAG_PIVOT = [
+    [ZERO, q(Fraction(1, 65537), 3), q(1, -1)],
+    [q(0, Fraction(2, P)), q(1), ZERO],
+    [q(0, Fraction(4, P)), q(2), ZERO],
+]
 
 
 @settings(max_examples=300, deadline=None)
 @given(systems())
 @example((Mat([], ncols=4), Mat([], ncols=2)))
-@example((IMAG_PIVOT, Mat([[q(1)], [q(0, 1)], [q(0, 2)]], ncols=1)))
+@example((Mat(IMAG_PIVOT, ncols=3), Mat([[q(1)], [q(0, 1)], [q(0, 2)]], ncols=1)))
 def test_rref_and_its_users_match_oracle(system):
     A, b = system
-    before = [list(r) for r in A.rows]
+    before = A.rows
     A.rref()
     assert A.rows == before, "rref mutated its input"
     fast = _results(A, b)
+    assert_canonical(fast)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Mat, "rref", oracle_rref)
-        slow = _results(A, b)
-    assert fast == slow
+        mp.setattr(dense.Mat, "rref", oracle_rref)
+        slow = _results(to_dense(A), to_dense(b))
+    assert plain(fast) == plain(slow)
+
+
+def operations(L, A, B, C, S, v, s, G):
+    """Every public operation of the linear-algebra module L, on operands
+    that are L's own matrices."""
+    M = L.Mat
+    r, c = A.shape
+    Gc = M.identity(c) + C @ C.conj_t()  # a Hermitian positive-definite Gram on Q(i)^c
+    return {
+        "shape": lambda: A.shape,
+        "getitem": lambda: [A[i, j] for i in range(r) for j in range(c)],
+        "rows": lambda: A.rows,
+        "col": lambda: [A.col(j) for j in range(c)],
+        "cols": lambda: A.cols(),
+        "copy": lambda: A.copy(),
+        "add": lambda: A + B,
+        "sub": lambda: A - B,
+        "sub_self": lambda: A - A,
+        "neg": lambda: -A,
+        "scale": lambda: A.scale(s),
+        "scale_int": lambda: A.scale(3),
+        "matmul": lambda: A @ C,
+        "matmul_mismatch": lambda: A @ A if r != c else "square",
+        "matvec": lambda: A.matvec(v),
+        "transpose": lambda: A.transpose(),
+        "conj": lambda: A.conj(),
+        "conj_t": lambda: A.conj_t(),
+        "is_zero": lambda: (A.is_zero(), (A - A).is_zero()),
+        "eq": lambda: (A == B, A == A.copy(), A == A.scale(s), A == -A),
+        "repr": lambda: repr(A),
+        "vstack": lambda: M.vstack([A, B, A.scale(s)]),
+        "hstack": lambda: M.hstack([A, B.scale(s), A @ C]),
+        "block_diag": lambda: M.block_diag([A, C, S]),
+        "zeros": lambda: M.zeros(r, c),
+        "identity": lambda: M.identity(c),
+        "column": lambda: M.column(v),
+        "rref": lambda: A.rref(),
+        "rank": lambda: A.rank(),
+        "nullspace": lambda: A.nullspace(),
+        "column_space": lambda: A.column_space(),
+        "solve": lambda: (A.solve(B), A.solve(A @ C)),
+        "inv": lambda: S.inv(),
+        "det": lambda: (S.det(), (S @ S).det(), A.transpose().det() if r == c else None),
+        "to_numpy": lambda: (A.scale(s).to_numpy(), S.to_numpy()),
+        "compound": lambda: [L.compound(A, k) for k in range(min(r, c) + 2)],
+        "kron": lambda: (L.kron(A, C), L.kron(C, S.scale(s))),
+        "span_basis": lambda: L.span_basis(M.hstack([A, B])),
+        "subspace_dim": lambda: L.subspace_dim(A),
+        "subspace_contains": lambda: (L.subspace_contains(A, B), L.subspace_contains(A, A @ C)),
+        "subspace_eq": lambda: (L.subspace_eq(A, B), L.subspace_eq(A, M.hstack([A, A @ C]))),
+        "subspace_sum": lambda: L.subspace_sum(A, B),
+        "subspace_intersect": lambda: L.subspace_intersect(A, B),
+        "intersect_many": lambda: L.intersect_many([A, B, M.hstack([A, B])]),
+        "gram_adjoint": lambda: L.gram_adjoint(A, Gc.inv(), G),
+        "basis_gram": lambda: L.basis_gram(A, G),
+        "projection_coords": lambda: L.projection_coords(B, A.column_space(), G),
+        "cross_gram": lambda: L.cross_gram(A, B, G),
+        "ip": lambda: [L.ip(u, w, G) for u in A.cols() for w in B.cols()],
+        "project": lambda: [L.project(u, A.column_space(), G) for u in B.cols()],
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands())
+def test_every_operation_matches_dense_oracle(ops):
+    A, B, C, S, v, s, G = ops
+    fast = operations(linalg, A, B, C, S, v, s, G)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense.Mat, "rref", oracle_rref)
+        slow = operations(dense, *(to_dense(m) for m in (A, B, C, S)), v, s, to_dense(G))
+        expected = {name: plain(run(f)) for name, f in slow.items()}
+    for name, f in fast.items():
+        got = run(f)
+        assert_canonical(got)
+        assert plain(got) == expected[name], name
+
+
+@settings(max_examples=100, deadline=None)
+@given(mats(3, 4), mats(2, 2), st.lists(st.integers(-1, 2), min_size=0, max_size=5), entries)
+def test_sparse_constructors_match_dense_placement(A, B, picks, x):
+    # take_rows: a gather with zero rows for None
+    idx = [None if i < 0 else i for i in picks]
+    taken = A.take_rows(idx)
+    assert_canonical(taken)
+    zero_row = (ZERO,) * A.ncols
+    assert taken.shape == (len(idx), A.ncols)
+    assert taken.rows == tuple(zero_row if i is None else A.rows[i] for i in idx)
+    # from_blocks: blocks placed on a zero matrix
+    placed = Mat.from_blocks(6, 7, [(0, 0, A), (3, 5, B), (4, 1, B.scale(x))])
+    assert_canonical(placed)
+    cells = [[ZERO] * 7 for _ in range(6)]
+    for r0, c0, m in ((0, 0, A), (3, 5, B), (4, 1, B.scale(x))):
+        for i, row in enumerate(m.rows):
+            cells[r0 + i][c0 : c0 + m.ncols] = row
+    assert placed == Mat(cells, ncols=7)
+    with pytest.raises(linalg.ShapeMismatch):
+        Mat.from_blocks(2, 2, [(1, 1, B)])
+    # from_entries: the cells named, zero elsewhere (a zero value stores nothing)
+    made = Mat.from_entries(3, 4, {(0, 1): x, (2, 3): A[2, 3], (1, 0): ZERO})
+    assert_canonical(made)
+    want = [[ZERO] * 4 for _ in range(3)]
+    want[0][1], want[2][3] = x, A[2, 3]
+    assert made == Mat(want, ncols=4)
