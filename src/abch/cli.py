@@ -94,11 +94,7 @@ def _emit(args, lines: List[str], payload: dict, failures: List[str]) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        setting, name = _load_setting(args)
-    except NotAComplex as exc:
-        sys.stdout.write(f"NotAComplex: {exc}\n")
-        return EXIT_VERIFICATION
+    setting, name = _load_setting(args)
     comp = setting.ops
     n = comp.n
     failures: List[str] = []

@@ -21,7 +21,6 @@ appears here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from abch.complexes import Bidegree, Op, Space, d_between, total_bidegrees
@@ -534,12 +533,13 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
     if not (0 <= p <= n and 0 <= q <= n):
         raise InvalidBidegree(f"target {target} outside 0..{n}")
     spaces = [_abc_space(n, p, q, k) for k in range(2 * n + 1)]
+    corner = p + q - 2 if p + q >= 2 else None  # index of the order-2 delta
     deltas: List[Op] = []
     for k in range(2 * n):
         src, dst = spaces[k], spaces[k + 1]
-        if k == p + q - 2:
-            corner = setting.into("deldbar", target)
-            mat = corner.mat if src else Mat.zeros(setting.space_dim(dst), 0)
+        if k == corner:
+            op = setting.into("deldbar", target)
+            mat = op.mat if src else Mat.zeros(setting.space_dim(dst), 0)
             deltas.append(Op(src=src, dst=dst, mat=mat))
             continue
         deltas.append(d_between(setting.ops, src, dst))
@@ -548,36 +548,28 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
         if not comp.is_zero():
             raise AssertionError(f"delta^2 != 0 between nodes {k} and {k + 2}")
 
-    orders = [2 if k == p + q - 2 else 1 for k in range(2 * n)]
+    # at node k, (delta delta*) is raised to the order of the delta leaving
+    # k and (delta* delta) to the order of the delta entering it, so both
+    # terms have the same order
     laplacians: List[Op] = []
     h: List[int] = []
     hdims: List[int] = []
     for k in range(2 * n + 1):
-        d_out = deltas[k] if k < 2 * n else None
-        d_in = deltas[k - 1] if k >= 1 else None
-        o_out = orders[k] if k < 2 * n else (orders[k - 1] if k >= 1 else 1)
-        o_in = orders[k - 1] if k >= 1 else o_out
-        m = lcm(o_in, o_out)
-        l_in, l_out = m // o_in, m // o_out
         dim_k = setting.space_dim(spaces[k])
         terms = []
-        if d_in is not None:
+        rank_in, nullity_out = 0, dim_k
+        if k >= 1:
+            d_in = deltas[k - 1]
             t = compose(d_in, setting.adjoint(d_in))
-            for _ in range(l_in - 1):
-                t = compose(t, compose(d_in, setting.adjoint(d_in)))
-            terms.append(t)
-        if d_out is not None:
+            terms.append(compose(t, t) if k == corner else t)
+            rank_in = d_in.mat.rank()
+        if k < 2 * n:
+            d_out = deltas[k]
             t = compose(setting.adjoint(d_out), d_out)
-            for _ in range(l_out - 1):
-                t = compose(t, compose(setting.adjoint(d_out), d_out))
-            terms.append(t)
-        if terms:
-            lap = add_ops(*terms)
-        else:
-            lap = Op(src=spaces[k], dst=spaces[k], mat=Mat.zeros(dim_k, dim_k))
+            terms.append(compose(t, t) if k - 1 == corner else t)
+            nullity_out = _nullity(d_out.mat)
+        lap = add_ops(*terms)  # n >= 1, so every node has a delta
         laplacians.append(lap)
-        rank_in = d_in.mat.rank() if d_in is not None else 0
-        nullity_out = _nullity(d_out.mat) if d_out is not None else dim_k
         h.append(nullity_out - rank_in)
         hdims.append(lap.mat.nullspace().ncols)
 

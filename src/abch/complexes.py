@@ -11,8 +11,11 @@ del raising p and delbar raising q.  Both are derivations, and each dg is a
 
     d m = sum_t (-1)^t dg_t ^ (m without g_t),   t = 0..k-1.
 
-One kernel, `wedge_into`, adds each such term; the Fourier twists of the
-covering models use it too.  `build_complex` certifies
+One builder, `bigraded_maps(n, column)`, makes every del and delbar matrix:
+`column` lists, for a basis monomial, the (terms, monomial, sign) triples
+whose wedges sum to its image, and `wedge_into` adds each one.  A model
+passes the Leibniz terms above; a Fourier mode of a covering passes its
+twist form wedged with the monomial itself.  `build_complex` certifies
 del^2 = delbar^2 = del delbar + delbar del = 0 exactly and rejects
 inconsistent structure constants.
 """
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from abch.linalg import Mat, ShapeMismatch
 from abch.model import ComplexModel
@@ -221,9 +224,8 @@ class Op:
 class BigradedComplex:
     """Bases of every A^{p,q} plus exact matrices of del and delbar."""
 
-    def __init__(self, model: ComplexModel, del_mats, delbar_mats):
-        self.model = model
-        self.n = model.n
+    def __init__(self, n: int, del_mats: Dict[Bidegree, Mat], delbar_mats: Dict[Bidegree, Mat]):
+        self.n = n
         self._del = del_mats
         self._delbar = delbar_mats
 
@@ -238,6 +240,30 @@ class BigradedComplex:
     def delbar(self, b: Bidegree) -> Mat:
         p, q = b
         return self._delbar.get(b, Mat.zeros(dim_pq(self.n, p, q + 1), dim_pq(self.n, p, q)))
+
+
+# column(part, m) -> the (terms, monomial, sign) triples whose wedges
+# sign * terms ^ monomial sum to del m (part 0) or delbar m (part 1)
+Column = Callable[[int, Monomial], List[Tuple[Terms, Monomial, int]]]
+
+
+def bigraded_maps(n: int, column: Column) -> Tuple[Dict[Bidegree, Mat], Dict[Bidegree, Mat]]:
+    """The del and delbar matrices at every bidegree, column by column: one
+    `wedge_into` per triple that `column` gives for each basis monomial."""
+    mats: Tuple[Dict[Bidegree, Mat], Dict[Bidegree, Mat]] = ({}, {})
+    for p in range(n + 1):
+        for q in range(n + 1):
+            basis = monomial_basis(n, p, q)
+            for part, target in enumerate(((p + 1, q), (p, q + 1))):
+                if max(target) > n:
+                    continue
+                idx = basis_index(n, *target)
+                entries: Dict[Tuple[int, int], QQi] = {}
+                for j, m in enumerate(basis):
+                    for terms, rest, sign in column(part, m):
+                        wedge_into(entries, j, idx, terms, rest, sign)
+                mats[part][(p, q)] = Mat.from_entries(len(idx), len(basis), entries)
+    return mats
 
 
 def _d_of_generator(model: ComplexModel, bar: bool, k: int) -> Tuple[Terms, Terms]:
@@ -265,32 +291,22 @@ def _drop(m: Monomial, t: int) -> Monomial:
 
 
 def _differentials(model: ComplexModel) -> Tuple[Dict[Bidegree, Mat], Dict[Bidegree, Mat]]:
-    """The del and delbar matrices at every bidegree, not yet certified: one
-    `wedge_into` per factor of each basis monomial (module docstring)."""
-    n = model.n
-    dgen = {(bar, k): _d_of_generator(model, bar, k) for bar in (False, True) for k in range(1, n + 1)}
-    mats: Tuple[Dict[Bidegree, Mat], Dict[Bidegree, Mat]] = ({}, {})
-    for p in range(n + 1):
-        for q in range(n + 1):
-            basis = monomial_basis(n, p, q)
-            for part, target in enumerate(((p + 1, q), (p, q + 1))):
-                if max(target) > n:
-                    continue
-                idx = basis_index(n, *target)
-                entries: Dict[Tuple[int, int], QQi] = {}
-                for j, m in enumerate(basis):
-                    gens = [dgen[(False, k)] for k in m.hol] + [dgen[(True, k)] for k in m.anti]
-                    for t, dg in enumerate(gens):
-                        wedge_into(entries, j, idx, dg[part], _drop(m, t), -1 if t % 2 else 1)
-                mats[part][(p, q)] = Mat.from_entries(len(idx), len(basis), entries)
-    return mats
+    """The del and delbar matrices of `model`, not yet certified: the
+    Leibniz terms of each basis monomial (module docstring)."""
+    dgen = {(bar, k): _d_of_generator(model, bar, k) for bar in (False, True) for k in range(1, model.n + 1)}
+
+    def column(part: int, m: Monomial):
+        gens = [dgen[(False, k)] for k in m.hol] + [dgen[(True, k)] for k in m.anti]
+        return [(dg[part], _drop(m, t), -1 if t % 2 else 1) for t, dg in enumerate(gens)]
+
+    return bigraded_maps(model.n, column)
 
 
 def build_complex(model: ComplexModel) -> BigradedComplex:
     """Assemble del/delbar at every bidegree and certify the complex
     identities exactly; raises NotAComplex otherwise."""
     n = model.n
-    comp = BigradedComplex(model, *_differentials(model))
+    comp = BigradedComplex(n, *_differentials(model))
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)

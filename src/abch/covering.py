@@ -38,17 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from abch.complexes import (
-    Bidegree,
-    Monomial,
-    Space,
-    Terms,
-    basis_index,
-    dim_pq,
-    monomial_basis,
-    total_bidegrees,
-    wedge_into,
-)
+from abch.complexes import Bidegree, BigradedComplex, Monomial, Space, bigraded_maps, dim_pq, total_bidegrees
 from abch.laplacians import (
     THEORY_KINDS,
     LaplacianKind,
@@ -63,7 +53,7 @@ from abch.laplacians import (
 )
 from abch.linalg import Mat, ShapeMismatch, projection_coords
 from abch.metric import HermitianMetric, identity_metric
-from abch.model import InputTooLarge, ModelSyntaxError, parse_dimension, parse_int, record_once
+from abch.model import InputTooLarge, ModelSyntaxError, parse_dimension, parse_int, record_once, statements
 from abch.scalars import QQi
 from abch.setting import ExactSetting, NumericSetting
 
@@ -107,13 +97,7 @@ def parse_cover(text: str) -> CoveringSpec:
     mats: Dict[str, Tuple[Tuple[int, ...], ...]] = {}
     radius: Optional[Fraction] = None
     seen: set = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ModelSyntaxError("statement needs '='", lineno, 1)
-        lhs, rhs = (s.strip() for s in line.split("=", 1))
+    for lineno, lhs, rhs in statements(text):
         record_once(seen, lhs, lineno)  # a bad lhs raises below on its first line
         if lhs == "n":
             n = parse_dimension(rhs, lineno, MAX_COVER_N)
@@ -203,34 +187,17 @@ class Mode:
         return all(x == 0 for x in self.mu)
 
 
-class ModeOps:
+class ModeOps(BigradedComplex):
     """Per-mode differentials: left wedge by the reduced twist forms."""
 
     def __init__(self, n: int, mode: Mode):
-        self.n = n
-        self.mode = mode
         # i mu^{1,0} and i mu^{0,1} as term lists
-        self._xi10 = [(Monomial((k,), ()), c) for k, c in enumerate(mode.c10, 1) if not c.is_zero()]
-        self._xi01 = [(Monomial((), (k,)), c) for k, c in enumerate(mode.c01, 1) if not c.is_zero()]
-        self._mats: Dict[Tuple[Bidegree, Bidegree], Mat] = {}
-
-    def dim(self, b: Bidegree) -> int:
-        return dim_pq(self.n, *b)
-
-    def _twist(self, terms: Terms, b: Bidegree, target: Bidegree) -> Mat:
-        if (b, target) not in self._mats:
-            entries: Dict[Tuple[int, int], QQi] = {}
-            idx = basis_index(self.n, *target)
-            for j, m in enumerate(monomial_basis(self.n, *b)):
-                wedge_into(entries, j, idx, terms, m, 1)
-            self._mats[(b, target)] = Mat.from_entries(dim_pq(self.n, *target), dim_pq(self.n, *b), entries)
-        return self._mats[(b, target)]
-
-    def del_(self, b: Bidegree) -> Mat:
-        return self._twist(self._xi10, b, (b[0] + 1, b[1]))
-
-    def delbar(self, b: Bidegree) -> Mat:
-        return self._twist(self._xi01, b, (b[0], b[1] + 1))
+        xi = (
+            [(Monomial((k,), ()), c) for k, c in enumerate(mode.c10, 1) if not c.is_zero()],
+            [(Monomial((), (k,)), c) for k, c in enumerate(mode.c01, 1) if not c.is_zero()],
+        )
+        super().__init__(n, *bigraded_maps(n, lambda part, m: [(xi[part], m, 1)]))
+        self.mode = mode
 
 
 @dataclass
@@ -448,7 +415,7 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
         for q in range(n + 1):
             b = (p, q)
             U = fourier.total_kernel(LaplacianKind.DELBAR, b)
-            V = fourier.stack_modes([st.delbar_op(b).mat.nullspace() for st in fourier.settings], (b,))
+            V = fourier.stack_modes([st.ker("delbar", b) for st in fourier.settings], (b,))
             if gamma_dimension(fourier, U, (b,)) > gamma_dimension(fourier, V, (b,)):
                 mono_ok = False
 

@@ -57,7 +57,7 @@ from abch.complexes import (
     wedge_monomials,
 )
 from abch.linalg import Mat, ShapeMismatch, compound, gram_adjoint, kron
-from abch.model import ModelSyntaxError, parse_coeff, parse_dimension, parse_int, record_once
+from abch.model import ModelSyntaxError, parse_coeff, parse_dimension, parse_int, record_once, statements
 from abch.scalars import QQi, ONE, ZERO, I
 
 
@@ -235,13 +235,7 @@ def parse_metric(text: str) -> Tuple[int, Mat]:
     n: Optional[int] = None
     entries: Dict[Tuple[int, int], QQi] = {}
     seen: set = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ModelSyntaxError("statement needs '='", lineno, 1)
-        lhs, rhs = (s.strip() for s in line.split("=", 1))
+    for lineno, lhs, rhs in statements(text):
         if lhs == "n":
             record_once(seen, lhs, lineno)
             n = parse_dimension(rhs, lineno)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from abch.scalars import QQi, render_coeff
 
@@ -101,6 +101,22 @@ def parse_dimension(text: str, line: int, limit: int = MAX_N) -> int:
     if len(digits) > len(str(limit)) or int(digits) > limit:
         raise InputTooLarge(f"dimension n = {text[:20]} exceeds the limit {limit}", line, 1)
     return int(digits)
+
+
+def statements(text: str) -> List[Tuple[int, str, str]]:
+    """The `lhs = rhs` statements of an input file as (line, lhs, rhs), each
+    side stripped.  `#` starts a comment and blank lines are skipped; any
+    other line without '=' is a ModelSyntaxError at that line."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ModelSyntaxError("statement needs '='", lineno, 1)
+        lhs, rhs = line.split("=", 1)
+        out.append((lineno, lhs.strip(), rhs.strip()))
+    return out
 
 
 def record_once(seen: set, key: str, line: int) -> None:
@@ -216,15 +232,7 @@ def parse_model(text: str) -> ComplexModel:
     d11: Dict[int, Dict[Tuple[int, int], QQi]] = {}
     seen = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ModelSyntaxError("statement needs '='", lineno, 1)
-        lhs, rhs = line.split("=", 1)
-        lhs = lhs.strip()
-        rhs = rhs.strip()
+    for lineno, lhs, rhs in statements(text):
         if lhs == "n":
             record_once(seen, lhs, lineno)
             n = parse_dimension(rhs, lineno)

@@ -45,8 +45,8 @@ def metric_hash(H: Mat) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def jsonable(obj):
-    """Recursively convert report payloads to JSON-compatible values."""
+def _encode(obj):
+    """JSON value of a report object that `json` cannot encode itself."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, QQi):
@@ -54,20 +54,14 @@ def jsonable(obj):
     if isinstance(obj, Mat):
         return matrix_payload(obj)
     if isinstance(obj, np.ndarray):
-        return [jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_encode) + "\n"
 
 
 def grid_md(title: str, grid: Sequence[Sequence], row_label: str = "p\\q") -> List[str]:

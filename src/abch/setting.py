@@ -22,8 +22,8 @@ Laplacians, harmonic spaces, spectra, tables and subspace grids the engines
 build from them.  Memoised objects are shared, so no caller writes into
 one.
 
-Any object with `.n`, `.dim(b)`, `.del_(b)`, `.delbar(b)` can serve as the
-operator source, so invariant complexes and per-mode Fourier blocks share
+The operator source is a `BigradedComplex`: the invariant complex of a
+model, or one Fourier mode of a covering (`covering.ModeOps`), so both share
 the engines.
 """
 

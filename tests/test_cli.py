@@ -36,6 +36,16 @@ def test_check_bad_model_exits_one(capsys):
     assert "NotAComplex" in out + err
 
 
+def test_check_bad_model_reports_on_stderr(capsys, tmp_path):
+    # like every other command: no text report, and nothing on stdout
+    out_file = tmp_path / "r.json"
+    code, out, err = run(capsys, "check", fx("bad.cplx"), "--format", "json", "--out", str(out_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("NotAComplex: ")
+    assert not out_file.exists()
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "cohomology", fx("missing.cplx"))
     assert code == 2

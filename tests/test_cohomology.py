@@ -1,13 +1,15 @@
 """Cohomology tables, comparison maps, subspace grids, sequences, corners."""
 
 import math
+import os
 
 import pytest
 
 from abch.complexes import build_complex
+from abch.laplacians import LaplacianKind, assemble
 from abch.linalg import Mat
-from abch.metric import diagonal_metric, identity_metric, HermitianMetric
-from abch.model import parse_model
+from abch.metric import diagonal_metric, identity_metric, HermitianMetric, load_metric
+from abch.model import load_model, parse_model
 from abch.setting import ExactSetting
 from abch.scalars import QQi
 from abch.cohomology import (
@@ -257,6 +259,31 @@ def test_full_abc_iwasawa_nodes(iw):
         assert fc.node_bc == tables["bc"].grid[p][q]
         assert fc.node_a == tables["a"].grid[p - 1][q - 1]
         assert fc.euler_spaces == fc.euler_h
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+@pytest.mark.parametrize(
+    "model, metric",
+    [("kodaira_thurston", None), ("kodaira_thurston", "kt_complex"), ("iwasawa", None), ("iwasawa", "dense3")],
+)
+def test_full_abc_corner_laplacians_are_the_box_laplacians(model, metric):
+    # the corner delta has order 2, so the Laplacians on either side of it are
+    # fourth order; they must be the Bott-Chern and Aeppli box Laplacians,
+    # which a power-1 assembly (second order there) is not
+    comp = build_complex(load_model(os.path.join(FIXTURES, f"{model}.cplx")))
+    H = load_metric(os.path.join(FIXTURES, f"{metric}.herm"))[1] if metric else Mat.identity(comp.n)
+    s = ExactSetting(comp, HermitianMetric(comp.n, H))
+    n = s.n
+    for p in range(n + 1):
+        for q in range(n + 1):
+            if p + q < 2:
+                continue
+            laps = full_abc_complex(s, (p, q)).laplacians
+            assert laps[p + q - 1].mat == assemble(s, LaplacianKind.BC_BOX, (p, q)).mat, (p, q)
+            if p >= 1 and q >= 1:
+                assert laps[p + q - 2].mat == assemble(s, LaplacianKind.A_BOX, (p - 1, q - 1)).mat, (p, q)
 
 
 def test_full_abc_degenerate_target(iw):

@@ -1,4 +1,5 @@
-"""Golden reports: the sha256 of the `--format json` report of each command.
+"""Golden reports: the sha256 of the `--format json` report of each command,
+and of the `md` or `csv` report where an entry names its own `--format`.
 
 The hashes pin every byte of the report, so a refactor that changes a
 dimension, a flag, a matrix entry or a printed eigenvalue fails here.  The
@@ -81,6 +82,19 @@ GOLDEN = [
      "15aaa9c32edc763f9845b449226cf3d1ae2ce961b78fae4f676996417d0c788f"),
     (("cover", "fixtures/index2_n2.cover"),  # n = 2: 4-dimensional lattices
      "a00600bfc5e30685ed8c917b6d2307d4d546b3f054c151db5292ecf931bbcced"),
+    # the text reports
+    (("cohomology", KT, "--format", "md"),
+     "f4d8143c9779abac53191dbf84a8ba1e4a3e784d8e38a354c26aa934d5636281"),
+    (("cohomology", KT, "--format", "csv"),
+     "492cb72694829aa4900480ce89cfa9b2f1b49b874b8ac0688116f6cf50309933"),
+    (("inequality", IW, "--format", "md"),
+     "7b1a2fae902395709285c6fec24de2cb4c5f2f30497d39659c8c9f134dd37c26"),
+    (("inequality", IW, "--format", "csv"),
+     "2556140d153c69a702ff796333772fd65248a91805d8da7cbbf82a12a161bdff"),
+    (("abc", IW, "--pq", "2,1", "--format", "md"),
+     "fcffe1a9e92ad3f91b4d0263d0765f4f838fbde1195c84f1aa2011b12ffa0109"),
+    (("cover", "fixtures/index2.cover", "--format", "md"),
+     "08a92e86ea1e9136fa904125e712037dabaa2c5c25a461f6a0763bdcedd9d8c8"),
 ]
 
 
@@ -88,5 +102,6 @@ GOLDEN = [
 def test_golden_report(argv, digest, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     out = tmp_path / "report.json"
-    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    # an entry's own `--format` comes after the default and wins
+    assert main(["--format", "json", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

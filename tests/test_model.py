@@ -19,6 +19,7 @@ from abch.model import (
     parse_model,
     render_model,
 )
+from abch.linalg import Mat
 from abch.scalars import QQi
 
 
@@ -110,6 +111,20 @@ def test_syntax_errors_carry_position():
 def test_comments_and_crlf():
     m = parse_model("# header\r\nn = 2\r\nname = t  \r\n# done\r\n")
     assert m.n == 2 and m.name == "t"
+    n, H = parse_metric("# header\r\nn = 2  \r\n\r\nH[1][2] = i  # off-diagonal\r\nH[2][2] = 3 \t\r\n# done\r\n")
+    assert n == 2 and H == Mat([[QQi(1), QQi(0, 1)], [QQi(0, -1), QQi(3)]])
+    cover = "# header\r\nn = 1 \r\nbase = [[1, 0], [0, 1]]  # unit\r\n\r\nsub = [[2, 0], [0, 1]]\t\r\nradius = 1  \r\n#\r\n"
+    assert parse_cover(cover) == CoveringSpec(n=1, base=((1, 0), (0, 1)), sub=((2, 0), (0, 1)), radius=Fraction(1))
+    # a line without '=' is an error at its own line, after a comment line
+    # and a blank one, and before any later statement is read
+    for parse, text in [
+        (parse_model, "n = 2\r\n# comment\r\n\r\nd phi2 phi1 ^ phibar1\r\nname = t"),
+        (parse_metric, "n = 2\r\n# comment\r\n\r\nH[1][2] i\r\nH[2][2] = 3"),
+        (parse_cover, "n = 1\r\n# comment = no\r\n\r\nbase [[1, 0], [0, 1]]\r\nradius = 1"),
+    ]:
+        with pytest.raises(ModelSyntaxError) as err:
+            parse(text)
+        assert err.value.line == 4 and "needs '='" in str(err.value), parse
 
 
 small = st.integers(min_value=-3, max_value=3)
