@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 from abch.complexes import Bidegree, Op, Space, d_between, total_bidegrees
 from abch.linalg import (
     Mat,
-    cross_gram,
     intersect_many,
     projection_coords,
     span_basis,
@@ -156,54 +155,6 @@ def abcdef(setting: ExactSetting, b: Bidegree) -> Dict[str, Mat]:
             "f": intersect_many([ker("deldbar", b), im("delbar", b, True), im("del", b, True)]),
         },
     )
-
-
-# -- orthogonal decompositions ----------------------------------------------------
-
-
-def verify_hodge_decomposition(setting: ExactSetting, b: Bidegree) -> Dict[str, dict]:
-    """Three-part orthogonal decompositions at (p,q):
-
-      A^{p,q} = H_BC  (+)  im(del delbar)  (+)  (im del* + im delbar*)
-      A^{p,q} = H_A   (+)  (im del + im delbar)  (+)  im (del delbar)*
-
-    with exactly-zero cross Grams, dimension sums, and the kernel identities
-      ker(del (+) delbar) = H_BC (+) im del delbar,
-      ker(del delbar)     = H_A  (+) (im del + im delbar).
-    """
-    ker, im = setting.ker, setting.im
-    G = setting.gram((b,))
-    out = {}
-    h_bc = harmonic_space(setting, LaplacianKind.BC, b)
-    part2 = im("deldbar", b)
-    part3 = subspace_sum(im("del", b, True), im("delbar", b, True))
-    stacked = Mat.vstack([setting.out("del", b).mat, setting.out("delbar", b).mat])
-    out["bc"] = _decomposition_report(
-        setting, b, G, [h_bc, part2, part3], kernel=stacked.nullspace(), kernel_parts=[h_bc, part2]
-    )
-    h_a = harmonic_space(setting, LaplacianKind.A, b)
-    parts_a2 = subspace_sum(im("del", b), im("delbar", b))
-    parts_a3 = im("deldbar", b, True)
-    out["a"] = _decomposition_report(
-        setting, b, G, [h_a, parts_a2, parts_a3], kernel=ker("deldbar", b), kernel_parts=[h_a, parts_a2]
-    )
-    return out
-
-
-def _decomposition_report(setting, b, G, parts, kernel, kernel_parts) -> dict:
-    dims = [subspace_dim(p) for p in parts]
-    orth = all(
-        cross_gram(parts[i], parts[j], G).is_zero() for i in range(3) for j in range(i + 1, 3)
-    )
-    total = setting.dim(b)
-    kernel_ok = subspace_eq(kernel, subspace_sum(*kernel_parts))
-    return {
-        "dims": dims,
-        "orthogonal": orth,
-        "sum_matches": sum(dims) == total,
-        "ambient_dim": total,
-        "kernel_identity": kernel_ok,
-    }
 
 
 # -- the comparison-map diagram -----------------------------------------------------
@@ -589,22 +540,3 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
         node_bc=node_bc,
         node_a=node_a,
     )
-
-
-# -- stacked-vs-separate identities ---------------------------------------------------
-
-
-def stack_identities(setting: ExactSetting) -> bool:
-    """ker(del stacked with delbar) = ker del ∩ ker delbar and
-    im(del joined with delbar) = im del + im delbar, at every bidegree."""
-    n, ker, im = setting.n, setting.ker, setting.im
-    for p in range(n + 1):
-        for q in range(n + 1):
-            b = (p, q)
-            stacked = Mat.vstack([setting.out("del", b).mat, setting.out("delbar", b).mat])
-            if not subspace_eq(stacked.nullspace(), subspace_intersect(ker("del", b), ker("delbar", b))):
-                return False
-            joined = Mat.hstack([setting.into("del", b).mat, setting.into("delbar", b).mat])
-            if not subspace_eq(joined.column_space(), subspace_sum(im("del", b), im("delbar", b))):
-                return False
-    return True

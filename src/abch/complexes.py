@@ -341,13 +341,6 @@ def d_between(ops, src: Space, dst: Space) -> Op:
     return Op(src=src, dst=dst, mat=Mat.from_blocks(nrows, col, blocks))
 
 
-def d_operator(comp: BigradedComplex, b: Bidegree) -> Op:
-    """d = del + delbar as the stacked block map
-    A^{p,q} -> A^{p+1,q} (+) A^{p,q+1}."""
-    p, q = b
-    return d_between(comp, (b,), ((p + 1, q), (p, q + 1)))
-
-
 def total_bidegrees(n: int, k: int) -> Space:
     """Bidegrees of total degree k, ordered by increasing p."""
     return tuple((p, k - p) for p in range(max(0, k - n), min(n, k) + 1))

@@ -36,7 +36,6 @@ from math import pi
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from abch.complexes import Bidegree, BigradedComplex, Monomial, Space, bigraded_maps, dim_pq, total_bidegrees
 from abch.laplacians import (
@@ -489,7 +488,9 @@ def metric_independence_check(fc1: FourierComplex, H2: Mat) -> dict:
 
     # quasi-isometry constant on the coframe metric
     H1n, H2n = H1.to_numpy(), H2.to_numpy()
-    lam = scipy.linalg.eigvalsh(H1n, H2n)
+    # H2 = L L^H (fc2 certified it positive definite): H1 x = lam H2 x <=> (L^-1 H1 L^-H) y = lam y, y = L^H x
+    L = np.linalg.cholesky(H2n)
+    lam = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, H1n).conj().T))
     C = max(float(lam.max()), 1.0 / float(lam.min()))
     rng = np.random.default_rng(271828)
     ratios_ok = True

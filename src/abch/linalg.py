@@ -604,15 +604,6 @@ def intersect_many(parts: Iterable[Mat]) -> Mat:
 # linear in u and antilinear in v.
 
 
-def ip(u: Sequence[QQi], v: Sequence[QQi], G: Mat) -> QQi:
-    Gv = G.matvec([x.conj() for x in v])
-    s = ZERO
-    for a, b in zip(u, Gv):
-        if not a.is_zero() and not b.is_zero():
-            s = s + a * b
-    return s
-
-
 def gram_adjoint(T: Mat, G_src_inv: Mat, G_dst: Mat) -> Mat:
     """S with <T u, v>_dst = <u, S v>_src for all u, v, given the inverse of
     the source Gram: S = conj(G_src)^{-1} T^H conj(G_dst).  Both Grams must

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 from abch.cli import main
 from abch.complexes import Op
@@ -156,3 +158,26 @@ def test_oversized_input_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "exceeds the limit 6" in err
+
+
+def test_a_run_never_imports_scipy(tmp_path):
+    # both eigensolves run on numpy.linalg; a fresh interpreter that imports
+    # the CLI and runs a spectra and a cover command must hold no scipy module
+    # afterwards, so a lazy import cannot move scipy's cost into the run
+    script = (
+        "import json, sys\n"
+        "import abch.cli\n"
+        "codes = [abch.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    argvs = [
+        ["spectra", fx("kodaira_thurston.cplx"), "--backend", "both", "--out", str(tmp_path / "spectra.md")],
+        ["cover", fx("index2.cover"), "--out", str(tmp_path / "cover.md")],
+    ]
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, check=True)
+    codes, scipy_modules = json.loads(done.stdout)
+    assert codes == [0, 0]
+    assert scipy_modules == []

@@ -23,10 +23,9 @@ from abch.cohomology import (
     full_abc_complex,
     harmonic_dims,
     inequality_report,
-    stack_identities,
     table_symmetries,
-    verify_hodge_decomposition,
 )
+from oracles import stack_identities, verify_hodge_decomposition
 
 TORUS2 = parse_model("n=2\nname = torus2")
 IWASAWA = parse_model("n=3\nname = iwasawa\nd phi3 = -1 * phi1 ^ phi2")

@@ -16,7 +16,6 @@ from abch.complexes import (
     build_complex,
     conjugate,
     conjugation_matrix,
-    d_operator,
     dim_pq,
     monomial_basis,
     total_d,
@@ -25,6 +24,7 @@ from abch.complexes import (
 from abch.linalg import Mat
 from abch.model import load_model, parse_model
 from abch.scalars import QQi, ZERO
+from oracles import d_operator
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 

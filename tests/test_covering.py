@@ -5,6 +5,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from abch.cli import main
@@ -28,6 +29,7 @@ import abch.covering
 import abch.laplacians
 from abch.laplacians import LaplacianKind, assemble, spectrum
 from abch.linalg import Mat, subspace_eq
+from abch.metric import load_metric
 from abch.scalars import QQi, ONE
 from abch.setting import NumericSetting
 
@@ -298,6 +300,34 @@ def test_n2_cover_metric_independence():
     assert rep["cross_projection_full_rank"]
     assert abs(rep["quasi_isometry_constant"] - 2.0) < 1e-9
 
+
+
+def _fixture_metric(name):
+    return load_metric(os.path.join(FIXTURES, name))[1]
+
+
+@pytest.mark.parametrize("cover, metric, expected", [("index2_n2.cover", "diag21.herm", 2.0),
+                                                     ("index2.cover", "h3.herm", 3.0)])
+def test_quasi_isometry_constant_on_diagonal_pairs(cover, metric, expected):
+    # against the identity the generalized eigenvalues are the diagonal of H1
+    spec = load_cover(os.path.join(FIXTURES, cover))
+    rep = metric_independence_check(build_cover(spec, _fixture_metric(metric)), Mat.identity(spec.n))
+    assert rep["quasi_isometry_constant"] == expected
+    assert rep["sampled_ratios_within_bound"]
+
+
+@pytest.mark.parametrize("complex_is_h2", [False, True])
+def test_quasi_isometry_constant_under_a_complex_metric(complex_is_h2):
+    # the Cholesky reduction against the eigenvalues of H2^{-1} H1; with the
+    # complex metric as H2, its factor L enters as L^-H, and L^-T in its place
+    # gives a different answer
+    spec = load_cover(os.path.join(FIXTURES, "index2_n2.cover"))
+    K, I = _fixture_metric("kt_complex.herm"), Mat.identity(2)
+    H1, H2 = (I, K) if complex_is_h2 else (K, I)
+    rep = metric_independence_check(build_cover(spec, H1), H2)
+    lam = np.linalg.eigvals(np.linalg.solve(H2.to_numpy(), H1.to_numpy())).real
+    assert rep["quasi_isometry_constant"] == pytest.approx(max(lam.max(), 1 / lam.min()), rel=1e-12)
+    assert rep["sampled_ratios_within_bound"]
 
 def test_cover_builds_each_cover_once(monkeypatch, tmp_path):
     # `abch cover` builds the cover under H and under 2 H, and nothing twice

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from abch.complexes import build_complex, total_bidegrees
-from abch.linalg import Mat, ip, subspace_eq
+from abch.linalg import Mat, subspace_eq
 from abch.metric import HermitianMetric, diagonal_metric, identity_metric, parse_metric
 from abch.model import parse_model
 from abch.scalars import QQi
@@ -16,20 +16,24 @@ import abch.laplacians
 from abch.cli import main
 from abch.laplacians import (
     ALL_KINDS,
+    EigSolverFailure,
     LaplacianBundle,
     LaplacianKind,
     assemble,
-    box_kernel_intersection,
-    duality_residuals,
     fourth_order_part,
     harmonic_characterization,
     harmonic_space,
-    kahler_identities,
-    kernel_coincidence,
     numeric_spectrum,
     prestage_box_check,
     spectral_gap,
     spectrum,
+)
+from oracles import (
+    box_kernel_intersection,
+    duality_residuals,
+    ip,
+    kahler_identities,
+    kernel_coincidence,
     verify_gap_inequality,
 )
 
@@ -98,6 +102,29 @@ def test_non_hermitian_symmetrisation_is_a_verification_failure(monkeypatch, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert "verification failure: Gram-symmetrised operator is not Hermitian" in err
+
+
+
+def test_eigensolver_failure_is_an_input_error(monkeypatch, capsys):
+    # a LAPACK failure in the eigensolve raises EigSolverFailure, which the
+    # CLI reports as an error (exit 2); a failed Hermiticity check comes
+    # before the eigensolve and stays a verification failure (exit 1)
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(EigSolverFailure, match="did not converge"):
+        spectrum(np.eye(2), np.eye(2))
+    fx = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    argv = ["spectra", os.path.join(fx, "kodaira_thurston.cplx"), "--backend", "both"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: EigSolverFailure: Eigenvalues did not converge")
+    # not Gram-self-adjoint: the Hermiticity check raises before any eigensolve
+    # (the CLI's exit 1 for it is test_non_hermitian_symmetrisation_is_a_verification_failure)
+    with pytest.raises(AssertionError, match="not Hermitian"):
+        spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
 
 def test_torus_laplacians_vanish():

@@ -9,7 +9,6 @@ from abch.linalg import (
     Mat,
     cross_gram,
     gram_adjoint,
-    ip,
     project,
     projection_coords,
     span_basis,
@@ -20,6 +19,7 @@ from abch.linalg import (
     subspace_sum,
 )
 from abch.scalars import QQi, ONE, ZERO
+from oracles import ip
 
 small = st.integers(min_value=-4, max_value=4)
 entries = st.builds(lambda a, b: QQi(Fraction(a), Fraction(b)), small, small)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from abch.complexes import FormVector, Monomial, build_complex, dim_pq, monomial_basis, wedge
-from abch.linalg import Mat, ip
+from abch.linalg import Mat
 from abch.metric import (
     HermitianMetric,
     NotHermitian,
@@ -22,6 +22,7 @@ from abch.metric import (
 from abch.model import parse_model
 from abch.scalars import QQi, I, ONE
 from abch.setting import ExactSetting, NumericSetting, compose
+from oracles import ip
 
 
 def perm_det(M: Mat) -> QQi:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dense_linalg as dense
+import oracles
 from abch import linalg
 from abch.linalg import Mat
 from abch.scalars import QQi, ZERO
@@ -170,9 +171,10 @@ def test_rref_and_its_users_match_oracle(system):
     assert plain(fast) == plain(slow)
 
 
-def operations(L, A, B, C, S, v, s, G):
-    """Every public operation of the linear-algebra module L, on operands
-    that are L's own matrices."""
+def operations(L, ip, A, B, C, S, v, s, G):
+    """Every public operation of the linear-algebra module L, plus the Gram
+    inner product `ip` on L's matrices, on operands that are L's own
+    matrices."""
     M = L.Mat
     r, c = A.shape
     Gc = M.identity(c) + C @ C.conj_t()  # a Hermitian positive-definite Gram on Q(i)^c
@@ -225,7 +227,7 @@ def operations(L, A, B, C, S, v, s, G):
         "basis_gram": lambda: L.basis_gram(A, G),
         "projection_coords": lambda: L.projection_coords(B, A.column_space(), G),
         "cross_gram": lambda: L.cross_gram(A, B, G),
-        "ip": lambda: [L.ip(u, w, G) for u in A.cols() for w in B.cols()],
+        "ip": lambda: [ip(u, w, G) for u in A.cols() for w in B.cols()],
         "project": lambda: [L.project(u, A.column_space(), G) for u in B.cols()],
     }
 
@@ -234,10 +236,10 @@ def operations(L, A, B, C, S, v, s, G):
 @given(operands())
 def test_every_operation_matches_dense_oracle(ops):
     A, B, C, S, v, s, G = ops
-    fast = operations(linalg, A, B, C, S, v, s, G)
+    fast = operations(linalg, oracles.ip, A, B, C, S, v, s, G)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dense.Mat, "rref", oracle_rref)
-        slow = operations(dense, *(to_dense(m) for m in (A, B, C, S)), v, s, to_dense(G))
+        slow = operations(dense, dense.ip, *(to_dense(m) for m in (A, B, C, S)), v, s, to_dense(G))
         expected = {name: plain(run(f)) for name, f in slow.items()}
     for name, f in fast.items():
         got = run(f)
