@@ -181,7 +181,7 @@ def cmd_spectra(args) -> int:
                 "eigenvalues": ev,
                 "gap": None if gap is None else format(gap, ".12g"),
                 "kernel_dim": bundle.kernels[kind].ncols,
-                "kernel_basis": reporting.matrix_payload(bundle.kernels[kind]),
+                "kernel_basis": bundle.kernels[kind],
             }
             lines.append(
                 f"- {b} {kind.value}: kernel {bundle.kernels[kind].ncols}, gap "
@@ -298,16 +298,16 @@ def cmd_abc(args) -> int:
     if pq is None:
         raise ModelError("`abc` needs --pq P,Q")
     fc = coh.full_abc_complex(setting, pq)
-    tables = coh.all_tables(setting)
     failures: List[str] = []
     if fc.h != fc.harmonic_dims:
         failures.append("node cohomology differs from harmonic dimension")
     if fc.euler_spaces != fc.euler_h:
         failures.append("Euler characteristics disagree")
     p, q = pq
-    if fc.node_bc is not None and fc.node_bc != tables["bc"].grid[p][q]:
+    if fc.node_bc is not None and fc.node_bc != coh._rank_nullity(setting, "bc", (p, q)):
         failures.append("corner node does not reproduce the Bott-Chern dimension")
-    if fc.node_a is not None and p >= 1 and q >= 1 and fc.node_a != tables["a"].grid[p - 1][q - 1]:
+    if (fc.node_a is not None and p >= 1 and q >= 1
+            and fc.node_a != coh._rank_nullity(setting, "a", (p - 1, q - 1))):
         failures.append("pre-corner node does not reproduce the Aeppli dimension")
     lines = [f"# abc {name} at {pq}", ""]
     lines.append("| k | space | dim | h^k | ker-laplacian |")

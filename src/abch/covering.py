@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -492,19 +493,25 @@ def metric_independence_check(fc1: FourierComplex, H2: Mat) -> dict:
     L = np.linalg.cholesky(H2n)
     lam = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, H1n).conj().T))
     C = max(float(lam.max()), 1.0 / float(lam.min()))
-    rng = np.random.default_rng(271828)
-    ratios_ok = True
-    for _ in range(200):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        r = float(np.real(v.conj() @ H1n @ v) / np.real(v.conj() @ H2n @ v))
-        if not (1.0 / C - 1e-9 <= r <= C + 1e-9):
-            ratios_ok = False
+    V = _samples(random.Random(271828), n, 200)
+    r = np.real(np.sum(V.conj() * (H1n @ V), axis=0)) / np.real(np.sum(V.conj() * (H2n @ V), axis=0))
+    ratios_ok = bool(np.all((1.0 / C - 1e-9 <= r) & (r <= C + 1e-9)))
     return {
         "gamma_dims_agree": agree,
         "cross_projection_full_rank": cross_full_rank,
         "quasi_isometry_constant": C,
         "sampled_ratios_within_bound": ratios_ok,
     }
+
+
+def _samples(rng: random.Random, rows: int, cols: int) -> np.ndarray:
+    """rows x cols complex samples, drawn in one call, whose real and
+    imaginary parts are uniform on the 53-bit grid of [-1, 1).  Every sampled
+    inequality in this module is homogeneous and holds for all vectors, so
+    the samples need only full support, not a particular law."""
+    u = np.frombuffer(rng.randbytes(16 * rows * cols), dtype="<u8")
+    x = ((u >> 11) * 2.0 ** -52 - 1.0).reshape(2, rows, cols)
+    return x[0] + 1j * x[1]
 
 
 def _zero_mode_rows(fourier: FourierComplex, space: Space) -> range:
@@ -540,8 +547,10 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int 
     the exact matrix identities tilde_BC_4 = tilde_A_4 = lap_delbar^2
     (reduced scale; both sides are fourth order so the scale cancels).
     """
+    if seed < 0 or samples < 0:
+        raise ValueError("seed and samples must be non-negative")
     n = fourier.n
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     report: Dict[str, object] = {"bidegrees": {}}
     tilde4_ok = True
     prestage_ok = True
@@ -585,10 +594,7 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int 
                 corner_out = nst.out("deldbar", b)
                 Simg = st.adjoint(st.out("deldbar", b)).mat.column_space().to_numpy()
                 if Simg.shape[1]:
-                    coeff = rng.standard_normal((Simg.shape[1], samples)) + 1j * rng.standard_normal(
-                        (Simg.shape[1], samples)
-                    )
-                    theta = Simg @ coeff
+                    theta = Simg @ _samples(rng, Simg.shape[1], samples)
                     lhs = gram_norms(theta, G)
                     rhs = gram_norms(corner_out.mat @ theta, nst.gram(corner_out.dst))
                     if not np.all(C * lhs <= rhs + 1e-9 * np.maximum(rhs, 1.0)):
@@ -597,8 +603,7 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int 
                 Padj = nst.adjoint(nst.into("delbar", b))
                 Qop = nst.out("delbar", b)
                 dim = Qop.mat.shape[1]
-                X = rng.standard_normal((dim, samples)) + 1j * rng.standard_normal((dim, samples))
-                X = project_off_kernel(X, K.to_numpy(), G)
+                X = project_off_kernel(_samples(rng, dim, samples), K.to_numpy(), G)
                 norm2 = gram_norms(X, G)
                 val = gram_norms(Padj.mat @ X, nst.gram(Padj.dst)) + gram_norms(Qop.mat @ X, nst.gram(Qop.dst))
                 keep = norm2 > 1e-18

@@ -3,13 +3,25 @@
 All emitters sort keys, use the fixed basis order, and render exact scalars
 as canonical strings, so identical configurations produce byte-identical
 output.
+
+`render_json` writes, in one recursive pass, exactly the bytes of
+`json.dumps(payload, sort_keys=True, indent=2)` and a newline.  It takes
+dicts with `str` keys (written in sorted order), lists, tuples, `str`
+(escaped by `json`'s own C encoder), `int`, `bool`, `None` and `float` (its
+repr, with NaN and the infinities spelled `NaN`, `Infinity` and
+`-Infinity`).  Report objects are written as their JSON values: a `Fraction`
+or `QQi` as its canonical string, an `ndarray` as its nested list, an
+`np.integer` as an int, and a `Mat` as the `abch-matrix-1` object of
+`matrix_payload`.  Any other value, and any key that is not a `str`, raises
+`TypeError`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, inf
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -21,23 +33,28 @@ MATRIX_SCHEMA = "abch-matrix-1"
 REPORT_SCHEMA = "abch-report-1"
 
 
-def matrix_payload(m: Mat) -> dict:
-    """Exact matrix as row-major [re_num, re_den, im_num, im_den] entries."""
-    return {
-        "schema": MATRIX_SCHEMA,
-        "rows": m.nrows,
-        "cols": m.ncols,
-        "entries": [
-            [
-                x.re.numerator,
-                x.re.denominator,
-                x.im.numerator,
-                x.im.denominator,
-            ]
-            for row in m.rows
-            for x in row
-        ],
-    }
+def matrix_payload(m: Mat, nl: str) -> str:
+    """JSON text of the exact matrix as row-major [re_num, re_den, im_num,
+    im_den] entries, each part reduced, indented for a line that starts after
+    `nl`.  It reads the canonical integer rows over one denominator that
+    `linalg` keeps (its "Storage" paragraph): a stored (re, im) is
+    (re + im i) / den, and an entry a row does not store is zero."""
+    i1, i2, i3 = nl + "  ", nl + "    ", nl + "      "
+    den, sep, tail = m._d, "," + i3, i2 + "]"
+    zero = f"[{i3}0{sep}1{sep}0{sep}1{tail}"
+    entries = []
+    for row in m._r:
+        for j in range(m.ncols):
+            ab = row.get(j)
+            if ab is None:
+                entries.append(zero)
+                continue
+            a, b = ab
+            g, h = gcd(a, den), gcd(b, den)
+            entries.append(f"[{i3}{a // g}{sep}{den // g}{sep}{b // h}{sep}{den // h}{tail}")
+    listed = f"[{i2}" + f",{i2}".join(entries) + f"{i1}]" if entries else "[]"
+    return (f'{{{i1}"cols": {m.ncols},{i1}"entries": {listed},{i1}"rows": {m.nrows},'
+            f'{i1}"schema": "{MATRIX_SCHEMA}"{nl}}}')
 
 
 def metric_hash(H: Mat) -> str:
@@ -45,23 +62,74 @@ def metric_hash(H: Mat) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _encode(obj):
-    """JSON value of a report object that `json` cannot encode itself."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, QQi):
-        return render_coeff(obj)
-    if isinstance(obj, Mat):
-        return matrix_payload(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.integer):
-        return int(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write(o, nl: str, out: List[str]) -> None:
+    """Append the JSON text of `o` to `out`; `nl` is the newline and indent
+    of the line that `o` starts on."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(sep + _quote(k) + ": ")
+            _write(o[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, Mat):
+        out.append(matrix_payload(o, nl))
+    elif isinstance(o, Fraction):
+        out.append(_quote(str(o)))
+    elif isinstance(o, QQi):
+        out.append(_quote(render_coeff(o)))
+    elif isinstance(o, np.ndarray):
+        _write(o.tolist(), nl, out)
+    elif isinstance(o, np.integer):
+        out.append(int.__repr__(int(o)))
+    else:
+        raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_encode) + "\n"
+    out: List[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def grid_md(title: str, grid: Sequence[Sequence], row_label: str = "p\\q") -> List[str]:

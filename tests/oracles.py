@@ -5,11 +5,15 @@ statement of the theory that no CLI command needs: the Laplacian duality
 under the Hodge star, kernel coincidences, the Kahler identities, the
 three-part Hodge decompositions, the stacked-vs-separate kernel and image
 identities, the stacked `d` map of one bidegree and the Gram inner product
-of two coefficient vectors.  They live here, not in `src/abch`, so the
+of two coefficient vectors.  `render_json` is the reference JSON report:
+`json.dumps` with a `default` that maps each report object to its JSON
+value.  They live here, not in `src/abch`, so the
 package holds only what its commands reach; the tests import them from
 this module.
 """
 
+import json
+from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +44,8 @@ from abch.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from abch.scalars import QQi, ZERO
+from abch.reporting import MATRIX_SCHEMA
+from abch.scalars import QQi, ZERO, render_coeff
 from abch.setting import ExactSetting, NumericSetting, add_ops, compose
 
 
@@ -280,3 +285,35 @@ def stack_identities(setting: ExactSetting) -> bool:
             if not subspace_eq(joined.column_space(), subspace_sum(im("del", b), im("delbar", b))):
                 return False
     return True
+
+
+# -- the reference JSON report (reporting) -------------------------------------
+
+
+def _encode(obj):
+    """JSON value of a report object that `json` cannot encode itself; a
+    matrix goes through its `QQi` entries."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, QQi):
+        return render_coeff(obj)
+    if isinstance(obj, Mat):
+        return {
+            "schema": MATRIX_SCHEMA,
+            "rows": obj.nrows,
+            "cols": obj.ncols,
+            "entries": [
+                [x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator]
+                for row in obj.rows
+                for x in row
+            ],
+        }
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def render_json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, default=_encode) + "\n"

@@ -116,6 +116,14 @@ def test_cover_command(capsys):
     assert "RESULT: PASS" in out
 
 
+def test_cover_rejects_a_negative_seed_or_sample_count(capsys):
+    for flag in ("--seed", "--samples"):
+        code, out, err = run(capsys, "cover", fx("index2.cover"), flag, "-1")
+        assert code == 2
+        assert out == ""
+        assert "must be non-negative" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "cohomology", fx("torus1.cplx"), "--format", "json", "--out", str(target))
@@ -160,24 +168,44 @@ def test_oversized_input_exits_two(capsys, tmp_path):
     assert "exceeds the limit 6" in err
 
 
+def _fresh_run(argvs, package):
+    """Exit codes of `main(argv)` for each argv, run in a fresh interpreter
+    that imports the CLI first, and the modules of `package` it then holds."""
+    script = (
+        "import json, sys\n"
+        "import abch.cli\n"
+        "argvs, package = json.loads(sys.argv[1])\n"
+        "codes = [abch.cli.main(argv) for argv in argvs]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m == package or m.startswith(package + '.'))]))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps([argvs, package])], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
 def test_a_run_never_imports_scipy(tmp_path):
     # both eigensolves run on numpy.linalg; a fresh interpreter that imports
     # the CLI and runs a spectra and a cover command must hold no scipy module
     # afterwards, so a lazy import cannot move scipy's cost into the run
-    script = (
-        "import json, sys\n"
-        "import abch.cli\n"
-        "codes = [abch.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
-    )
     argvs = [
         ["spectra", fx("kodaira_thurston.cplx"), "--backend", "both", "--out", str(tmp_path / "spectra.md")],
         ["cover", fx("index2.cover"), "--out", str(tmp_path / "cover.md")],
     ]
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
-                          capture_output=True, text=True, check=True)
-    codes, scipy_modules = json.loads(done.stdout)
+    codes, scipy_modules = _fresh_run(argvs, "scipy")
     assert codes == [0, 0]
     assert scipy_modules == []
+
+
+def test_a_cover_run_never_imports_numpy_random(tmp_path):
+    # the cover's samples come from the standard library's `random`, which the
+    # CLI already holds; numpy.random would load 16 modules into every run
+    argvs = [
+        ["cover", fx("index2.cover"), "--format", "json", "--out", str(tmp_path / "cover.json")],
+        ["cover", fx("index2_n2.cover"), "--metric", fx("diag21.herm"), "--out", str(tmp_path / "n2.md")],
+    ]
+    codes, random_modules = _fresh_run(argvs, "numpy.random")
+    assert codes == [0, 0]
+    assert random_modules == []

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from abch import cohomology
 from abch.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -69,6 +70,11 @@ GOLDEN = [
      "02b332c091bc27cd2806979a59a4f7a2f25a466a1db719f417c9a4633030159f"),
     (("cohomology", N4),  # rank-nullity at n = 4
      "dc0abe287f47b3c1812c10cd2d7d5540b7baa914100c4afc99c95b6004cb6b05"),
+    # the two largest reports: every kernel basis at every bidegree
+    (("spectra", IW, "--backend", "both"),
+     "645e8e63e57c79c208eaec170e735bf7d2f75cc1b5320721b77dfede86cd5ced"),
+    (("spectra", N4, "--backend", "both"),
+     "f6d2a6840cf8139d2546b0fea994dfa14a5cf1fd98ad3610575d85ef5d5ca4c2"),
     # star subspaces and exact-sequence projections under a complex metric
     (("inequality", IW, *DENSE3),
      "5767797be1214e3966088c569580a74fca01cb6283f200de113355777aaa8124"),
@@ -103,5 +109,20 @@ def test_golden_report(argv, digest, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     out = tmp_path / "report.json"
     # an entry's own `--format` comes after the default and wins
+    assert main(["--format", "json", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [g for g in GOLDEN if g[0][0] == "abc"],
+                         ids=[" ".join(a) for a, _ in GOLDEN if a[0] == "abc"])
+def test_abc_reads_only_the_two_cells_it_checks(argv, digest, tmp_path, monkeypatch):
+    # `abc` compares its corner nodes with one Bott-Chern and one Aeppli cell;
+    # it must give the same report without building every cohomology table
+    def all_tables(setting):
+        raise RuntimeError("abc built every cohomology table")
+
+    monkeypatch.setattr(cohomology, "all_tables", all_tables)
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "report"
     assert main(["--format", "json", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
