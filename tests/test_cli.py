@@ -201,7 +201,7 @@ def test_a_run_never_imports_scipy(tmp_path):
 
 def test_a_cover_run_never_imports_numpy_random(tmp_path):
     # the cover's samples come from the standard library's `random`, which the
-    # CLI already holds; numpy.random would load 16 modules into every run
+    # CLI already holds; numpy.random would load 16 modules into every cover run
     argvs = [
         ["cover", fx("index2.cover"), "--format", "json", "--out", str(tmp_path / "cover.json")],
         ["cover", fx("index2_n2.cover"), "--metric", fx("diag21.herm"), "--out", str(tmp_path / "n2.md")],
