@@ -28,7 +28,7 @@ from abch.covering import (
     load_cover,
     metric_independence_check,
 )
-from abch.laplacians import ALL_KINDS, DEFAULT_SEED, LaplacianBundle
+from abch.laplacians import ALL_KINDS, DEFAULT_SAMPLES, DEFAULT_SEED, LaplacianBundle
 from abch.linalg import Mat
 from abch.metric import HermitianMetric, load_metric
 from abch.model import ModelError, load_model
@@ -343,7 +343,7 @@ def cmd_cover(args) -> int:
     rep = gamma_tables(fourier)
     gap_rep = gap_and_closed_image(fourier, samples=args.samples, seed=args.seed)
     H2 = H.scale(QQi(2))
-    mi = metric_independence_check(fourier, H2)
+    mi = metric_independence_check(fourier, H2, seed=args.seed)
     failures: List[str] = []
     if not rep.inequality_ok:
         failures.append("Gamma-dimension inequality fails")
@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=["md", "json", "csv"], default="md")
     ap.add_argument("--pq", help="bidegree P,Q")
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--samples", type=int, default=200)
+    ap.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     ap.add_argument("--out", help="write the report to FILE instead of stdout")
     return ap
 

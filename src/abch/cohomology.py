@@ -2,16 +2,16 @@
 kernel/image subspace grids with their exact sequences, and the full
 combined complex around a corner bidegree.
 
-Every dimension is a rank-nullity computation over Q(i): the nullity of
-the maps leaving A^{p,q} (A^k for de Rham), stacked, minus the rank of the
-maps entering it, joined.  `laplacians.THEORY_OPS` names those maps for each
-theory and `ExactSetting.out`/`into` builds them; `ExactSetting.ker`/`im`
+Every dimension comes from `homology`, dim ker(out) - rank(in) at each node
+of a sequence of maps over Q(i): the tables at A^{p,q} (A^k for de Rham)
+between the maps entering and leaving it, which `laplacians.THEORY_OPS`
+names and `ExactSetting.out`/`into` builds, the exactness of the five-term
+sequences and the nodes of the full ABC complex.  `ExactSetting.ker`/`im`
 name kernel and image subspaces the same way.  Tables, grids and subspaces
 are memoised in the setting (`ExactSetting.cached`), so every report that
-needs one shares it.  Harmonic-space dimensions
-from the Laplacian engine give a second, independent route to the same
-numbers; tests assert the two agree (finite-dimensional Hodge theory)
-rather than trusting either alone.
+needs one shares it.  Harmonic-space dimensions from the Laplacian engine
+give a second, independent route to the same numbers; tests assert the two
+agree (finite-dimensional Hodge theory) rather than trusting either alone.
 
 Images of linear maps between finite-dimensional spaces are closed, so the
 reduced and unreduced quotients coincide and only one notion of cohomology
@@ -21,7 +21,7 @@ appears here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from abch.complexes import Bidegree, Op, Space, d_between, total_bidegrees
 from abch.linalg import (
@@ -57,17 +57,22 @@ class CohomologyTable:
 # -- dimension grids (metric-free) ---------------------------------------------
 
 
-def _nullity(m: Mat) -> int:
-    return m.ncols - m.rank()
+def homology(maps: Sequence[Mat]) -> List[int]:
+    """dim ker(out) - rank(in) at every node of 0 -> V_0 -> ... -> V_m -> 0,
+    where maps[k] sends V_k to V_{k+1}, computing each map's rank once.  The
+    sequence is exact where the entry is 0, at V_0 and V_m included."""
+    ranks = [m.rank() for m in maps]
+    dims = [m.ncols for m in maps] + [maps[-1].nrows]
+    return [d - r_in - r_out for d, r_in, r_out in zip(dims, [0] + ranks, ranks + [0])]
 
 
 def _rank_nullity(setting: ExactSetting, theory: str, b) -> int:
-    """nullity of the stacked maps leaving A^b minus the rank of the joined
-    maps entering it (b a bidegree, or a total degree for de Rham)."""
+    """The homology at A^b of the joined maps entering it followed by the
+    stacked maps leaving it (b a bidegree, or a total degree for de Rham)."""
     leaving, entering = THEORY_OPS[theory]
-    stacked = Mat.vstack([setting.out(name, b).mat for name in leaving])
     joined = Mat.hstack([setting.into(name, b).mat for name in entering])
-    return _nullity(stacked) - joined.rank()
+    stacked = Mat.vstack([setting.out(name, b).mat for name in leaving])
+    return homology([joined, stacked])[1]
 
 
 def betti_numbers(setting: ExactSetting) -> List[int]:
@@ -350,9 +355,8 @@ def exact_sequence_reports(setting: ExactSetting) -> dict:
       0 -> A -> B -> H_delbar -> H_A -> C -> 0
       0 -> D -> H_BC -> H_delbar -> E -> F -> 0
 
-    Maps are inclusions followed by Gram projections; at every node
-    rank(incoming) must equal nullity(outgoing), and the alternating
-    dimension sum must vanish.
+    Maps are inclusions followed by Gram projections; the homology must
+    vanish at every node, and the alternating dimension sum must vanish.
     """
     n = setting.n
     per_bidegree = {}
@@ -382,13 +386,7 @@ def exact_sequence_reports(setting: ExactSetting) -> dict:
             ]
             res = {}
             for label, nodes, maps in (("seq1", seq1_nodes, seq1_maps), ("seq2", seq2_nodes, seq2_maps)):
-                exact = maps[0].rank() == maps[0].ncols  # injective at the first node
-                for i in range(1, len(nodes) - 1):
-                    incoming = maps[i - 1]
-                    outgoing = maps[i]
-                    if incoming.rank() != outgoing.ncols - outgoing.rank():
-                        exact = False
-                exact = exact and maps[-1].rank() == nodes[-1].ncols  # surjective at the last
+                exact = not any(homology(maps))
                 alt = sum((-1) ** i * node.ncols for i, node in enumerate(nodes))
                 res[label] = {"exact": exact, "alternating_sum": alt}
                 if not exact or alt != 0:
@@ -503,26 +501,21 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
     # k and (delta* delta) to the order of the delta entering it, so both
     # terms have the same order
     laplacians: List[Op] = []
-    h: List[int] = []
     hdims: List[int] = []
     for k in range(2 * n + 1):
-        dim_k = setting.space_dim(spaces[k])
         terms = []
-        rank_in, nullity_out = 0, dim_k
         if k >= 1:
             d_in = deltas[k - 1]
             t = compose(d_in, setting.adjoint(d_in))
             terms.append(compose(t, t) if k == corner else t)
-            rank_in = d_in.mat.rank()
         if k < 2 * n:
             d_out = deltas[k]
             t = compose(setting.adjoint(d_out), d_out)
             terms.append(compose(t, t) if k - 1 == corner else t)
-            nullity_out = _nullity(d_out.mat)
         lap = add_ops(*terms)  # n >= 1, so every node has a delta
         laplacians.append(lap)
-        h.append(nullity_out - rank_in)
         hdims.append(lap.mat.nullspace().ncols)
+    h = homology([delta.mat for delta in deltas])
 
     euler_spaces = sum((-1) ** k * setting.space_dim(spaces[k]) for k in range(2 * n + 1))
     euler_h = sum((-1) ** k * h[k] for k in range(2 * n + 1))

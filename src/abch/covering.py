@@ -40,6 +40,8 @@ import numpy as np
 
 from abch.complexes import Bidegree, BigradedComplex, Monomial, Space, bigraded_maps, dim_pq, total_bidegrees
 from abch.laplacians import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     THEORY_KINDS,
     LaplacianKind,
     fourth_order_part,
@@ -455,11 +457,12 @@ def gap_table(fourier: FourierComplex) -> Dict[str, object]:
     return gaps
 
 
-def metric_independence_check(fc1: FourierComplex, H2: Mat) -> dict:
+def metric_independence_check(fc1: FourierComplex, H2: Mat, seed: int = DEFAULT_SEED) -> dict:
     """Gamma-dimensions of the Bott-Chern and Aeppli harmonic spaces must
     agree for the metric of `fc1` and a second invariant metric H2 on the
-    same cover; also exhibits the quasi-isometry constant and checks the
-    cross-projection between the two harmonic spaces has full rank."""
+    same cover; also exhibits the quasi-isometry constant, samples the
+    ratio of the two metrics from random.Random(seed) against it, and checks
+    the cross-projection between the two harmonic spaces has full rank."""
     H1 = fc1.metric.H
     fc2 = build_cover(fc1.spec, H2)
     n = fc1.n
@@ -493,7 +496,7 @@ def metric_independence_check(fc1: FourierComplex, H2: Mat) -> dict:
     L = np.linalg.cholesky(H2n)
     lam = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, H1n).conj().T))
     C = max(float(lam.max()), 1.0 / float(lam.min()))
-    V = _samples(random.Random(271828), n, 200)
+    V = _samples(random.Random(seed), n, DEFAULT_SAMPLES)
     r = np.real(np.sum(V.conj() * (H1n @ V), axis=0)) / np.real(np.sum(V.conj() * (H2n @ V), axis=0))
     ratios_ok = bool(np.all((1.0 / C - 1e-9 <= r) & (r <= C + 1e-9)))
     return {
@@ -536,7 +539,7 @@ def _invariant_block(fourier: FourierComplex, K: Mat, b: Bidegree) -> Mat:
     return K.take_rows(_zero_mode_rows(fourier, (b,)))
 
 
-def gap_and_closed_image(fourier: FourierComplex, samples: int = 200, seed: int = 271828) -> dict:
+def gap_and_closed_image(fourier: FourierComplex, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> dict:
     """Quantitative closed-image bounds on the cover.
 
     Per bidegree: gap(lap_delbar) > 0 on the nonzero modes; the bound

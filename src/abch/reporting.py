@@ -132,10 +132,10 @@ def render_json(payload: dict) -> str:
     return "".join(out)
 
 
-def grid_md(title: str, grid: Sequence[Sequence], row_label: str = "p\\q") -> List[str]:
+def grid_md(title: str, grid: Sequence[Sequence]) -> List[str]:
     ncols = len(grid[0]) if grid else 0
     lines = [f"### {title}", ""]
-    lines.append("| " + row_label + " | " + " | ".join(str(q) for q in range(ncols)) + " |")
+    lines.append("| p\\q | " + " | ".join(str(q) for q in range(ncols)) + " |")
     lines.append("|" + " --- |" * (ncols + 1))
     for p, row in enumerate(grid):
         lines.append("| " + str(p) + " | " + " | ".join(_cell(x) for x in row) + " |")
@@ -149,9 +149,9 @@ def _cell(x) -> str:
     return str(x)
 
 
-def list_md(title: str, values: Sequence, label: str = "k") -> List[str]:
+def list_md(title: str, values: Sequence) -> List[str]:
     lines = [f"### {title}", ""]
-    lines.append("| " + label + " | " + " | ".join(str(i) for i in range(len(values))) + " |")
+    lines.append("| k | " + " | ".join(str(i) for i in range(len(values))) + " |")
     lines.append("|" + " --- |" * (len(values) + 1))
     lines.append("| dim | " + " | ".join(_cell(v) for v in values) + " |")
     lines.append("")

@@ -22,6 +22,7 @@ from abch.cohomology import (
     exact_sequence_reports,
     full_abc_complex,
     harmonic_dims,
+    homology,
     inequality_report,
     table_symmetries,
 )
@@ -198,6 +199,35 @@ def test_exact_sequences(iw, kt, torus):
         for res in rep["per_bidegree"].values():
             assert res["seq1"]["alternating_sum"] == 0
             assert res["seq2"]["alternating_sum"] == 0
+
+
+def _m(rows, ncols):
+    return Mat([[QQi(*x) if isinstance(x, tuple) else QQi(x) for x in row] for row in rows], ncols=ncols)
+
+
+def test_homology_of_an_exact_short_sequence():
+    # 0 -> C -> C^2 -> C -> 0 with the inclusion of e1 and the projection onto e2 (times i)
+    assert homology([_m([[1], [0]], 1), _m([[0, (0, 1)]], 2)]) == [0, 0, 0]
+
+
+def test_homology_of_a_sequence_not_exact_in_the_middle():
+    # C -> C^3 -> C hits e1 and kills e1, e2: e2 is a class at the middle node only
+    assert homology([_m([[1], [0], [0]], 1), _m([[0, 0, 1]], 3)]) == [0, 1, 0]
+
+
+def test_homology_of_a_first_map_that_is_not_injective():
+    # C^2 -> C^2 has kernel e1 - e2; its image is span e1 = ker of the last map
+    assert homology([_m([[1, 1], [0, 0]], 2), _m([[0, 1]], 2)]) == [1, 0, 0]
+
+
+def test_homology_of_a_last_map_that_is_not_surjective():
+    # C^2 -> C^2 has image span e1, which the incoming map already fills
+    assert homology([_m([[1], [0]], 1), _m([[0, 1], [0, 0]], 2)]) == [0, 0, 1]
+
+
+def test_homology_of_one_map_and_of_empty_nodes():
+    assert homology([_m([[1, 2], [2, 4]], 2)]) == [1, 1]
+    assert homology([Mat.zeros(2, 0), Mat.zeros(0, 2)]) == [0, 2, 0]
 
 
 def test_inequality_kt_strict(kt):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -282,6 +283,28 @@ def test_metric_independence():
     assert rep["cross_projection_full_rank"]
     assert abs(rep["quasi_isometry_constant"] - 2.0) < 1e-9
     assert rep["sampled_ratios_within_bound"]
+
+
+def test_the_seed_reaches_the_metric_independence_samples(monkeypatch, tmp_path):
+    # `cover --seed N` draws every sample from random.Random(N), the sampled
+    # quasi-isometry ratios included
+    drawn = []
+    original = abch.covering._samples
+
+    def recorded(rng, rows, cols):
+        V = original(rng, rows, cols)
+        if sys._getframe(1).f_code.co_name == "metric_independence_check":
+            drawn.append(V)
+        return V
+
+    monkeypatch.setattr(abch.covering, "_samples", recorded)
+    path = tmp_path / "half.cover"
+    path.write_text("n = 1\nbase = [[1, 0], [0, 1]]\nsub = [[2, 0], [0, 1]]\nradius = 1/2\n")
+    for seed in (5, 6, 5):
+        assert main(["cover", str(path), "--seed", str(seed), "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(drawn) == 3
+    assert not np.array_equal(drawn[0], drawn[1])
+    assert np.array_equal(drawn[0], drawn[2])
 
 
 def test_n2_cover_metric_independence():
