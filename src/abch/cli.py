@@ -20,7 +20,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from abch import reporting
-from abch.complexes import NotAComplex, build_complex
+from abch.complexes import NotAComplex, build_complex, conjugation_matrix
 from abch.covering import (
     build_cover,
     gamma_tables,
@@ -98,8 +98,6 @@ def cmd_check(args) -> int:
     comp = setting.ops
     n = comp.n
     failures: List[str] = []
-    from abch.complexes import conjugation_matrix
-
     conj_ok = True
     for p in range(n + 1):
         for q in range(n + 1):
@@ -343,7 +341,7 @@ def cmd_cover(args) -> int:
     rep = gamma_tables(fourier)
     gap_rep = gap_and_closed_image(fourier, samples=args.samples, seed=args.seed)
     H2 = H.scale(QQi(2))
-    mi = metric_independence_check(fourier, H2, seed=args.seed)
+    mi = metric_independence_check(fourier, H2, samples=args.samples, seed=args.seed)
     failures: List[str] = []
     if not rep.inequality_ok:
         failures.append("Gamma-dimension inequality fails")

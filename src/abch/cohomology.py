@@ -198,7 +198,7 @@ def _total_harmonic(setting: ExactSetting, theory: str, k: int) -> Mat:
     theories, the de Rham harmonic space itself otherwise)."""
     space = total_bidegrees(setting.n, k)
     if theory == "deRham":
-        return harmonic_space(setting, LaplacianKind.D, space[0] if space else (0, k))
+        return harmonic_space(setting, LaplacianKind.D, space[0])
     return Mat.block_diag([harmonic_space(setting, THEORY_KINDS[theory], b) for b in space])
 
 
@@ -356,9 +356,13 @@ def exact_sequence_reports(setting: ExactSetting) -> dict:
       0 -> D -> H_BC -> H_delbar -> E -> F -> 0
 
     Maps are inclusions followed by Gram projections; the homology must
-    vanish at every node, and the alternating dimension sum must vanish.
+    vanish at every node, and so must the alternating sum of node dimensions
+    read from routes that do not shape the maps: the quotient grids of
+    `abc_subspaces` for A..F, the rank-nullity tables for the cohomologies.
     """
     n = setting.n
+    tables = all_tables(setting)
+    qd = abc_subspaces(setting).quotient_dims
     per_bidegree = {}
     all_ok = True
     for p in range(n + 1):
@@ -370,14 +374,15 @@ def exact_sequence_reports(setting: ExactSetting) -> dict:
             Ha = harmonic_space(setting, LaplacianKind.A, b)
             Hbc = harmonic_space(setting, LaplacianKind.BC, b)
 
-            seq1_nodes = [A_, B_, Hdb, Ha, C_]
+            h = {t: tables[t].grid[p][q] for t in ("delbar", "a", "bc")}
+            seq1_dims = [qd["a"][p][q], qd["b"][p][q], h["delbar"], h["a"], qd["c"][p][q]]
             seq1_maps = [
                 _coords_in(B_, A_),
                 projection_coords(B_, Hdb, G),
                 projection_coords(Hdb, Ha, G),
                 projection_coords(Ha, C_, G),
             ]
-            seq2_nodes = [D_, Hbc, Hdb, E_, F_]
+            seq2_dims = [qd["d"][p][q], h["bc"], h["delbar"], qd["e"][p][q], qd["f"][p][q]]
             seq2_maps = [
                 _coords_in(Hbc, D_),
                 projection_coords(Hbc, Hdb, G),
@@ -385,9 +390,9 @@ def exact_sequence_reports(setting: ExactSetting) -> dict:
                 projection_coords(E_, F_, G),
             ]
             res = {}
-            for label, nodes, maps in (("seq1", seq1_nodes, seq1_maps), ("seq2", seq2_nodes, seq2_maps)):
+            for label, dims, maps in (("seq1", seq1_dims, seq1_maps), ("seq2", seq2_dims, seq2_maps)):
                 exact = not any(homology(maps))
-                alt = sum((-1) ** i * node.ncols for i, node in enumerate(nodes))
+                alt = sum((-1) ** i * dim for i, dim in enumerate(dims))
                 res[label] = {"exact": exact, "alternating_sum": alt}
                 if not exact or alt != 0:
                     all_ok = False

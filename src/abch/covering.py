@@ -23,6 +23,11 @@ integrated over the base, each orthonormal vector of V contributes
 vol(base)/vol(cover) = 1/|Gamma| to the trace of the projection onto V.  The
 code checks that V is deck-invariant and returns dim(V)/|Gamma|; it does not
 evaluate the trace integral as a second, independent route.
+
+Every L2 harmonic form on the cover is Gamma-invariant, so it lives in the
+mode mu = 0, which always passes the radius test; `build_cover` records its
+position (`FourierComplex.zero`) and the support checks read the harmonic
+spaces each mode's setting memoises.
 """
 
 from __future__ import annotations
@@ -64,10 +69,6 @@ TWO_PI = 2.0 * pi
 
 class NotASublattice(Exception):
     """sub columns do not generate a finite-index sublattice of base."""
-
-
-class EmptyModeSet(Exception):
-    """No Fourier mode survived the truncation (cannot happen: 0 is kept)."""
 
 
 class NotGammaInvariant(Exception):
@@ -210,6 +211,7 @@ class FourierComplex:
     metric: HermitianMetric
     modes: List[Mode]
     settings: List[ExactSetting]  # reduced-scale exact, one per mode
+    zero: int  # position of the mode mu = 0 in `modes`
     numeric: List[NumericSetting] = field(default_factory=list)  # true 2 pi scale
     _kernels: Dict[Tuple[LaplacianKind, Bidegree], Mat] = field(default_factory=dict, repr=False)
 
@@ -244,6 +246,14 @@ class FourierComplex:
             space = total_bidegrees(self.n, sum(b)) if kind is LaplacianKind.D else (b,)
             self._kernels[key] = self.stack_modes(self.mode_kernels(kind, b), space)
         return self._kernels[key]
+
+    def zero_mode_kernel(self, kind: LaplacianKind, b: Bidegree) -> Optional[Mat]:
+        """The zero mode's harmonic space of one kind, in that mode's
+        coordinates; None when another mode has harmonic forms too."""
+        kernels = self.mode_kernels(kind, b)
+        if any(K.ncols for i, K in enumerate(kernels) if i != self.zero):
+            return None
+        return kernels[self.zero]
 
 
 def build_cover(spec: CoveringSpec, H: Optional[Mat] = None) -> FourierComplex:
@@ -320,16 +330,15 @@ def build_cover(spec: CoveringSpec, H: Optional[Mat] = None) -> FourierComplex:
             )
             modes.append(Mode(m=tuple(m), mu=mu, c10=c10, c01=c01, norm2=q2, char_key=phases))
     modes.sort(key=lambda md: md.m)
-    if not modes:
-        raise EmptyModeSet("no modes included")
     mset = {md.m for md in modes}
     if any(tuple(-x for x in md.m) not in mset for md in modes):
         raise AssertionError("mode set is not closed under negation")
 
     settings = [ExactSetting(ModeOps(n, md), metric) for md in modes]
     numeric = [NumericSetting(st, scale=TWO_PI) for st in settings]
+    zero = next(i for i, md in enumerate(modes) if md.is_zero)
     return FourierComplex(
-        spec=spec, n=n, index=index, metric=metric, modes=modes, settings=settings, numeric=numeric
+        spec=spec, n=n, index=index, metric=metric, modes=modes, settings=settings, zero=zero, numeric=numeric
     )
 
 
@@ -388,16 +397,14 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
         for p in range(n + 1):
             for q in range(n + 1):
                 b = (p, q)
-                K = fourier.total_kernel(kind, b)
-                grid[p][q] = gamma_dimension(fourier, K, (b,))
-                support_ok = support_ok and _in_zero_mode(fourier, K, (b,))
+                grid[p][q] = gamma_dimension(fourier, fourier.total_kernel(kind, b), (b,))
+                support_ok = support_ok and fourier.zero_mode_kernel(kind, b) is not None
         grids[name] = grid
     betti = []
     for k in range(2 * n + 1):
         space = total_bidegrees(n, k)
-        K = fourier.total_kernel(LaplacianKind.D, space[0])
-        betti.append(gamma_dimension(fourier, K, space))
-        support_ok = support_ok and _in_zero_mode(fourier, K, space)
+        betti.append(gamma_dimension(fourier, fourier.total_kernel(LaplacianKind.D, space[0]), space))
+        support_ok = support_ok and fourier.zero_mode_kernel(LaplacianKind.D, space[0]) is not None
     grids["deRham"] = betti
 
     ineq_ok = True
@@ -411,14 +418,13 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
             if lhs != rhs:
                 eq_all = False
 
-    # monotonicity on nested invariant pairs: harmonics inside ker delbar
+    # monotonicity on nested invariant pairs: the delbar harmonics (their grid) inside ker delbar
     mono_ok = True
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)
-            U = fourier.total_kernel(LaplacianKind.DELBAR, b)
             V = fourier.stack_modes([st.ker("delbar", b) for st in fourier.settings], (b,))
-            if gamma_dimension(fourier, U, (b,)) > gamma_dimension(fourier, V, (b,)):
+            if grids["delbar"][p][q] > gamma_dimension(fourier, V, (b,)):
                 mono_ok = False
 
     gaps = gap_table(fourier)
@@ -438,31 +444,25 @@ def gap_table(fourier: FourierComplex) -> Dict[str, object]:
     order Laplacians, plus per-bidegree delbar gaps."""
     n = fourier.n
     gaps: Dict[str, object] = {}
-    per_bidegree: Dict[str, Optional[float]] = {}
     for name, kind in (("d", LaplacianKind.D), ("del", LaplacianKind.DEL), ("delbar", LaplacianKind.DELBAR)):
-        best: Optional[float] = None
         # lap_d at (p, q) acts on degree p + q; numeric_spectrum memoises it per degree
+        per_bidegree = {}
         for b in [(p, q) for p in range(n + 1) for q in range(n + 1)]:
-            for st in fourier.numeric:
-                _, _, ev = numeric_spectrum(st, kind, b)
-                g = spectral_gap(ev)
-                if g is not None:
-                    best = g if best is None else min(best, g)
-                if kind is LaplacianKind.DELBAR:
-                    key = f"delbar@{b}"
-                    cur = per_bidegree.get(key)
-                    per_bidegree[key] = g if cur is None else (min(cur, g) if g is not None else cur)
-        gaps[name] = best
-    gaps["per_bidegree_delbar"] = per_bidegree
+            found = [spectral_gap(numeric_spectrum(st, kind, b)[2]) for st in fourier.numeric]
+            per_bidegree[f"{name}@{b}"] = min((g for g in found if g is not None), default=None)
+        gaps[name] = min((g for g in per_bidegree.values() if g is not None), default=None)
+    gaps["per_bidegree_delbar"] = per_bidegree  # delbar is the last kind
     return gaps
 
 
-def metric_independence_check(fc1: FourierComplex, H2: Mat, seed: int = DEFAULT_SEED) -> dict:
+def metric_independence_check(fc1: FourierComplex, H2: Mat, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> dict:
     """Gamma-dimensions of the Bott-Chern and Aeppli harmonic spaces must
     agree for the metric of `fc1` and a second invariant metric H2 on the
-    same cover; also exhibits the quasi-isometry constant, samples the
-    ratio of the two metrics from random.Random(seed) against it, and checks
-    the cross-projection between the two harmonic spaces has full rank."""
+    same cover; also exhibits the quasi-isometry constant, checks it against
+    `samples` ratios of the two metrics drawn from random.Random(seed), and
+    checks the cross-projection between the two harmonic spaces has full
+    rank.  A harmonic form outside the zero mode of either cover raises
+    AssertionError."""
     H1 = fc1.metric.H
     fc2 = build_cover(fc1.spec, H2)
     n = fc1.n
@@ -472,22 +472,20 @@ def metric_independence_check(fc1: FourierComplex, H2: Mat, seed: int = DEFAULT_
         for p in range(n + 1):
             for q in range(n + 1):
                 b = (p, q)
-                K1 = fc1.total_kernel(kind, b)
-                K2 = fc2.total_kernel(kind, b)
-                d1 = gamma_dimension(fc1, K1, (b,))
-                d2 = gamma_dimension(fc2, K2, (b,))
+                d1 = gamma_dimension(fc1, fc1.total_kernel(kind, b), (b,))
+                d2 = gamma_dimension(fc2, fc2.total_kernel(kind, b), (b,))
                 if d1 != d2:
                     agree = False
-                # cross projection: harmonics live in the invariant block of
-                # both complexes, so compare there with the second metric
-                k1_inv = _invariant_block(fc1, K1, b)
-                k2_inv = _invariant_block(fc2, K2, b)
-                G2 = fc2.metric.gram(b)
-                if k2_inv.ncols:
-                    M = projection_coords(k1_inv, k2_inv, G2)
-                    if M.rank() != min(k1_inv.ncols, k2_inv.ncols):
+                # cross projection: harmonics live in the zero mode of both
+                # complexes, so compare there with the second metric
+                k1, k2 = fc1.zero_mode_kernel(kind, b), fc2.zero_mode_kernel(kind, b)
+                if k1 is None or k2 is None:
+                    raise AssertionError("harmonic basis not supported in the zero mode")
+                if k2.ncols:
+                    M = projection_coords(k1, k2, fc2.metric.gram(b))
+                    if M.rank() != min(k1.ncols, k2.ncols):
                         cross_full_rank = False
-                elif k1_inv.ncols:
+                elif k1.ncols:
                     cross_full_rank = False
 
     # quasi-isometry constant on the coframe metric
@@ -496,7 +494,7 @@ def metric_independence_check(fc1: FourierComplex, H2: Mat, seed: int = DEFAULT_
     L = np.linalg.cholesky(H2n)
     lam = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, H1n).conj().T))
     C = max(float(lam.max()), 1.0 / float(lam.min()))
-    V = _samples(random.Random(seed), n, DEFAULT_SAMPLES)
+    V = _samples(random.Random(seed), n, samples)
     r = np.real(np.sum(V.conj() * (H1n @ V), axis=0)) / np.real(np.sum(V.conj() * (H2n @ V), axis=0))
     ratios_ok = bool(np.all((1.0 / C - 1e-9 <= r) & (r <= C + 1e-9)))
     return {
@@ -515,28 +513,6 @@ def _samples(rng: random.Random, rows: int, cols: int) -> np.ndarray:
     u = np.frombuffer(rng.randbytes(16 * rows * cols), dtype="<u8")
     x = ((u >> 11) * 2.0 ** -52 - 1.0).reshape(2, rows, cols)
     return x[0] + 1j * x[1]
-
-
-def _zero_mode_rows(fourier: FourierComplex, space: Space) -> range:
-    """Rows of the zero-mode block of `space` in total coordinates."""
-    w = fourier.width(space)
-    zero_idx = next(i for i, md in enumerate(fourier.modes) if md.is_zero)
-    return range(zero_idx * w, (zero_idx + 1) * w)
-
-
-def _in_zero_mode(fourier: FourierComplex, K: Mat, space: Space) -> bool:
-    """Is every column of the total-coordinate basis K supported in the
-    zero-mode block?"""
-    rows = _zero_mode_rows(fourier, space)
-    return K.take_rows([i for i in range(K.nrows) if i not in rows]).is_zero()
-
-
-def _invariant_block(fourier: FourierComplex, K: Mat, b: Bidegree) -> Mat:
-    """Restrict a total-coordinate basis to the zero-mode block; valid when
-    every column is supported there (checked)."""
-    if not _in_zero_mode(fourier, K, (b,)):
-        raise AssertionError("harmonic basis not supported in the zero mode")
-    return K.take_rows(_zero_mode_rows(fourier, (b,)))
 
 
 def gap_and_closed_image(fourier: FourierComplex, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> dict:
@@ -595,7 +571,7 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = DEFAULT_SAMPLES
                 C = g * g
                 # theta samples in im((del delbar out)* adjoint)
                 corner_out = nst.out("deldbar", b)
-                Simg = st.adjoint(st.out("deldbar", b)).mat.column_space().to_numpy()
+                Simg = st.im("deldbar", b, star=True).to_numpy()
                 if Simg.shape[1]:
                     theta = Simg @ _samples(rng, Simg.shape[1], samples)
                     lhs = gram_norms(theta, G)

@@ -201,6 +201,21 @@ def test_exact_sequences(iw, kt, torus):
             assert res["seq2"]["alternating_sum"] == 0
 
 
+@pytest.mark.parametrize("route, name, seq, alt", [("quotient", "c", "seq1", 1), ("table", "bc", "seq2", -1)])
+def test_an_altered_node_dimension_breaks_the_alternating_sum(route, name, seq, alt):
+    # the sums read each node's dimension from the quotient grids or the
+    # rank-nullity tables, not from the shapes of the maps, so one wrong cell
+    # shows; the setting is fresh because the cell is altered in its memo
+    s = ExactSetting(build_complex(KT), identity_metric(2))
+    grid = abc_subspaces(s).quotient_dims[name] if route == "quotient" else all_tables(s)[name].grid
+    grid[1][1] += 1
+    rep = exact_sequence_reports(s)
+    assert not rep["all_exact"]
+    assert rep["per_bidegree"][(1, 1)][seq] == {"exact": True, "alternating_sum": alt}
+    other = "seq2" if seq == "seq1" else "seq1"
+    assert rep["per_bidegree"][(1, 1)][other]["alternating_sum"] == 0
+
+
 def _m(rows, ncols):
     return Mat([[QQi(*x) if isinstance(x, tuple) else QQi(x) for x in row] for row in rows], ncols=ncols)
 

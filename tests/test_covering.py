@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import abch.cli
 from abch.cli import main
 from abch.complexes import DegreeOverflow, FormVector, dim_pq, monomial_basis, wedge
 from abch.covering import (
@@ -285,9 +286,9 @@ def test_metric_independence():
     assert rep["sampled_ratios_within_bound"]
 
 
-def test_the_seed_reaches_the_metric_independence_samples(monkeypatch, tmp_path):
-    # `cover --seed N` draws every sample from random.Random(N), the sampled
-    # quasi-isometry ratios included
+def _record_metric_independence_samples(monkeypatch, tmp_path):
+    """A list that collects each sample matrix `metric_independence_check`
+    draws, and the path of a small cover file to run `abch cover` on."""
     drawn = []
     original = abch.covering._samples
 
@@ -300,11 +301,24 @@ def test_the_seed_reaches_the_metric_independence_samples(monkeypatch, tmp_path)
     monkeypatch.setattr(abch.covering, "_samples", recorded)
     path = tmp_path / "half.cover"
     path.write_text("n = 1\nbase = [[1, 0], [0, 1]]\nsub = [[2, 0], [0, 1]]\nradius = 1/2\n")
+    return drawn, path
+
+
+def test_the_seed_reaches_the_metric_independence_samples(monkeypatch, tmp_path):
+    # `cover --seed N` draws every sample from random.Random(N), the sampled
+    # quasi-isometry ratios included
+    drawn, path = _record_metric_independence_samples(monkeypatch, tmp_path)
     for seed in (5, 6, 5):
         assert main(["cover", str(path), "--seed", str(seed), "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
     assert len(drawn) == 3
     assert not np.array_equal(drawn[0], drawn[1])
     assert np.array_equal(drawn[0], drawn[2])
+
+
+def test_the_sample_count_reaches_the_metric_independence_samples(monkeypatch, tmp_path):
+    drawn, path = _record_metric_independence_samples(monkeypatch, tmp_path)
+    assert main(["cover", str(path), "--samples", "7", "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
+    assert [V.shape for V in drawn] == [(1, 7)]
 
 
 def test_n2_cover_metric_independence():
@@ -372,6 +386,60 @@ def test_cover_builds_each_cover_once(monkeypatch, tmp_path):
     # the kernels the report used are kept, not recomputed
     K = built[0].total_kernel(LaplacianKind.BC, (1, 0))
     assert built[0].total_kernel(LaplacianKind.BC, (1, 0)) is K
+
+
+@pytest.mark.parametrize("cover, metric", [("index2.cover", None), ("index2_n2.cover", None),
+                                           ("index2.cover", "h3.herm")])
+def test_the_zero_mode_index(cover, metric):
+    spec = load_cover(os.path.join(FIXTURES, cover))
+    fc = build_cover(spec, _fixture_metric(metric) if metric else None)
+    assert [i for i, md in enumerate(fc.modes) if not any(md.mu)] == [fc.zero]
+    assert fc.modes[fc.zero].is_zero and 0 < fc.zero < fc.mode_count() - 1
+    # the untwisted mode: its differentials are those of the flat torus, zero
+    st = fc.settings[fc.zero]
+    assert all(st.del_op(b).mat.is_zero() and st.delbar_op(b).mat.is_zero() for b in [(0, 0), (0, 1), (1, 0)])
+    assert fc.zero_mode_kernel(LaplacianKind.BC, (0, 0)) is fc.mode_kernels(LaplacianKind.BC, (0, 0))[fc.zero]
+
+
+def _with_stray_harmonic_form(fc, kind=LaplacianKind.BC, b=(0, 0)):
+    """fc with a memoised harmonic form of `kind` at b in a nonzero mode."""
+    st = fc.settings[next(i for i, md in enumerate(fc.modes) if not md.is_zero)]
+    st.cached(("harmonic", kind, b), lambda: Mat.identity(st.dim(b)))
+    return fc
+
+
+def test_a_harmonic_form_outside_the_zero_mode_fails_the_support_checks(monkeypatch, capsys):
+    fc = _with_stray_harmonic_form(build_cover(SPEC2))
+    assert fc.zero_mode_kernel(LaplacianKind.BC, (0, 0)) is None
+    assert not gamma_tables(fc).harmonic_support_ok
+    with pytest.raises(AssertionError, match="zero mode"):
+        metric_independence_check(fc, Mat([[QQi(2)]], ncols=1))
+
+    def stray(spec, H):
+        return _with_stray_harmonic_form(build_cover(spec, H))
+
+    # the second metric's cover is checked there too
+    monkeypatch.setattr(abch.covering, "build_cover", stray)
+    with pytest.raises(AssertionError, match="zero mode"):
+        metric_independence_check(build_cover(SPEC2), Mat([[QQi(2)]], ncols=1))
+    # and `abch cover` exits 1
+    monkeypatch.setattr(abch.cli, "build_cover", stray)
+    assert main(["cover", os.path.join(FIXTURES, "index2.cover"), "--format", "json"]) == 1
+    assert "verification failure: harmonic basis not supported in the zero mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cover", ["index2.cover", "index2_n2.cover"])
+def test_per_bidegree_delbar_gaps_are_the_smallest_nonzero_frequency(cover):
+    # under H = id lap_delbar on the mode mu is pi^2 |mu|^2 times the identity
+    # at every bidegree, so each bidegree's gap over the modes is pi^2 times
+    # the smallest nonzero |mu|^2
+    fc = build_cover(load_cover(os.path.join(FIXTURES, cover)))
+    want = math.pi**2 * float(min(md.norm2 for md in fc.modes if not md.is_zero))
+    gaps = gamma_tables(fc).gaps
+    per_bidegree = gaps["per_bidegree_delbar"]
+    assert len(per_bidegree) == (fc.n + 1) ** 2
+    assert all(g == pytest.approx(want, rel=1e-12) for g in per_bidegree.values())
+    assert gaps["delbar"] == min(per_bidegree.values())
 
 
 def test_gap_and_closed_image(cover2):
