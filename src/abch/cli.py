@@ -6,8 +6,8 @@
 
 Commands: check, cohomology, spectra, diagram, ddbar, inequality, abc,
 cover.  The positional path is a `.cplx` model for every command except
-`cover`, which takes a `.cover` file.  Exit code 0 means all
-requested verifications passed, 1 a verification failure, 2 an input error.
+`cover`, which takes a `.cover` file.  Exit code 0 means all requested
+verifications passed, 1 a verification failure or a fault in abch, 2 an input error.
 Output is byte-identical across runs for a fixed configuration; the sampling
 seed defaults to 271828 and `ABCH_TOL_REL` overrides the relative zero
 tolerance (default 1e-9).
@@ -22,15 +22,16 @@ from typing import Dict, List, Optional, Tuple
 from abch import reporting
 from abch.complexes import NotAComplex, build_complex, conjugation_matrix
 from abch.covering import (
+    NotASublattice,
     build_cover,
     gamma_tables,
     gap_and_closed_image,
     load_cover,
     metric_independence_check,
 )
-from abch.laplacians import ALL_KINDS, DEFAULT_SAMPLES, DEFAULT_SEED, LaplacianBundle
+from abch.laplacians import ALL_KINDS, DEFAULT_SAMPLES, DEFAULT_SEED, EigSolverFailure, LaplacianBundle
 from abch.linalg import Mat
-from abch.metric import HermitianMetric, load_metric
+from abch.metric import HermitianMetric, NotHermitian, NotPositiveDefinite, load_metric
 from abch.model import ModelError, load_model
 from abch.scalars import QQi
 from abch.setting import ExactSetting, NumericSetting
@@ -335,6 +336,8 @@ def cmd_abc(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    if args.seed < 0 or args.samples < 0:
+        raise ModelError("--seed and --samples must be non-negative")
     spec = load_cover(args.path)
     H = _metric_matrix(args, spec.n, "cover")
     fourier = build_cover(spec, H)
@@ -427,9 +430,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ModelError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except Exception as exc:  # input-shaped problems (bad metric, bad lattice)
+    except (NotHermitian, NotPositiveDefinite, NotASublattice, EigSolverFailure, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_INPUT
+    # any other exception is a fault in abch: it propagates, with exit code 1
 
 
 if __name__ == "__main__":

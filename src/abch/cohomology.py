@@ -7,11 +7,14 @@ of a sequence of maps over Q(i): the tables at A^{p,q} (A^k for de Rham)
 between the maps entering and leaving it, which `laplacians.THEORY_OPS`
 names and `ExactSetting.out`/`into` builds, the exactness of the five-term
 sequences and the nodes of the full ABC complex.  `ExactSetting.ker`/`im`
-name kernel and image subspaces the same way.  Tables, grids and subspaces
-are memoised in the setting (`ExactSetting.cached`), so every report that
-needs one shares it.  Harmonic-space dimensions from the Laplacian engine
-give a second, independent route to the same numbers; tests assert the two
-agree (finite-dimensional Hodge theory) rather than trusting either alone.
+name kernel and image subspaces the same way.  Spans are equal exactly when
+their canonical bases (`linalg.span_basis`, the form of every sum,
+intersection, `im_d_at` and `abcdef` value) are `==`, of dimension `ncols`.
+Tables, grids and subspaces are memoised in the setting
+(`ExactSetting.cached`), so every report that needs one shares it.
+Harmonic-space dimensions from the Laplacian engine give a second,
+independent route to the same numbers; tests assert the two agree
+(finite-dimensional Hodge theory) rather than trusting either alone.
 
 Images of linear maps between finite-dimensional spaces are closed, so the
 reduced and unreduced quotients coincide and only one notion of cohomology
@@ -24,17 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from abch.complexes import Bidegree, Op, Space, d_between, total_bidegrees
-from abch.linalg import (
-    Mat,
-    intersect_many,
-    projection_coords,
-    span_basis,
-    subspace_contains,
-    subspace_dim,
-    subspace_eq,
-    subspace_intersect,
-    subspace_sum,
-)
+from abch.linalg import Mat, intersect_many, projection_coords, span_basis, subspace_intersect, subspace_sum
 from abch.laplacians import THEORY_KINDS, THEORY_OPS, LaplacianKind, harmonic_space
 from abch.setting import ExactSetting, add_ops, compose
 
@@ -243,10 +236,18 @@ def bigraded_arrow(setting: ExactSetting, src: str, dst: str, b: Bidegree) -> Di
 CONDITION_NAMES = ("a", "b", "c", "d", "e", "f")
 
 
+def _witness(b: Bidegree, small: Mat, big: Mat) -> Optional[dict]:
+    """The first column of big outside span(small), as a witness at b, or
+    None: the first pivot past small's columns in the rref of [small | big]."""
+    _, pivots = Mat.hstack([small, big]).rref()
+    j = next((c - small.ncols for c in pivots if c >= small.ncols), None)
+    return None if j is None else {"bidegree": b, "form": [str(x) for x in big.col(j)]}
+
+
 def ddbar_conditions(setting: ExactSetting) -> dict:
-    """The six comparison conditions, each tested as an exact subspace
-    equality at every bidegree.  Conditions are reported independently;
-    a model where they disagree is flagged, not an error.
+    """The six comparison conditions, each an exact subspace equality at
+    every bidegree (the canonical bases of both sides are `==`).  Conditions
+    are reported independently; a model where they disagree is flagged.
 
     At each (p,q), with kk = ker del ∩ ker delbar (the bidegree part of
     ker d) and im_d the bidegree part of im d:
@@ -257,6 +258,9 @@ def ddbar_conditions(setting: ExactSetting) -> dict:
       d) ker del delbar = im del + im delbar + kk
       e) ker del delbar = ker del + im delbar
       f) ker del delbar = im del + im delbar + kk   (kk in place of ker d)
+
+    At one bidegree ker d ∩ A^{p,q} = ker del ∩ ker delbar = kk, so f's
+    right-hand side is d's, and f takes d's verdict and witness.
     """
     n, ker, im = setting.n, setting.ker, setting.im
     holds = {name: True for name in CONDITION_NAMES}
@@ -265,30 +269,25 @@ def ddbar_conditions(setting: ExactSetting) -> dict:
         for q in range(n + 1):
             b = (p, q)
             kk = subspace_intersect(ker("del", b), ker("delbar", b))
-            im_dd = im("deldbar", b)
-            ker_dd = ker("deldbar", b)
             sums = subspace_sum(im("del", b), im("delbar", b))
+            im_dd, ker_dd = span_basis(im("deldbar", b)), span_basis(ker("deldbar", b))
             rhs = {
                 "a": subspace_intersect(kk, im_d_at(setting, b)),
                 "b": subspace_intersect(ker("del", b), im("delbar", b)),
                 "c": subspace_intersect(kk, sums),
                 "d": subspace_sum(sums, kk),
                 "e": subspace_sum(ker("del", b), im("delbar", b)),
-                "f": subspace_sum(sums, kk),
             }
-            lhs = {"a": im_dd, "b": im_dd, "c": im_dd, "d": ker_dd, "e": ker_dd, "f": ker_dd}
-            for name in CONDITION_NAMES:
-                if not subspace_eq(lhs[name], rhs[name]):
+            for name, side in rhs.items():
+                if side != (im_dd if name in "abc" else ker_dd):
                     holds[name] = False
-                    if name not in witnesses:
-                        big, small = (rhs[name], lhs[name]) if name in "abc" else (lhs[name], rhs[name])
-                        for col in big.cols():
-                            v = Mat.column(col)
-                            if not subspace_contains(small, v):
-                                witnesses[name] = {"bidegree": b, "form": [str(x) for x in col]}
-                                break
-    values = list(holds.values())
-    return {"holds": holds, "all_agree": all(values) or not any(values), "witnesses": witnesses}
+                    small_big = (im_dd, side) if name in "abc" else (side, ker("deldbar", b))
+                    if name not in witnesses and (w := _witness(b, *small_big)):
+                        witnesses[name] = w
+    holds["f"] = holds["d"]
+    if "d" in witnesses:
+        witnesses["f"] = witnesses["d"]
+    return {"holds": holds, "all_agree": len(set(holds.values())) == 1, "witnesses": witnesses}
 
 
 # -- the six subspaces and the exact sequences ------------------------------------------
@@ -316,19 +315,17 @@ def _abc_subspaces(setting: ExactSetting) -> SubspaceGrids:
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)
-            inter = abcdef(setting, b)
-            for x in names:
-                dims[x][p][q] = subspace_dim(inter[x])
+            for x, basis in abcdef(setting, b).items():
+                dims[x][p][q] = basis.ncols
             ker_del, ker_delbar = ker("del", b), ker("delbar", b)
             im_del, im_delbar = im("del", b), im("delbar", b)
-            r_dd = subspace_dim(im("deldbar", b))
-            qdims["a"][p][q] = subspace_dim(subspace_intersect(im_delbar, im_del)) - r_dd
-            qdims["b"][p][q] = subspace_dim(subspace_intersect(im_del, ker_delbar)) - r_dd
-            qdims["d"][p][q] = subspace_dim(subspace_intersect(im_delbar, ker_del)) - r_dd
-            kdd = subspace_dim(ker("deldbar", b))
-            qdims["c"][p][q] = kdd - subspace_dim(subspace_sum(ker_delbar, im_del))
-            qdims["e"][p][q] = kdd - subspace_dim(subspace_sum(ker_del, im_delbar))
-            qdims["f"][p][q] = kdd - subspace_dim(subspace_sum(ker_del, ker_delbar))
+            r_dd, kdd = im("deldbar", b).ncols, ker("deldbar", b).ncols
+            qdims["a"][p][q] = subspace_intersect(im_delbar, im_del).ncols - r_dd
+            qdims["b"][p][q] = subspace_intersect(im_del, ker_delbar).ncols - r_dd
+            qdims["d"][p][q] = subspace_intersect(im_delbar, ker_del).ncols - r_dd
+            qdims["c"][p][q] = kdd - subspace_sum(ker_delbar, im_del).ncols
+            qdims["e"][p][q] = kdd - subspace_sum(ker_del, im_delbar).ncols
+            qdims["f"][p][q] = kdd - subspace_sum(ker_del, ker_delbar).ncols
     agree = all(dims[x] == qdims[x] for x in names)
     conj_ok = all(
         dims["a"][p][q] == dims["a"][q][p]
@@ -345,7 +342,7 @@ def _coords_in(B: Mat, vectors: Mat) -> Mat:
     """Coordinates of the columns of `vectors` in the basis B (must lie in span B)."""
     X = B.solve(vectors)
     if X is None or B @ X != vectors:
-        raise ValueError("vector outside subspace while building an inclusion map")
+        raise AssertionError("vector outside subspace while building an inclusion map")
     return X
 
 
@@ -434,8 +431,8 @@ def inequality_report(setting: ExactSetting) -> InequalityReport:
                 identity = False
             if defect[p][q] == 0:
                 equality_at.append(b)
-            ker_split = subspace_eq(ker("deldbar", b), subspace_sum(ker("del", b), ker("delbar", b)))
-            im_split = subspace_eq(im("deldbar", b), subspace_intersect(im("del", b), im("delbar", b)))
+            ker_split = span_basis(ker("deldbar", b)) == subspace_sum(ker("del", b), ker("delbar", b))
+            im_split = span_basis(im("deldbar", b)) == subspace_intersect(im("del", b), im("delbar", b))
             if (defect[p][q] == 0) != (ker_split and im_split):
                 criterion_ok = False
     degree_sums = []

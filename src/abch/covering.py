@@ -113,6 +113,9 @@ def parse_cover(text: str) -> CoveringSpec:
             raise ModelSyntaxError(f"bad statement {lhs!r}", lineno, 1)
     if n is None or radius is None or "base" not in mats or "sub" not in mats:
         raise ModelSyntaxError("cover file needs n, base, sub and radius", 0, 0)
+    for lhs in ("base", "sub"):
+        if len(mats[lhs]) != 2 * n or any(len(row) != 2 * n for row in mats[lhs]):
+            raise ModelSyntaxError(f"{lhs} must be a {2 * n}x{2 * n} integer matrix", 0, 0)
     return CoveringSpec(n=n, base=mats["base"], sub=mats["sub"], radius=radius)
 
 
@@ -264,8 +267,6 @@ def build_cover(spec: CoveringSpec, H: Optional[Mat] = None) -> FourierComplex:
     """
     n = spec.n
     two_n = 2 * n
-    if len(spec.base) != two_n or len(spec.sub) != two_n:
-        raise ShapeMismatch(f"lattice matrices must be {two_n}x{two_n}")
     metric = HermitianMetric(n, H) if H is not None else identity_metric(n)
 
     B = Mat([[QQi(x) for x in row] for row in spec.base])
@@ -526,8 +527,6 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = DEFAULT_SAMPLES
     the exact matrix identities tilde_BC_4 = tilde_A_4 = lap_delbar^2
     (reduced scale; both sides are fourth order so the scale cancels).
     """
-    if seed < 0 or samples < 0:
-        raise ValueError("seed and samples must be non-negative")
     n = fourier.n
     rng = random.Random(seed)
     report: Dict[str, object] = {"bidegrees": {}}

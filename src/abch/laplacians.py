@@ -224,7 +224,7 @@ def spectrum(L: np.ndarray, G: np.ndarray) -> np.ndarray:
         ev = np.linalg.eigvalsh(gram_symmetrize(L, G))
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
-    lam_max = float(ev[-1]) if len(ev) else 0.0
+    lam_max = float(ev[-1])
     thresh = TOL_ABS + tol_rel() * max(lam_max, 0.0)
     return np.array([0.0 if abs(x) < thresh else float(x) for x in ev])
 

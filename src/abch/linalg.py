@@ -40,6 +40,7 @@ so `re / den` and `im / den` are bit-identical to it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -547,7 +548,9 @@ def kron(A: Mat, B: Mat) -> Mat:
 # -- subspaces ------------------------------------------------------------
 #
 # A subspace of Q(i)^n is represented by a Mat whose columns span it (not
-# necessarily a basis).  `span_basis` reduces to a canonical basis.
+# necessarily a basis).  `span_basis`, `subspace_sum` and `subspace_intersect`
+# return its canonical basis (the unique rref of A^T, stored canonically):
+# spans are equal exactly when those bases are `==`, of dimension `ncols`.
 
 
 def span_basis(A: Mat) -> Mat:
@@ -569,8 +572,9 @@ def subspace_contains(A: Mat, v: Mat) -> bool:
 
 
 def subspace_eq(A: Mat, B: Mat) -> bool:
-    ra, rb = A.rank(), B.rank()
-    return ra == rb and Mat.hstack([A, B]).rank() == ra
+    if A.nrows != B.nrows:
+        raise ShapeMismatch("subspace ambient dims differ")
+    return span_basis(A) == span_basis(B)
 
 
 def subspace_sum(*parts: Mat) -> Mat:
@@ -590,11 +594,7 @@ def subspace_intersect(A: Mat, B: Mat) -> Mat:
 
 
 def intersect_many(parts: Iterable[Mat]) -> Mat:
-    parts = list(parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out = subspace_intersect(out, p)
-    return out
+    return reduce(subspace_intersect, parts)
 
 
 # -- Gram inner products -----------------------------------------------------

@@ -159,10 +159,10 @@ class HermitianMetric:
         return self._gram_inv[b]
 
     def gram_space(self, space: Space) -> Mat:
-        return Mat.block_diag([self.gram(b) for b in space]) if space else Mat.zeros(0, 0)
+        return Mat.block_diag([self.gram(b) for b in space])
 
     def gram_inv_space(self, space: Space) -> Mat:
-        return Mat.block_diag([self.gram_inv(b) for b in space]) if space else Mat.zeros(0, 0)
+        return Mat.block_diag([self.gram_inv(b) for b in space])
 
     # -- fundamental form -----------------------------------------------
 

@@ -124,6 +124,43 @@ def test_cover_rejects_a_negative_seed_or_sample_count(capsys):
         assert "must be non-negative" in err
 
 
+def test_a_ragged_or_wrong_size_lattice_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.cover"
+    for base in ("[[1, 0], [0]]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", "[[1, 0]]"):
+        bad.write_text(f"n = 1\nbase = {base}\nsub = [[2, 0], [0, 1]]\nradius = 1\n")
+        code, out, err = run(capsys, "cover", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == "error: base must be a 2x2 integer matrix\n"
+
+
+def test_an_undecodable_file_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.cplx"
+    bad.write_bytes(b"n = 2\n\xff\xfe\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert err.startswith("error: UnicodeDecodeError: ")
+
+
+def test_an_internal_fault_exits_one():
+    # only named input errors exit 2; any other exception is a fault in abch,
+    # which leaves the interpreter with its traceback and exit code 1
+    script = (
+        "import sys\n"
+        "import abch.cli, abch.cohomology\n"
+        "def broken(setting):\n"
+        "    raise KeyError('no such memo')\n"
+        "abch.cohomology.ddbar_conditions = broken\n"
+        "sys.exit(abch.cli.main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, "ddbar", fx("torus2.cplx")], env=_src_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("Traceback")
+    assert done.stderr.endswith("KeyError: 'no such memo'\n")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "cohomology", fx("torus1.cplx"), "--format", "json", "--out", str(target))
@@ -168,6 +205,12 @@ def test_oversized_input_exits_two(capsys, tmp_path):
     assert "exceeds the limit 6" in err
 
 
+def _src_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_run(argvs, package):
     """Exit codes of `main(argv)` for each argv, run in a fresh interpreter
     that imports the CLI first, and the modules of `package` it then holds."""
@@ -179,9 +222,7 @@ def _fresh_run(argvs, package):
         "print(json.dumps([codes, sorted(m for m in sys.modules\n"
         "                                if m == package or m.startswith(package + '.'))]))\n"
     )
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, json.dumps([argvs, package])], env=env,
+    done = subprocess.run([sys.executable, "-c", script, json.dumps([argvs, package])], env=_src_env(),
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 

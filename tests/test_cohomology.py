@@ -7,12 +7,15 @@ import pytest
 
 from abch.complexes import build_complex
 from abch.laplacians import LaplacianKind, assemble
-from abch.linalg import Mat
+from abch.linalg import Mat, span_basis, subspace_intersect
 from abch.metric import diagonal_metric, identity_metric, HermitianMetric, load_metric
 from abch.model import load_model, parse_model
 from abch.setting import ExactSetting
-from abch.scalars import QQi
+from abch.scalars import ONE, QQi, ZERO
 from abch.cohomology import (
+    _block_rows,
+    _coords_in,
+    _witness,
     bigraded_arrow,
     InvalidBidegree,
     abc_subspaces,
@@ -177,6 +180,36 @@ def test_ddbar_conditions_iwasawa(iw):
     assert not any(rep["holds"].values())
     assert rep["all_agree"]  # all six agree (all false)
     assert rep["witnesses"]  # an explicit witness form was produced
+
+
+def test_the_witness_is_the_first_column_of_big_outside_small():
+    # big's first column is s1 + 2 s2, inside span(small); its second is the
+    # first outside, so the witness is the first pivot past small's columns
+    small = Mat([[ONE, ZERO], [ZERO, ONE], [ONE, ZERO]], ncols=2)
+    big = Mat([[ONE, ZERO, ONE], [QQi(2), ZERO, ZERO], [ONE, QQi(0, 1), ZERO]], ncols=3)
+    assert _witness((1, 2), small, big) == {"bidegree": (1, 2), "form": ["0", "0", "i"]}
+    assert _witness((1, 2), big, small) is None  # span(small) lies in span(big)
+
+
+def test_conditions_d_and_f_have_one_right_hand_side():
+    # f puts ker d in place of kk; at one bidegree ker d ∩ A^{p,q} is
+    # ker del ∩ ker delbar, so f's right-hand side is d's
+    s = ExactSetting(build_complex(load_model(os.path.join(FIXTURES, "n4_mixed.cplx"))), identity_metric(4))
+    for p in range(5):
+        for q in range(5):
+            b = (p, q)
+            D = s.total_d(p + q).mat
+            off, w = _block_rows(s, b)  # the A^{p,q} coordinates of degree p + q
+            d_at_b = D @ Mat.identity(D.ncols).take_rows(range(off, off + w)).transpose()
+            assert span_basis(d_at_b.nullspace()) == subspace_intersect(s.ker("del", b), s.ker("delbar", b))
+    rep = ddbar_conditions(s)
+    assert rep["holds"]["f"] == rep["holds"]["d"] is False
+    assert rep["witnesses"]["f"] == rep["witnesses"]["d"] == {"bidegree": (0, 1), "form": ["0", "0", "1", "0"]}
+
+
+def test_a_vector_outside_the_subspace_is_a_broken_invariant():
+    with pytest.raises(AssertionError, match="vector outside subspace"):
+        _coords_in(Mat([[ONE], [ZERO]], ncols=1), Mat([[ZERO], [ONE]], ncols=1))
 
 
 def test_subspace_routes_and_conjugation(iw, kt):

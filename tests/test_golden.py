@@ -22,6 +22,7 @@ IW = "fixtures/iwasawa.cplx"
 DIAG21 = ("--metric", "fixtures/diag21.herm")
 DENSE3 = ("--metric", "fixtures/dense3.herm")  # complex off-diagonal entries
 N4 = "fixtures/n4_chain.cplx"  # n = 4: (2,2) is 36-dimensional, degree 4 is 70
+N4_MIXED = "fixtures/n4_mixed.cplx"  # n = 4 with a d phi3 of type (1,1)
 
 GOLDEN = [
     (("check", KT),
@@ -70,6 +71,11 @@ GOLDEN = [
      "02b332c091bc27cd2806979a59a4f7a2f25a466a1db719f417c9a4633030159f"),
     (("cohomology", N4),  # rank-nullity at n = 4
      "dc0abe287f47b3c1812c10cd2d7d5540b7baa914100c4afc99c95b6004cb6b05"),
+    # every condition fails, with witnesses at (0, 2) and (0, 1)
+    (("ddbar", N4_MIXED),
+     "e98b4e563049ed477ffb46bc4ebb9d4a466c4633ceac0f4e1d79d9193c73b5b5"),
+    (("inequality", N4_MIXED),
+     "e58aeab82a4db106de024bc7184614fd015f63830d1cbe156abfa5dbb8d9db8c"),
     # the two largest reports: every kernel basis at every bidegree
     (("spectra", IW, "--backend", "both"),
      "645e8e63e57c79c208eaec170e735bf7d2f75cc1b5320721b77dfede86cd5ced"),

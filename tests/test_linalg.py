@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from abch.linalg import (
     Mat,
+    ShapeMismatch,
     cross_gram,
     gram_adjoint,
     project,
@@ -123,3 +124,9 @@ def test_span_basis_canonical():
     S = span_basis(A)
     assert S.ncols == 1
     assert subspace_eq(S, A)
+
+
+def test_subspace_eq_needs_one_ambient_space():
+    # also when the ranks differ, so no rank decides it first
+    with pytest.raises(ShapeMismatch):
+        subspace_eq(Mat.identity(2), Mat.zeros(3, 1))

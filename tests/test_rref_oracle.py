@@ -22,7 +22,7 @@ import dense_linalg as dense
 import oracles
 from abch import linalg
 from abch.linalg import Mat
-from abch.scalars import QQi, ZERO
+from abch.scalars import ONE, QQi, ZERO
 
 
 def oracle_rref(self):
@@ -245,6 +245,58 @@ def test_every_operation_matches_dense_oracle(ops):
         got = run(f)
         assert_canonical(got)
         assert plain(got) == expected[name], name
+
+
+nonzero = st.builds(QQi, rats, rats).filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def span_pairs(draw):
+    """A (r x c), an invertible c x c matrix and B (r x k), with 0 to 4 of
+    each: B is drawn at random, from span(A) as A @ C (equal to it when C
+    keeps A's rank), or as A times the invertible matrix beside a multiple
+    of A (always equal)."""
+    r, c, k = (draw(st.integers(0, 4)) for _ in range(3))
+    A = draw(mats(r, c))
+    # L U Q: unit lower triangular, upper triangular with a nonzero
+    # diagonal, and a column permutation
+    L = Mat.from_entries(c, c, {(i, j): ONE if i == j else draw(entries) for i in range(c) for j in range(i + 1)})
+    U = Mat.from_entries(c, c, {(i, j): draw(nonzero if i == j else entries) for i in range(c) for j in range(i, c)})
+    invertible = L @ U @ Mat.identity(c).take_rows(draw(st.permutations(range(c))))
+    route = draw(st.integers(0, 2))
+    if route == 0:
+        B = draw(mats(r, k))
+    elif route == 1:
+        B = A @ draw(mats(c, k))
+    else:
+        B = Mat.hstack([A @ invertible, A.scale(draw(entries))])
+    return A, invertible, B
+
+
+def _col(*xs):
+    return Mat([[x] for x in xs], ncols=1)
+
+
+# a rank-1 span over 1/65537 and over 1/(2**61 - 1), beside rank-0 and
+# zero-column inputs
+RANK1 = Mat([[q(Fraction(1, 65537)), q(0, Fraction(2, 3))], [q(Fraction(2, 65537)), q(0, Fraction(4, 3))]], ncols=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_pairs())
+@example((RANK1, Mat.identity(2), _col(q(Fraction(5, P)), q(Fraction(10, P)))))
+@example((RANK1, Mat.identity(2), Mat.zeros(2, 3)))
+@example((RANK1 - RANK1, Mat.identity(2), Mat.zeros(2, 0)))
+@example((Mat.zeros(3, 0), Mat.identity(0), Mat.zeros(3, 2)))
+@example((Mat.zeros(3, 0), Mat.identity(0), _col(ZERO, q(Fraction(1, 3)), ZERO)))
+def test_canonical_bases_are_equal_exactly_when_the_spans_are(case):
+    A, invertible, B = case
+    assert linalg.span_basis(A @ invertible) == linalg.span_basis(A)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense.Mat, "rref", oracle_rref)
+        same = dense.subspace_eq(to_dense(A), to_dense(B))  # the rank test
+    assert (linalg.span_basis(A) == linalg.span_basis(B)) == same
+    assert linalg.subspace_eq(A, B) == same
 
 
 @settings(max_examples=100, deadline=None)
