@@ -119,11 +119,8 @@ def cmd_cohomology(args) -> int:
     n = setting.n
     tables = coh.all_tables(setting)
     sym = coh.table_symmetries(tables, n)
-    harm = coh.harmonic_dims(setting)
     failures: List[str] = []
-    hodge_ok = all(harm[t] == tables[t].grid for t in ("del", "delbar", "bc", "a")) and harm[
-        "deRham"
-    ] == tables["deRham"].betti
+    hodge_ok = coh.harmonic_dims(setting) == tables
     if not hodge_ok:
         failures.append("harmonic dimensions differ from rank-nullity dimensions")
     for k, v in sym.items():
@@ -137,23 +134,23 @@ def cmd_cohomology(args) -> int:
                 failures.extend(bundle.crosscheck())
     lines = [f"# cohomology {name}", ""]
     for t in ("bc", "a", "del", "delbar"):
-        lines += reporting.grid_md(f"h_{t}", tables[t].grid)
-    lines += reporting.list_md("betti", tables["deRham"].betti)
+        lines += reporting.grid_md(f"h_{t}", tables[t])
+    lines += reporting.list_md("betti", tables["deRham"])
     lines += reporting.checks_md({"hodge_isomorphism": hodge_ok, **sym})
     payload = {
         "command": "cohomology",
         "model": name,
         "metric_hash": reporting.metric_hash(setting.metric.H),
-        "tables": {t: tables[t].grid for t in ("bc", "a", "del", "delbar")},
-        "betti": tables["deRham"].betti,
+        "tables": {t: tables[t] for t in ("bc", "a", "del", "delbar")},
+        "betti": tables["deRham"],
         "symmetries": sym,
         "hodge_isomorphism": hodge_ok,
     }
     if args.format == "csv":
         lines = []
         for t in ("bc", "a", "del", "delbar"):
-            lines += reporting.render_csv_grid(f"h_{t}", tables[t].grid)
-        lines += reporting.render_csv_grid("betti", [tables["deRham"].betti])
+            lines += reporting.render_csv_grid(f"h_{t}", tables[t])
+        lines += reporting.render_csv_grid("betti", [tables["deRham"]])
     return _emit(args, lines, payload, failures)
 
 

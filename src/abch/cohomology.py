@@ -12,9 +12,11 @@ their canonical bases (`linalg.span_basis`, the form of every sum,
 intersection, `im_d_at` and `abcdef` value) are `==`, of dimension `ncols`.
 Tables, grids and subspaces are memoised in the setting
 (`ExactSetting.cached`), so every report that needs one shares it.
-Harmonic-space dimensions from the Laplacian engine give a second,
-independent route to the same numbers; tests assert the two agree
-(finite-dimensional Hodge theory) rather than trusting either alone.
+Harmonic-space dimensions (`harmonic_dims`) give a second, independent
+route to the same numbers (finite-dimensional Hodge theory).  Both routes
+and the cover's Gamma-dimensions (`GammaReport.grids`) share one table
+shape of plain lists, {theory: grid[p][q], "deRham": betti[k]}, so
+`abch cohomology` checks the Hodge isomorphism as one `==` of two tables.
 
 Images of linear maps between finite-dimensional spaces are closed, so the
 reduced and unreduced quotients coincide and only one notion of cohomology
@@ -36,15 +38,6 @@ THEORIES = ("deRham", "del", "delbar", "bc", "a")
 
 class InvalidBidegree(Exception):
     """Requested corner bidegree outside 0..n."""
-
-
-@dataclass
-class CohomologyTable:
-    """Dimension grid of one theory: grid[p][q], or betti[k] for de Rham."""
-
-    theory: str
-    grid: Optional[List[List[int]]] = None
-    betti: Optional[List[int]] = None
 
 
 # -- dimension grids (metric-free) ---------------------------------------------
@@ -72,25 +65,25 @@ def betti_numbers(setting: ExactSetting) -> List[int]:
     return [_rank_nullity(setting, "deRham", k) for k in range(2 * setting.n + 1)]
 
 
-def cohomology(theory: str, setting: ExactSetting) -> CohomologyTable:
-    """Quotient dimensions by exact rank arithmetic."""
+def cohomology(theory: str, setting: ExactSetting) -> list:
+    """Quotient dimensions by exact rank arithmetic: grid[p][q], or the
+    Betti numbers for de Rham."""
     n = setting.n
     if theory not in THEORY_OPS:
         raise ValueError(f"unknown theory {theory}")
     if theory == "deRham":
-        return CohomologyTable("deRham", betti=betti_numbers(setting))
-    grid = [[_rank_nullity(setting, theory, (p, q)) for q in range(n + 1)] for p in range(n + 1)]
-    return CohomologyTable(theory, grid=grid)
+        return betti_numbers(setting)
+    return [[_rank_nullity(setting, theory, (p, q)) for q in range(n + 1)] for p in range(n + 1)]
 
 
-def all_tables(setting: ExactSetting) -> Dict[str, CohomologyTable]:
+def all_tables(setting: ExactSetting) -> Dict[str, list]:
     return setting.cached("all_tables", lambda: {t: cohomology(t, setting) for t in THEORIES})
 
 
-def harmonic_dims(setting: ExactSetting) -> Dict[str, object]:
+def harmonic_dims(setting: ExactSetting) -> Dict[str, list]:
     """Harmonic-space dimensions per theory: the independent Hodge route."""
     n = setting.n
-    out: Dict[str, object] = {}
+    out: Dict[str, list] = {}
     out["deRham"] = [
         harmonic_space(setting, LaplacianKind.D, total_bidegrees(n, k)[0]).ncols for k in range(2 * n + 1)
     ]
@@ -101,12 +94,9 @@ def harmonic_dims(setting: ExactSetting) -> Dict[str, object]:
     return out
 
 
-def table_symmetries(tables: Dict[str, CohomologyTable], n: int) -> Dict[str, bool]:
+def table_symmetries(tables: Dict[str, list], n: int) -> Dict[str, bool]:
     """Conjugation and star-duality symmetries of the dimension grids."""
-    bc = tables["bc"].grid
-    a = tables["a"].grid
-    dbar = tables["delbar"].grid
-    dl = tables["del"].grid
+    bc, a, dbar, dl = (tables[t] for t in ("bc", "a", "delbar", "del"))
     conj_ok = all(
         bc[p][q] == bc[q][p] and a[p][q] == a[q][p] and dbar[p][q] == dl[q][p]
         for p in range(n + 1)
@@ -371,15 +361,14 @@ def exact_sequence_reports(setting: ExactSetting) -> dict:
             Ha = harmonic_space(setting, LaplacianKind.A, b)
             Hbc = harmonic_space(setting, LaplacianKind.BC, b)
 
-            h = {t: tables[t].grid[p][q] for t in ("delbar", "a", "bc")}
-            seq1_dims = [qd["a"][p][q], qd["b"][p][q], h["delbar"], h["a"], qd["c"][p][q]]
+            seq1_dims = [qd["a"][p][q], qd["b"][p][q], tables["delbar"][p][q], tables["a"][p][q], qd["c"][p][q]]
             seq1_maps = [
                 _coords_in(B_, A_),
                 projection_coords(B_, Hdb, G),
                 projection_coords(Hdb, Ha, G),
                 projection_coords(Ha, C_, G),
             ]
-            seq2_dims = [qd["d"][p][q], h["bc"], h["delbar"], qd["e"][p][q], qd["f"][p][q]]
+            seq2_dims = [qd["d"][p][q], tables["bc"][p][q], tables["delbar"][p][q], qd["e"][p][q], qd["f"][p][q]]
             seq2_maps = [
                 _coords_in(Hbc, D_),
                 projection_coords(Hbc, Hdb, G),
@@ -424,8 +413,8 @@ def inequality_report(setting: ExactSetting) -> InequalityReport:
     for p in range(n + 1):
         for q in range(n + 1):
             b = (p, q)
-            lhs[p][q] = tables["del"].grid[p][q] + tables["delbar"].grid[p][q]
-            rhs[p][q] = tables["a"].grid[p][q] + tables["bc"].grid[p][q]
+            lhs[p][q] = tables["del"][p][q] + tables["delbar"][p][q]
+            rhs[p][q] = tables["a"][p][q] + tables["bc"][p][q]
             defect[p][q] = grids.dims["a"][p][q] + grids.dims["f"][p][q]
             if rhs[p][q] != lhs[p][q] + defect[p][q]:
                 identity = False

@@ -440,19 +440,25 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
     )
 
 
+def _least_gaps(fourier: FourierComplex, kind: LaplacianKind) -> Dict[Bidegree, Optional[float]]:
+    """Each bidegree's smallest spectral gap of `kind` over the modes, read
+    from the memoised spectra (lap_d at (p, q) acts on degree p + q); None
+    where every mode's spectrum is {0}."""
+    n = fourier.n
+    least = {}
+    for b in [(p, q) for p in range(n + 1) for q in range(n + 1)]:
+        found = [spectral_gap(numeric_spectrum(st, kind, b)[2]) for st in fourier.numeric]
+        least[b] = min((g for g in found if g is not None), default=None)
+    return least
+
+
 def gap_table(fourier: FourierComplex) -> Dict[str, object]:
     """Global spectral gaps (over all bidegrees and modes) of the second
     order Laplacians, plus per-bidegree delbar gaps."""
-    n = fourier.n
-    gaps: Dict[str, object] = {}
-    for name, kind in (("d", LaplacianKind.D), ("del", LaplacianKind.DEL), ("delbar", LaplacianKind.DELBAR)):
-        # lap_d at (p, q) acts on degree p + q; numeric_spectrum memoises it per degree
-        per_bidegree = {}
-        for b in [(p, q) for p in range(n + 1) for q in range(n + 1)]:
-            found = [spectral_gap(numeric_spectrum(st, kind, b)[2]) for st in fourier.numeric]
-            per_bidegree[f"{name}@{b}"] = min((g for g in found if g is not None), default=None)
-        gaps[name] = min((g for g in per_bidegree.values() if g is not None), default=None)
-    gaps["per_bidegree_delbar"] = per_bidegree  # delbar is the last kind
+    kinds = (LaplacianKind.D, LaplacianKind.DEL, LaplacianKind.DELBAR)
+    least = {kind.value: _least_gaps(fourier, kind) for kind in kinds}
+    gaps: Dict[str, object] = {k: min((g for g in per.values() if g is not None), default=None) for k, per in least.items()}
+    gaps["per_bidegree_delbar"] = {f"delbar@{b}": g for b, g in least["delbar"].items()}
     return gaps
 
 
@@ -548,52 +554,46 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = DEFAULT_SAMPLES
     report["prestage_box_identity"] = prestage_ok
 
     all_ok = True
-    for p in range(n + 1):
-        for q in range(n + 1):
-            b = (p, q)
+    for b, gap_db in _least_gaps(fourier, LaplacianKind.DELBAR).items():
+        if gap_db is None:
+            report["bidegrees"][str(b)] = {"gap_delbar": None, "vacuous": True}
+            continue
+        quantitative_ok = True
+        two_op_ok = True
+        kernels = fourier.mode_kernels(LaplacianKind.DELBAR, b)
+        for st, nst, K in zip(fourier.settings, fourier.numeric, kernels):
             # lap_delbar per mode: its Gram and spectral gap
-            mode_gaps = []
-            for nst in fourier.numeric:
-                _, G, ev = numeric_spectrum(nst, LaplacianKind.DELBAR, b)
-                mode_gaps.append((G, spectral_gap(ev)))
-            found = [g for _, g in mode_gaps if g is not None]
-            if not found:
-                report["bidegrees"][str(b)] = {"gap_delbar": None, "vacuous": True}
+            _, G, ev = numeric_spectrum(nst, LaplacianKind.DELBAR, b)
+            g = spectral_gap(ev)
+            if g is None:
                 continue
-            gap_db = min(found)
-            quantitative_ok = True
-            two_op_ok = True
-            kernels = fourier.mode_kernels(LaplacianKind.DELBAR, b)
-            for st, nst, K, (G, g) in zip(fourier.settings, fourier.numeric, kernels, mode_gaps):
-                if g is None:
-                    continue
-                C = g * g
-                # theta samples in im((del delbar out)* adjoint)
-                corner_out = nst.out("deldbar", b)
-                Simg = st.im("deldbar", b, star=True).to_numpy()
-                if Simg.shape[1]:
-                    theta = Simg @ _samples(rng, Simg.shape[1], samples)
-                    lhs = gram_norms(theta, G)
-                    rhs = gram_norms(corner_out.mat @ theta, nst.gram(corner_out.dst))
-                    if not np.all(C * lhs <= rhs + 1e-9 * np.maximum(rhs, 1.0)):
-                        quantitative_ok = False
-                # two-operator bound: C|x|^2 <= |P^t x|^2 + |Q x|^2 on (ker)^perp
-                Padj = nst.adjoint(nst.into("delbar", b))
-                Qop = nst.out("delbar", b)
-                dim = Qop.mat.shape[1]
-                X = project_off_kernel(_samples(rng, dim, samples), K.to_numpy(), G)
-                norm2 = gram_norms(X, G)
-                val = gram_norms(Padj.mat @ X, nst.gram(Padj.dst)) + gram_norms(Qop.mat @ X, nst.gram(Qop.dst))
-                keep = norm2 > 1e-18
-                if not np.all(g * norm2[keep] <= val[keep] + 1e-9 * np.maximum(val[keep], 1.0)):
-                    two_op_ok = False
-            report["bidegrees"][str(b)] = {
-                "gap_delbar": gap_db,
-                "vacuous": False,
-                "quantitative_bound_ok": quantitative_ok,
-                "two_operator_bound_ok": two_op_ok,
-            }
-            if not (quantitative_ok and two_op_ok):
-                all_ok = False
+            C = g * g
+            # theta samples in im((del delbar out)* adjoint)
+            corner_out = nst.out("deldbar", b)
+            Simg = st.im("deldbar", b, star=True).to_numpy()
+            if Simg.shape[1]:
+                theta = Simg @ _samples(rng, Simg.shape[1], samples)
+                lhs = gram_norms(theta, G)
+                rhs = gram_norms(corner_out.mat @ theta, nst.gram(corner_out.dst))
+                if not np.all(C * lhs <= rhs + 1e-9 * np.maximum(rhs, 1.0)):
+                    quantitative_ok = False
+            # two-operator bound: C|x|^2 <= |P^t x|^2 + |Q x|^2 on (ker)^perp
+            Padj = nst.adjoint(nst.into("delbar", b))
+            Qop = nst.out("delbar", b)
+            dim = Qop.mat.shape[1]
+            X = project_off_kernel(_samples(rng, dim, samples), K.to_numpy(), G)
+            norm2 = gram_norms(X, G)
+            val = gram_norms(Padj.mat @ X, nst.gram(Padj.dst)) + gram_norms(Qop.mat @ X, nst.gram(Qop.dst))
+            keep = norm2 > 1e-18
+            if not np.all(g * norm2[keep] <= val[keep] + 1e-9 * np.maximum(val[keep], 1.0)):
+                two_op_ok = False
+        report["bidegrees"][str(b)] = {
+            "gap_delbar": gap_db,
+            "vacuous": False,
+            "quantitative_bound_ok": quantitative_ok,
+            "two_operator_bound_ok": two_op_ok,
+        }
+        if not (quantitative_ok and two_op_ok):
+            all_ok = False
     report["all_ok"] = all_ok and tilde4_ok and prestage_ok
     return report

@@ -204,8 +204,6 @@ def gram_symmetrize(L: np.ndarray, G: np.ndarray) -> np.ndarray:
     so the result S is Hermitian up to rounding; a relative residual
     ||S - S^H||_F above HERMITIAN_TOL is a broken invariant (AssertionError),
     and below it S is averaged with S^H."""
-    if L.shape[0] == 0:
-        return L
     C = np.linalg.cholesky(G.conj())
     A = C.conj().T
     S = A @ L @ np.linalg.inv(A)

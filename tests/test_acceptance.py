@@ -95,11 +95,11 @@ def total_degree_sums(tables, n):
     sum is >= 2 b_k at every k, with equality at every k exactly when the
     del-delbar-lemma holds.
     """
-    betti = tables["deRham"].betti
+    betti = tables["deRham"]
     rows = []
     for k in range(2 * n + 1):
         ps = range(max(0, k - n), min(n, k) + 1)
-        h = sum(tables["bc"].grid[p][k - p] + tables["a"].grid[p][k - p] for p in ps)
+        h = sum(tables["bc"][p][k - p] + tables["a"][p][k - p] for p in ps)
         rows.append((k, h, 2 * betti[k]))
     return rows
 
@@ -110,9 +110,9 @@ def test_criterion_2_torus_suite():
     tables = coh.all_tables(s)
     for t in ("del", "delbar", "bc", "a"):
         for p, q in bidegrees(2):
-            if tables[t].grid[p][q] != math.comb(2, p) * math.comb(2, q):
+            if tables[t][p][q] != math.comb(2, p) * math.comb(2, q):
                 failures.append(f"table {t} at {(p, q)}")
-    if tables["deRham"].betti != [math.comb(4, k) for k in range(5)]:
+    if tables["deRham"] != [math.comb(4, k) for k in range(5)]:
         failures.append("betti numbers are not binomial")
     for k in range(5):
         rep = coh.diagram_maps(s, k)
@@ -153,10 +153,10 @@ def test_criterion_3_iwasawa():
     s = SETTINGS[("iwasawa", "id")]
     tables = coh.all_tables(s)
     for t, grid in IWASAWA_GRIDS.items():
-        if tables[t].grid != grid:
-            failures.append(f"h_{t} grid {tables[t].grid} != published {grid}")
-    if tables["deRham"].betti != IWASAWA_BETTI:
-        failures.append(f"betti {tables['deRham'].betti} != published {IWASAWA_BETTI}")
+        if tables[t] != grid:
+            failures.append(f"h_{t} grid {tables[t]} != published {grid}")
+    if tables["deRham"] != IWASAWA_BETTI:
+        failures.append(f"betti {tables['deRham']} != published {IWASAWA_BETTI}")
     ineq = coh.inequality_report(s)
     if not ineq.identity_holds:
         failures.append("defect identity h_bc+h_a = h_del+h_delbar+a+f fails")
@@ -204,7 +204,7 @@ def test_criterion_5_duality():
         tables = coh.all_tables(s)
         n = s.n
         for p, q in bidegrees(n):
-            if tables["bc"].grid[p][q] != tables["a"].grid[n - q][n - p]:
+            if tables["bc"][p][q] != tables["a"][n - q][n - p]:
                 failures.append(f"{name} table duality at {(p, q)}")
     conclude(5, "star duality of Laplacians and tables", failures)
 
@@ -262,9 +262,9 @@ def test_criterion_8_sequences_and_full_complex():
     for target in IWASAWA_ABC_TARGETS:
         fc = coh.full_abc_complex(s, target)
         p, q = target
-        if fc.node_bc != tables["bc"].grid[p][q]:
+        if fc.node_bc != tables["bc"][p][q]:
             failures.append(f"iwasawa node_bc at {target}")
-        if fc.node_a != tables["a"].grid[p - 1][q - 1]:
+        if fc.node_a != tables["a"][p - 1][q - 1]:
             failures.append(f"iwasawa node_a at {target}")
         if fc.euler_spaces != fc.euler_h:
             failures.append(f"iwasawa Euler at {target}")

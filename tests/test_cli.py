@@ -5,6 +5,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from abch import cohomology
 from abch.cli import main
 from abch.complexes import Op
 from abch.linalg import Mat
@@ -194,6 +197,33 @@ def test_wrong_gram_inverse_exits_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("verification failure: Gram inverse check failed")
+
+
+def _bump_one_cell(dims):
+    dims["bc"][1][1] += 1
+
+
+def _drop_de_rham(dims):
+    del dims["deRham"]
+
+
+@pytest.mark.parametrize("alter", [_bump_one_cell, _drop_de_rham], ids=["one_cell", "no_de_rham"])
+def test_a_hodge_mismatch_fails_the_cohomology_report(capsys, monkeypatch, alter):
+    # harmonic dimensions that differ from the rank-nullity tables in one
+    # cell, or lack the Betti numbers, fail the Hodge isomorphism check
+    real = cohomology.harmonic_dims
+
+    def altered(setting):
+        dims = real(setting)
+        alter(dims)
+        return dims
+
+    monkeypatch.setattr(cohomology, "harmonic_dims", altered)
+    code, out, _ = run(capsys, "cohomology", fx("torus2.cplx"), "--format", "json")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["failures"] == ["harmonic dimensions differ from rank-nullity dimensions"]
+    assert payload["hodge_isomorphism"] is False
 
 
 def test_oversized_input_exits_two(capsys, tmp_path):
