@@ -349,6 +349,8 @@ def cmd_cover(args) -> int:
         failures.append("Gamma-dimension monotonicity fails")
     if not rep.harmonic_support_ok:
         failures.append("a harmonic form lives outside the zero mode")
+    if not rep.kahler_gaps_ok:
+        failures.append("the del, delbar and d gaps break lap_del = lap_delbar = lap_d / 2")
     if not gap_rep["all_ok"]:
         failures.append("a spectral-gap bound fails")
     if not (mi["gamma_dims_agree"] and mi["cross_projection_full_rank"] and mi["sampled_ratios_within_bound"]):

@@ -234,12 +234,12 @@ class BigradedComplex:
 
     def del_(self, b: Bidegree) -> Mat:
         """Matrix of del: A^{p,q} -> A^{p+1,q} (zero matrix off-range)."""
-        p, q = b
-        return self._del.get(b, Mat.zeros(dim_pq(self.n, p + 1, q), dim_pq(self.n, p, q)))
+        m = self._del.get(b)
+        return m if m is not None else Mat.zeros(dim_pq(self.n, b[0] + 1, b[1]), dim_pq(self.n, *b))
 
     def delbar(self, b: Bidegree) -> Mat:
-        p, q = b
-        return self._delbar.get(b, Mat.zeros(dim_pq(self.n, p, q + 1), dim_pq(self.n, p, q)))
+        m = self._delbar.get(b)
+        return m if m is not None else Mat.zeros(dim_pq(self.n, b[0], b[1] + 1), dim_pq(self.n, *b))
 
 
 # column(part, m) -> the (terms, monomial, sign) triples whose wedges
@@ -297,7 +297,7 @@ def _differentials(model: ComplexModel) -> Tuple[Dict[Bidegree, Mat], Dict[Bideg
 
     def column(part: int, m: Monomial):
         gens = [dgen[(False, k)] for k in m.hol] + [dgen[(True, k)] for k in m.anti]
-        return [(dg[part], _drop(m, t), -1 if t % 2 else 1) for t, dg in enumerate(gens)]
+        return [(dg[part], _drop(m, t), -1 if t % 2 else 1) for t, dg in enumerate(gens) if dg[part]]
 
     return bigraded_maps(model.n, column)
 

@@ -57,6 +57,7 @@ from abch.laplacians import (
     prestage_box_check,
     project_off_kernel,
     spectral_gap,
+    tol_rel,
 )
 from abch.linalg import Mat, ShapeMismatch, projection_coords
 from abch.metric import HermitianMetric, identity_metric
@@ -387,6 +388,7 @@ class GammaReport:
     equality_everywhere: bool
     monotonicity_ok: bool
     harmonic_support_ok: bool
+    kahler_gaps_ok: bool  # lap_del = lap_delbar = lap_d / 2 on the gaps
 
 
 def gamma_tables(fourier: FourierComplex) -> GammaReport:
@@ -428,7 +430,7 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
             if grids["delbar"][p][q] > gamma_dimension(fourier, V, (b,)):
                 mono_ok = False
 
-    gaps = gap_table(fourier)
+    gaps, kahler_ok = gap_table(fourier)
     return GammaReport(
         index=fourier.index,
         grids=grids,
@@ -437,6 +439,7 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
         equality_everywhere=eq_all,
         monotonicity_ok=mono_ok,
         harmonic_support_ok=support_ok,
+        kahler_gaps_ok=kahler_ok,
     )
 
 
@@ -452,14 +455,37 @@ def _least_gaps(fourier: FourierComplex, kind: LaplacianKind) -> Dict[Bidegree, 
     return least
 
 
-def gap_table(fourier: FourierComplex) -> Dict[str, object]:
+def _kahler_gaps_agree(n: int, least: Dict[str, Dict[Bidegree, Optional[float]]]) -> bool:
+    """The Kahler identities lap_del = lap_delbar = lap_d / 2, which hold on
+    every mode of a flat torus with a constant metric, read on the least
+    gaps: at each bidegree the del and delbar gaps agree, and the degree-k d
+    gap is twice the least delbar gap over p + q = k (to relative tol_rel)."""
+    tol = tol_rel()
+
+    def agree(x: Optional[float], y: Optional[float]) -> bool:
+        if x is None or y is None:
+            return x is y
+        return abs(x - y) <= tol * max(abs(x), abs(y))
+
+    if not all(agree(least["del"][b], g) for b, g in least["delbar"].items()):
+        return False
+    for k in range(2 * n + 1):
+        space = total_bidegrees(n, k)
+        g = min((least["delbar"][b] for b in space if least["delbar"][b] is not None), default=None)
+        if not agree(least["d"][space[0]], None if g is None else 2 * g):
+            return False
+    return True
+
+
+def gap_table(fourier: FourierComplex) -> Tuple[Dict[str, object], bool]:
     """Global spectral gaps (over all bidegrees and modes) of the second
-    order Laplacians, plus per-bidegree delbar gaps."""
+    order Laplacians, plus per-bidegree delbar gaps; and whether those gaps
+    satisfy the Kahler identities (`_kahler_gaps_agree`)."""
     kinds = (LaplacianKind.D, LaplacianKind.DEL, LaplacianKind.DELBAR)
     least = {kind.value: _least_gaps(fourier, kind) for kind in kinds}
     gaps: Dict[str, object] = {k: min((g for g in per.values() if g is not None), default=None) for k, per in least.items()}
     gaps["per_bidegree_delbar"] = {f"delbar@{b}": g for b, g in least["delbar"].items()}
-    return gaps
+    return gaps, _kahler_gaps_agree(fourier.n, least)
 
 
 def metric_independence_check(fc1: FourierComplex, H2: Mat, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> dict:

@@ -115,14 +115,21 @@ def _pair(setting, name: str, b: Bidegree, leaving: bool) -> Tuple[Op, Op]:
     return (setting.adjoint(T), T) if leaving else (T, setting.adjoint(T))
 
 
+def _term(setting, name: str, b, leaving: bool) -> Op:
+    """T* T for the map T named `name` leaving A^b, or T T* for the one
+    entering it; memoised in the setting, so every kind at a space reads one
+    product."""
+    return setting.cached(("term", name, b, leaving), lambda: compose(*_pair(setting, name, b, leaving)))
+
+
 def _down(setting, names, b) -> Op:
-    """Sum of T* T over the maps T named `names` leaving A^b."""
-    return add_ops(*[compose(*_pair(setting, name, b, True)) for name in names])
+    """Sum of T* T over the maps T named `names` leaving A^b, memoised."""
+    return setting.cached(("down", names, b), lambda: add_ops(*[_term(setting, name, b, True) for name in names]))
 
 
 def _up(setting, names, b) -> Op:
-    """Sum of T T* over the maps T named `names` entering A^b."""
-    return add_ops(*[compose(*_pair(setting, name, b, False)) for name in names])
+    """Sum of T T* over the maps T named `names` entering A^b, memoised."""
+    return setting.cached(("up", names, b), lambda: add_ops(*[_term(setting, name, b, False) for name in names]))
 
 
 def assemble(setting, kind: LaplacianKind, b: Bidegree) -> Op:
@@ -198,15 +205,15 @@ def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bid
 # -- numeric spectra --------------------------------------------------------------
 
 
-def gram_symmetrize(L: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """C^H L (C^H)^{-1} for the Cholesky factor conj(G) = C C^H.  With
+def gram_symmetrize(L: np.ndarray, factor: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """A L A^{-1} for the factor pair (A, A^{-1}) = (C^H, (C^H)^{-1}) of the
+    Cholesky factor conj(G) = C C^H (`metric.cholesky_factor`).  With
     <u,v> = u^T G conj(v), a Gram-self-adjoint L makes conj(G) L Hermitian,
     so the result S is Hermitian up to rounding; a relative residual
     ||S - S^H||_F above HERMITIAN_TOL is a broken invariant (AssertionError),
     and below it S is averaged with S^H."""
-    C = np.linalg.cholesky(G.conj())
-    A = C.conj().T
-    S = A @ L @ np.linalg.inv(A)
+    A, A_inv = factor
+    S = A @ L @ A_inv
     residual, size = np.linalg.norm(S - S.conj().T), np.linalg.norm(S)
     if residual > HERMITIAN_TOL * size:
         raise AssertionError(f"Gram-symmetrised operator is not Hermitian: ||S - S^H|| = {residual:.3g}, "
@@ -214,17 +221,18 @@ def gram_symmetrize(L: np.ndarray, G: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.conj().T)
 
 
-def spectrum(L: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues of the Gram-symmetrised operator, clamped at 0."""
+def spectrum(L: np.ndarray, factor: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Sorted eigenvalues of the Gram-symmetrised operator, clamped at 0;
+    `factor` is the `cholesky_factor` of the Gram of L's space."""
     if L.shape[0] == 0:
         return np.zeros(0)
     try:
-        ev = np.linalg.eigvalsh(gram_symmetrize(L, G))
+        ev = np.linalg.eigvalsh(gram_symmetrize(L, factor))
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
     lam_max = float(ev[-1])
     thresh = TOL_ABS + tol_rel() * max(lam_max, 0.0)
-    return np.array([0.0 if abs(x) < thresh else float(x) for x in ev])
+    return np.where(np.abs(ev) < thresh, 0.0, ev)
 
 
 def zero_multiplicity(ev: np.ndarray) -> int:
@@ -246,7 +254,7 @@ def numeric_spectrum(
     def build():
         op = laplacian(numeric, kind, b)
         G = numeric.gram(op.src)
-        return op, G, spectrum(op.mat, G)
+        return op, G, spectrum(op.mat, numeric.metric.gram_factor(op.src))
 
     return numeric.cached(("spectrum", kind, _acts_on(kind, b)), build)
 

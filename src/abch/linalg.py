@@ -10,7 +10,10 @@ Every operation works on the integer parts of the nonzero entries only and
 normalises its result with one gcd pass over them (`_canon`, which stops at
 the first part coprime to the denominator); operations that cannot create a
 common factor (negation, conjugation, transposition, and stacking of
-canonical blocks over the lcm of their denominators) skip it.  `QQi` values
+canonical blocks over the lcm of their denominators) skip it.  A product,
+sum, difference or elimination with an all-zero operand returns at once,
+with no row work: the zero matrix, the other operand (or its negation), or
+the zero echelon form.  `QQi` values
 appear only at the edges: the constructors fed by the parsers
 (`Mat(rows)`, `Mat.from_entries`), `m[i, j]`, `col`, `rows` and `matvec`,
 which rendering and witnesses read.  Row dicts are never changed in place
@@ -272,6 +275,11 @@ class Mat:
         """self + sign * other."""
         if self.shape != other.shape:
             raise ShapeMismatch(f"{what} {self.shape} vs {other.shape}")
+        # stored rows are never changed, so an operand can be the result
+        if not any(other._r):
+            return self
+        if not any(self._r):
+            return other if sign == 1 else -other
         d1, d2 = self._d, other._d
         den = d1 if d1 == d2 else lcm(d1, d2)
         s1, s2 = den // d1, sign * (den // d2)
@@ -313,6 +321,8 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"matmul {self.shape} @ {other.shape}")
+        if not (any(self._r) and any(other._r)):
+            return Mat.zeros(self.nrows, other.ncols)
         return _canon(_mul_rows(self, other), self._d * other._d, other.ncols)
 
     def matvec(self, v: Sequence[QQi]) -> List[QQi]:
@@ -397,6 +407,8 @@ class Mat:
         Gauss-Jordan elimination over Z[i] on the stored rows (see the
         module docstring); each pivot row is divided by its pivot once, at
         the end."""
+        if not any(self._r):
+            return Mat.zeros(self.nrows, self.ncols), []
         rows = [_primitive(r) for r in self._r]
         nrows = len(rows)
         pivots: List[int] = []

@@ -33,6 +33,7 @@ rather than trusted.
 NumericMetric is the float view used for spectra: to_numpy() of these same
 cached Grams and inverse Grams, so the numeric adjoint is the exact formula
 evaluated in floating point, with no float Gram, determinant or inversion.
+Each space's Gram is Cholesky-factored once, for every spectrum on it.
 """
 
 from __future__ import annotations
@@ -126,6 +127,7 @@ class HermitianMetric:
         self.vol_coeff: QQi = i_pow * sign / det
         self._gram: Dict[Bidegree, Mat] = {}
         self._gram_inv: Dict[Bidegree, Mat] = {}
+        self._spaces: Dict[Tuple[Space, bool], Mat] = {}
         self._star: Dict[Bidegree, Mat] = {}
 
     # -- Gram matrices ---------------------------------------------------
@@ -159,10 +161,17 @@ class HermitianMetric:
         return self._gram_inv[b]
 
     def gram_space(self, space: Space) -> Mat:
-        return Mat.block_diag([self.gram(b) for b in space])
+        return self._block_diag(space, False)
 
     def gram_inv_space(self, space: Space) -> Mat:
-        return Mat.block_diag([self.gram_inv(b) for b in space])
+        return self._block_diag(space, True)
+
+    def _block_diag(self, space: Space, inverse: bool) -> Mat:
+        """The block diagonal of the (inverse) Grams of `space`, built once."""
+        key = (space, inverse)
+        if key not in self._spaces:
+            self._spaces[key] = Mat.block_diag([self.gram_inv(b) if inverse else self.gram(b) for b in space])
+        return self._spaces[key]
 
     # -- fundamental form -----------------------------------------------
 
@@ -269,11 +278,19 @@ def load_metric(path: str) -> Tuple[int, Mat]:
 # -- numeric view ---------------------------------------------------------------
 
 
+def cholesky_factor(G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(A, A^{-1}) for A = C^H and the Cholesky factor conj(G) = C C^H of a
+    positive-definite Hermitian Gram G."""
+    A = np.linalg.cholesky(G.conj()).conj().T
+    return A, np.linalg.inv(A)
+
+
 class NumericMetric:
     """Float view of a HermitianMetric: its exact Grams and inverse Grams,
-    each converted to numpy once.  Nothing is built or inverted in floating
-    point, and H needs no float checks: it was certified exactly when the
-    HermitianMetric was made."""
+    each converted to numpy once, and each Gram's `cholesky_factor`, taken
+    once per space.  No Gram is built or inverted in floating point, and H
+    needs no float checks: it was certified exactly when the HermitianMetric
+    was made."""
 
     def __init__(self, metric: HermitianMetric):
         self.exact = metric
@@ -281,6 +298,7 @@ class NumericMetric:
         # (space, inverse) -> to_numpy() of gram_space(space), or of
         # gram_inv_space(space) if inverse
         self._views: Dict[Tuple[Space, bool], np.ndarray] = {}
+        self._factors: Dict[Space, Tuple[np.ndarray, np.ndarray]] = {}
 
     def _view(self, space: Space, inverse: bool) -> np.ndarray:
         key = (space, inverse)
@@ -294,6 +312,12 @@ class NumericMetric:
 
     def gram_space(self, space: Space) -> np.ndarray:
         return self._view(space, False)
+
+    def gram_factor(self, space: Space) -> Tuple[np.ndarray, np.ndarray]:
+        """`cholesky_factor` of the Gram of `space`, computed once."""
+        if space not in self._factors:
+            self._factors[space] = cholesky_factor(self._view(space, False))
+        return self._factors[space]
 
     def adjoint_mat(self, T: np.ndarray, src: Space, dst: Space) -> np.ndarray:
         """conj(G_src)^{-1} T^H conj(G_dst), as gram_adjoint computes it exactly."""

@@ -17,9 +17,9 @@ of the exact Grams).
 Each setting has one memo, `cached(key, build)`, which holds every object
 derived from it: the primitives (`out` and `into` return them, and their
 adjoints are kept beside them), the exact subspaces `ker(name, b, star)`
-and `im(name, b, star)` (exact settings only), and the assembled
-Laplacians, harmonic spaces, spectra, tables and subspace grids the engines
-build from them.  Memoised objects are shared, so no caller writes into
+and `im(name, b, star)` (exact settings only), and what the engines build
+from them: each Laplacian term T* T or T T* and each sum of them, the
+assembled Laplacians, harmonic spaces, spectra, tables and subspace grids.  Memoised objects are shared, so no caller writes into
 one.
 
 The operator source is a `BigradedComplex`: the invariant complex of a

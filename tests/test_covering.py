@@ -1,5 +1,6 @@
 """Fourier coverings: mode sets, Gamma-dimensions, gaps, independence."""
 
+import json
 import math
 import os
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import abch.cli
 from abch.cli import main
-from abch.complexes import DegreeOverflow, FormVector, dim_pq, monomial_basis, wedge
+from abch.complexes import DegreeOverflow, FormVector, Op, dim_pq, monomial_basis, wedge
 from abch.covering import (
     CoveringSpec,
     Mode,
@@ -227,7 +228,7 @@ def test_mode_eigenvalue_oracle(cover2):
     # per-mode delbar spectrum at (0,0) is exactly pi^2 |mu|^2
     for md, nst in zip(cover2.modes, cover2.numeric):
         op = assemble(nst, LaplacianKind.DELBAR, (0, 0))
-        ev = spectrum(op.mat, nst.gram(op.src))
+        ev = spectrum(op.mat, nst.metric.gram_factor(op.src))
         expected = math.pi**2 * float(md.norm2)
         assert len(ev) == 1
         assert abs(ev[0] - expected) <= 1e-9 * max(1.0, expected)
@@ -426,6 +427,30 @@ def test_a_harmonic_form_outside_the_zero_mode_fails_the_support_checks(monkeypa
     monkeypatch.setattr(abch.cli, "build_cover", stray)
     assert main(["cover", os.path.join(FIXTURES, "index2.cover"), "--format", "json"]) == 1
     assert "verification failure: harmonic basis not supported in the zero mode" in capsys.readouterr().err
+
+
+def _with_wrong_del_laplacian(fc, b=(1, 0)):
+    """fc with the float lap_del at b memoised at half its value in a mode of
+    least nonzero norm, which alone holds the least del gap at b then."""
+    i = min((i for i, md in enumerate(fc.modes) if not md.is_zero), key=lambda i: fc.modes[i].norm2)
+    nst = fc.numeric[i]
+    op = assemble(nst, LaplacianKind.DEL, b)
+    nst.cached(("laplacian", LaplacianKind.DEL, b), lambda: Op(op.src, op.dst, 0.5 * op.mat))
+    return fc
+
+
+@pytest.mark.parametrize("cover", ["index2.cover", "index2_n2.cover"])
+def test_a_wrong_del_laplacian_breaks_the_kahler_gap_identities(monkeypatch, capsys, cover):
+    path = os.path.join(FIXTURES, cover)
+    assert gamma_tables(build_cover(load_cover(path))).kahler_gaps_ok
+    rep = gamma_tables(_with_wrong_del_laplacian(build_cover(load_cover(path))))
+    assert not rep.kahler_gaps_ok
+    # its kernel is right, so no other check sees it
+    assert rep.inequality_ok and rep.monotonicity_ok and rep.harmonic_support_ok
+    monkeypatch.setattr(abch.cli, "build_cover", lambda spec, H: _with_wrong_del_laplacian(build_cover(spec, H)))
+    assert main(["cover", path, "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] == ["the del, delbar and d gaps break lap_del = lap_delbar = lap_d / 2"]
 
 
 @pytest.mark.parametrize("cover", ["index2.cover", "index2_n2.cover"])

@@ -8,14 +8,16 @@ import pytest
 
 from abch.complexes import build_complex, total_bidegrees
 from abch.linalg import Mat, subspace_eq
-from abch.metric import HermitianMetric, diagonal_metric, identity_metric, parse_metric
+from abch.metric import HermitianMetric, cholesky_factor, diagonal_metric, identity_metric, parse_metric
 from abch.model import parse_model
 from abch.scalars import QQi
 from abch.setting import ExactSetting, NumericSetting
 import abch.laplacians
 from abch.cli import main
 from abch.laplacians import (
+    A_KINDS,
     ALL_KINDS,
+    BC_KINDS,
     EigSolverFailure,
     LaplacianBundle,
     LaplacianKind,
@@ -27,6 +29,8 @@ from abch.laplacians import (
     prestage_box_check,
     spectral_gap,
     spectrum,
+    _down,
+    _up,
 )
 from oracles import (
     box_kernel_intersection,
@@ -90,6 +94,57 @@ def test_bundles_assemble_each_laplacian_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("family", ["bc", "a"])
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+def test_a_family_reads_one_memoised_second_order_sum_and_corner(monkeypatch, family, backend):
+    # the three Bott-Chern kinds at one bidegree all read the same memoised
+    # sum del* del + delbar* delbar and corner P P*; the Aeppli kinds read
+    # the dual del del* + delbar delbar* and Q* Q
+    s = settings_for(IWASAWA)
+    if backend == "numeric":
+        s = NumericSetting(s)
+    kinds, lo, hi = (BC_KINDS, _down, _up) if family == "bc" else (A_KINDS, _up, _down)
+    b = (1, 1)
+    read = {}
+    compose, add_ops = abch.laplacians.compose, abch.laplacians.add_ops
+
+    def spy(fn):
+        def wrapped(*ops):
+            read[kind].extend(ops)
+            return fn(*ops)
+        return wrapped
+
+    monkeypatch.setattr(abch.laplacians, "compose", spy(compose))
+    monkeypatch.setattr(abch.laplacians, "add_ops", spy(add_ops))
+    for kind in kinds:
+        read[kind] = []
+        assemble(s, kind, b)
+    second, corner = lo(s, ("del", "delbar"), b), hi(s, ("deldbar",), b)
+    for kind in kinds:
+        assert any(op is second for op in read[kind]), kind
+        assert any(op is corner for op in read[kind]), kind
+
+
+def test_spectra_factors_each_gram_once(monkeypatch, capsys):
+    # every spectrum on a space reuses that space's Cholesky factor
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counted(A):
+        factored.append(A.shape)
+        return cholesky(A)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "iwasawa.cplx")
+    assert main(["spectra", path, "--backend", "both", "--format", "json"]) == 0
+    capsys.readouterr()
+    # the 16 bidegree spaces and the 7 total-degree ones, degrees 0 and 6
+    # being the bidegrees (0, 0) and (3, 3)
+    spaces = {(b,) for b in all_bidegrees(3)} | {total_bidegrees(3, k) for k in range(7)}
+    assert len(spaces) == 21
+    assert 0 < len(factored) <= len(spaces)
+
+
 @pytest.mark.parametrize("model, metric", [("iwasawa.cplx", "dense3.herm"), ("kodaira_thurston.cplx", "kt_complex.herm")])
 def test_non_hermitian_symmetrisation_is_a_verification_failure(monkeypatch, capsys, model, metric):
     # re-inject the Cholesky factor of G in place of conj(G): under a metric
@@ -114,7 +169,7 @@ def test_eigensolver_failure_is_an_input_error(monkeypatch, capsys):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     with pytest.raises(EigSolverFailure, match="did not converge"):
-        spectrum(np.eye(2), np.eye(2))
+        spectrum(np.eye(2), cholesky_factor(np.eye(2)))
     fx = os.path.join(os.path.dirname(__file__), "..", "fixtures")
     argv = ["spectra", os.path.join(fx, "kodaira_thurston.cplx"), "--backend", "both"]
     assert main(argv) == 2
@@ -124,7 +179,7 @@ def test_eigensolver_failure_is_an_input_error(monkeypatch, capsys):
     # not Gram-self-adjoint: the Hermiticity check raises before any eigensolve
     # (the CLI's exit 1 for it is test_non_hermitian_symmetrisation_is_a_verification_failure)
     with pytest.raises(AssertionError, match="not Hermitian"):
-        spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+        spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]), cholesky_factor(np.eye(2)))
 
 
 def test_torus_laplacians_vanish():
@@ -266,6 +321,6 @@ def test_spectrum_zero_padding():
     s = settings_for(TORUS2)
     numeric = NumericSetting(s)
     op = assemble(numeric, LaplacianKind.DELBAR, (1, 1))
-    ev = spectrum(op.mat, numeric.gram(op.src))
+    ev = spectrum(op.mat, numeric.metric.gram_factor(op.src))
     assert np.all(ev == 0)
     assert spectral_gap(ev) is None

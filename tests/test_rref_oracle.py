@@ -154,9 +154,17 @@ IMAG_PIVOT = [
 ]
 
 
+# a 3 x 2 matrix with a 1/65537 entry and an imaginary one; the zero-exit
+# examples below pair it and its transpose with all-zero and zero-size operands
+NZ = Mat([[q(1, 2), q(Fraction(1, 3))], [ZERO, q(0, 1)], [q(Fraction(2, 65537)), ZERO]], ncols=2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(systems())
 @example((Mat([], ncols=4), Mat([], ncols=2)))
+@example((Mat.zeros(3, 4), NZ))
+@example((Mat.zeros(3, 4), Mat.zeros(3, 2)))
+@example((Mat.zeros(2, 0), Mat.zeros(2, 1)))
 @example((Mat(IMAG_PIVOT, ncols=3), Mat([[q(1)], [q(0, 1)], [q(0, 2)]], ncols=1)))
 def test_rref_and_its_users_match_oracle(system):
     A, b = system
@@ -234,6 +242,13 @@ def operations(L, ip, A, B, C, S, v, s, G):
 
 @settings(max_examples=150, deadline=None)
 @given(operands())
+# all-zero operands on either side of @, + and -, and as the input of rref
+# and its users (A, B, C, S, v, s, G as `operands` draws them)
+@example((NZ, Mat.zeros(3, 2), Mat.zeros(2, 2), Mat.zeros(2, 2), [ZERO, ONE], q(2), Mat.identity(3)))
+@example((Mat.zeros(3, 2), NZ, NZ.transpose(), Mat.identity(2), [q(0, 1), ZERO], q(0, -3), Mat.identity(3)))
+# zero-size operands: no rows, and no columns
+@example((Mat.zeros(0, 3), Mat.zeros(0, 3), NZ, Mat.zeros(0, 0), [ZERO, ONE, ZERO], q(5), Mat.identity(0)))
+@example((Mat.zeros(3, 0), Mat.zeros(3, 0), Mat.zeros(0, 2), Mat.zeros(1, 1), [], ONE, Mat.identity(3)))
 def test_every_operation_matches_dense_oracle(ops):
     A, B, C, S, v, s, G = ops
     fast = operations(linalg, oracles.ip, A, B, C, S, v, s, G)
