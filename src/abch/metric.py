@@ -9,13 +9,14 @@ product is the product of two minor determinants,
 
 distinct bidegrees being orthogonal.  In the lexicographic monomial order
 the (p,q) Gram is the Kronecker product C_p(H) (x) C_q(conj H) of compound
-matrices, so each minor is computed once per index pair and shared by every
-entry and bidegree that uses it.  By Cauchy-Binet C_p(H)^{-1} = C_p(H^{-1}),
-so the inverse Gram is the same construction applied to H^{-1}: no Gram is
-ever eliminated.  Each inverse is checked exactly against its Gram,
-gram(b) @ gram_inv(b) == I, once per bidegree; a failed check is an
-AssertionError, which the CLI reports as a verification failure.  Gram
-adjoints take the block-diagonal of these cached inverses.
+matrices; the metric keeps the factors C_k(H), k = 0..n, and builds each
+space's block-diagonal Gram from them once.  By Cauchy-Binet C_k(H)^{-1} =
+C_k(H^{-1}), so no Gram is ever eliminated.  Each inverse factor is checked
+exactly once, when first built: C_k(H) @ C_k(H^{-1}) == I, else an
+AssertionError (a verification failure in the CLI).  Conjugation is a ring
+map and kron has the mixed-product property, so (C_p(H) (x) conj C_q(H))
+(C_p(H^{-1}) (x) conj C_q(H^{-1})) = I (x) I: the n + 1 checks certify
+every inverse Gram.  Gram adjoints take the block diagonal of the inverses.
 
 The fundamental form lives on the vector side,
 omega = i * sum_jk ((conj H)^{-1})_jk phi_j ^ phibar_k, and
@@ -30,16 +31,18 @@ solve is exact.  Gram adjoints are the primary notion of formal adjoint;
 the star formulas -*delbar* and -*del* are verified against them in tests
 rather than trusted.
 
-NumericMetric is the float view used for spectra: to_numpy() of these same
-cached Grams and inverse Grams, so the numeric adjoint is the exact formula
-evaluated in floating point, with no float Gram, determinant or inversion.
-Each space's Gram is Cholesky-factored once, for every spectrum on it.
+NumericMetric is the float view used for spectra, made once per metric as
+`metric.numeric` and shared by every setting over it (every mode of a
+cover): to_numpy() of these same cached Grams and inverse Grams, so the
+numeric adjoint is the exact formula evaluated in floating point, with no
+float Gram, determinant or inversion.  Each space's Gram is converted and
+Cholesky-factored once, for every spectrum on it.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,56 +112,46 @@ class HermitianMetric:
             raise NotHermitian("H is not equal to its conjugate transpose")
         self.n = n
         self.H = H
-        # (inverse, k) -> the compound C_k(H), or C_k(H^{-1}) if inverse, and
-        # its conjugate; entry [0][0] is the leading k x k minor
-        self._compounds: Dict[Tuple[bool, int], Tuple[Mat, Mat]] = {}
-        for k in range(1, n + 1):
-            mk = self._compound(False, k)[0][0, 0]
+        # k -> the compound C_k(H) and its conjugate; entry [0][0] is the
+        # leading k x k minor
+        self._factors: Dict[int, Tuple[Mat, Mat]] = {}
+        for k in range(n + 1):
+            C = compound(H, k)
+            mk = C[0, 0]
             if not mk.is_real() or mk.re <= 0:
                 raise NotPositiveDefinite(f"leading minor {k} is {mk}")
+            self._factors[k] = (C, C.conj())
+        # k -> C_k(H^{-1}) and its conjugate, built and checked on first use
+        self._inv_factors: Dict[int, Tuple[Mat, Mat]] = {}
         # the fundamental form lives on the vector side: its coefficient
         # matrix is the inverse of the conjugated coframe Gram, and
         # vol = omega^n / n! picks up 1/det(H)
         self.omega_matrix = H.conj().inv()
-        self._H_inv = self.omega_matrix.conj()
-        det = self._compound(False, n)[0][0, 0]
         i_pow = [ONE, I, -ONE, -I][n % 4]
         sign = -ONE if (n * (n - 1) // 2) % 2 == 1 else ONE
-        self.vol_coeff: QQi = i_pow * sign / det
-        self._gram: Dict[Bidegree, Mat] = {}
-        self._gram_inv: Dict[Bidegree, Mat] = {}
+        self.vol_coeff: QQi = i_pow * sign / self._factors[n][0][0, 0]
         self._spaces: Dict[Tuple[Space, bool], Mat] = {}
         self._star: Dict[Bidegree, Mat] = {}
 
+    @cached_property
+    def numeric(self) -> "NumericMetric":
+        """The one float view of this metric, shared by every setting over it."""
+        return NumericMetric(self)
+
     # -- Gram matrices ---------------------------------------------------
 
-    def _compound(self, inverse: bool, k: int) -> Tuple[Mat, Mat]:
-        if (inverse, k) not in self._compounds:
-            C = compound(self._H_inv if inverse else self.H, k)
-            self._compounds[(inverse, k)] = (C, C.conj())
-        return self._compounds[(inverse, k)]
-
-    def _compound_gram(self, b: Bidegree, inverse: bool) -> Mat:
-        """C_p(M) (x) C_q(conj M) for M = H, or M = H^{-1} for the inverse."""
-        p, q = b
-        if not (0 <= p <= self.n and 0 <= q <= self.n):
-            return Mat.zeros(0, 0)
-        return kron(self._compound(inverse, p)[0], self._compound(inverse, q)[1])
+    def _factor(self, k: int, inverse: bool) -> Tuple[Mat, Mat]:
+        """(C_k(M), conj C_k(M)) for M = H, or M = H^{-1} if inverse; each
+        inverse factor is checked once, when built: C_k(H) C_k(H^{-1}) == I."""
+        if inverse and k not in self._inv_factors:
+            C = compound(self.omega_matrix.conj(), k)
+            if self._factors[k][0] @ C != Mat.identity(C.nrows):
+                raise AssertionError(f"Gram inverse check failed at compound degree {k}")
+            self._inv_factors[k] = (C, C.conj())
+        return (self._inv_factors if inverse else self._factors)[k]
 
     def gram(self, b: Bidegree) -> Mat:
-        if b not in self._gram:
-            self._gram[b] = self._compound_gram(b, inverse=False)
-        return self._gram[b]
-
-    def gram_inv(self, b: Bidegree) -> Mat:
-        """The inverse of gram(b): the Gram of H^{-1} (Cauchy-Binet),
-        checked exactly against gram(b) the first time it is built."""
-        if b not in self._gram_inv:
-            G_inv = self._compound_gram(b, inverse=True)
-            if self.gram(b) @ G_inv != Mat.identity(G_inv.nrows):
-                raise AssertionError(f"Gram inverse check failed at bidegree {b}")
-            self._gram_inv[b] = G_inv
-        return self._gram_inv[b]
+        return self.gram_space((b,))
 
     def gram_space(self, space: Space) -> Mat:
         return self._block_diag(space, False)
@@ -167,10 +160,14 @@ class HermitianMetric:
         return self._block_diag(space, True)
 
     def _block_diag(self, space: Space, inverse: bool) -> Mat:
-        """The block diagonal of the (inverse) Grams of `space`, built once."""
+        """The block diagonal of the (inverse) Grams C_p(M) (x) C_q(conj M)
+        of `space`, built once from the factors; empty outside 0..n."""
         key = (space, inverse)
         if key not in self._spaces:
-            self._spaces[key] = Mat.block_diag([self.gram_inv(b) if inverse else self.gram(b) for b in space])
+            n = self.n
+            blocks = [kron(self._factor(p, inverse)[0], self._factor(q, inverse)[1])
+                      for p, q in space if 0 <= p <= n and 0 <= q <= n]
+            self._spaces[key] = Mat.block_diag(blocks)
         return self._spaces[key]
 
     # -- fundamental form -----------------------------------------------
@@ -286,11 +283,11 @@ def cholesky_factor(G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class NumericMetric:
-    """Float view of a HermitianMetric: its exact Grams and inverse Grams,
-    each converted to numpy once, and each Gram's `cholesky_factor`, taken
-    once per space.  No Gram is built or inverted in floating point, and H
-    needs no float checks: it was certified exactly when the HermitianMetric
-    was made."""
+    """Float view of a HermitianMetric, made once per metric as
+    `metric.numeric`: its exact Grams and inverse Grams, each converted to
+    numpy once, and each Gram's `cholesky_factor`, taken once per space.  No
+    Gram is built or inverted in floating point, and H needs no float
+    checks: it was certified exactly when the HermitianMetric was made."""
 
     def __init__(self, metric: HermitianMetric):
         self.exact = metric

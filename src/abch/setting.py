@@ -11,8 +11,8 @@ ExactSetting works over Q(i) matrices.  NumericSetting is the same class
 seen in floating point: it overrides only the conversion of each
 differential (to_numpy(), optionally rescaled, used by the Fourier covering
 models where the true twist carries a factor 2*pi), the total d (converted
-from the exact setting's memo) and the adjoint (NumericMetric's float view
-of the exact Grams).
+from the exact setting's memo) and the adjoint, through the one float view
+`metric.numeric` that every numeric setting over the metric shares.
 
 Each setting has one memo, `cached(key, build)`, which holds every object
 derived from it: the primitives (`out` and `into` return them, and their
@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, Hashable, Optional, Union
 
 from abch.complexes import Bidegree, Op, Space, total_d
 from abch.linalg import Mat, ShapeMismatch
-from abch.metric import HermitianMetric, NumericMetric
+from abch.metric import HermitianMetric
 
 
 # the bidegree each differential raises; d is keyed by total degree
@@ -168,7 +168,7 @@ class NumericSetting(ExactSetting):
     """
 
     def __init__(self, exact: ExactSetting, scale: float = 1.0):
-        super().__init__(exact.ops, NumericMetric(exact.metric))
+        super().__init__(exact.ops, exact.metric.numeric)
         self.exact = exact
         self.scale = scale
 

@@ -11,7 +11,6 @@ from abch import cohomology
 from abch.cli import main
 from abch.complexes import Op
 from abch.linalg import Mat
-from abch.metric import HermitianMetric
 from abch.scalars import ONE
 from abch.setting import ExactSetting
 
@@ -190,9 +189,9 @@ def test_broken_invariant_exits_one(capsys, monkeypatch):
 
 
 def test_wrong_gram_inverse_exits_one(capsys, monkeypatch):
-    # the Gram of H in place of the Gram of H^{-1} fails the one-time check
-    real = HermitianMetric._compound_gram
-    monkeypatch.setattr(HermitianMetric, "_compound_gram", lambda self, b, inverse: real(self, b, False))
+    # an inversion that returns its input makes H^{-1} come back as H, so
+    # the inverse factors are H's own and fail their one-time check
+    monkeypatch.setattr(Mat, "inv", lambda self: self)
     code, out, err = run(capsys, "abc", fx("kodaira_thurston.cplx"), "--pq", "1,1", "--metric", fx("diag21.herm"))
     assert code == 1
     assert out == ""

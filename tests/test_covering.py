@@ -12,7 +12,7 @@ import pytest
 
 import abch.cli
 from abch.cli import main
-from abch.complexes import DegreeOverflow, FormVector, Op, dim_pq, monomial_basis, wedge
+from abch.complexes import DegreeOverflow, FormVector, Op, dim_pq, monomial_basis, total_bidegrees, wedge
 from abch.covering import (
     CoveringSpec,
     Mode,
@@ -222,6 +222,33 @@ def test_gap_ratio(cover2):
     # documented normalisation: lap_d on functions has eigenvalue
     # 2 pi^2 |mu|^2 for H = id, so the gap is pi^2 / 2 at |mu|^2 = 1/4
     assert abs(gd - math.pi**2 / 2) <= 1e-9
+
+
+def test_every_mode_shares_the_metric_float_view(cover2):
+    # one float view per metric: every mode's numeric setting reads the same
+    # float Grams and Cholesky factors
+    assert all(nst.metric is cover2.metric.numeric for nst in cover2.numeric)
+    assert NumericSetting(cover2.settings[0]).metric is cover2.metric.numeric
+
+
+@pytest.mark.parametrize("fixture, n", [("index2.cover", 1), ("index2_n2.cover", 2)])
+def test_cover_factors_each_gram_once(monkeypatch, capsys, fixture, n):
+    # every mode's spectra on a space reuse that space's one Cholesky factor
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counted(A):
+        factored.append(A.shape)
+        return cholesky(A)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    assert main(["cover", os.path.join(FIXTURES, fixture), "--format", "json"]) == 0
+    capsys.readouterr()
+    spaces = {((p, q),) for p in range(n + 1) for q in range(n + 1)}
+    spaces |= {total_bidegrees(n, k) for k in range(2 * n + 1)}
+    # one more call factors the second coframe metric of the quasi-isometry
+    # constant
+    assert 0 < len(factored) <= len(spaces) + 1
 
 
 def test_mode_eigenvalue_oracle(cover2):

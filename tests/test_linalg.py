@@ -10,6 +10,7 @@ from abch.linalg import (
     ShapeMismatch,
     cross_gram,
     gram_adjoint,
+    kron,
     project,
     projection_coords,
     span_basis,
@@ -30,6 +31,29 @@ def mats(nrows, ncols):
     return st.lists(
         st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
     ).map(lambda rows: Mat(rows, ncols=ncols))
+
+
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+gaussian_rationals = st.builds(QQi, fractions, fractions)
+
+
+@st.composite
+def kron_operands(draw):
+    """A (a x b), C (b x c), B (d x e) and D (e x f), with 0 <= a..f <= 3."""
+    a, b, c, d, e, f = (draw(st.integers(0, 3)) for _ in range(6))
+
+    def mat(r, k):
+        return Mat([draw(st.lists(gaussian_rationals, min_size=k, max_size=k)) for _ in range(r)], ncols=k)
+
+    return mat(a, b), mat(b, c), mat(d, e), mat(e, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kron_operands())
+def test_kron_mixed_product(ops):
+    # the per-factor Gram inverse check in `metric` rests on this identity
+    A, C, B, D = ops
+    assert kron(A, B) @ kron(C, D) == kron(A @ C, B @ D)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abch.complexes import FormVector, Monomial, build_complex, dim_pq, monomial_basis, wedge
+from abch.complexes import FormVector, Monomial, build_complex, dim_pq, monomial_basis, total_bidegrees, wedge
 from abch.linalg import Mat
 from abch.metric import (
     HermitianMetric,
@@ -335,9 +336,43 @@ def test_gram_inverse_by_cauchy_binet(metric):
     n = metric.n
     for p in range(n + 1):
         for q in range(n + 1):
-            G, G_inv = metric.gram((p, q)), metric.gram_inv((p, q))
+            G, G_inv = metric.gram((p, q)), metric.gram_inv_space(((p, q),))
             assert G @ G_inv == Mat.identity(G.nrows)
             assert G_inv == G.inv()
+
+
+small_rats = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def dominant_hermitian(draw):
+    """(n, H): a Hermitian H over the Gaussian rationals, n <= 3, whose real
+    diagonal exceeds the sum of |re| + |im| over the rest of its row, so it
+    is positive definite."""
+    n = draw(st.integers(1, 3))
+    cells = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = QQi(draw(small_rats), draw(small_rats))
+            cells[(i, j)], cells[(j, i)] = c, c.conj()
+    for i in range(n):
+        off = sum((abs(c.re) + abs(c.im) for (r, _), c in cells.items() if r == i), Fraction(0))
+        cells[(i, i)] = QQi(off + draw(st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(5, 2)])))
+    return n, Mat.from_entries(n, n, cells)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dominant_hermitian())
+def test_every_gram_times_its_inverse_is_the_identity(nH):
+    # the full-size identity that the per-factor check certifies through the
+    # mixed-product property of kron: every bidegree and every total degree
+    n, H = nH
+    metric = HermitianMetric(n, H)
+    spaces = [((p, q),) for p in range(n + 1) for q in range(n + 1)]
+    spaces += [total_bidegrees(n, k) for k in range(2 * n + 1)]
+    for space in spaces:
+        G = metric.gram_space(space)
+        assert G @ metric.gram_inv_space(space) == Mat.identity(G.nrows)
 
 
 def test_memoised_adjoints_match_uncached_formula():

@@ -1,5 +1,6 @@
 """Count the exact-kernel work of one benchmark pass that has an all-zero
-operand, and the Cholesky factorisations of two spectra reports.
+operand, and the Cholesky factorisations of two spectra and two cover
+reports.
 
     python tools/zero_work_counts.py [--root CHECKOUT] [--workload invariant_n3]
 
@@ -11,7 +12,8 @@ calls do: calls of the kernel's row helpers (`_mul_rows`, `_canon`,
 `_primitive`) and of `Mat.__neg__` made inside them.  It also counts the
 matmuls whose two operands are the very objects of an earlier matmul, and
 the `numpy.linalg.cholesky` calls of `spectra --backend both` on the
-Iwasawa and `n4_chain` models.  `--root` names the checkout whose `src/`
+Iwasawa and `n4_chain` models and of `cover` on `fixtures/index2.cover`
+and `fixtures/index2_n2.cover`.  `--root` names the checkout whose `src/`
 and `perfbench/` are used (by default the one holding this script).  The
 last line of output is one JSON object.
 """
@@ -125,12 +127,17 @@ def main() -> None:
                 _run(cli, ("spectra", f"{model}.cplx", "--backend", "both", "--format", "json"))
                 out["cholesky_calls"][model] = chol["calls"]
                 out[f"{model}_spectra_matmul"] = {k: v for k, v in counts.c.items() if k.startswith("matmul.")}
+            for cover in ("index2.cover", "index2_n2.cover"):
+                chol.clear()
+                _run(cli, ("cover", os.path.join(root, "fixtures", cover), "--format", "json"))
+                out["cholesky_calls"][cover] = chol["calls"]
         finally:
             os.chdir(cwd)
     for key, value in out["per_pass"].items():
         print(f"{key:45s} {value}")
-    for model, value in out["cholesky_calls"].items():
-        print(f"cholesky calls, {model} spectra --backend both: {value}")
+    for name, value in out["cholesky_calls"].items():
+        command = "cover" if name.endswith(".cover") else "spectra --backend both"
+        print(f"cholesky calls, {name} {command}: {value}")
     print(json.dumps(out, sort_keys=True))
 
 
