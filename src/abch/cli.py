@@ -2,12 +2,16 @@
 
     abch <command> <path> [--metric m.herm]
          [--backend exact|numeric|both] [--format md|json|csv]
-         [--pq P,Q] [--seed N] [--out FILE]
+         [--pq P,Q] [--seed N] [--samples N] [--out FILE]
+    abch -h | --help
 
 Commands: check, cohomology, spectra, diagram, ddbar, inequality, abc,
 cover.  The positional path is a `.cplx` model for every command except
-`cover`, which takes a `.cover` file.  Exit code 0 means all requested
-verifications passed, 1 a verification failure or a fault in abch, 2 an input error.
+`cover`, which takes a `.cover` file.  Options may come anywhere on the
+line, as `--opt value` or `--opt=value`, abbreviated to any unique prefix;
+a repeated option keeps its last value.  Exit code 0 means all requested
+verifications passed, 1 a verification failure or a fault in abch, 2 an
+input error, including a malformed command line.
 Output is byte-identical across runs for a fixed configuration; the sampling
 seed defaults to 271828 and `ABCH_TOL_REL` overrides the relative zero
 tolerance (default 1e-9).
@@ -15,8 +19,9 @@ tolerance (default 1e-9).
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import sys
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from abch import reporting
@@ -401,24 +406,45 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="abch", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("command", choices=sorted(COMMANDS))
-    ap.add_argument("path", help="model file (.cplx), or cover file (.cover) for `cover`")
-    ap.add_argument("--metric", help="Hermitian metric file (.herm); identity if omitted")
-    ap.add_argument("--backend", choices=["exact", "numeric", "both"], default="exact")
-    ap.add_argument("--format", choices=["md", "json", "csv"], default="md")
-    ap.add_argument("--pq", help="bidegree P,Q")
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    ap.add_argument("--out", help="write the report to FILE instead of stdout")
-    return ap
+# long option -> default; an integer default makes an integer option
+DEFAULTS = {"metric": None, "backend": "exact", "format": "md", "pq": None,
+            "seed": DEFAULT_SEED, "samples": DEFAULT_SAMPLES, "out": None}
+CHOICES = {"backend": ("exact", "numeric", "both"), "format": ("md", "json", "csv")}
+
+
+def parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The command, path and options of a command line, or None if it asks
+    for -h/--help; a malformed line raises ModelError."""
+    try:
+        opts, rest = getopt.gnu_getopt(argv, "h", ["help"] + [f"{name}=" for name in DEFAULTS])
+    except getopt.GetoptError as exc:
+        raise ModelError(str(exc)) from exc
+    args = SimpleNamespace(**DEFAULTS)
+    for flag, value in opts:
+        if flag in ("-h", "--help"):
+            return None
+        name = flag[2:]
+        if isinstance(DEFAULTS[name], int):
+            try:
+                value = int(value)
+            except ValueError:
+                raise ModelError(f"{flag} needs an integer, not {value[:20]!r}") from None
+        elif value not in CHOICES.get(name, (value,)):
+            raise ModelError(f"{flag} must be one of {', '.join(CHOICES[name])}, not {value[:20]!r}")
+        setattr(args, name, value)
+    if len(rest) != 2 or rest[0] not in COMMANDS:
+        raise ModelError(f"expected a command ({', '.join(sorted(COMMANDS))}) and one path, "
+                         f"not {' '.join(rest)[:60]!r}")
+    args.command, args.path = rest
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(__doc__)
+            return EXIT_OK
         return COMMANDS[args.command](args)
     except NotAComplex as exc:
         sys.stderr.write(f"NotAComplex: {exc}\n")

@@ -228,6 +228,7 @@ class BigradedComplex:
         self.n = n
         self._del = del_mats
         self._delbar = delbar_mats
+        self._deldbar: Dict[Bidegree, Mat] = {}
 
     def dim(self, b: Bidegree) -> int:
         return dim_pq(self.n, *b)
@@ -240,6 +241,12 @@ class BigradedComplex:
     def delbar(self, b: Bidegree) -> Mat:
         m = self._delbar.get(b)
         return m if m is not None else Mat.zeros(dim_pq(self.n, b[0], b[1] + 1), dim_pq(self.n, *b))
+
+    def deldbar(self, b: Bidegree) -> Mat:
+        """Matrix of del delbar: A^{p,q} -> A^{p+1,q+1}, multiplied once."""
+        if b not in self._deldbar:
+            self._deldbar[b] = self.del_((b[0], b[1] + 1)) @ self.delbar(b)
+        return self._deldbar[b]
 
 
 # column(part, m) -> the (terms, monomial, sign) triples whose wedges
@@ -315,7 +322,7 @@ def build_complex(model: ComplexModel) -> BigradedComplex:
             if q + 2 <= n and not (comp.delbar((p, q + 1)) @ comp.delbar(b)).is_zero():
                 raise NotAComplex(b, "delbar^2 = 0")
             if p + 1 <= n and q + 1 <= n:
-                anti = comp.del_((p, q + 1)) @ comp.delbar(b) + comp.delbar((p + 1, q)) @ comp.del_(b)
+                anti = comp.deldbar(b) + comp.delbar((p + 1, q)) @ comp.del_(b)
                 if not anti.is_zero():
                     raise NotAComplex(b, "del delbar + delbar del = 0")
     return comp

@@ -295,6 +295,7 @@ class NumericMetric:
         # (space, inverse) -> to_numpy() of gram_space(space), or of
         # gram_inv_space(space) if inverse
         self._views: Dict[Tuple[Space, bool], np.ndarray] = {}
+        self._conj_views: Dict[Tuple[Space, bool], np.ndarray] = {}
         self._factors: Dict[Space, Tuple[np.ndarray, np.ndarray]] = {}
 
     def _view(self, space: Space, inverse: bool) -> np.ndarray:
@@ -303,6 +304,12 @@ class NumericMetric:
             exact = self.exact.gram_inv_space(space) if inverse else self.exact.gram_space(space)
             self._views[key] = exact.to_numpy()
         return self._views[key]
+
+    def _conj_view(self, space: Space, inverse: bool) -> np.ndarray:
+        key = (space, inverse)
+        if key not in self._conj_views:
+            self._conj_views[key] = self._view(space, inverse).conj()
+        return self._conj_views[key]
 
     def gram(self, b: Bidegree) -> np.ndarray:
         return self._view((b,), False)
@@ -318,4 +325,4 @@ class NumericMetric:
 
     def adjoint_mat(self, T: np.ndarray, src: Space, dst: Space) -> np.ndarray:
         """conj(G_src)^{-1} T^H conj(G_dst), as gram_adjoint computes it exactly."""
-        return self._view(src, True).conj() @ T.conj().T @ self._view(dst, False).conj()
+        return self._conj_view(src, True) @ T.conj().T @ self._conj_view(dst, False)

@@ -241,12 +241,13 @@ def parse_model(text: str) -> ComplexModel:
             record_once(seen, lhs, lineno)
             name = rhs
             continue
-        m = re.match(r"^d\s+phi([0-9]+)$", lhs)
-        if not m:
+        head = lhs.split(None, 1)
+        m = _GEN_RE.match(head[1]) if len(head) == 2 and head[0] == "d" else None
+        if not m or m.group(1) != "phi":
             raise ModelSyntaxError(f"bad statement {lhs!r}", lineno, 1)
         if n is None:
             raise ModelSyntaxError("n must be declared before d equations", lineno, 1)
-        k = parse_int(m.group(1), lineno, 1)
+        k = parse_int(m.group(2), lineno, 1)
         if not 1 <= k <= n:
             raise UnknownGenerator(f"generator index {k} outside 1..{n}", lineno, 1)
         record_once(seen, f"d phi{k}", lineno)

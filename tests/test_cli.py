@@ -234,22 +234,68 @@ def test_oversized_input_exits_two(capsys, tmp_path):
     assert "exceeds the limit 6" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobnicate", "torus2.cplx"],
+        ["check"],
+        ["check", "torus2.cplx", "iwasawa.cplx"],
+        ["check", "torus2.cplx", "--bogus"],
+        ["check", "torus2.cplx", "--metric"],
+        ["spectra", "torus2.cplx", "--backend", "float"],
+        ["check", "torus2.cplx", "--format", "xml"],
+        ["cover", "index2.cover", "--seed", "x"],
+        ["cover", "index2.cover", "--samples", "1.5"],
+    ],
+    ids=["unknown_command", "missing_path", "extra_positional", "unknown_option", "option_without_value",
+         "bad_backend", "bad_format", "non_integer_seed", "non_integer_samples"],
+)
+def test_a_malformed_command_line_exits_two(capsys, argv):
+    code, out, err = run(capsys, *(fx(a) if "." in a else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_options_by_prefix_with_equals_anywhere_and_repeated(capsys):
+    path = fx("torus2.cplx")
+    expected = run(capsys, "check", path, "--format", "json")
+    assert expected[0] == 0 and expected[1].startswith("{")
+    for argv in (
+        ["check", path, "--format=json"],
+        ["check", path, "--form", "json"],
+        ["--format", "json", "check", path],
+        ["check", "--format", "csv", path, "--format", "json"],  # the last one wins
+    ):
+        assert run(capsys, *argv) == expected, argv
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage(capsys, flag):
+    code, out, err = run(capsys, flag)
+    assert code == 0
+    assert err == ""
+    assert "abch <command> <path>" in out and "[--samples N]" in out
+
+
 def _src_env():
     """The environment with this checkout's `src` first on PYTHONPATH."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def _fresh_run(argvs, package):
+def _fresh_run(argvs, package=None):
     """Exit codes of `main(argv)` for each argv, run in a fresh interpreter
-    that imports the CLI first, and the modules of `package` it then holds."""
+    that imports the CLI first, and the modules of `package` it then holds,
+    or without a package every module the runs imported."""
     script = (
         "import json, sys\n"
         "import abch.cli\n"
         "argvs, package = json.loads(sys.argv[1])\n"
+        "before = set() if package else set(sys.modules)\n"
         "codes = [abch.cli.main(argv) for argv in argvs]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-        "                                if m == package or m.startswith(package + '.'))]))\n"
+        "print(json.dumps([codes, sorted(m for m in set(sys.modules) - before if not package\n"
+        "                                or m == package or m.startswith(package + '.'))]))\n"
     )
     done = subprocess.run([sys.executable, "-c", script, json.dumps([argvs, package])], env=_src_env(),
                           capture_output=True, text=True, check=True)
@@ -279,3 +325,16 @@ def test_a_cover_run_never_imports_numpy_random(tmp_path):
     codes, random_modules = _fresh_run(argvs, "numpy.random")
     assert codes == [0, 0]
     assert random_modules == []
+
+
+def test_a_run_imports_no_module_after_the_cli(tmp_path):
+    # the front end and the parsers build nothing lazily: a fresh interpreter
+    # that imports the CLI holds every module the commands below need
+    argvs = [
+        ["check", fx("kodaira_thurston.cplx"), "--out", str(tmp_path / "check.md")],
+        ["spectra", fx("kodaira_thurston.cplx"), "--backend", "both", "--out", str(tmp_path / "spectra.md")],
+        ["cover", fx("index2.cover"), "--out", str(tmp_path / "cover.md")],
+    ]
+    codes, added = _fresh_run(argvs)
+    assert codes == [0, 0, 0]
+    assert added == []

@@ -414,3 +414,35 @@ def test_numeric_setting_is_a_float_view_of_the_exact_one():
                 expected = s.adjoint(op).mat.to_numpy()
                 assert adj.mat.shape == expected.shape
                 assert np.linalg.norm(adj.mat - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_del_delbar_is_multiplied_once_per_complex():
+    # build_complex's anticommutator check and the exact setting read one
+    # memoised del delbar per bidegree; a numeric setting composes its own
+    # two scaled float factors, so its corner carries scale**2
+    comp = build_complex(IWASAWA)
+    s = ExactSetting(comp, HermitianMetric(*DENSE3))
+    ns = NumericSetting(s, scale=3.0)
+    for p in range(4):
+        for q in range(4):
+            b = (p, q)
+            op = s.deldbar_op(b)
+            assert op.mat is comp.deldbar(b)
+            assert (op.src, op.dst) == ((b,), ((p + 1, q + 1),))
+            assert op.mat == compose(s.del_op((p, q + 1)), s.delbar_op(b)).mat
+            nop = ns.deldbar_op(b)
+            assert np.array_equal(nop.mat, ns.del_op((p, q + 1)).mat @ ns.delbar_op(b).mat)
+            assert np.allclose(nop.mat, 9.0 * op.mat.to_numpy(), rtol=0, atol=1e-12)
+
+
+def test_numeric_adjoints_reuse_the_conjugated_grams():
+    # adjoint_mat conjugates each float Gram once per space, and its result
+    # is the product with freshly conjugated Grams, bit for bit
+    nm = HermitianMetric(*DENSE3).numeric
+    src, dst = ((1, 1),), ((2, 1),)
+    T = np.arange(81, dtype=complex).reshape(9, 9) * (1 - 0.5j)
+    first = nm.adjoint_mat(T, src, dst)
+    assert nm._conj_view(src, True) is nm._conj_view(src, True)
+    assert np.array_equal(nm.adjoint_mat(T, src, dst), first)
+    G_inv, G = nm.exact.gram_inv_space(src).to_numpy(), nm.exact.gram_space(dst).to_numpy()
+    assert np.array_equal(first, G_inv.conj() @ T.conj().T @ G.conj())

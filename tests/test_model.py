@@ -108,6 +108,20 @@ def test_syntax_errors_carry_position():
         parse_model("d phi1 = phi1 ^ phi2")  # n not declared yet
 
 
+@pytest.mark.parametrize("head", ["d phi3", "d  phi3", "d\tphi3"])
+def test_a_statement_head_is_d_then_a_generator(head):
+    m = parse_model(f"n = 3\n{head} = phi1 ^ phi2\n")
+    assert m.d20 == {3: {(1, 2): QQi(1)}}
+
+
+@pytest.mark.parametrize("head", ["dphi3", "d phibar3", "D phi3", "d phi", "d phi3x", "d phi 3"])
+def test_a_malformed_statement_head_is_a_syntax_error_at_its_line(head):
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(f"n = 3\n\n{head} = phi1 ^ phi2\n")
+    assert err.value.line == 3
+    assert f"bad statement {head!r}" in str(err.value)
+
+
 def test_comments_and_crlf():
     m = parse_model("# header\r\nn = 2\r\nname = t  \r\n# done\r\n")
     assert m.n == 2 and m.name == "t"

@@ -65,7 +65,7 @@ def fingerprint(main, argv) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects the arguments
+        except SystemExit as exc:  # an argparse front end (older checkouts) rejects the line
             code = exc.code
     blob = "\0".join([out.getvalue(), err.getvalue(), str(code)])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
