@@ -226,9 +226,6 @@ class FourierComplex:
         """Dimension of one mode block of `space`."""
         return sum(dim_pq(self.n, *b) for b in space)
 
-    def total_dim(self, b: Bidegree) -> int:
-        return self.mode_count() * dim_pq(self.n, *b)
-
     def stack_modes(self, bases: Sequence[Mat], space: Space) -> Mat:
         """One basis of `space` per mode, in mode order, placed side by side
         in total coordinates (modes are the outer row blocks)."""
@@ -410,16 +407,10 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
         support_ok = support_ok and fourier.zero_mode_kernel(LaplacianKind.D, space[0]) is not None
     grids["deRham"] = betti
 
-    ineq_ok = True
-    eq_all = True
-    for p in range(n + 1):
-        for q in range(n + 1):
-            lhs = grids["del"][p][q] + grids["delbar"][p][q]
-            rhs = grids["a"][p][q] + grids["bc"][p][q]
-            if lhs > rhs:
-                ineq_ok = False
-            if lhs != rhs:
-                eq_all = False
+    sides = [(grids["del"][p][q] + grids["delbar"][p][q], grids["a"][p][q] + grids["bc"][p][q])
+             for p in range(n + 1) for q in range(n + 1)]
+    ineq_ok = all(lhs <= rhs for lhs, rhs in sides)
+    eq_all = all(lhs == rhs for lhs, rhs in sides)
 
     # monotonicity on nested invariant pairs: the delbar harmonics (their grid) inside ker delbar
     mono_ok = True
@@ -450,7 +441,7 @@ def _least_gaps(fourier: FourierComplex, kind: LaplacianKind) -> Dict[Bidegree, 
     n = fourier.n
     least = {}
     for b in [(p, q) for p in range(n + 1) for q in range(n + 1)]:
-        found = [spectral_gap(numeric_spectrum(st, kind, b)[2]) for st in fourier.numeric]
+        found = [spectral_gap(numeric_spectrum(st, kind, b)) for st in fourier.numeric]
         least[b] = min((g for g in found if g is not None), default=None)
     return least
 
@@ -588,12 +579,11 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = DEFAULT_SAMPLES
         two_op_ok = True
         kernels = fourier.mode_kernels(LaplacianKind.DELBAR, b)
         for st, nst, K in zip(fourier.settings, fourier.numeric, kernels):
-            # lap_delbar per mode: its Gram and spectral gap
-            _, G, ev = numeric_spectrum(nst, LaplacianKind.DELBAR, b)
-            g = spectral_gap(ev)
+            # lap_delbar per mode: its spectral gap, and the Gram of its space
+            g = spectral_gap(numeric_spectrum(nst, LaplacianKind.DELBAR, b))
             if g is None:
                 continue
-            C = g * g
+            C, G = g * g, nst.gram((b,))
             # theta samples in im((del delbar out)* adjoint)
             corner_out = nst.out("deldbar", b)
             Simg = st.im("deldbar", b, star=True).to_numpy()
@@ -604,7 +594,7 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = DEFAULT_SAMPLES
                 if not np.all(C * lhs <= rhs + 1e-9 * np.maximum(rhs, 1.0)):
                     quantitative_ok = False
             # two-operator bound: C|x|^2 <= |P^t x|^2 + |Q x|^2 on (ker)^perp
-            Padj = nst.adjoint(nst.into("delbar", b))
+            Padj = nst.into("delbar", b, True)
             Qop = nst.out("delbar", b)
             dim = Qop.mat.shape[1]
             X = project_off_kernel(_samples(rng, dim, samples), K.to_numpy(), G)

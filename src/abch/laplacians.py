@@ -35,6 +35,7 @@ extensions coincide, so no domain bookkeeping appears anywhere.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -44,6 +45,7 @@ import numpy as np
 
 from abch.complexes import Bidegree, Op, Space, d_between
 from abch.linalg import Mat
+from abch.model import ModelError
 from abch.setting import ExactSetting, NumericSetting, add_ops, compose
 
 TOL_ABS = 1e-12
@@ -56,8 +58,16 @@ DEFAULT_SAMPLES = 200
 
 
 def tol_rel() -> float:
+    """ABCH_TOL_REL, or TOL_REL when it is unset; a value that is not a
+    finite float >= 0 is an input error."""
     env = os.environ.get("ABCH_TOL_REL")
-    return float(env) if env else TOL_REL
+    try:
+        tol = float(env) if env else TOL_REL
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:  # nan fails both comparisons
+        raise ModelError(f"ABCH_TOL_REL must be a finite number >= 0, not {env[:20]!r}")
+    return tol
 
 
 class EigSolverFailure(Exception):
@@ -111,8 +121,9 @@ def _sq(op: Op) -> Op:
 def _pair(setting, name: str, b: Bidegree, leaving: bool) -> Tuple[Op, Op]:
     """The map T named `name` leaving A^b as (T*, T), the factors of T* T, or
     the one entering A^b as (T, T*), the factors of T T*."""
-    T = setting.out(name, b) if leaving else setting.into(name, b)
-    return (setting.adjoint(T), T) if leaving else (T, setting.adjoint(T))
+    if leaving:
+        return setting.out(name, b, True), setting.out(name, b)
+    return setting.into(name, b), setting.into(name, b, True)
 
 
 def _term(setting, name: str, b, leaving: bool) -> Op:
@@ -196,9 +207,8 @@ def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bid
     theory = "deRham" if kind is LaplacianKind.D else kind.value.split("_")[0]  # bc_box -> bc
     key = _acts_on(kind, b)
     leaving, entering = THEORY_OPS[theory]
-    adj = setting.adjoint
     rows = [setting.out(name, key).mat for name in leaving]
-    rows += [adj(setting.into(name, key)).mat for name in entering]
+    rows += [setting.into(name, key, True).mat for name in entering]
     return Mat.vstack(rows).nullspace()
 
 
@@ -245,18 +255,13 @@ def spectral_gap(ev: np.ndarray) -> Optional[float]:
     return float(nz.min()) if len(nz) else None
 
 
-def numeric_spectrum(
-    numeric: NumericSetting, kind: LaplacianKind, b: Bidegree
-) -> Tuple[Op, np.ndarray, np.ndarray]:
-    """The float Laplacian of one kind, the Gram of its space and its
-    spectrum, memoised in the setting per kind and space."""
-
-    def build():
-        op = laplacian(numeric, kind, b)
-        G = numeric.gram(op.src)
-        return op, G, spectrum(op.mat, numeric.metric.gram_factor(op.src))
-
-    return numeric.cached(("spectrum", kind, _acts_on(kind, b)), build)
+def numeric_spectrum(numeric: NumericSetting, kind: LaplacianKind, b: Bidegree) -> np.ndarray:
+    """The spectrum of the float Laplacian of one kind, memoised in the
+    setting per kind and space; the Laplacian is `laplacian`'s memo entry,
+    and the Gram of the space it acts on is `numeric.gram(space)`."""
+    op = laplacian(numeric, kind, b)
+    return numeric.cached(("spectrum", kind, _acts_on(kind, b)),
+                          lambda: spectrum(op.mat, numeric.metric.gram_factor(op.src)))
 
 
 @dataclass
@@ -273,9 +278,8 @@ class LaplacianBundle:
         kernels, spectra, gaps = {}, {}, {}
         for kind in ALL_KINDS:
             kernels[kind] = harmonic_space(setting, kind, b)
-            _, _, ev = numeric_spectrum(numeric, kind, b)
-            spectra[kind] = ev
-            gaps[kind] = spectral_gap(ev)
+            spectra[kind] = numeric_spectrum(numeric, kind, b)
+            gaps[kind] = spectral_gap(spectra[kind])
         return LaplacianBundle(b, kernels, spectra, gaps)
 
     def crosscheck(self) -> List[str]:

@@ -239,9 +239,6 @@ class Mat:
         # canonical over their lcm
         return _new(rows, den, ncols)
 
-    def copy(self) -> "Mat":
-        return _new(list(self._r), self._d, self.ncols)
-
     # -- shape & access --------------------------------------------------
 
     @property
@@ -260,9 +257,6 @@ class Mat:
 
     def col(self, j: int) -> List[QQi]:
         return [self[i, j] for i in range(self.nrows)]
-
-    def cols(self) -> List[List[QQi]]:
-        return [self.col(j) for j in range(self.ncols)]
 
     def take_rows(self, idx: Sequence[Optional[int]]) -> "Mat":
         """The matrix whose row k is row idx[k] of self, or zero where
@@ -649,9 +643,3 @@ def project_coords(x: Sequence[QQi], B: Mat, G: Mat) -> List[QQi]:
 
 def project(x: Sequence[QQi], B: Mat, G: Mat) -> List[QQi]:
     return B.matvec(project_coords(x, B, G))
-
-
-def cross_gram(U: Mat, V: Mat, G: Mat) -> Mat:
-    """Matrix of inner products <u_a, v_b> = U^T G conj(V); zero iff the spans
-    are orthogonal."""
-    return U.transpose() @ G @ V.conj()

@@ -323,6 +323,9 @@ class NumericMetric:
             self._factors[space] = cholesky_factor(self._view(space, False))
         return self._factors[space]
 
+    def adjoint(self, op: Op) -> Op:
+        return Op(src=op.dst, dst=op.src, mat=self.adjoint_mat(op.mat, op.src, op.dst))
+
     def adjoint_mat(self, T: np.ndarray, src: Space, dst: Space) -> np.ndarray:
         """conj(G_src)^{-1} T^H conj(G_dst), as gram_adjoint computes it exactly."""
         return self._conj_view(src, True) @ T.conj().T @ self._conj_view(dst, False)

@@ -79,10 +79,6 @@ class QQi:
     def conj(self) -> "QQi":
         return QQi(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """Squared modulus, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
-
     # -- predicates & conversions ---------------------------------------
 
     def is_zero(self) -> bool:
@@ -103,9 +99,6 @@ class QQi:
 
     def __hash__(self):
         return hash((self.re, self.im))
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     # -- rendering -------------------------------------------------------
 

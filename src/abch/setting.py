@@ -4,25 +4,28 @@ A *setting* bundles the bigraded differentials with a metric and exposes a
 uniform vocabulary: `del_op`, `delbar_op`, their composite `deldbar_op`,
 adjoints and total-degree d.  Engines name each differential by the way it
 crosses a space: `out(name, b)` is the map `name` leaving A^b and
-`into(name, b)` the one entering it, where `name` is a key of `SHIFTS` (the
-bidegree the map raises) and `b` a bidegree, or a total degree for `d`.
+`into(name, b)` the one entering it, or with `star` its adjoint, where `name`
+is a key of `SHIFTS` (the bidegree the map raises) and `b` a bidegree, or a
+total degree for `d`.
 
 ExactSetting works over Q(i) matrices.  NumericSetting is the same class
 seen in floating point: it overrides only the conversion of each
 differential (to_numpy(), optionally rescaled, used by the Fourier covering
 models where the true twist carries a factor 2*pi), the total d (converted
-from the exact setting's memo), del delbar (the product of its two scaled
-float factors, where the exact setting reads the complex's memoised product)
-and the adjoint, through the one float view `metric.numeric` that every
-numeric setting over the metric shares.
+from the exact setting's memo) and del delbar (the product of its two scaled
+float factors, where the exact setting reads the complex's memoised product).
+Its metric, and so its adjoint, is the one float view `metric.numeric` that
+every numeric setting over the metric shares.
 
 Each setting has one memo, `cached(key, build)`, which holds every object
-derived from it: the primitives (`out` and `into` return them, and their
-adjoints are kept beside them), the exact subspaces `ker(name, b, star)`
-and `im(name, b, star)` (exact settings only), and what the engines build
-from them: each Laplacian term T* T or T T* and each sum of them, the
-assembled Laplacians, harmonic spaces, spectra, tables and subspace grids.  Memoised objects are shared, so no caller writes into
-one.
+derived from it under a name: the primitives under `(name, b)` and their
+adjoints under `("star", name, b)` (`out` and `into` return both), the exact
+subspaces `ker(name, b, star)` and `im(name, b, star)` (exact settings only),
+and what the engines build from them: each Laplacian term T* T or T T* and
+each sum of them, the assembled Laplacians, harmonic spaces, spectra, tables
+and subspace grids.  `adjoint(op)` memoises nothing: a composite's adjoint is
+built afresh on every call.  Memoised objects are shared; no caller writes
+into one.
 
 The operator source is a `BigradedComplex`: the invariant complex of a
 model, or one Fourier mode of a covering (`covering.ModeOps`), so both share
@@ -31,7 +34,7 @@ the engines.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Optional, Union
+from typing import Any, Callable, Dict, Hashable, Union
 
 from abch.complexes import Bidegree, Op, Space, total_d
 from abch.linalg import Mat, ShapeMismatch
@@ -65,10 +68,8 @@ class ExactSetting:
     """Exact differentials + metric for one bigraded complex.
 
     The primitive operators (`del_op`, `delbar_op`, `deldbar_op`,
-    `total_d`) are built once each, and so are their adjoints; adjoints of
-    other operators are computed afresh on every call.  Primitives are
-    memoised under `(name, b)`; every other key is, or starts with, a tag
-    that is not a differential's name.
+    `total_d`) are memoised under `(name, b)`, and their adjoints under
+    `("star", name, b)`; every other key is, or starts with, another tag.
     """
 
     def __init__(self, ops, metric: HermitianMetric):
@@ -78,19 +79,11 @@ class ExactSetting:
         if metric.n != ops.n:
             raise ShapeMismatch("metric dimension differs from complex dimension")
         self._memo: Dict[Hashable, Any] = {}
-        # id of a memoised primitive -> its adjoint, None until first asked;
-        # the primitives live as long as the setting, so their ids are stable
-        self._adjoints: Dict[int, Optional[Op]] = {}
 
     def cached(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """The value `build()` memoised under `key`, built on first request."""
         if key not in self._memo:
             self._memo[key] = build()
-        return self._memo[key]
-
-    def _primitive(self, key: Hashable, build: Callable[[], Op]) -> Op:
-        if key not in self._memo:  # memoise it and open its adjoint slot
-            self._adjoints[id(self.cached(key, build))] = None
         return self._memo[key]
 
     def dim(self, b: Bidegree) -> int:
@@ -109,56 +102,52 @@ class ExactSetting:
 
     def del_op(self, b: Bidegree) -> Op:
         p, q = b
-        return self._primitive(
+        return self.cached(
             ("del", b), lambda: self._convert(Op(src=(b,), dst=((p + 1, q),), mat=self.ops.del_(b)))
         )
 
     def delbar_op(self, b: Bidegree) -> Op:
         p, q = b
-        return self._primitive(
+        return self.cached(
             ("delbar", b), lambda: self._convert(Op(src=(b,), dst=((p, q + 1),), mat=self.ops.delbar(b)))
         )
 
     def deldbar_op(self, b: Bidegree) -> Op:
         """del delbar : A^{p,q} -> A^{p+1,q+1}, the complex's memoised product."""
         p, q = b
-        return self._primitive(("deldbar", b), lambda: Op(src=(b,), dst=((p + 1, q + 1),),
-                                                           mat=self.ops.deldbar(b)))
+        return self.cached(("deldbar", b), lambda: Op(src=(b,), dst=((p + 1, q + 1),),
+                                                       mat=self.ops.deldbar(b)))
 
-    def out(self, name: str, b: Degree) -> Op:
-        """The differential `name` leaving A^b."""
+    def out(self, name: str, b: Degree, star: bool = False) -> Op:
+        """The differential `name` leaving A^b, or with `star` its adjoint."""
+        if star:
+            return self.cached(("star", name, b), lambda: self.adjoint(self.out(name, b)))
         return self.total_d(b) if name == "d" else getattr(self, f"{name}_op")(b)
 
-    def into(self, name: str, b: Degree) -> Op:
-        """The differential `name` entering A^b (zero-column at the range ends)."""
+    def into(self, name: str, b: Degree, star: bool = False) -> Op:
+        """The differential `name` entering A^b (zero-column at the range
+        ends), or with `star` its adjoint."""
         s = SHIFTS[name]
-        return self.out(name, b - s if name == "d" else (b[0] - s[0], b[1] - s[1]))
+        return self.out(name, b - s if name == "d" else (b[0] - s[0], b[1] - s[1]), star)
 
     def ker(self, name: str, b: Bidegree, star: bool = False) -> Mat:
         """ker T in A^b: T the map `name` leaving A^b, or with `star` the
         adjoint of the one entering it."""
-        T = self.adjoint(self.into(name, b)) if star else self.out(name, b)
+        T = self.into(name, b, True) if star else self.out(name, b)
         return self.cached(("ker", name, b, star), T.mat.nullspace)
 
     def im(self, name: str, b: Bidegree, star: bool = False) -> Mat:
         """im T in A^b: T the map `name` entering A^b, or with `star` the
         adjoint of the one leaving it."""
-        T = self.adjoint(self.out(name, b)) if star else self.into(name, b)
+        T = self.out(name, b, True) if star else self.into(name, b)
         return self.cached(("im", name, b, star), T.mat.column_space)
 
-    def _adjoint(self, op: Op) -> Op:
+    def adjoint(self, op: Op) -> Op:
+        """The Gram adjoint of any operator, built afresh on every call."""
         return self.metric.adjoint(op)
 
-    def adjoint(self, op: Op) -> Op:
-        key = id(op)
-        if key not in self._adjoints:  # not a memoised primitive
-            return self._adjoint(op)
-        if self._adjoints[key] is None:
-            self._adjoints[key] = self._adjoint(op)
-        return self._adjoints[key]
-
     def total_d(self, k: int) -> Op:
-        return self._primitive(("d", k), lambda: total_d(self.ops, k))
+        return self.cached(("d", k), lambda: total_d(self.ops, k))
 
 
 class NumericSetting(ExactSetting):
@@ -178,12 +167,9 @@ class NumericSetting(ExactSetting):
     def _convert(self, op: Op) -> Op:
         return Op(src=op.src, dst=op.dst, mat=op.mat.to_numpy() * self.scale)
 
-    def _adjoint(self, op: Op) -> Op:
-        return Op(src=op.dst, dst=op.src, mat=self.metric.adjoint_mat(op.mat, op.src, op.dst))
-
     def deldbar_op(self, b: Bidegree) -> Op:
         p, q = b
-        return self._primitive(("deldbar", b), lambda: compose(self.del_op((p, q + 1)), self.delbar_op(b)))
+        return self.cached(("deldbar", b), lambda: compose(self.del_op((p, q + 1)), self.delbar_op(b)))
 
     def total_d(self, k: int) -> Op:
-        return self._primitive(("d", k), lambda: self._convert(self.exact.total_d(k)))
+        return self.cached(("d", k), lambda: self._convert(self.exact.total_d(k)))

@@ -91,9 +91,6 @@ class Mat:
     def col(self, j: int) -> List[QQi]:
         return [self.rows[i][j] for i in range(self.nrows)]
 
-    def cols(self) -> List[List[QQi]]:
-        return [self.col(j) for j in range(self.ncols)]
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -346,7 +343,7 @@ class Mat:
         out = np.zeros((self.nrows, self.ncols), dtype=complex)
         for i in range(self.nrows):
             for j in range(self.ncols):
-                out[i, j] = self.rows[i][j].to_complex()
+                out[i, j] = complex(float(self.rows[i][j].re), float(self.rows[i][j].im))
         return out
 
 
@@ -483,9 +480,3 @@ def project_coords(x: Sequence[QQi], B: Mat, G: Mat) -> List[QQi]:
 
 def project(x: Sequence[QQi], B: Mat, G: Mat) -> List[QQi]:
     return B.matvec(project_coords(x, B, G))
-
-
-def cross_gram(U: Mat, V: Mat, G: Mat) -> Mat:
-    """Matrix of inner products <u_a, v_b> = U^T G conj(V); zero iff the spans
-    are orthogonal."""
-    return U.transpose() @ G @ V.conj()

@@ -198,6 +198,32 @@ def test_wrong_gram_inverse_exits_one(capsys, monkeypatch):
     assert err.startswith("verification failure: Gram inverse check failed")
 
 
+TOL_COMMANDS = {
+    "spectra": ("spectra", fx("iwasawa.cplx"), "--metric", fx("dense3.herm"), "--backend", "both"),
+    "cover": ("cover", fx("index2.cover")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+@pytest.mark.parametrize("value", ["abc", "-1", "nan", "inf"])
+def test_a_bad_relative_tolerance_is_an_input_error(capsys, monkeypatch, command, value):
+    # a value that does not parse, or parses to a negative or non-finite
+    # float, would otherwise crash or silently break every zero threshold
+    monkeypatch.setenv("ABCH_TOL_REL", value)
+    code, out, err = run(capsys, *TOL_COMMANDS[command])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ABCH_TOL_REL")
+
+
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_a_finite_relative_tolerance_is_accepted(capsys, monkeypatch, command):
+    monkeypatch.setenv("ABCH_TOL_REL", "1e-6")
+    code, out, _ = run(capsys, *TOL_COMMANDS[command])
+    assert code == 0
+    assert "RESULT: PASS" in out
+
+
 def _bump_one_cell(dims):
     dims["bc"][1][1] += 1
 

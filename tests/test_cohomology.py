@@ -102,6 +102,45 @@ def test_hodge_isomorphism_two_routes():
         assert all(type(v) is list for v in (*tables.values(), *harm.values())), name
 
 
+# the degrees k at which sum_{p+q=k} (h_BC + h_A) > 2 b_k, per valid model
+STRICT_DEGREES = {
+    "iwasawa": [1, 2, 3, 4, 5],
+    "kodaira_thurston": [2],
+    "n4_chain": [1, 2, 3, 4, 5, 6, 7],
+    "n4_mixed": [1, 2, 3, 4, 5, 6, 7],
+    "torus1": [],
+    "torus2": [],
+}
+
+
+def test_froelicher_and_angella_tomassini_inequalities():
+    # Frolicher (PNAS 41 (1955)): b_k <= sum_{p+q=k} h_delbar, and the same
+    # for h_del; Angella-Tomassini (Invent. Math. 192 (2013), Thms A, B):
+    # sum_{p+q=k} (h_BC + h_A) >= 2 b_k, with equality at every k exactly
+    # when the del delbar lemma holds, i.e. when every condition holds
+    names = sorted(f[:-5] for f in os.listdir(FIXTURES) if f.endswith(".cplx") and f != "bad.cplx")
+    assert names == sorted(STRICT_DEGREES)
+    for name in names:
+        comp = build_complex(load_model(os.path.join(FIXTURES, f"{name}.cplx")))
+        s, n = ExactSetting(comp, identity_metric(comp.n)), comp.n
+        tables = all_tables(s)
+
+        def degree_sum(theory, k):
+            return sum(tables[theory][p][k - p] for p in range(max(0, k - n), min(n, k) + 1))
+
+        strict = []
+        for k, b in enumerate(tables["deRham"]):
+            assert b <= degree_sum("delbar", k) and b <= degree_sum("del", k), (name, k)
+            bc_a = degree_sum("bc", k) + degree_sum("a", k)
+            assert bc_a >= 2 * b, (name, k)
+            if bc_a > 2 * b:
+                strict.append(k)
+        assert strict == STRICT_DEGREES[name], name
+        assert (strict == []) == all(ddbar_conditions(s)["holds"].values()), name
+        if name == "kodaira_thurston":
+            assert degree_sum("bc", 2) + degree_sum("a", 2) == 10 and 2 * tables["deRham"][2] == 8
+
+
 def test_harmonic_dims_metric_independent():
     comp = build_complex(IWASAWA)
     dims = []

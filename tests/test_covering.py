@@ -164,7 +164,7 @@ def test_gamma_dimension_trivial_group():
 
 
 def test_gamma_dimension_zero_iff_zero(cover2):
-    V = Mat.zeros(cover2.total_dim((0, 0)), 0)
+    V = Mat.zeros(cover2.mode_count() * dim_pq(1, 0, 0), 0)
     assert gamma_dimension(cover2, V, ((0, 0),)) == 0
     W = cover2.total_kernel(LaplacianKind.DELBAR, (0, 0))
     assert gamma_dimension(cover2, W, ((0, 0),)) > 0
@@ -187,7 +187,7 @@ def test_not_gamma_invariant(cover2):
     w = dim_pq(1, 0, 0)
     zero_idx = next(i for i, m in enumerate(cover2.modes) if m.is_zero)
     half_idx = next(i for i, m in enumerate(cover2.modes) if m.mu == (Fraction(1, 2), Fraction(0)))
-    v = Mat.from_entries(cover2.total_dim((0, 0)), 1, {(zero_idx * w, 0): ONE, (half_idx * w, 0): ONE})
+    v = Mat.from_entries(cover2.mode_count() * dim_pq(1, 0, 0), 1, {(zero_idx * w, 0): ONE, (half_idx * w, 0): ONE})
     with pytest.raises(NotGammaInvariant):
         gamma_dimension(cover2, v, ((0, 0),))
 
@@ -198,7 +198,7 @@ def test_integer_mu_modes_are_invariant(cover2):
     w = dim_pq(1, 0, 0)
     zero_idx = next(i for i, m in enumerate(cover2.modes) if m.is_zero)
     one_idx = next(i for i, m in enumerate(cover2.modes) if m.mu == (Fraction(1), Fraction(0)))
-    v = Mat.from_entries(cover2.total_dim((0, 0)), 1, {(zero_idx * w, 0): ONE, (one_idx * w, 0): ONE})
+    v = Mat.from_entries(cover2.mode_count() * dim_pq(1, 0, 0), 1, {(zero_idx * w, 0): ONE, (one_idx * w, 0): ONE})
     assert gamma_dimension(cover2, v, ((0, 0),)) == Fraction(1, 2)
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from abch.linalg import (
     Mat,
     ShapeMismatch,
-    cross_gram,
     gram_adjoint,
     kron,
     project,
@@ -113,8 +112,8 @@ def _pd_gram(n):
 def test_gram_adjoint_property(U, T):
     Gs, Gd = _pd_gram(3), _pd_gram(2)
     S = gram_adjoint(T, Gs.inv(), Gd)
-    for u in U.cols():
-        for v in (Mat.identity(2)).cols():
+    for u in [U.col(j) for j in range(U.ncols)]:
+        for v in [Mat.identity(2).col(j) for j in range(2)]:
             lhs = ip(T.matvec(u), v, Gd)
             rhs = ip(u, S.matvec(v), Gs)
             assert lhs == rhs
@@ -129,7 +128,7 @@ def test_projection_is_orthogonal():
     x = [QQi(1), QQi(2), QQi(3), QQi(4)]
     px = project(x, B, G)
     res = [a - b for a, b in zip(x, px)]
-    for b in B.cols():
+    for b in [B.col(j) for j in range(B.ncols)]:
         assert ip(res, b, G) == QQi(0)
     assert subspace_contains(B, Mat.column(px))
     # several columns in one solve
@@ -138,9 +137,9 @@ def test_projection_is_orthogonal():
         ncols=3,
     )
     BX = B @ projection_coords(S, B, G)
-    for j, col in enumerate(S.cols()):
-        assert BX.col(j) == project(col, B, G)
-    assert cross_gram(S - BX, B, G).is_zero()
+    for j in range(S.ncols):
+        assert BX.col(j) == project(S.col(j), B, G)
+    assert ((S - BX).transpose() @ G @ B.conj()).is_zero()
 
 
 def test_span_basis_canonical():

@@ -123,7 +123,7 @@ def test_vol_coeff_scales_with_det():
 
 def test_star_defining_equation():
     # alpha ^ *(conj beta) = <alpha, beta> vol for basis alpha, beta
-    for H in (Mat.identity(2), random_rational_hermitian(2, seed=3).copy()):
+    for H in (Mat.identity(2), random_rational_hermitian(2, seed=3)):
         m = HermitianMetric(2, H)
         n = 2
         for p in range(n + 1):
@@ -378,16 +378,19 @@ def test_every_gram_times_its_inverse_is_the_identity(nH):
 def test_memoised_adjoints_match_uncached_formula():
     comp = build_complex(parse_model("n = 2\nd phi2 = phi1 ^ phibar1"))
     s = ExactSetting(comp, HermitianMetric(*parse_metric("n = 2\nH[1][2] = (1/2 + 1/3 i)")))
-    ops = [s.total_d(k) for k in range(-1, 5)]
+    # every primitive, off-range ones included, and its memoised adjoint
+    named = [("d", k) for k in range(-1, 5)]
     for p in range(-1, 3):
         for q in range(-1, 3):
-            ops += [s.del_op((p, q)), s.delbar_op((p, q)), s.deldbar_op((p, q))]
-    for op in ops:
+            named += [("del", (p, q)), ("delbar", (p, q)), ("deldbar", (p, q))]
+    for name, b in named:
+        op = s.out(name, b)
         uncached = s.gram(op.src).conj().inv() @ op.mat.conj_t() @ s.gram(op.dst).conj()
-        adj = s.adjoint(op)
+        adj = s.out(name, b, True)
         assert adj.mat == uncached
         assert (adj.src, adj.dst) == (op.dst, op.src)
-        assert s.adjoint(op) is adj
+        assert s.out(name, b, True) is adj
+        assert adj == s.adjoint(op)
     # a composite is not memoised, but has the same adjoint
     corner = compose(s.del_op((0, 1)), s.delbar_op((0, 0)))
     assert s.adjoint(corner) is not s.adjoint(corner)
@@ -396,8 +399,9 @@ def test_memoised_adjoints_match_uncached_formula():
 
 def test_numeric_setting_is_a_float_view_of_the_exact_one():
     # under a dense complex metric: the numeric Grams are the exact ones
-    # converted, each numeric primitive's adjoint is memoised, and it is the
-    # exact adjoint converted, to a relative 1e-12
+    # converted, each numeric primitive's adjoint is memoised, it is the
+    # unmemoised float adjoint bit for bit, and it is the exact adjoint
+    # converted, to a relative 1e-12
     em = HermitianMetric(*DENSE3)
     s = ExactSetting(build_complex(IWASAWA), em)
     ns = NumericSetting(s)
@@ -405,12 +409,12 @@ def test_numeric_setting_is_a_float_view_of_the_exact_one():
         for q in range(4):
             b = (p, q)
             assert np.array_equal(ns.gram((b,)), em.gram_space((b,)).to_numpy())
-            prims = [(ns.del_op(b), s.del_op(b)), (ns.delbar_op(b), s.delbar_op(b)),
-                     (ns.deldbar_op(b), s.deldbar_op(b)), (ns.total_d(p + q), s.total_d(p + q))]
-            for nop, op in prims:
-                adj = ns.adjoint(nop)
-                assert ns.adjoint(nop) is adj
+            for name, k in (("del", b), ("delbar", b), ("deldbar", b), ("d", p + q)):
+                nop, op = ns.out(name, k), s.out(name, k)
+                adj = ns.out(name, k, True)
+                assert ns.out(name, k, True) is adj
                 assert (adj.src, adj.dst) == (op.dst, op.src)
+                assert np.array_equal(adj.mat, ns.adjoint(nop).mat)
                 expected = s.adjoint(op).mat.to_numpy()
                 assert adj.mat.shape == expected.shape
                 assert np.linalg.norm(adj.mat - expected) <= 1e-12 * np.linalg.norm(expected)

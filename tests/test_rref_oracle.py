@@ -191,8 +191,6 @@ def operations(L, ip, A, B, C, S, v, s, G):
         "getitem": lambda: [A[i, j] for i in range(r) for j in range(c)],
         "rows": lambda: A.rows,
         "col": lambda: [A.col(j) for j in range(c)],
-        "cols": lambda: A.cols(),
-        "copy": lambda: A.copy(),
         "add": lambda: A + B,
         "sub": lambda: A - B,
         "sub_self": lambda: A - A,
@@ -206,7 +204,7 @@ def operations(L, ip, A, B, C, S, v, s, G):
         "conj": lambda: A.conj(),
         "conj_t": lambda: A.conj_t(),
         "is_zero": lambda: (A.is_zero(), (A - A).is_zero()),
-        "eq": lambda: (A == B, A == A.copy(), A == A.scale(s), A == -A),
+        "eq": lambda: (A == B, A == M(A.rows, c), A == A.scale(s), A == -A),
         "repr": lambda: repr(A),
         "vstack": lambda: M.vstack([A, B, A.scale(s)]),
         "hstack": lambda: M.hstack([A, B.scale(s), A @ C]),
@@ -234,9 +232,8 @@ def operations(L, ip, A, B, C, S, v, s, G):
         "gram_adjoint": lambda: L.gram_adjoint(A, Gc.inv(), G),
         "basis_gram": lambda: L.basis_gram(A, G),
         "projection_coords": lambda: L.projection_coords(B, A.column_space(), G),
-        "cross_gram": lambda: L.cross_gram(A, B, G),
-        "ip": lambda: [ip(u, w, G) for u in A.cols() for w in B.cols()],
-        "project": lambda: [L.project(u, A.column_space(), G) for u in B.cols()],
+        "ip": lambda: [ip(A.col(j), B.col(k), G) for j in range(c) for k in range(B.ncols)],
+        "project": lambda: [L.project(B.col(k), A.column_space(), G) for k in range(B.ncols)],
     }
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from abch.complexes import build_complex
-from abch.metric import HermitianMetric, load_metric, parse_metric
+from abch.laplacians import ALL_KINDS, assemble
+from abch.metric import HermitianMetric, NumericMetric, load_metric, parse_metric
 from abch.model import load_model
 from abch.setting import SHIFTS, ExactSetting, NumericSetting
 
@@ -109,3 +110,34 @@ def test_subspace_lib_matches_explicit_bidegrees(setting):
             for sub in (setting.ker(name, b), setting.im(name, b),
                         setting.ker(name, b, True), setting.im(name, b, True)):
                 assert sub.nrows == setting.dim(b)
+
+
+def test_each_adjoint_is_built_once_under_its_name(monkeypatch):
+    # every Laplacian kind at every bidegree of Iwasawa under dense3, each
+    # assembled twice, and every starred ker and im: the exact and the float
+    # adjoints built are as many as the ("star", name, b) memo entries, so
+    # no primitive's adjoint is built twice or outside the memo
+    calls = {"exact": 0, "numeric": 0}
+    exact_adjoint, adjoint_mat = HermitianMetric.adjoint, NumericMetric.adjoint_mat
+
+    def counted(backend, method):
+        def spy(*args):
+            calls[backend] += 1
+            return method(*args)
+        return spy
+
+    monkeypatch.setattr(HermitianMetric, "adjoint", counted("exact", exact_adjoint))
+    monkeypatch.setattr(NumericMetric, "adjoint_mat", counted("numeric", adjoint_mat))
+    n, H = load_metric(os.path.join(FIX, "dense3.herm"))
+    exact = _setting("iwasawa.cplx", n, H)
+    numeric = NumericSetting(exact)
+    for b in bidegrees(n):
+        for kind in ALL_KINDS:
+            for s in (exact, numeric, exact, numeric):
+                assemble(s, kind, b)
+        for name in BIGRADED:
+            exact.ker(name, b, star=True)
+            exact.im(name, b, star=True)
+    for backend, s in (("exact", exact), ("numeric", numeric)):
+        stars = [key for key in s._memo if isinstance(key, tuple) and key[0] == "star"]
+        assert calls[backend] == len(stars) > 0, backend
