@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import Any, Callable, Dict, Hashable, List, NamedTuple, Tuple
 
 from abch.linalg import Mat, ShapeMismatch
 from abch.model import ComplexModel
@@ -221,14 +221,29 @@ class Op:
     mat: Mat
 
 
-class BigradedComplex:
+class Memo:
+    """`cached(key, build)`: `build()`, stored under `key` on first request.
+    A build that raises stores nothing, so a failed check fails again.  The
+    complex, the metric, its float view, the cover and each setting keep
+    what they derive in one `_memo`, each entry under a tag or a tagged tuple."""
+
+    def __init__(self) -> None:
+        self._memo: Dict[Hashable, Any] = {}
+
+    def cached(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+
+class BigradedComplex(Memo):
     """Bases of every A^{p,q} plus exact matrices of del and delbar."""
 
     def __init__(self, n: int, del_mats: Dict[Bidegree, Mat], delbar_mats: Dict[Bidegree, Mat]):
+        super().__init__()
         self.n = n
         self._del = del_mats
         self._delbar = delbar_mats
-        self._deldbar: Dict[Bidegree, Mat] = {}
 
     def dim(self, b: Bidegree) -> int:
         return dim_pq(self.n, *b)
@@ -244,9 +259,7 @@ class BigradedComplex:
 
     def deldbar(self, b: Bidegree) -> Mat:
         """Matrix of del delbar: A^{p,q} -> A^{p+1,q+1}, multiplied once."""
-        if b not in self._deldbar:
-            self._deldbar[b] = self.del_((b[0], b[1] + 1)) @ self.delbar(b)
-        return self._deldbar[b]
+        return self.cached(("deldbar", b), lambda: self.del_((b[0], b[1] + 1)) @ self.delbar(b))
 
 
 # column(part, m) -> the (terms, monomial, sign) triples whose wedges

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from abch.complexes import Bidegree, BigradedComplex, Monomial, Space, bigraded_maps, dim_pq, total_bidegrees
+from abch.complexes import Bidegree, BigradedComplex, Memo, Monomial, Space, bigraded_maps, dim_pq, total_bidegrees
 from abch.laplacians import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -208,7 +208,7 @@ class ModeOps(BigradedComplex):
 
 
 @dataclass
-class FourierComplex:
+class FourierComplex(Memo):
     spec: CoveringSpec
     n: int
     index: int  # |Gamma|
@@ -217,7 +217,7 @@ class FourierComplex:
     settings: List[ExactSetting]  # reduced-scale exact, one per mode
     zero: int  # position of the mode mu = 0 in `modes`
     numeric: List[NumericSetting] = field(default_factory=list)  # true 2 pi scale
-    _kernels: Dict[Tuple[LaplacianKind, Bidegree], Mat] = field(default_factory=dict, repr=False)
+    _memo: Dict = field(default_factory=dict, init=False, repr=False)
 
     def mode_count(self) -> int:
         return len(self.modes)
@@ -242,11 +242,8 @@ class FourierComplex:
     def total_kernel(self, kind: LaplacianKind, b: Bidegree) -> Mat:
         """The per-mode harmonic spaces stacked into one basis in total
         coordinates; computed once per (kind, b)."""
-        key = (kind, b)
-        if key not in self._kernels:
-            space = total_bidegrees(self.n, sum(b)) if kind is LaplacianKind.D else (b,)
-            self._kernels[key] = self.stack_modes(self.mode_kernels(kind, b), space)
-        return self._kernels[key]
+        space = total_bidegrees(self.n, sum(b)) if kind is LaplacianKind.D else (b,)
+        return self.cached(("kernel", kind, b), lambda: self.stack_modes(self.mode_kernels(kind, b), space))
 
     def zero_mode_kernel(self, kind: LaplacianKind, b: Bidegree) -> Optional[Mat]:
         """The zero mode's harmonic space of one kind, in that mode's

@@ -42,7 +42,7 @@ Cholesky-factored once, for every spectrum on it.
 from __future__ import annotations
 
 import re
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +51,7 @@ from abch.complexes import (
     Bidegree,
     BigradedComplex,
     FormVector,
+    Memo,
     Monomial,
     Op,
     Space,
@@ -102,53 +103,46 @@ def _pairing(n: int, c: int, d: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return tuple(ks), tuple(signs)
 
 
-class HermitianMetric:
+class HermitianMetric(Memo):
     """Exact Hermitian structure for complex dimension n."""
 
     def __init__(self, n: int, H: Mat):
+        super().__init__()
         if H.shape != (n, n):
             raise ShapeMismatch(f"H must be {n}x{n}")
         if H != H.conj_t():
             raise NotHermitian("H is not equal to its conjugate transpose")
         self.n = n
         self.H = H
-        # k -> the compound C_k(H) and its conjugate; entry [0][0] is the
-        # leading k x k minor
-        self._factors: Dict[int, Tuple[Mat, Mat]] = {}
         for k in range(n + 1):
-            C = compound(H, k)
-            mk = C[0, 0]
+            # entry [0][0] of the compound C_k(H) is the leading k x k minor
+            mk = self._factor(k, False)[0][0, 0]
             if not mk.is_real() or mk.re <= 0:
                 raise NotPositiveDefinite(f"leading minor {k} is {mk}")
-            self._factors[k] = (C, C.conj())
-        # k -> C_k(H^{-1}) and its conjugate, built and checked on first use
-        self._inv_factors: Dict[int, Tuple[Mat, Mat]] = {}
         # the fundamental form lives on the vector side: its coefficient
         # matrix is the inverse of the conjugated coframe Gram, and
         # vol = omega^n / n! picks up 1/det(H)
         self.omega_matrix = H.conj().inv()
         i_pow = [ONE, I, -ONE, -I][n % 4]
         sign = -ONE if (n * (n - 1) // 2) % 2 == 1 else ONE
-        self.vol_coeff: QQi = i_pow * sign / self._factors[n][0][0, 0]
-        self._spaces: Dict[Tuple[Space, bool], Mat] = {}
-        self._star: Dict[Bidegree, Mat] = {}
+        self.vol_coeff: QQi = i_pow * sign / self._factor(n, False)[0][0, 0]
 
-    @cached_property
+    @property
     def numeric(self) -> "NumericMetric":
         """The one float view of this metric, shared by every setting over it."""
-        return NumericMetric(self)
+        return self.cached("numeric", lambda: NumericMetric(self))
 
     # -- Gram matrices ---------------------------------------------------
 
     def _factor(self, k: int, inverse: bool) -> Tuple[Mat, Mat]:
         """(C_k(M), conj C_k(M)) for M = H, or M = H^{-1} if inverse; each
         inverse factor is checked once, when built: C_k(H) C_k(H^{-1}) == I."""
-        if inverse and k not in self._inv_factors:
-            C = compound(self.omega_matrix.conj(), k)
-            if self._factors[k][0] @ C != Mat.identity(C.nrows):
+        def build() -> Tuple[Mat, Mat]:
+            C = compound(self.omega_matrix.conj() if inverse else self.H, k)
+            if inverse and self._factor(k, False)[0] @ C != Mat.identity(C.nrows):
                 raise AssertionError(f"Gram inverse check failed at compound degree {k}")
-            self._inv_factors[k] = (C, C.conj())
-        return (self._inv_factors if inverse else self._factors)[k]
+            return C, C.conj()
+        return self.cached(("factor", k, inverse), build)
 
     def gram(self, b: Bidegree) -> Mat:
         return self.gram_space((b,))
@@ -162,13 +156,10 @@ class HermitianMetric:
     def _block_diag(self, space: Space, inverse: bool) -> Mat:
         """The block diagonal of the (inverse) Grams C_p(M) (x) C_q(conj M)
         of `space`, built once from the factors; empty outside 0..n."""
-        key = (space, inverse)
-        if key not in self._spaces:
-            n = self.n
-            blocks = [kron(self._factor(p, inverse)[0], self._factor(q, inverse)[1])
-                      for p, q in space if 0 <= p <= n and 0 <= q <= n]
-            self._spaces[key] = Mat.block_diag(blocks)
-        return self._spaces[key]
+        n = self.n
+        return self.cached(("gram", space, inverse), lambda: Mat.block_diag(
+            [kron(self._factor(p, inverse)[0], self._factor(q, inverse)[1])
+             for p, q in space if 0 <= p <= n and 0 <= q <= n]))
 
     # -- fundamental form -----------------------------------------------
 
@@ -185,7 +176,7 @@ class HermitianMetric:
 
     def star(self, b: Bidegree) -> Op:
         """The C-linear star A^{a,b} -> A^{n-b,n-a}."""
-        if b not in self._star:
+        def build() -> Mat:
             n = self.n
             a, bb = b
             perm, conj_sign = conjugation_perm(n, a, bb)
@@ -197,10 +188,8 @@ class HermitianMetric:
             at = {k: i for i, k in enumerate(ks)}
             pos = G.take_rows([at[k] if signs[at[k]] > 0 else None for k in range(len(ks))])
             neg = G.take_rows([at[k] if signs[at[k]] < 0 else None for k in range(len(ks))])
-            self._star[b] = (pos - neg).scale(self.vol_coeff * conj_sign)
-        src: Space = (b,)
-        dst: Space = ((self.n - b[1], self.n - b[0]),)
-        return Op(src=src, dst=dst, mat=self._star[b])
+            return (pos - neg).scale(self.vol_coeff * conj_sign)
+        return Op(src=(b,), dst=((self.n - b[1], self.n - b[0]),), mat=self.cached(("star", b), build))
 
     # -- adjoints -----------------------------------------------------------
 
@@ -282,7 +271,7 @@ def cholesky_factor(G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return A, np.linalg.inv(A)
 
 
-class NumericMetric:
+class NumericMetric(Memo):
     """Float view of a HermitianMetric, made once per metric as
     `metric.numeric`: its exact Grams and inverse Grams, each converted to
     numpy once, and each Gram's `cholesky_factor`, taken once per space.  No
@@ -290,26 +279,17 @@ class NumericMetric:
     checks: it was certified exactly when the HermitianMetric was made."""
 
     def __init__(self, metric: HermitianMetric):
+        super().__init__()
         self.exact = metric
         self.n = metric.n
-        # (space, inverse) -> to_numpy() of gram_space(space), or of
-        # gram_inv_space(space) if inverse
-        self._views: Dict[Tuple[Space, bool], np.ndarray] = {}
-        self._conj_views: Dict[Tuple[Space, bool], np.ndarray] = {}
-        self._factors: Dict[Space, Tuple[np.ndarray, np.ndarray]] = {}
 
     def _view(self, space: Space, inverse: bool) -> np.ndarray:
-        key = (space, inverse)
-        if key not in self._views:
-            exact = self.exact.gram_inv_space(space) if inverse else self.exact.gram_space(space)
-            self._views[key] = exact.to_numpy()
-        return self._views[key]
+        """to_numpy() of gram_space(space), or of gram_inv_space(space) if inverse."""
+        return self.cached(("view", space, inverse), lambda: (
+            self.exact.gram_inv_space(space) if inverse else self.exact.gram_space(space)).to_numpy())
 
     def _conj_view(self, space: Space, inverse: bool) -> np.ndarray:
-        key = (space, inverse)
-        if key not in self._conj_views:
-            self._conj_views[key] = self._view(space, inverse).conj()
-        return self._conj_views[key]
+        return self.cached(("conj_view", space, inverse), lambda: self._view(space, inverse).conj())
 
     def gram(self, b: Bidegree) -> np.ndarray:
         return self._view((b,), False)
@@ -319,9 +299,7 @@ class NumericMetric:
 
     def gram_factor(self, space: Space) -> Tuple[np.ndarray, np.ndarray]:
         """`cholesky_factor` of the Gram of `space`, computed once."""
-        if space not in self._factors:
-            self._factors[space] = cholesky_factor(self._view(space, False))
-        return self._factors[space]
+        return self.cached(("cholesky", space), lambda: cholesky_factor(self._view(space, False)))
 
     def adjoint(self, op: Op) -> Op:
         return Op(src=op.dst, dst=op.src, mat=self.adjoint_mat(op.mat, op.src, op.dst))

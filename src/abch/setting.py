@@ -34,9 +34,9 @@ the engines.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Union
+from typing import Union
 
-from abch.complexes import Bidegree, Op, Space, total_d
+from abch.complexes import Bidegree, Memo, Op, Space, total_d
 from abch.linalg import Mat, ShapeMismatch
 from abch.metric import HermitianMetric
 
@@ -64,7 +64,7 @@ def add_ops(*ops: Op) -> Op:
     return Op(src=first.src, dst=first.dst, mat=m)
 
 
-class ExactSetting:
+class ExactSetting(Memo):
     """Exact differentials + metric for one bigraded complex.
 
     The primitive operators (`del_op`, `delbar_op`, `deldbar_op`,
@@ -73,18 +73,12 @@ class ExactSetting:
     """
 
     def __init__(self, ops, metric: HermitianMetric):
+        super().__init__()
         self.ops = ops
         self.metric = metric
         self.n = ops.n
         if metric.n != ops.n:
             raise ShapeMismatch("metric dimension differs from complex dimension")
-        self._memo: Dict[Hashable, Any] = {}
-
-    def cached(self, key: Hashable, build: Callable[[], Any]) -> Any:
-        """The value `build()` memoised under `key`, built on first request."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
 
     def dim(self, b: Bidegree) -> int:
         return self.ops.dim(b)
