@@ -255,6 +255,8 @@ def cmd_inequality(args) -> int:
         failures.append("h_bc + h_a != h_del + h_delbar + a + f somewhere")
     if not rep.criterion_consistent:
         failures.append("equality criterion mismatch")
+    if any(rk < tb for (_, _, rk), tb in zip(rep.degree_sums, rep.twice_betti)):
+        failures.append("sum of h_bc + h_a < 2 b_k at some degree k")
     lines = [f"# inequality {name}", ""]
     for x in "abcdef":
         lines += reporting.grid_md(f"dim {x}", grids.dims[x])
@@ -283,6 +285,8 @@ def cmd_inequality(args) -> int:
         "criterion_consistent": rep.criterion_consistent,
         "sequences_exact": seqs["all_exact"],
         "degree_sums": rep.degree_sums,
+        "twice_betti": rep.twice_betti,
+        "strict_degrees": rep.strict_degrees,
     }
     if args.format == "csv":
         lines = []

@@ -11,7 +11,7 @@ name kernel and image subspaces the same way.  Spans are equal exactly when
 their canonical bases (`linalg.span_basis`, the form of every sum,
 intersection, `im_d_at` and `abcdef` value) are `==`, of dimension `ncols`.
 Tables, grids and subspaces are memoised in the setting
-(`ExactSetting.cached`), so every report that needs one shares it.
+(`Memo.cached`), so every report that needs one shares it.
 Harmonic-space dimensions (`harmonic_dims`) give a second, independent
 route to the same numbers (finite-dimensional Hodge theory).  Both routes
 and the cover's Gamma-dimensions (`GammaReport.grids`) share one table
@@ -395,6 +395,8 @@ class InequalityReport:
     equality_bidegrees: List[Bidegree]
     criterion_consistent: bool
     degree_sums: List[Tuple[int, int, int]]  # (k, lhs_k, rhs_k)
+    twice_betti: List[int]  # 2 b_k
+    strict_degrees: List[int]  # k with rhs_k > 2 b_k (Angella-Tomassini)
 
 
 def inequality_report(setting: ExactSetting) -> InequalityReport:
@@ -429,6 +431,7 @@ def inequality_report(setting: ExactSetting) -> InequalityReport:
         lk = sum(lhs[p][k - p] for p in range(max(0, k - n), min(n, k) + 1))
         rk = sum(rhs[p][k - p] for p in range(max(0, k - n), min(n, k) + 1))
         degree_sums.append((k, lk, rk))
+    twice_betti = [2 * b for b in tables["deRham"]]
     return InequalityReport(
         lhs=lhs,
         rhs=rhs,
@@ -437,6 +440,8 @@ def inequality_report(setting: ExactSetting) -> InequalityReport:
         equality_bidegrees=equality_at,
         criterion_consistent=criterion_ok,
         degree_sums=degree_sums,
+        twice_betti=twice_betti,
+        strict_degrees=[k for k, _, rk in degree_sums if rk > twice_betti[k]],
     )
 
 

@@ -23,10 +23,14 @@ Every rank, nullspace, image and solve goes through `Mat.rref`, which
 eliminates over the Gaussian integers Z[i] starting from the stored rows,
 each divided by the gcd of its parts.  Gauss-Jordan steps
 `row <- pivot * row - factor * pivot_row` touch only the nonzero entries of
-the two rows, and each result is divided by the integer gcd of all its
-parts, so numerators stay small without a gcd per entry (fraction-free
-elimination after Bareiss, Math. Comp. 22 (1968)).  Only at the end is each
-pivot row divided by its pivot, and the rows are put over one common
+the two rows, and each result is divided by the rational-integer gcd of all
+its parts (after Bareiss, Math. Comp. 22 (1968)).  That keeps numerators
+small only while every pivot is a rational integer.  A Gaussian-integer
+common factor, such as a complex pivot, never leaves the row: under the
+dense complex metric `dense5` of ROADMAP's Baseline, degree-2 rows reach
+632,850-bit parts.  ROADMAP item 3 is the fix (exact division by the
+previous pivot, or a certified modular elimination).  Only at the end is
+each pivot row divided by its pivot, and the rows are put over one common
 denominator.  The pivot is the first nonzero entry, scanning rows top-down,
 in the leftmost unfinished column.  The reduced row echelon form of a
 matrix is unique, so every rank, echelon form and nullspace basis is
@@ -398,9 +402,9 @@ class Mat:
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns).
 
-        Gauss-Jordan elimination over Z[i] on the stored rows (see the
-        module docstring); each pivot row is divided by its pivot once, at
-        the end."""
+        Gauss-Jordan elimination over Z[i] on the stored rows; each pivot
+        row is divided by its pivot once, at the end.  Under complex pivots
+        the parts are not kept small (module docstring)."""
         if not any(self._r):
             return Mat.zeros(self.nrows, self.ncols), []
         rows = [_primitive(r) for r in self._r]

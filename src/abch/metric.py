@@ -9,14 +9,14 @@ product is the product of two minor determinants,
 
 distinct bidegrees being orthogonal.  In the lexicographic monomial order
 the (p,q) Gram is the Kronecker product C_p(H) (x) C_q(conj H) of compound
-matrices; the metric keeps the factors C_k(H), k = 0..n, and builds each
-space's block-diagonal Gram from them once.  By Cauchy-Binet C_k(H)^{-1} =
-C_k(H^{-1}), so no Gram is ever eliminated.  Each inverse factor is checked
-exactly once, when first built: C_k(H) @ C_k(H^{-1}) == I, else an
-AssertionError (a verification failure in the CLI).  Conjugation is a ring
-map and kron has the mixed-product property, so (C_p(H) (x) conj C_q(H))
-(C_p(H^{-1}) (x) conj C_q(H^{-1})) = I (x) I: the n + 1 checks certify
-every inverse Gram.  Gram adjoints take the block diagonal of the inverses.
+matrices; the metric memoises the factors C_k(H), k = 0..n, and each
+space's block-diagonal Gram built from them.  By Cauchy-Binet C_k(H)^{-1}
+= C_k(H^{-1}), so no Gram is ever eliminated.  Each inverse factor is
+checked when first built, C_k(H) @ C_k(H^{-1}) == I; a failure raises
+AssertionError (exit 1 in the CLI) and stores nothing.  Conjugation is a
+ring map and kron has the mixed-product property, so the n + 1 checks
+certify every inverse Gram: (C_p(H) (x) conj C_q(H)) (C_p(H^{-1}) (x)
+conj C_q(H^{-1})) = I (x) I.  Gram adjoints use the inverse block diagonals.
 
 The fundamental form lives on the vector side,
 omega = i * sum_jk ((conj H)^{-1})_jk phi_j ^ phibar_k, and
@@ -35,8 +35,8 @@ NumericMetric is the float view used for spectra, made once per metric as
 `metric.numeric` and shared by every setting over it (every mode of a
 cover): to_numpy() of these same cached Grams and inverse Grams, so the
 numeric adjoint is the exact formula evaluated in floating point, with no
-float Gram, determinant or inversion.  Each space's Gram is converted and
-Cholesky-factored once, for every spectrum on it.
+float Gram, determinant or inversion.  Each space's Gram is converted,
+conjugated and Cholesky-factored once, for every spectrum on it.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ float factors, where the exact setting reads the complex's memoised product).
 Its metric, and so its adjoint, is the one float view `metric.numeric` that
 every numeric setting over the metric shares.
 
-Each setting has one memo, `cached(key, build)`, which holds every object
-derived from it under a name: the primitives under `(name, b)` and their
+Each setting is a `complexes.Memo`: its one `cached(key, build)` memo holds
+every object derived from it under a name: the primitives under `(name, b)` and their
 adjoints under `("star", name, b)` (`out` and `into` return both), the exact
 subspaces `ker(name, b, star)` and `im(name, b, star)` (exact settings only),
 and what the engines build from them: each Laplacian term T* T or T T* and
@@ -65,12 +65,8 @@ def add_ops(*ops: Op) -> Op:
 
 
 class ExactSetting(Memo):
-    """Exact differentials + metric for one bigraded complex.
-
-    The primitive operators (`del_op`, `delbar_op`, `deldbar_op`,
-    `total_d`) are memoised under `(name, b)`, and their adjoints under
-    `("star", name, b)`; every other key is, or starts with, another tag.
-    """
+    """Exact differentials + metric for one bigraded complex, memoised
+    under the keys of the module docstring."""
 
     def __init__(self, ops, metric: HermitianMetric):
         super().__init__()

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, determinism, formats."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -196,6 +197,25 @@ def test_wrong_gram_inverse_exits_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("verification failure: Gram inverse check failed")
+
+
+def test_a_degree_sum_below_twice_betti_is_a_failure(capsys, monkeypatch):
+    # Angella-Tomassini: sum_{p+q=k} (h_bc + h_a) >= 2 b_k on every model;
+    # torus2 has equality at every k, so raising each 2 b_k breaks it
+    real = cohomology.inequality_report
+
+    def raised(setting):
+        rep = real(setting)
+        return dataclasses.replace(rep, twice_betti=[t + 1 for t in rep.twice_betti])
+
+    monkeypatch.setattr(cohomology, "inequality_report", raised)
+    code, out, _ = run(capsys, "inequality", fx("torus2.cplx"))
+    assert code == 1
+    assert "failure: sum of h_bc + h_a < 2 b_k at some degree k" in out
+    code, out, _ = run(capsys, "inequality", fx("torus2.cplx"), "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["twice_betti"] == [3, 9, 13, 9, 3] and payload["strict_degrees"] == []
 
 
 TOL_COMMANDS = {

@@ -136,6 +136,7 @@ def test_froelicher_and_angella_tomassini_inequalities():
             if bc_a > 2 * b:
                 strict.append(k)
         assert strict == STRICT_DEGREES[name], name
+        assert inequality_report(s).strict_degrees == STRICT_DEGREES[name], name
         assert (strict == []) == all(ddbar_conditions(s)["holds"].values()), name
         if name == "kodaira_thurston":
             assert degree_sum("bc", 2) + degree_sum("a", 2) == 10 and 2 * tables["deRham"][2] == 8

@@ -36,7 +36,7 @@ GOLDEN = [
     (("ddbar", KT),
      "54068864c8c3185b53fbc33c5b19877060a48c018db9b7d14c1586fa5cc28af1"),
     (("inequality", KT),
-     "cd4b9c00998a80dc1d1fa76d9804de0249c9a979ef1a62e01002f4f9daa1c0c2"),
+     "b54a40e5bf245c21bb4e0c059ad0431de853956c2e7b4125780632ecbc9f2112"),
     (("abc", KT, "--pq", "1,1"),
      "e218e698d77a0998dc6a87808bff01ea60e424523ad7eee34ed79e38cb6934dc"),
     (("cohomology", "fixtures/torus2.cplx"),
@@ -46,7 +46,7 @@ GOLDEN = [
     (("ddbar", IW),
      "1e6518c0b22cd175e07e8d922f1d2d9e3064d09b0d2502d94d5475d3de8b5e80"),
     (("inequality", IW),
-     "4f8f4b48de3ad5b1cd41ee778378565fc066111b27a195bedd52deff1522dd97"),
+     "99f5eaf3133ca379193b77ceafdad0195fa50a056de3b1298e716d5672b5c9f3"),
     (("diagram", IW, "--pq", "1,1"),
      "a2f2287e999899d0d702c132c081eccdf3516fcf2ddefb48721c6d4ff6051b4f"),
     (("spectra", IW, "--backend", "both", "--pq", "1,1"),
@@ -54,7 +54,7 @@ GOLDEN = [
     (("abc", IW, "--pq", "2,1"),
      "6450503e6aef47c93aa1cbebcbf7e594da715e5edce1ac237fd6a6e5d8b6b39c"),
     (("inequality", KT, *DIAG21),
-     "e71a59fff18c900aa6385822510b4075d3bc2e2da17cce2a231fb33a23edb397"),
+     "52d77153d6f8cf99296ea53a2f5ff51f670a2b40693d303df99ed0e5e8291150"),
     (("spectra", KT, "--backend", "both", *DIAG21),
      "6196290e12ebe8d1d480c16b646f8d46f32144f552c3a459960406dab4400a4a"),
     (("cohomology", IW, *DENSE3),
@@ -75,7 +75,7 @@ GOLDEN = [
     (("ddbar", N4_MIXED),
      "e98b4e563049ed477ffb46bc4ebb9d4a466c4633ceac0f4e1d79d9193c73b5b5"),
     (("inequality", N4_MIXED),
-     "e58aeab82a4db106de024bc7184614fd015f63830d1cbe156abfa5dbb8d9db8c"),
+     "48f9988524eb5a74d6d537bee9acf07d1cb56b9f10f831d2acf515fd336539f7"),
     # the two largest reports: every kernel basis at every bidegree
     (("spectra", IW, "--backend", "both"),
      "645e8e63e57c79c208eaec170e735bf7d2f75cc1b5320721b77dfede86cd5ced"),
@@ -83,11 +83,11 @@ GOLDEN = [
      "f6d2a6840cf8139d2546b0fea994dfa14a5cf1fd98ad3610575d85ef5d5ca4c2"),
     # star subspaces and exact-sequence projections under a complex metric
     (("inequality", IW, *DENSE3),
-     "5767797be1214e3966088c569580a74fca01cb6283f200de113355777aaa8124"),
+     "4b9e6752b0f53c5eb357e7d48ae136df832a18a5d323a19cc43a4a0bfe12e379"),
     # star subspaces under a complex metric on n = 2: a gram_adjoint that
     # leaves the inverse source Gram unconjugated changes this report only
     (("inequality", KT, "--metric", "fixtures/kt_complex.herm"),
-     "78a1eaaef299fbd6e8f8b73c7c012e2e91d42c2de9f1f9ddb32bc2a9a7965ffa"),
+     "0b576483ab74e16c21bda92205a9ce1f7986dc27d2d0d3300fc1daa0537edcc7"),
     (("cover", "fixtures/index2.cover"),
      "162d5e004d530b3784b1e9d500f32d4e9ed37238356ccd937891a2d9e200998f"),
     (("cover", "fixtures/index2.cover", "--metric", "fixtures/h3.herm"),
