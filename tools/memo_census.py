@@ -1,19 +1,15 @@
 """Count what every memo holds after one `spectra --backend both` run.
 
-    python tools/memo_census.py MODEL [--metric HERM] [--root CHECKOUT]
+    python tools/memo_census.py MODEL
 
-The script runs `abch spectra MODEL --backend both` in process, stdout
-captured, with `Memo.cached` wrapped to collect every object that memoises.
-Then it walks each `_memo` and prints, per class and key tag (the key, or
-its first part), the entry count, the parts stored by the exact matrices
-(two integers per nonzero `Mat` entry) and the bytes of the float arrays
-(`ndarray.nbytes`).  Each matrix or array is counted once, under the first
-entry that holds it.  The last line of output is one JSON object.
+Runs `abch spectra MODEL --backend both` in process, stdout captured, with
+`Memo.cached` wrapped to collect every memoising object.  Then it prints,
+per class and key tag (the key, or its first part), the entry count, the
+parts the exact matrices store (two integers per nonzero `Mat` entry) and
+the float arrays' `nbytes`, each matrix or array counted once, under the
+first entry that holds it.  The last line is one JSON object.
 """
 
-from __future__ import annotations
-
-import argparse
 import contextlib
 import dataclasses
 import io
@@ -25,12 +21,10 @@ FIELDS = ("entries", "mat_parts", "ndarray_bytes")
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("model")
-    ap.add_argument("--metric")
-    ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    args = ap.parse_args()
-    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tools/memo_census.py MODEL")
+    model = sys.argv[1]
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
     import numpy as np
     from abch import cli
     from abch.complexes import Memo, Op
@@ -38,9 +32,8 @@ def main() -> int:
 
     owners, cached, seen = {}, Memo.cached, set()
     Memo.cached = lambda self, key, build: cached(owners.setdefault(id(self), self), key, build)
-    argv = ["spectra", args.model, "--backend", "both"] + (["--metric", args.metric] if args.metric else [])
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
+        code = cli.main(["spectra", model, "--backend", "both"])
     Memo.cached = cached
 
     def size(v):
@@ -55,8 +48,7 @@ def main() -> int:
         if dataclasses.is_dataclass(v) and not isinstance(v, Memo):
             v = vars(v)
         items = list(v.values()) if isinstance(v, dict) else v if isinstance(v, (list, tuple)) else []
-        sizes = [size(x) for x in items]
-        return sum(p for p, _ in sizes), sum(b for _, b in sizes)
+        return tuple(map(sum, zip((0, 0), *map(size, items))))
 
     census = {}
     for owner in owners.values():
@@ -65,11 +57,12 @@ def main() -> int:
             row = census.setdefault(type(owner).__name__, {}).setdefault(tag, dict.fromkeys(FIELDS, 0))
             for field, x in zip(FIELDS, (1, *size(value))):
                 row[field] += x
-    print(f"{'class':<16} {'tag':<10}" + "".join(f" {f:>13}" for f in FIELDS))
+    line = "{:<16} {:<10}" + " {:>13}" * len(FIELDS)
+    print(line.format("class", "tag", *FIELDS))
     for cls, tags in sorted(census.items()):
         for tag, row in sorted(tags.items()):
-            print(f"{cls:<16} {tag:<10}" + "".join(f" {row[f]:>13}" for f in FIELDS))
-    print(json.dumps({"model": args.model, "metric": args.metric, "exit": code, "memos": census}))
+            print(line.format(cls, tag, *(row[f] for f in FIELDS)))
+    print(json.dumps({"model": model, "exit": code, "memos": census}))
     return code
 
 
