@@ -257,11 +257,12 @@ def spectral_gap(ev: np.ndarray) -> Optional[float]:
 
 def numeric_spectrum(numeric: NumericSetting, kind: LaplacianKind, b: Bidegree) -> np.ndarray:
     """The spectrum of the float Laplacian of one kind, memoised in the
-    setting per kind and space; the Laplacian is `laplacian`'s memo entry,
-    and the Gram of the space it acts on is `numeric.gram(space)`."""
-    op = laplacian(numeric, kind, b)
-    return numeric.cached(("spectrum", kind, _acts_on(kind, b)),
-                          lambda: spectrum(op.mat, numeric.metric.gram_factor(op.src)))
+    setting per kind and space; the Laplacian is assembled inside that
+    entry's build, so no numeric setting keeps a float Laplacian."""
+    def build() -> np.ndarray:
+        op = assemble(numeric, kind, b)
+        return spectrum(op.mat, numeric.metric.gram_factor(op.src))
+    return numeric.cached(("spectrum", kind, _acts_on(kind, b)), build)
 
 
 @dataclass

@@ -35,8 +35,10 @@ NumericMetric is the float view used for spectra, made once per metric as
 `metric.numeric` and shared by every setting over it (every mode of a
 cover): to_numpy() of these same cached Grams and inverse Grams, so the
 numeric adjoint is the exact formula evaluated in floating point, with no
-float Gram, determinant or inversion.  Each space's Gram is converted,
-conjugated and Cholesky-factored once, for every spectrum on it.
+float Gram, determinant or inversion.  Each space's Gram is converted and
+Cholesky-factored once, for every spectrum on it.  No conjugate is kept:
+the float adjoint conjugates its product, equal bit for bit to the product
+of the conjugates.
 """
 
 from __future__ import annotations
@@ -266,17 +268,17 @@ def load_metric(path: str) -> Tuple[int, Mat]:
 
 def cholesky_factor(G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(A, A^{-1}) for A = C^H and the Cholesky factor conj(G) = C C^H of a
-    positive-definite Hermitian Gram G."""
-    A = np.linalg.cholesky(G.conj()).conj().T
+    positive-definite Hermitian Gram G: the transposed Cholesky factor of G."""
+    A = np.linalg.cholesky(G).T
     return A, np.linalg.inv(A)
 
 
 class NumericMetric(Memo):
     """Float view of a HermitianMetric, made once per metric as
     `metric.numeric`: its exact Grams and inverse Grams, each converted to
-    numpy once, and each Gram's `cholesky_factor`, taken once per space.  No
-    Gram is built or inverted in floating point, and H needs no float
-    checks: it was certified exactly when the HermitianMetric was made."""
+    numpy once and never conjugated, and each Gram's `cholesky_factor`, taken
+    once per space.  No Gram is built or inverted in floating point, and H
+    needs no float checks: it was certified exactly when it was made."""
 
     def __init__(self, metric: HermitianMetric):
         super().__init__()
@@ -287,9 +289,6 @@ class NumericMetric(Memo):
         """to_numpy() of gram_space(space), or of gram_inv_space(space) if inverse."""
         return self.cached(("view", space, inverse), lambda: (
             self.exact.gram_inv_space(space) if inverse else self.exact.gram_space(space)).to_numpy())
-
-    def _conj_view(self, space: Space, inverse: bool) -> np.ndarray:
-        return self.cached(("conj_view", space, inverse), lambda: self._view(space, inverse).conj())
 
     def gram(self, b: Bidegree) -> np.ndarray:
         return self._view((b,), False)
@@ -305,5 +304,6 @@ class NumericMetric(Memo):
         return Op(src=op.dst, dst=op.src, mat=self.adjoint_mat(op.mat, op.src, op.dst))
 
     def adjoint_mat(self, T: np.ndarray, src: Space, dst: Space) -> np.ndarray:
-        """conj(G_src)^{-1} T^H conj(G_dst), as gram_adjoint computes it exactly."""
-        return self._conj_view(src, True) @ T.conj().T @ self._conj_view(dst, False)
+        """conj(G_src)^{-1} T^H conj(G_dst), as gram_adjoint computes it
+        exactly; conjugating the product rounds as conjugating each factor."""
+        return (self._view(src, True) @ T.T @ self._view(dst, False)).conj()

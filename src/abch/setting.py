@@ -22,8 +22,9 @@ every object derived from it under a name: the primitives under `(name, b)` and 
 adjoints under `("star", name, b)` (`out` and `into` return both), the exact
 subspaces `ker(name, b, star)` and `im(name, b, star)` (exact settings only),
 and what the engines build from them: each Laplacian term T* T or T T* and
-each sum of them, the assembled Laplacians, harmonic spaces, spectra, tables
-and subspace grids.  `adjoint(op)` memoises nothing: a composite's adjoint is
+each sum of them, the assembled Laplacians (exact settings only: a numeric
+setting assembles each one inside its spectrum's build and memoises the
+spectrum alone), harmonic spaces, spectra, tables and subspace grids.  `adjoint(op)` memoises nothing: a composite's adjoint is
 built afresh on every call.  Memoised objects are shared; no caller writes
 into one.
 

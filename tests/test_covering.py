@@ -12,7 +12,7 @@ import pytest
 
 import abch.cli
 from abch.cli import main
-from abch.complexes import DegreeOverflow, FormVector, Op, dim_pq, monomial_basis, total_bidegrees, wedge
+from abch.complexes import DegreeOverflow, FormVector, dim_pq, monomial_basis, total_bidegrees, wedge
 from abch.covering import (
     CoveringSpec,
     Mode,
@@ -457,12 +457,12 @@ def test_a_harmonic_form_outside_the_zero_mode_fails_the_support_checks(monkeypa
 
 
 def _with_wrong_del_laplacian(fc, b=(1, 0)):
-    """fc with the float lap_del at b memoised at half its value in a mode of
-    least nonzero norm, which alone holds the least del gap at b then."""
+    """fc with the spectrum of the float lap_del at b, halved, memoised in a
+    mode of least nonzero norm, which alone holds the least del gap at b then."""
     i = min((i for i, md in enumerate(fc.modes) if not md.is_zero), key=lambda i: fc.modes[i].norm2)
     nst = fc.numeric[i]
     op = assemble(nst, LaplacianKind.DEL, b)
-    nst.cached(("laplacian", LaplacianKind.DEL, b), lambda: Op(op.src, op.dst, 0.5 * op.mat))
+    nst.cached(("spectrum", LaplacianKind.DEL, b), lambda: spectrum(0.5 * op.mat, nst.metric.gram_factor(op.src)))
     return fc
 
 

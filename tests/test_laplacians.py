@@ -6,9 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from abch.complexes import build_complex, total_bidegrees
+from abch.complexes import Memo, build_complex, total_bidegrees
 from abch.linalg import Mat, subspace_eq
-from abch.metric import HermitianMetric, cholesky_factor, diagonal_metric, identity_metric, parse_metric
+from abch.metric import HermitianMetric, NumericMetric, cholesky_factor, diagonal_metric, identity_metric, parse_metric
 from abch.model import parse_model
 from abch.scalars import QQi
 from abch.setting import ExactSetting, NumericSetting
@@ -75,6 +75,39 @@ def test_harmonic_spaces_and_spectra_are_memoised_per_space(iw):
     assert numeric_spectrum(numeric, D, (1, 0)) is numeric_spectrum(numeric, D, (0, 1))
     BC = LaplacianKind.BC
     assert harmonic_space(iw, BC, (1, 0)) is not harmonic_space(iw, BC, (0, 1))
+
+
+def test_a_memoised_spectrum_reads_no_laplacian(monkeypatch):
+    # the float Laplacian is assembled only inside its spectrum's memo
+    # build, so a second read of the spectrum touches no Laplacian, and the
+    # numeric setting memoises none
+    numeric = NumericSetting(settings_for(IWASAWA))
+    first = {kind: numeric_spectrum(numeric, kind, (1, 1)) for kind in ALL_KINDS}
+
+    def refuse(*args):
+        raise AssertionError("a memoised spectrum read its Laplacian")
+
+    monkeypatch.setattr(abch.laplacians, "laplacian", refuse)
+    monkeypatch.setattr(abch.laplacians, "assemble", refuse)
+    for kind in ALL_KINDS:
+        assert numeric_spectrum(numeric, kind, (1, 1)) is first[kind]
+    assert not [key for key in numeric._memo if key[0] == "laplacian"]
+
+
+def test_spectra_keeps_no_conjugated_gram_and_no_float_laplacian(monkeypatch, capsys):
+    # every memo after `spectra --backend both` under a complex metric:
+    # no conjugated Gram anywhere, and no Laplacian in a numeric setting
+    owners, cached = {}, Memo.cached
+    monkeypatch.setattr(Memo, "cached", lambda self, key, build: cached(owners.setdefault(id(self), self), key, build))
+    fx = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    argv = ["spectra", os.path.join(fx, "iwasawa.cplx"), "--metric", os.path.join(fx, "dense3.herm")]
+    assert main(argv + ["--backend", "both", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert {type(o) for o in owners.values()} >= {NumericMetric, NumericSetting, ExactSetting}
+    for owner in owners.values():
+        tags = {key if isinstance(key, str) else key[0] for key in owner._memo}
+        assert "conj_view" not in tags
+        assert "laplacian" not in tags or not isinstance(owner, NumericSetting)
 
 
 def test_bundles_assemble_each_laplacian_once(monkeypatch):
@@ -147,7 +180,7 @@ def test_spectra_factors_each_gram_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("model, metric", [("iwasawa.cplx", "dense3.herm"), ("kodaira_thurston.cplx", "kt_complex.herm")])
 def test_non_hermitian_symmetrisation_is_a_verification_failure(monkeypatch, capsys, model, metric):
-    # re-inject the Cholesky factor of G in place of conj(G): under a metric
+    # re-inject the Cholesky factor of conj(G) in place of G's: under a metric
     # with complex entries the symmetrised operator is then far from Hermitian
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda A: cholesky(A.conj()))

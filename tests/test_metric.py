@@ -14,13 +14,14 @@ from abch.metric import (
     HermitianMetric,
     NotHermitian,
     NotPositiveDefinite,
+    cholesky_factor,
     diagonal_metric,
     identity_metric,
     is_kahler,
     load_metric,
     parse_metric,
 )
-from abch.model import parse_model
+from abch.model import load_model, parse_model
 from abch.scalars import QQi, I, ONE
 from abch.setting import ExactSetting, NumericSetting, compose
 from oracles import ip
@@ -328,7 +329,8 @@ def test_total_d_adjoint_property():
             assert ip(op.mat.matvec(u), v, G_dst) == ip(u, adj.mat.matvec(v), G_src)
 
 
-DENSE3 = load_metric(os.path.join(os.path.dirname(__file__), "..", "fixtures", "dense3.herm"))
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+DENSE3 = load_metric(os.path.join(FIXTURES, "dense3.herm"))
 
 
 @pytest.mark.parametrize("metric", [HermitianMetric(*DENSE3), diagonal_metric([2, 3, 1, 5])], ids=["dense3", "diag4"])
@@ -440,13 +442,34 @@ def test_del_delbar_is_multiplied_once_per_complex():
 
 
 def test_numeric_adjoints_reuse_the_conjugated_grams():
-    # adjoint_mat conjugates each float Gram once per space, and its result
-    # is the product with freshly conjugated Grams, bit for bit
+    # adjoint_mat gives the same result on every call, and it is the product
+    # with freshly conjugated Grams, bit for bit
     nm = HermitianMetric(*DENSE3).numeric
     src, dst = ((1, 1),), ((2, 1),)
     T = np.arange(81, dtype=complex).reshape(9, 9) * (1 - 0.5j)
     first = nm.adjoint_mat(T, src, dst)
-    assert nm._conj_view(src, True) is nm._conj_view(src, True)
     assert np.array_equal(nm.adjoint_mat(T, src, dst), first)
     G_inv, G = nm.exact.gram_inv_space(src).to_numpy(), nm.exact.gram_space(dst).to_numpy()
     assert np.array_equal(first, G_inv.conj() @ T.conj().T @ G.conj())
+
+
+@pytest.mark.parametrize("model, metric", [("iwasawa.cplx", "dense3.herm"), ("kodaira_thurston.cplx", "kt_complex.herm")])
+def test_float_adjoints_and_cholesky_factors_conjugate_once_at_the_end(model, metric):
+    # conjugating every input of a float product, sum or factorisation
+    # conjugates its result exactly, so adjoint_mat and cholesky_factor,
+    # which conjugate once at the end, give bit for bit what conjugating
+    # every Gram first gives: over every float primitive of the numeric
+    # setting, and every bidegree and total-degree space
+    ns = NumericSetting(ExactSetting(build_complex(load_model(os.path.join(FIXTURES, model))),
+                                     HermitianMetric(*load_metric(os.path.join(FIXTURES, metric)))))
+    nm, n = ns.metric, ns.n
+    named = [(name, (p, q)) for p in range(n + 1) for q in range(n + 1) for name in ("del", "delbar", "deldbar")]
+    named += [("d", k) for k in range(2 * n + 1)]
+    for name, b in named:
+        op = ns.out(name, b)
+        G_inv, G = nm.exact.gram_inv_space(op.src).to_numpy(), nm.exact.gram_space(op.dst).to_numpy()
+        assert np.array_equal(nm.adjoint_mat(op.mat, op.src, op.dst), G_inv.conj() @ op.mat.conj().T @ G.conj())
+    spaces = [((p, q),) for p in range(n + 1) for q in range(n + 1)]
+    for space in spaces + [total_bidegrees(n, k) for k in range(2 * n + 1)]:
+        G = nm.gram_space(space)
+        assert np.array_equal(cholesky_factor(G)[0], np.linalg.cholesky(G.conj()).conj().T)
