@@ -277,16 +277,8 @@ def cmd_inequality(args) -> int:
         "model": name,
         "metric_hash": reporting.metric_hash(setting.metric.H),
         "subspace_dims": grids.dims,
-        "defect": rep.defect,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "equality_bidegrees": [list(b) for b in rep.equality_bidegrees],
-        "identity_holds": rep.identity_holds,
-        "criterion_consistent": rep.criterion_consistent,
         "sequences_exact": seqs["all_exact"],
-        "degree_sums": rep.degree_sums,
-        "twice_betti": rep.twice_betti,
-        "strict_degrees": rep.strict_degrees,
+        **vars(rep),
     }
     if args.format == "csv":
         lines = []

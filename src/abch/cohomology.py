@@ -426,11 +426,8 @@ def inequality_report(setting: ExactSetting) -> InequalityReport:
             im_split = span_basis(im("deldbar", b)) == subspace_intersect(im("del", b), im("delbar", b))
             if (defect[p][q] == 0) != (ker_split and im_split):
                 criterion_ok = False
-    degree_sums = []
-    for k in range(2 * n + 1):
-        lk = sum(lhs[p][k - p] for p in range(max(0, k - n), min(n, k) + 1))
-        rk = sum(rhs[p][k - p] for p in range(max(0, k - n), min(n, k) + 1))
-        degree_sums.append((k, lk, rk))
+    degree_sums = [(k, *(sum(t[p][q] for p, q in total_bidegrees(n, k)) for t in (lhs, rhs)))
+                   for k in range(2 * n + 1)]
     twice_betti = [2 * b for b in tables["deRham"]]
     return InequalityReport(
         lhs=lhs,
@@ -468,8 +465,8 @@ class AbcFullComplex:
 
 def _abc_space(n: int, p: int, q: int, k: int) -> Space:
     if k <= p + q - 2:
-        return tuple((r, k - r) for r in range(max(0, k - n), min(n, k) + 1) if r < p and k - r < q)
-    return tuple((r, k + 1 - r) for r in range(max(0, k + 1 - n), min(n, k + 1) + 1) if r >= p and k + 1 - r >= q)
+        return tuple((r, s) for r, s in total_bidegrees(n, k) if r < p and s < q)
+    return tuple((r, s) for r, s in total_bidegrees(n, k + 1) if r >= p and s >= q)
 
 
 def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:

@@ -256,9 +256,8 @@ def spectral_gap(ev: np.ndarray) -> Optional[float]:
 
 
 def numeric_spectrum(numeric: NumericSetting, kind: LaplacianKind, b: Bidegree) -> np.ndarray:
-    """The spectrum of the float Laplacian of one kind, memoised in the
-    setting per kind and space; the Laplacian is assembled inside that
-    entry's build, so no numeric setting keeps a float Laplacian."""
+    """The spectrum of the float Laplacian of one kind, memoised per kind and
+    space; the Laplacian is assembled inside that entry's build, and not kept."""
     def build() -> np.ndarray:
         op = assemble(numeric, kind, b)
         return spectrum(op.mat, numeric.metric.gram_factor(op.src))

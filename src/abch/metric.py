@@ -36,9 +36,7 @@ NumericMetric is the float view used for spectra, made once per metric as
 cover): to_numpy() of these same cached Grams and inverse Grams, so the
 numeric adjoint is the exact formula evaluated in floating point, with no
 float Gram, determinant or inversion.  Each space's Gram is converted and
-Cholesky-factored once, for every spectrum on it.  No conjugate is kept:
-the float adjoint conjugates its product, equal bit for bit to the product
-of the conjugates.
+Cholesky-factored once, and the float adjoint conjugates its whole product.
 """
 
 from __future__ import annotations
@@ -304,6 +302,5 @@ class NumericMetric(Memo):
         return Op(src=op.dst, dst=op.src, mat=self.adjoint_mat(op.mat, op.src, op.dst))
 
     def adjoint_mat(self, T: np.ndarray, src: Space, dst: Space) -> np.ndarray:
-        """conj(G_src)^{-1} T^H conj(G_dst), as gram_adjoint computes it
-        exactly; conjugating the product rounds as conjugating each factor."""
+        """conj(G_src)^{-1} T^H conj(G_dst) as gram_adjoint computes it, conjugated as a whole."""
         return (self._view(src, True) @ T.T @ self._view(dst, False)).conj()

@@ -18,13 +18,13 @@ Its metric, and so its adjoint, is the one float view `metric.numeric` that
 every numeric setting over the metric shares.
 
 Each setting is a `complexes.Memo`: its one `cached(key, build)` memo holds
-every object derived from it under a name: the primitives under `(name, b)` and their
-adjoints under `("star", name, b)` (`out` and `into` return both), the exact
-subspaces `ker(name, b, star)` and `im(name, b, star)` (exact settings only),
-and what the engines build from them: each Laplacian term T* T or T T* and
-each sum of them, the assembled Laplacians (exact settings only: a numeric
-setting assembles each one inside its spectrum's build and memoises the
-spectrum alone), harmonic spaces, spectra, tables and subspace grids.  `adjoint(op)` memoises nothing: a composite's adjoint is
+every object derived from it under a name: the primitives under `(name, b)`
+and their adjoints under `("star", name, b)` (`out` and `into` return both),
+the exact subspaces `ker(name, b, star)` and `im(name, b, star)`, and what
+the engines build from them: each Laplacian term T* T or T T* and each sum
+of them, the assembled Laplacians (a numeric setting assembles each inside
+its spectrum's build and keeps none), harmonic spaces, spectra, tables and
+subspace grids.  `adjoint(op)` memoises nothing: a composite's adjoint is
 built afresh on every call.  Memoised objects are shared; no caller writes
 into one.
 

@@ -16,7 +16,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 @pytest.mark.parametrize("script, args, keys", [
     ("zero_work_counts.py", [], {"per_pass", "cholesky_calls"}),
     ("metric_timing.py", ["--repeat", "1"], {"dense4_all_grams_ms"}),
-    ("memo_census.py", [os.path.join(ROOT, "fixtures", "kodaira_thurston.cplx")], {"memos"}),
+    ("memo_census.py", [os.path.join(ROOT, "fixtures", "kodaira_thurston.cplx")], {"memos", "totals"}),
 ])
 def test_tool_runs_and_ends_with_json(script, args, keys):
     done = subprocess.run([sys.executable, os.path.join(ROOT, "tools", script), *args],
@@ -28,3 +28,6 @@ def test_tool_runs_and_ends_with_json(script, args, keys):
         # the complex, the exact and float metric and both settings memoise
         assert {"BigradedComplex", "HermitianMetric", "NumericMetric", "ExactSetting",
                 "NumericSetting"} <= set(last["memos"]) and last["exit"] == 0
+        # one total per field, over every class and tag
+        rows = [row for tags in last["memos"].values() for row in tags.values()]
+        assert last["totals"] == {f: sum(row[f] for row in rows) for f in ("mat_parts", "ndarray_bytes")}

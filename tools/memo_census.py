@@ -7,7 +7,8 @@ Runs `abch spectra MODEL --backend both` in process, stdout captured, with
 per class and key tag (the key, or its first part), the entry count, the
 parts the exact matrices store (two integers per nonzero `Mat` entry) and
 the float arrays' `nbytes`, each matrix or array counted once, under the
-first entry that holds it.  The last line is one JSON object.
+first entry that holds it, and then one total row over every memo.  The
+last line is one JSON object, its `totals` the total row's parts and bytes.
 """
 
 import contextlib
@@ -57,12 +58,16 @@ def main() -> int:
             row = census.setdefault(type(owner).__name__, {}).setdefault(tag, dict.fromkeys(FIELDS, 0))
             for field, x in zip(FIELDS, (1, *size(value))):
                 row[field] += x
+    rows = [row for tags in census.values() for row in tags.values()]
+    totals = {f: sum(row[f] for row in rows) for f in FIELDS}
     line = "{:<16} {:<10}" + " {:>13}" * len(FIELDS)
     print(line.format("class", "tag", *FIELDS))
     for cls, tags in sorted(census.items()):
         for tag, row in sorted(tags.items()):
             print(line.format(cls, tag, *(row[f] for f in FIELDS)))
-    print(json.dumps({"model": model, "exit": code, "memos": census}))
+    print(line.format("total", "", *(totals[f] for f in FIELDS)))
+    print(json.dumps({"model": model, "exit": code, "memos": census,
+                      "totals": {f: totals[f] for f in FIELDS[1:]}}))
     return code
 
 
