@@ -426,8 +426,8 @@ def inequality_report(setting: ExactSetting) -> InequalityReport:
             im_split = span_basis(im("deldbar", b)) == subspace_intersect(im("del", b), im("delbar", b))
             if (defect[p][q] == 0) != (ker_split and im_split):
                 criterion_ok = False
-    degree_sums = [(k, *(sum(t[p][q] for p, q in total_bidegrees(n, k)) for t in (lhs, rhs)))
-                   for k in range(2 * n + 1)]
+    spaces = [total_bidegrees(n, k) for k in range(2 * n + 1)]
+    degree_sums = [(k, sum(lhs[p][q] for p, q in sp), sum(rhs[p][q] for p, q in sp)) for k, sp in enumerate(spaces)]
     twice_betti = [2 * b for b in tables["deRham"]]
     return InequalityReport(
         lhs=lhs,
