@@ -33,8 +33,6 @@ from abch.linalg import Mat, intersect_many, projection_coords, span_basis, subs
 from abch.laplacians import THEORY_KINDS, THEORY_OPS, LaplacianKind, harmonic_space
 from abch.setting import ExactSetting, add_ops, compose
 
-THEORIES = ("deRham", "del", "delbar", "bc", "a")
-
 
 class InvalidBidegree(Exception):
     """Requested corner bidegree outside 0..n."""
@@ -77,7 +75,7 @@ def cohomology(theory: str, setting: ExactSetting) -> list:
 
 
 def all_tables(setting: ExactSetting) -> Dict[str, list]:
-    return setting.cached("all_tables", lambda: {t: cohomology(t, setting) for t in THEORIES})
+    return setting.cached("all_tables", lambda: {t: cohomology(t, setting) for t in THEORY_OPS})
 
 
 def harmonic_dims(setting: ExactSetting) -> Dict[str, list]:
@@ -476,15 +474,9 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
         raise InvalidBidegree(f"target {target} outside 0..{n}")
     spaces = [_abc_space(n, p, q, k) for k in range(2 * n + 1)]
     corner = p + q - 2 if p + q >= 2 else None  # index of the order-2 delta
-    deltas: List[Op] = []
-    for k in range(2 * n):
-        src, dst = spaces[k], spaces[k + 1]
-        if k == corner:
-            op = setting.into("deldbar", target)
-            mat = op.mat if src else Mat.zeros(setting.space_dim(dst), 0)
-            deltas.append(Op(src=src, dst=dst, mat=mat))
-            continue
-        deltas.append(d_between(setting.ops, src, dst))
+    # the corner map is the complex's del delbar product into A^{p,q}, dim A^{p,q} x 0 if p = 0 or q = 0
+    deltas = [Op(src=spaces[k], dst=spaces[k + 1], mat=setting.into("deldbar", target).mat) if k == corner
+              else d_between(setting.ops, spaces[k], spaces[k + 1]) for k in range(2 * n)]
     for k in range(2 * n - 1):
         comp = deltas[k + 1].mat @ deltas[k].mat
         if not comp.is_zero():
@@ -493,17 +485,16 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
     # at node k, (delta delta*) is raised to the order of the delta leaving
     # k and (delta* delta) to the order of the delta entering it, so both
     # terms have the same order
+    stars = [setting.adjoint(delta) for delta in deltas]
     laplacians: List[Op] = []
     hdims: List[int] = []
     for k in range(2 * n + 1):
         terms = []
         if k >= 1:
-            d_in = deltas[k - 1]
-            t = compose(d_in, setting.adjoint(d_in))
+            t = compose(deltas[k - 1], stars[k - 1])
             terms.append(compose(t, t) if k == corner else t)
         if k < 2 * n:
-            d_out = deltas[k]
-            t = compose(setting.adjoint(d_out), d_out)
+            t = compose(stars[k], deltas[k])
             terms.append(compose(t, t) if k - 1 == corner else t)
         lap = add_ops(*terms)  # n >= 1, so every node has a delta
         laplacians.append(lap)

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from abch.complexes import build_complex
+from abch.complexes import build_complex, dim_pq
 from abch.laplacians import LaplacianKind, assemble
 from abch.linalg import Mat, span_basis, subspace_intersect
 from abch.metric import diagonal_metric, identity_metric, HermitianMetric, load_metric
@@ -403,6 +403,29 @@ def test_full_abc_corner_laplacians_are_the_box_laplacians(model, metric):
             assert laps[p + q - 1].mat == assemble(s, LaplacianKind.BC_BOX, (p, q)).mat, (p, q)
             if p >= 1 and q >= 1:
                 assert laps[p + q - 2].mat == assemble(s, LaplacianKind.A_BOX, (p - 1, q - 1)).mat, (p, q)
+
+
+@pytest.mark.parametrize(
+    "model, metric, target",
+    [("iwasawa", "dense3", (1, 1)), ("iwasawa", "dense3", (2, 1)), ("iwasawa", "dense3", (0, 2)),
+     ("iwasawa", "dense3", (2, 0)), ("n4_chain", None, (2, 2))],
+)
+def test_full_abc_takes_each_adjoint_once(monkeypatch, model, metric, target):
+    # one Gram adjoint per map of the length-2n complex, read by the
+    # Laplacians at both of its ends
+    comp = build_complex(load_model(os.path.join(FIXTURES, f"{model}.cplx")))
+    H = load_metric(os.path.join(FIXTURES, f"{metric}.herm"))[1] if metric else Mat.identity(comp.n)
+    s = ExactSetting(comp, HermitianMetric(comp.n, H))
+    calls, adjoint = [], HermitianMetric.adjoint
+    monkeypatch.setattr(HermitianMetric, "adjoint", lambda self, op: calls.append(op) or adjoint(self, op))
+    fc = full_abc_complex(s, target)
+    assert len(calls) == 2 * s.n
+    p, q = target
+    if p == 0 or q == 0:
+        # the corner map has no source: the del delbar product into A^{p,q}
+        corner = fc.deltas[p + q - 2].mat
+        assert (corner.nrows, corner.ncols) == (dim_pq(s.n, p, q), 0)
+        assert fc.h == fc.harmonic_dims
 
 
 def test_full_abc_degenerate_target(iw):

@@ -348,6 +348,8 @@ def test_rayleigh_gap_property(kt):
         for kind in (LaplacianKind.DELBAR, LaplacianKind.BC, LaplacianKind.A_BOX):
             rep = verify_gap_inequality(kt, numeric, kind, b, samples=200)
             assert rep["ok"], rep
+    # the oracle assembles its own float Laplacian and leaves none in the memo
+    assert not [key for key in numeric._memo if (key if isinstance(key, str) else key[0]).startswith("laplacian")]
 
 
 def test_spectrum_zero_padding():

@@ -36,7 +36,7 @@ VARIANTS = {
     "diagram": [[], ["--pq", "1,1"]],
     "ddbar": [[]],
     "inequality": [[]],
-    "abc": [[], ["--pq", "1,1"], ["--pq", "2,1"], ["--pq", "2,2"]],
+    "abc": [[], ["--pq", "1,1"], ["--pq", "2,1"], ["--pq", "2,2"], ["--pq", "0,2"], ["--pq", "2,0"]],
 }
 FORMATS = ("json", "md", "csv")
 COVER_SEEDS = (1, 7, 99)
