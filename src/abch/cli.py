@@ -1,17 +1,19 @@
 """Command-line front end.
 
     abch <command> <path> [--metric m.herm]
-         [--backend exact|numeric|both] [--format md|json|csv]
+         [--backend exact|both] [--format md|json|csv]
          [--pq P,Q] [--seed N] [--samples N] [--out FILE]
     abch -h | --help
 
 Commands: check, cohomology, spectra, diagram, ddbar, inequality, abc,
 cover.  The positional path is a `.cplx` model for every command except
-`cover`, which takes a `.cover` file.  Options may come anywhere on the
-line, as `--opt value` or `--opt=value`, abbreviated to any unique prefix;
-a repeated option keeps its last value.  Exit code 0 means all requested
-verifications passed, 1 a verification failure or a fault in abch, 2 an
-input error, including a malformed command line.
+`cover`, which takes a `.cover` file.  `--backend both` adds the float
+cross-check to `cohomology`; `spectra` always runs and cross-checks both
+backends, and every other command ignores the option.  Options may come
+anywhere on the line, as `--opt value` or `--opt=value`, abbreviated to any
+unique prefix; a repeated option keeps its last value.  Exit code 0 means
+all requested verifications passed, 1 a verification failure or a fault in
+abch, 2 an input error, including a malformed command line.
 Output is byte-identical across runs for a fixed configuration; the sampling
 seed defaults to 271828 and `ABCH_TOL_REL` overrides the relative zero
 tolerance (default 1e-9).
@@ -160,8 +162,6 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    if args.backend == "exact":
-        raise ModelError("spectra need the numeric backend (use --backend numeric or both)")
     setting, name = _load_setting(args)
     n = setting.n
     numeric = NumericSetting(setting)
@@ -172,8 +172,7 @@ def cmd_spectra(args) -> int:
     spectra_payload: Dict[str, dict] = {}
     for b in targets:
         bundle = LaplacianBundle.build(setting, numeric, b)
-        if args.backend == "both":
-            failures.extend(bundle.crosscheck())
+        failures.extend(bundle.crosscheck())
         entry = {}
         for kind in ALL_KINDS:
             ev = [format(x, ".12g") for x in bundle.spectra[kind]]
@@ -405,7 +404,7 @@ COMMANDS = {
 # long option -> default; an integer default makes an integer option
 DEFAULTS = {"metric": None, "backend": "exact", "format": "md", "pq": None,
             "seed": DEFAULT_SEED, "samples": DEFAULT_SAMPLES, "out": None}
-CHOICES = {"backend": ("exact", "numeric", "both"), "format": ("md", "json", "csv")}
+CHOICES = {"backend": ("exact", "both"), "format": ("md", "json", "csv")}
 
 
 def parse_args(argv: List[str]) -> Optional[SimpleNamespace]:

@@ -48,9 +48,6 @@ class QQi:
         other = QQi.of(other)
         return QQi(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other) -> "QQi":
-        return QQi.of(other) - self
-
     def __neg__(self) -> "QQi":
         return QQi(-self.re, -self.im)
 
@@ -72,9 +69,6 @@ class QQi:
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
-
-    def __rtruediv__(self, other) -> "QQi":
-        return QQi.of(other) / self
 
     def conj(self) -> "QQi":
         return QQi(self.re, -self.im)

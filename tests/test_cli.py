@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
-from abch import cohomology
+from abch import cli, cohomology
 from abch.cli import main
 from abch.complexes import Op
+from abch.laplacians import LaplacianBundle
 from abch.linalg import Mat
 from abch.scalars import ONE
 from abch.setting import ExactSetting
@@ -61,9 +62,16 @@ def test_bad_metric_dimension_exits_two(capsys):
     assert code == 2
 
 
-def test_spectra_needs_numeric(capsys):
-    code, _, err = run(capsys, "spectra", fx("torus2.cplx"), "--backend", "exact")
-    assert code == 2
+@pytest.mark.parametrize("model", [(fx("kodaira_thurston.cplx"),), (fx("iwasawa.cplx"), "--metric", fx("dense3.herm"))],
+                         ids=["kodaira_thurston", "iwasawa_dense3"])
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_spectra_always_cross_checks_both_backends(capsys, model, fmt):
+    # `spectra` ignores `--backend exact|both`: every run builds both
+    # backends and diffs each exact kernel against its zero multiplicity
+    runs = [run(capsys, "spectra", *model, *backend, "--format", fmt)
+            for backend in ([], ["--backend", "exact"], ["--backend", "both"])]
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_spectra_both_backend(capsys):
@@ -218,6 +226,103 @@ def test_a_degree_sum_below_twice_betti_is_a_failure(capsys, monkeypatch):
     assert payload["twice_betti"] == [3, 9, 13, 9, 3] and payload["strict_degrees"] == []
 
 
+def _flip(**fields):
+    """A change to one report: the same fields, with these replaced."""
+    return lambda rep, *_: {**rep, **fields} if isinstance(rep, dict) else dataclasses.replace(rep, **fields)
+
+
+def _scaled_by_p(conj, n, p, q):
+    # C(p + 1, q) conj(del) = delbar C(p, q) then has p + 2 on its left side
+    # and p + 1 on its right, so the sides differ wherever del is not zero
+    return conj.scale(p + 1)
+
+
+# command line, (module or class, name) of the function whose result is
+# changed, the change, and the one failure it must produce; `spectra` fails
+# under every `--backend` value, because its cross-check always runs
+REPORT_FAILURES = {
+    "check_conjugation": (
+        ["check", fx("iwasawa.cplx")], (cli, "conjugation_matrix"), _scaled_by_p,
+        "conjugation does not intertwine del and delbar"),
+    **{f"spectra_cross_check_{name}": (
+        ["spectra", fx("kodaira_thurston.cplx"), "--pq", "1,1", *backend], (LaplacianBundle, "crosscheck"),
+        lambda problems, *_: problems + ["one kernel mismatch"], "one kernel mismatch")
+       for name, backend in (("default", []), ("exact", ["--backend", "exact"]), ("both", ["--backend", "both"]))},
+    "cohomology_symmetry": (
+        ["cohomology", fx("torus2.cplx")], (cohomology, "table_symmetries"), _flip(star_duality=False),
+        "table symmetry violated: star_duality"),
+    "diagram_commutes": (
+        ["diagram", fx("torus2.cplx"), "--pq", "1,1"], (cohomology, "diagram_maps"), _flip(commutes=False),
+        "diagram does not commute at degree 2"),
+    "inequality_routes": (
+        ["inequality", fx("torus2.cplx")], (cohomology, "abc_subspaces"), _flip(routes_agree=False),
+        "intersection and quotient dimensions disagree"),
+    "inequality_conjugation": (
+        ["inequality", fx("torus2.cplx")], (cohomology, "abc_subspaces"), _flip(conjugation_ok=False),
+        "conjugation symmetry of subspace grids fails"),
+    "inequality_sequences": (
+        ["inequality", fx("torus2.cplx")], (cohomology, "exact_sequence_reports"), _flip(all_exact=False),
+        "an exact sequence fails"),
+    "inequality_identity": (
+        ["inequality", fx("torus2.cplx")], (cohomology, "inequality_report"), _flip(identity_holds=False),
+        "h_bc + h_a != h_del + h_delbar + a + f somewhere"),
+    "inequality_criterion": (
+        ["inequality", fx("torus2.cplx")], (cohomology, "inequality_report"), _flip(criterion_consistent=False),
+        "equality criterion mismatch"),
+    "abc_node_cohomology": (
+        ["abc", fx("iwasawa.cplx"), "--pq", "1,1"], (cohomology, "full_abc_complex"),
+        lambda fc, *_: dataclasses.replace(fc, harmonic_dims=[h + 1 for h in fc.harmonic_dims]),
+        "node cohomology differs from harmonic dimension"),
+    "abc_euler": (
+        ["abc", fx("iwasawa.cplx"), "--pq", "1,1"], (cohomology, "full_abc_complex"),
+        lambda fc, *_: dataclasses.replace(fc, euler_h=fc.euler_h + 1),
+        "Euler characteristics disagree"),
+    "abc_bc_node": (
+        ["abc", fx("iwasawa.cplx"), "--pq", "1,1"], (cohomology, "full_abc_complex"),
+        lambda fc, *_: dataclasses.replace(fc, node_bc=fc.node_bc + 1),
+        "corner node does not reproduce the Bott-Chern dimension"),
+    "abc_a_node": (
+        ["abc", fx("iwasawa.cplx"), "--pq", "1,1"], (cohomology, "full_abc_complex"),
+        lambda fc, *_: dataclasses.replace(fc, node_a=fc.node_a + 1),
+        "pre-corner node does not reproduce the Aeppli dimension"),
+    "cover_inequality": (
+        ["cover", fx("index2.cover"), "--samples", "40"], (cli, "gamma_tables"), _flip(inequality_ok=False),
+        "Gamma-dimension inequality fails"),
+    "cover_monotonicity": (
+        ["cover", fx("index2.cover"), "--samples", "40"], (cli, "gamma_tables"), _flip(monotonicity_ok=False),
+        "Gamma-dimension monotonicity fails"),
+    "cover_harmonic_support": (
+        ["cover", fx("index2.cover"), "--samples", "40"], (cli, "gamma_tables"), _flip(harmonic_support_ok=False),
+        "a harmonic form lives outside the zero mode"),
+    "cover_gap_bounds": (
+        ["cover", fx("index2.cover"), "--samples", "40"], (cli, "gap_and_closed_image"), _flip(all_ok=False),
+        "a spectral-gap bound fails"),
+    "cover_metric_independence": (
+        ["cover", fx("index2.cover"), "--samples", "40"], (cli, "metric_independence_check"),
+        _flip(gamma_dims_agree=False), "metric independence fails"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_FAILURES))
+def test_a_failed_check_in_a_report_fails_the_command(capsys, monkeypatch, case):
+    # each verification a command reads from its report, made to fail alone,
+    # gives exit 1 and exactly its own failure line
+    argv, (module, name), alter, failure = REPORT_FAILURES[case]
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: alter(real(*args, **kwargs), *args))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.endswith(f"RESULT: FAIL\nfailure: {failure}\n")
+
+
+@pytest.mark.parametrize("value", ["1", "a,b", "1,2,3"])
+def test_a_malformed_pq_is_an_input_error(capsys, value):
+    code, out, err = run(capsys, "abc", fx("iwasawa.cplx"), "--pq", value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad --pq value {value!r}\n"
+
+
 TOL_COMMANDS = {
     "spectra": ("spectra", fx("iwasawa.cplx"), "--metric", fx("dense3.herm"), "--backend", "both"),
     "cover": ("cover", fx("index2.cover")),
@@ -289,12 +394,13 @@ def test_oversized_input_exits_two(capsys, tmp_path):
         ["check", "torus2.cplx", "--bogus"],
         ["check", "torus2.cplx", "--metric"],
         ["spectra", "torus2.cplx", "--backend", "float"],
+        ["spectra", "torus2.cplx", "--backend", "numeric"],
         ["check", "torus2.cplx", "--format", "xml"],
         ["cover", "index2.cover", "--seed", "x"],
         ["cover", "index2.cover", "--samples", "1.5"],
     ],
     ids=["unknown_command", "missing_path", "extra_positional", "unknown_option", "option_without_value",
-         "bad_backend", "bad_format", "non_integer_seed", "non_integer_samples"],
+         "bad_backend", "numeric_backend", "bad_format", "non_integer_seed", "non_integer_samples"],
 )
 def test_a_malformed_command_line_exits_two(capsys, argv):
     code, out, err = run(capsys, *(fx(a) if a.endswith((".cplx", ".cover")) else a for a in argv))

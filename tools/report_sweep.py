@@ -32,7 +32,7 @@ import sys
 VARIANTS = {
     "check": [[]],
     "cohomology": [[], ["--backend", "both"]],
-    "spectra": [[], ["--backend", "both"], ["--backend", "numeric", "--pq", "1,1"]],
+    "spectra": [[], ["--backend", "both"], ["--pq", "1,1"]],
     "diagram": [[], ["--pq", "1,1"]],
     "ddbar": [[]],
     "inequality": [[]],
