@@ -27,7 +27,7 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from abch import reporting
-from abch.complexes import NotAComplex, build_complex, conjugation_matrix
+from abch.complexes import NotAComplex, bidegrees, build_complex, conjugation_matrix
 from abch.covering import (
     NotASublattice,
     build_cover,
@@ -106,13 +106,8 @@ def cmd_check(args) -> int:
     comp = setting.ops
     n = comp.n
     failures: List[str] = []
-    conj_ok = True
-    for p in range(n + 1):
-        for q in range(n + 1):
-            lhs = conjugation_matrix(n, p + 1, q) @ comp.del_((p, q)).conj()
-            rhs = comp.delbar((q, p)) @ conjugation_matrix(n, p, q)
-            if lhs != rhs:
-                conj_ok = False
+    conj_ok = all(conjugation_matrix(n, p + 1, q) @ comp.del_((p, q)).conj()
+                  == comp.delbar((q, p)) @ conjugation_matrix(n, p, q) for p, q in bidegrees(n))
     if not conj_ok:
         failures.append("conjugation does not intertwine del and delbar")
     lines = [f"# check {name}", "", f"- complex identities: ok (certified during assembly)",
@@ -135,10 +130,8 @@ def cmd_cohomology(args) -> int:
             failures.append(f"table symmetry violated: {k}")
     if args.backend == "both":
         numeric = NumericSetting(setting)
-        for p in range(n + 1):
-            for q in range(n + 1):
-                bundle = LaplacianBundle.build(setting, numeric, (p, q))
-                failures.extend(bundle.crosscheck())
+        for b in bidegrees(n):
+            failures.extend(LaplacianBundle.build(setting, numeric, b).crosscheck())
     lines = [f"# cohomology {name}", ""]
     for t in ("bc", "a", "del", "delbar"):
         lines += reporting.grid_md(f"h_{t}", tables[t])
@@ -166,7 +159,7 @@ def cmd_spectra(args) -> int:
     n = setting.n
     numeric = NumericSetting(setting)
     pq = _parse_pq(args.pq, n)
-    targets = [pq] if pq else [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    targets = [pq] if pq else bidegrees(n)
     failures: List[str] = []
     lines = [f"# spectra {name}", ""]
     spectra_payload: Dict[str, dict] = {}

@@ -11,7 +11,9 @@ name kernel and image subspaces the same way.  Spans are equal exactly when
 their canonical bases (`linalg.span_basis`, the form of every sum,
 intersection, `im_d_at` and `abcdef` value) are `==`, of dimension `ncols`.
 Tables, grids and subspaces are memoised in the setting
-(`Memo.cached`), so every report that needs one shares it.
+(`Memo.cached`), so every report that needs one shares it.  Every grid[p][q]
+comes from `complexes.grid` and every walk over the bidegrees from
+`complexes.bidegrees`, so all reports visit (p, q) in one p-major order.
 Harmonic-space dimensions (`harmonic_dims`) give a second, independent
 route to the same numbers (finite-dimensional Hodge theory).  Both routes
 and the cover's Gamma-dimensions (`GammaReport.grids`) share one table
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from abch.complexes import Bidegree, Op, Space, d_between, total_bidegrees
+from abch.complexes import Bidegree, Op, Space, bidegrees, d_between, grid, total_bidegrees
 from abch.linalg import Mat, intersect_many, projection_coords, span_basis, subspace_intersect, subspace_sum
 from abch.laplacians import THEORY_KINDS, THEORY_OPS, LaplacianKind, harmonic_space
 from abch.setting import ExactSetting, add_ops, compose
@@ -71,7 +73,7 @@ def cohomology(theory: str, setting: ExactSetting) -> list:
         raise ValueError(f"unknown theory {theory}")
     if theory == "deRham":
         return betti_numbers(setting)
-    return [[_rank_nullity(setting, theory, (p, q)) for q in range(n + 1)] for p in range(n + 1)]
+    return grid(n, lambda b: _rank_nullity(setting, theory, b))
 
 
 def all_tables(setting: ExactSetting) -> Dict[str, list]:
@@ -81,26 +83,16 @@ def all_tables(setting: ExactSetting) -> Dict[str, list]:
 def harmonic_dims(setting: ExactSetting) -> Dict[str, list]:
     """Harmonic-space dimensions per theory: the independent Hodge route."""
     n = setting.n
-    out: Dict[str, list] = {}
-    out["deRham"] = [
-        harmonic_space(setting, LaplacianKind.D, total_bidegrees(n, k)[0]).ncols for k in range(2 * n + 1)
-    ]
-    for t, kind in THEORY_KINDS.items():
-        out[t] = [
-            [harmonic_space(setting, kind, (p, q)).ncols for q in range(n + 1)] for p in range(n + 1)
-        ]
-    return out
+    betti = [harmonic_space(setting, LaplacianKind.D, total_bidegrees(n, k)[0]).ncols for k in range(2 * n + 1)]
+    return {"deRham": betti, **{t: grid(n, lambda b: harmonic_space(setting, kind, b).ncols)
+                                for t, kind in THEORY_KINDS.items()}}
 
 
 def table_symmetries(tables: Dict[str, list], n: int) -> Dict[str, bool]:
     """Conjugation and star-duality symmetries of the dimension grids."""
     bc, a, dbar, dl = (tables[t] for t in ("bc", "a", "delbar", "del"))
-    conj_ok = all(
-        bc[p][q] == bc[q][p] and a[p][q] == a[q][p] and dbar[p][q] == dl[q][p]
-        for p in range(n + 1)
-        for q in range(n + 1)
-    )
-    star_ok = all(bc[p][q] == a[n - q][n - p] for p in range(n + 1) for q in range(n + 1))
+    conj_ok = all(bc[p][q] == bc[q][p] and a[p][q] == a[q][p] and dbar[p][q] == dl[q][p] for p, q in bidegrees(n))
+    star_ok = all(bc[p][q] == a[n - q][n - p] for p, q in bidegrees(n))
     return {"conjugation": conj_ok, "star_duality": star_ok}
 
 
@@ -253,25 +245,23 @@ def ddbar_conditions(setting: ExactSetting) -> dict:
     n, ker, im = setting.n, setting.ker, setting.im
     holds = {name: True for name in CONDITION_NAMES}
     witnesses: Dict[str, dict] = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            b = (p, q)
-            kk = subspace_intersect(ker("del", b), ker("delbar", b))
-            sums = subspace_sum(im("del", b), im("delbar", b))
-            im_dd, ker_dd = span_basis(im("deldbar", b)), span_basis(ker("deldbar", b))
-            rhs = {
-                "a": subspace_intersect(kk, im_d_at(setting, b)),
-                "b": subspace_intersect(ker("del", b), im("delbar", b)),
-                "c": subspace_intersect(kk, sums),
-                "d": subspace_sum(sums, kk),
-                "e": subspace_sum(ker("del", b), im("delbar", b)),
-            }
-            for name, side in rhs.items():
-                if side != (im_dd if name in "abc" else ker_dd):
-                    holds[name] = False
-                    small_big = (im_dd, side) if name in "abc" else (side, ker("deldbar", b))
-                    if name not in witnesses and (w := _witness(b, *small_big)):
-                        witnesses[name] = w
+    for b in bidegrees(n):
+        kk = subspace_intersect(ker("del", b), ker("delbar", b))
+        sums = subspace_sum(im("del", b), im("delbar", b))
+        im_dd, ker_dd = span_basis(im("deldbar", b)), span_basis(ker("deldbar", b))
+        rhs = {
+            "a": subspace_intersect(kk, im_d_at(setting, b)),
+            "b": subspace_intersect(ker("del", b), im("delbar", b)),
+            "c": subspace_intersect(kk, sums),
+            "d": subspace_sum(sums, kk),
+            "e": subspace_sum(ker("del", b), im("delbar", b)),
+        }
+        for name, side in rhs.items():
+            if side != (im_dd if name in "abc" else ker_dd):
+                holds[name] = False
+                small_big = (im_dd, side) if name in "abc" else (side, ker("deldbar", b))
+                if name not in witnesses and (w := _witness(b, *small_big)):
+                    witnesses[name] = w
     holds["f"] = holds["d"]
     if "d" in witnesses:
         witnesses["f"] = witnesses["d"]
@@ -295,34 +285,30 @@ def abc_subspaces(setting: ExactSetting) -> SubspaceGrids:
     return setting.cached("abc_subspaces", lambda: _abc_subspaces(setting))
 
 
+def _quotient_dims(setting: ExactSetting, b: Bidegree) -> Dict[str, int]:
+    """The dimensions of a..f at b as quotients of kernels and images."""
+    ker, im = setting.ker, setting.im
+    ker_del, ker_delbar = ker("del", b), ker("delbar", b)
+    im_del, im_delbar = im("del", b), im("delbar", b)
+    r_dd, kdd = im("deldbar", b).ncols, ker("deldbar", b).ncols
+    return {
+        "a": subspace_intersect(im_delbar, im_del).ncols - r_dd,
+        "b": subspace_intersect(im_del, ker_delbar).ncols - r_dd,
+        "c": kdd - subspace_sum(ker_delbar, im_del).ncols,
+        "d": subspace_intersect(im_delbar, ker_del).ncols - r_dd,
+        "e": kdd - subspace_sum(ker_del, im_delbar).ncols,
+        "f": kdd - subspace_sum(ker_del, ker_delbar).ncols,
+    }
+
+
 def _abc_subspaces(setting: ExactSetting) -> SubspaceGrids:
-    n, ker, im = setting.n, setting.ker, setting.im
+    n = setting.n
     names = "abcdef"
-    dims = {x: [[0] * (n + 1) for _ in range(n + 1)] for x in names}
-    qdims = {x: [[0] * (n + 1) for _ in range(n + 1)] for x in names}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            b = (p, q)
-            for x, basis in abcdef(setting, b).items():
-                dims[x][p][q] = basis.ncols
-            ker_del, ker_delbar = ker("del", b), ker("delbar", b)
-            im_del, im_delbar = im("del", b), im("delbar", b)
-            r_dd, kdd = im("deldbar", b).ncols, ker("deldbar", b).ncols
-            qdims["a"][p][q] = subspace_intersect(im_delbar, im_del).ncols - r_dd
-            qdims["b"][p][q] = subspace_intersect(im_del, ker_delbar).ncols - r_dd
-            qdims["d"][p][q] = subspace_intersect(im_delbar, ker_del).ncols - r_dd
-            qdims["c"][p][q] = kdd - subspace_sum(ker_delbar, im_del).ncols
-            qdims["e"][p][q] = kdd - subspace_sum(ker_del, im_delbar).ncols
-            qdims["f"][p][q] = kdd - subspace_sum(ker_del, ker_delbar).ncols
+    cells = {b: (abcdef(setting, b), _quotient_dims(setting, b)) for b in bidegrees(n)}
+    dims = {x: grid(n, lambda b: cells[b][0][x].ncols) for x in names}
+    qdims = {x: grid(n, lambda b: cells[b][1][x]) for x in names}
     agree = all(dims[x] == qdims[x] for x in names)
-    conj_ok = all(
-        dims["a"][p][q] == dims["a"][q][p]
-        and dims["b"][p][q] == dims["d"][q][p]
-        and dims["c"][p][q] == dims["e"][q][p]
-        and dims["f"][p][q] == dims["f"][q][p]
-        for p in range(n + 1)
-        for q in range(n + 1)
-    )
+    conj_ok = all(dims[x][p][q] == dims[y][q][p] for x, y in ("aa", "bd", "ce", "ff") for p, q in bidegrees(n))
     return SubspaceGrids(dims=dims, quotient_dims=qdims, routes_agree=agree, conjugation_ok=conj_ok)
 
 
@@ -350,37 +336,36 @@ def exact_sequence_reports(setting: ExactSetting) -> dict:
     qd = abc_subspaces(setting).quotient_dims
     per_bidegree = {}
     all_ok = True
-    for p in range(n + 1):
-        for q in range(n + 1):
-            b = (p, q)
-            G = setting.gram((b,))
-            A_, B_, C_, D_, E_, F_ = abcdef(setting, b).values()
-            Hdb = harmonic_space(setting, LaplacianKind.DELBAR, b)
-            Ha = harmonic_space(setting, LaplacianKind.A, b)
-            Hbc = harmonic_space(setting, LaplacianKind.BC, b)
+    for b in bidegrees(n):
+        p, q = b
+        G = setting.gram((b,))
+        A_, B_, C_, D_, E_, F_ = abcdef(setting, b).values()
+        Hdb = harmonic_space(setting, LaplacianKind.DELBAR, b)
+        Ha = harmonic_space(setting, LaplacianKind.A, b)
+        Hbc = harmonic_space(setting, LaplacianKind.BC, b)
 
-            seq1_dims = [qd["a"][p][q], qd["b"][p][q], tables["delbar"][p][q], tables["a"][p][q], qd["c"][p][q]]
-            seq1_maps = [
-                _coords_in(B_, A_),
-                projection_coords(B_, Hdb, G),
-                projection_coords(Hdb, Ha, G),
-                projection_coords(Ha, C_, G),
-            ]
-            seq2_dims = [qd["d"][p][q], tables["bc"][p][q], tables["delbar"][p][q], qd["e"][p][q], qd["f"][p][q]]
-            seq2_maps = [
-                _coords_in(Hbc, D_),
-                projection_coords(Hbc, Hdb, G),
-                projection_coords(Hdb, E_, G),
-                projection_coords(E_, F_, G),
-            ]
-            res = {}
-            for label, dims, maps in (("seq1", seq1_dims, seq1_maps), ("seq2", seq2_dims, seq2_maps)):
-                exact = not any(homology(maps))
-                alt = sum((-1) ** i * dim for i, dim in enumerate(dims))
-                res[label] = {"exact": exact, "alternating_sum": alt}
-                if not exact or alt != 0:
-                    all_ok = False
-            per_bidegree[b] = res
+        seq1_dims = [qd["a"][p][q], qd["b"][p][q], tables["delbar"][p][q], tables["a"][p][q], qd["c"][p][q]]
+        seq1_maps = [
+            _coords_in(B_, A_),
+            projection_coords(B_, Hdb, G),
+            projection_coords(Hdb, Ha, G),
+            projection_coords(Ha, C_, G),
+        ]
+        seq2_dims = [qd["d"][p][q], tables["bc"][p][q], tables["delbar"][p][q], qd["e"][p][q], qd["f"][p][q]]
+        seq2_maps = [
+            _coords_in(Hbc, D_),
+            projection_coords(Hbc, Hdb, G),
+            projection_coords(Hdb, E_, G),
+            projection_coords(E_, F_, G),
+        ]
+        res = {}
+        for label, dims, maps in (("seq1", seq1_dims, seq1_maps), ("seq2", seq2_dims, seq2_maps)):
+            exact = not any(homology(maps))
+            alt = sum((-1) ** i * dim for i, dim in enumerate(dims))
+            res[label] = {"exact": exact, "alternating_sum": alt}
+            if not exact or alt != 0:
+                all_ok = False
+        per_bidegree[b] = res
     return {"per_bidegree": per_bidegree, "all_exact": all_ok}
 
 
@@ -402,28 +387,20 @@ def inequality_report(setting: ExactSetting) -> InequalityReport:
     vanishes exactly when ker deldbar = ker del + ker delbar and
     im deldbar = im del ∩ im delbar."""
     n, ker, im = setting.n, setting.ker, setting.im
-    tables = all_tables(setting)
-    grids = abc_subspaces(setting)
-    lhs = [[0] * (n + 1) for _ in range(n + 1)]
-    rhs = [[0] * (n + 1) for _ in range(n + 1)]
-    defect = [[0] * (n + 1) for _ in range(n + 1)]
-    identity = True
-    criterion_ok = True
-    equality_at = []
-    for p in range(n + 1):
-        for q in range(n + 1):
-            b = (p, q)
-            lhs[p][q] = tables["del"][p][q] + tables["delbar"][p][q]
-            rhs[p][q] = tables["a"][p][q] + tables["bc"][p][q]
-            defect[p][q] = grids.dims["a"][p][q] + grids.dims["f"][p][q]
-            if rhs[p][q] != lhs[p][q] + defect[p][q]:
-                identity = False
-            if defect[p][q] == 0:
-                equality_at.append(b)
-            ker_split = span_basis(ker("deldbar", b)) == subspace_sum(ker("del", b), ker("delbar", b))
-            im_split = span_basis(im("deldbar", b)) == subspace_intersect(im("del", b), im("delbar", b))
-            if (defect[p][q] == 0) != (ker_split and im_split):
-                criterion_ok = False
+    tables, dims = all_tables(setting), abc_subspaces(setting).dims
+
+    def total(g: List[List[int]], h: List[List[int]]) -> List[List[int]]:
+        return grid(n, lambda b: g[b[0]][b[1]] + h[b[0]][b[1]])
+
+    def splits(b: Bidegree) -> bool:
+        return (span_basis(ker("deldbar", b)) == subspace_sum(ker("del", b), ker("delbar", b))
+                and span_basis(im("deldbar", b)) == subspace_intersect(im("del", b), im("delbar", b)))
+
+    lhs, rhs = total(tables["del"], tables["delbar"]), total(tables["a"], tables["bc"])
+    defect = total(dims["a"], dims["f"])
+    identity = all(rhs[p][q] == lhs[p][q] + defect[p][q] for p, q in bidegrees(n))
+    equality_at = [(p, q) for p, q in bidegrees(n) if defect[p][q] == 0]
+    criterion_ok = all((b in equality_at) == splits(b) for b in bidegrees(n))
     spaces = [total_bidegrees(n, k) for k in range(2 * n + 1)]
     degree_sums = [(k, sum(lhs[p][q] for p, q in sp), sum(rhs[p][q] for p, q in sp)) for k, sp in enumerate(spaces)]
     twice_betti = [2 * b for b in tables["deRham"]]

@@ -17,7 +17,8 @@ whose wedges sum to its image, and `wedge_into` adds each one.  A model
 passes the Leibniz terms above; a Fourier mode of a covering passes its
 twist form wedged with the monomial itself.  `build_complex` certifies
 del^2 = delbar^2 = del delbar + delbar del = 0 exactly and rejects
-inconsistent structure constants.
+inconsistent structure constants.  `bidegrees(n)` and `grid(n, cell)` fix the
+order in which every report visits the (p,q) and the layout of its tables.
 """
 
 from __future__ import annotations
@@ -271,18 +272,17 @@ def bigraded_maps(n: int, column: Column) -> Tuple[Dict[Bidegree, Mat], Dict[Bid
     """The del and delbar matrices at every bidegree, column by column: one
     `wedge_into` per triple that `column` gives for each basis monomial."""
     mats: Tuple[Dict[Bidegree, Mat], Dict[Bidegree, Mat]] = ({}, {})
-    for p in range(n + 1):
-        for q in range(n + 1):
-            basis = monomial_basis(n, p, q)
-            for part, target in enumerate(((p + 1, q), (p, q + 1))):
-                if max(target) > n:
-                    continue
-                idx = basis_index(n, *target)
-                entries: Dict[Tuple[int, int], QQi] = {}
-                for j, m in enumerate(basis):
-                    for terms, rest, sign in column(part, m):
-                        wedge_into(entries, j, idx, terms, rest, sign)
-                mats[part][(p, q)] = Mat.from_entries(len(idx), len(basis), entries)
+    for p, q in bidegrees(n):
+        basis = monomial_basis(n, p, q)
+        for part, target in enumerate(((p + 1, q), (p, q + 1))):
+            if max(target) > n:
+                continue
+            idx = basis_index(n, *target)
+            entries: Dict[Tuple[int, int], QQi] = {}
+            for j, m in enumerate(basis):
+                for terms, rest, sign in column(part, m):
+                    wedge_into(entries, j, idx, terms, rest, sign)
+            mats[part][(p, q)] = Mat.from_entries(len(idx), len(basis), entries)
     return mats
 
 
@@ -327,17 +327,16 @@ def build_complex(model: ComplexModel) -> BigradedComplex:
     identities exactly; raises NotAComplex otherwise."""
     n = model.n
     comp = BigradedComplex(n, *_differentials(model))
-    for p in range(n + 1):
-        for q in range(n + 1):
-            b = (p, q)
-            if p + 2 <= n and not (comp.del_((p + 1, q)) @ comp.del_(b)).is_zero():
-                raise NotAComplex(b, "del^2 = 0")
-            if q + 2 <= n and not (comp.delbar((p, q + 1)) @ comp.delbar(b)).is_zero():
-                raise NotAComplex(b, "delbar^2 = 0")
-            if p + 1 <= n and q + 1 <= n:
-                anti = comp.deldbar(b) + comp.delbar((p + 1, q)) @ comp.del_(b)
-                if not anti.is_zero():
-                    raise NotAComplex(b, "del delbar + delbar del = 0")
+    for b in bidegrees(n):
+        p, q = b
+        if p + 2 <= n and not (comp.del_((p + 1, q)) @ comp.del_(b)).is_zero():
+            raise NotAComplex(b, "del^2 = 0")
+        if q + 2 <= n and not (comp.delbar((p, q + 1)) @ comp.delbar(b)).is_zero():
+            raise NotAComplex(b, "delbar^2 = 0")
+        if p + 1 <= n and q + 1 <= n:
+            anti = comp.deldbar(b) + comp.delbar((p + 1, q)) @ comp.del_(b)
+            if not anti.is_zero():
+                raise NotAComplex(b, "del delbar + delbar del = 0")
     return comp
 
 
@@ -359,6 +358,18 @@ def d_between(ops, src: Space, dst: Space) -> Op:
                 blocks.append((row_off[target], col, block_of(b)))
         col += ops.dim(b)
     return Op(src=src, dst=dst, mat=Mat.from_blocks(nrows, col, blocks))
+
+
+def bidegrees(n: int) -> Space:
+    """Every bidegree (p, q) with 0 <= p, q <= n, p-major: the order in which
+    every report visits its bidegrees."""
+    return tuple((p, q) for p in range(n + 1) for q in range(n + 1))
+
+
+def grid(n: int, cell: Callable[[Bidegree], Any]) -> List[List[Any]]:
+    """The p x q table of a report, grid[p][q] = cell((p, q)), its cells
+    computed in `bidegrees(n)` order."""
+    return [[cell((p, q)) for q in range(n + 1)] for p in range(n + 1)]
 
 
 def total_bidegrees(n: int, k: int) -> Space:

@@ -43,7 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from abch.complexes import Bidegree, BigradedComplex, Memo, Monomial, Space, bigraded_maps, dim_pq, total_bidegrees
+from abch.complexes import (Bidegree, BigradedComplex, Memo, Monomial, Space, bidegrees, bigraded_maps, dim_pq, grid,
+                            total_bidegrees)
 from abch.laplacians import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -84,6 +85,9 @@ MAX_COVER_N = 3
 MAX_RADIUS = 4
 MAX_MODE_CANDIDATES = 100_000
 _RADIUS_RE = re.compile(r"^[0-9]+(?:/[0-9]+|\.[0-9]+)?$")
+# `[[a, b], [c, d]]`: one bracketed list of non-empty bracketed integer rows
+_ROW = r"\[\s*[+-]?[0-9]+(?:\s*,\s*[+-]?[0-9]+)*\s*\]"
+_MATRIX_RE = re.compile(rf"\[\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\]")
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,10 @@ def parse_cover(text: str) -> CoveringSpec:
         if lhs == "n":
             n = parse_dimension(rhs, lineno, MAX_COVER_N)
         elif lhs in ("base", "sub"):
+            if not _MATRIX_RE.fullmatch(rhs):
+                raise ModelSyntaxError(f"bad {lhs} matrix {rhs[:20]!r}", lineno, 1)
             rows = re.findall(r"\[([^\[\]]*)\]", rhs)
-            mats[lhs] = tuple(tuple(parse_int(x, lineno, 1) for x in row.split(",")) for row in rows if row.strip())
+            mats[lhs] = tuple(tuple(parse_int(x, lineno, 1) for x in row.split(",")) for row in rows)
         elif lhs == "radius":
             radius = _parse_radius(rhs, lineno)
         else:
@@ -390,13 +396,8 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
     grids: Dict[str, object] = {}
     support_ok = True
     for name, kind in THEORY_KINDS.items():
-        grid = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-        for p in range(n + 1):
-            for q in range(n + 1):
-                b = (p, q)
-                grid[p][q] = gamma_dimension(fourier, fourier.total_kernel(kind, b), (b,))
-                support_ok = support_ok and fourier.zero_mode_kernel(kind, b) is not None
-        grids[name] = grid
+        grids[name] = grid(n, lambda b: gamma_dimension(fourier, fourier.total_kernel(kind, b), (b,)))
+        support_ok = support_ok and all(fourier.zero_mode_kernel(kind, b) is not None for b in bidegrees(n))
     betti = []
     for k in range(2 * n + 1):
         space = total_bidegrees(n, k)
@@ -405,18 +406,16 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
     grids["deRham"] = betti
 
     sides = [(grids["del"][p][q] + grids["delbar"][p][q], grids["a"][p][q] + grids["bc"][p][q])
-             for p in range(n + 1) for q in range(n + 1)]
+             for p, q in bidegrees(n)]
     ineq_ok = all(lhs <= rhs for lhs, rhs in sides)
     eq_all = all(lhs == rhs for lhs, rhs in sides)
 
     # monotonicity on nested invariant pairs: the delbar harmonics (their grid) inside ker delbar
     mono_ok = True
-    for p in range(n + 1):
-        for q in range(n + 1):
-            b = (p, q)
-            V = fourier.stack_modes([st.ker("delbar", b) for st in fourier.settings], (b,))
-            if grids["delbar"][p][q] > gamma_dimension(fourier, V, (b,)):
-                mono_ok = False
+    for b in bidegrees(n):
+        V = fourier.stack_modes([st.ker("delbar", b) for st in fourier.settings], (b,))
+        if grids["delbar"][b[0]][b[1]] > gamma_dimension(fourier, V, (b,)):
+            mono_ok = False
 
     gaps, kahler_ok = gap_table(fourier)
     return GammaReport(
@@ -435,9 +434,8 @@ def _least_gaps(fourier: FourierComplex, kind: LaplacianKind) -> Dict[Bidegree, 
     """Each bidegree's smallest spectral gap of `kind` over the modes, read
     from the memoised spectra (lap_d at (p, q) acts on degree p + q); None
     where every mode's spectrum is {0}."""
-    n = fourier.n
     least = {}
-    for b in [(p, q) for p in range(n + 1) for q in range(n + 1)]:
+    for b in bidegrees(fourier.n):
         found = [spectral_gap(numeric_spectrum(st, kind, b)) for st in fourier.numeric]
         least[b] = min((g for g in found if g is not None), default=None)
     return least
@@ -490,24 +488,22 @@ def metric_independence_check(fc1: FourierComplex, H2: Mat, samples: int = DEFAU
     agree = True
     cross_full_rank = True
     for kind in (LaplacianKind.BC, LaplacianKind.A):
-        for p in range(n + 1):
-            for q in range(n + 1):
-                b = (p, q)
-                d1 = gamma_dimension(fc1, fc1.total_kernel(kind, b), (b,))
-                d2 = gamma_dimension(fc2, fc2.total_kernel(kind, b), (b,))
-                if d1 != d2:
-                    agree = False
-                # cross projection: harmonics live in the zero mode of both
-                # complexes, so compare there with the second metric
-                k1, k2 = fc1.zero_mode_kernel(kind, b), fc2.zero_mode_kernel(kind, b)
-                if k1 is None or k2 is None:
-                    raise AssertionError("harmonic basis not supported in the zero mode")
-                if k2.ncols:
-                    M = projection_coords(k1, k2, fc2.metric.gram(b))
-                    if M.rank() != min(k1.ncols, k2.ncols):
-                        cross_full_rank = False
-                elif k1.ncols:
+        for b in bidegrees(n):
+            d1 = gamma_dimension(fc1, fc1.total_kernel(kind, b), (b,))
+            d2 = gamma_dimension(fc2, fc2.total_kernel(kind, b), (b,))
+            if d1 != d2:
+                agree = False
+            # cross projection: harmonics live in the zero mode of both
+            # complexes, so compare there with the second metric
+            k1, k2 = fc1.zero_mode_kernel(kind, b), fc2.zero_mode_kernel(kind, b)
+            if k1 is None or k2 is None:
+                raise AssertionError("harmonic basis not supported in the zero mode")
+            if k2.ncols:
+                M = projection_coords(k1, k2, fc2.metric.gram(b))
+                if M.rank() != min(k1.ncols, k2.ncols):
                     cross_full_rank = False
+            elif k1.ncols:
+                cross_full_rank = False
 
     # quasi-isometry constant on the coframe metric
     H1n, H2n = H1.to_numpy(), H2.to_numpy()
@@ -553,17 +549,15 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = DEFAULT_SAMPLES
     tilde4_ok = True
     prestage_ok = True
     for st in fourier.settings:
-        for p in range(n + 1):
-            for q in range(n + 1):
-                b = (p, q)
-                lapd = laplacian(st, LaplacianKind.DELBAR, b)
-                t_bc4 = fourth_order_part(st, LaplacianKind.BC_TILDE, b)
-                t_a4 = fourth_order_part(st, LaplacianKind.A_TILDE, b)
-                sq = lapd.mat @ lapd.mat
-                if not (t_bc4.mat - sq).is_zero() or not (t_a4.mat - sq).is_zero():
-                    tilde4_ok = False
-                if not prestage_box_check(st, b):
-                    prestage_ok = False
+        for b in bidegrees(n):
+            lapd = laplacian(st, LaplacianKind.DELBAR, b)
+            t_bc4 = fourth_order_part(st, LaplacianKind.BC_TILDE, b)
+            t_a4 = fourth_order_part(st, LaplacianKind.A_TILDE, b)
+            sq = lapd.mat @ lapd.mat
+            if not (t_bc4.mat - sq).is_zero() or not (t_a4.mat - sq).is_zero():
+                tilde4_ok = False
+            if not prestage_box_check(st, b):
+                prestage_ok = False
     report["tilde4_equals_delbar_squared"] = tilde4_ok
     report["prestage_box_identity"] = prestage_ok
 

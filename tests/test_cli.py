@@ -145,6 +145,15 @@ def test_a_ragged_or_wrong_size_lattice_exits_two(capsys, tmp_path):
         assert err == "error: base must be a 2x2 integer matrix\n"
 
 
+def test_text_outside_a_lattice_matrix_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.cover"
+    bad.write_text("n = 1\nbase = [[1, 0], [0, 1]]\nsub = [[2, 0], [0, 1]]]]\nradius = 1\n")
+    code, out, err = run(capsys, "cover", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 3") and "bad sub matrix" in err
+
+
 def test_an_undecodable_file_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.cplx"
     bad.write_bytes(b"n = 2\n\xff\xfe\n")

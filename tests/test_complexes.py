@@ -13,10 +13,12 @@ from abch.complexes import (
     FormVector,
     Monomial,
     NotAComplex,
+    bidegrees,
     build_complex,
     conjugate,
     conjugation_matrix,
     dim_pq,
+    grid,
     monomial_basis,
     total_d,
     wedge,
@@ -53,6 +55,18 @@ def test_basis_dimensions():
             for q in range(n + 1):
                 assert dim_pq(n, p, q) == math.comb(n, p) * math.comb(n, q)
                 assert len(monomial_basis(n, p, q)) == dim_pq(n, p, q)
+
+
+def test_the_bidegree_grid_is_p_major():
+    for n in range(7):
+        assert len(bidegrees(n)) == (n + 1) ** 2
+        assert list(bidegrees(n)) == sorted(bidegrees(n))  # p-major: (0, 0), (0, 1), ..., (n, n)
+        table = grid(n, lambda b: b)
+        assert len(table) == n + 1 and all(len(row) == n + 1 for row in table)
+        assert all(table[p][q] == (p, q) for p, q in bidegrees(n))
+    seen = []
+    grid(2, seen.append)  # cells are computed in bidegrees(n) order
+    assert seen == list(bidegrees(2))
 
 
 def test_wedge_basis_products():

@@ -141,6 +141,21 @@ def test_comments_and_crlf():
         assert err.value.line == 4 and "needs '='" in str(err.value), parse
 
 
+@pytest.mark.parametrize("base", [
+    "junk [1, 0] more junk [0, 1] trailing",  # text outside the brackets
+    "[[1, 0], [0, 1]",  # a missing outer bracket
+    "[[1, 0], [0, 1]]]]",  # unbalanced brackets
+    "[[1, 0], [], [0, 1]]",  # an empty row
+])
+def test_a_malformed_lattice_matrix_is_a_syntax_error_at_its_line(base):
+    # nothing outside the rows may be dropped: the whole right-hand side is the matrix
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_cover(f"n = 1\nradius = 1\nbase = {base}\nsub = [[2, 0], [0, 1]]\n")
+    assert err.value.line == 3 and "bad base matrix" in str(err.value)
+    # the form the fixtures use, with any spacing
+    assert parse_cover(f"n = 1\nradius = 1\nbase = [ [1,0] ,[ 0 , 1 ] ]\nsub = [[2, 0], [0, 1]]\n").base == ((1, 0), (0, 1))
+
+
 small = st.integers(min_value=-3, max_value=3)
 coeffs = st.builds(
     lambda a, b, c, d: QQi(Fraction(a, 1 + abs(c)), Fraction(b, 1 + abs(d))),

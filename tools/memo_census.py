@@ -1,8 +1,8 @@
-"""Count what every memo holds after one `spectra --backend both` run.
+"""Count what every memo holds after one `spectra` run.
 
     python tools/memo_census.py MODEL
 
-Runs `abch spectra MODEL --backend both` in process, stdout captured, with
+Runs `abch spectra MODEL` in process, stdout captured, with
 `Memo.cached` wrapped to collect every memoising object.  Then it prints,
 per class and key tag (the key, or its first part), the entry count, the
 parts the exact matrices store (two integers per nonzero `Mat` entry) and
@@ -34,7 +34,7 @@ def main() -> int:
     owners, cached, seen = {}, Memo.cached, set()
     Memo.cached = lambda self, key, build: cached(owners.setdefault(id(self), self), key, build)
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["spectra", model, "--backend", "both"])
+        code = cli.main(["spectra", model])
     Memo.cached = cached
 
     def size(v):

@@ -32,7 +32,7 @@ import sys
 VARIANTS = {
     "check": [[]],
     "cohomology": [[], ["--backend", "both"]],
-    "spectra": [[], ["--backend", "both"], ["--pq", "1,1"]],
+    "spectra": [[], ["--pq", "1,1"]],
     "diagram": [[], ["--pq", "1,1"]],
     "ddbar": [[]],
     "inequality": [[]],
