@@ -27,7 +27,7 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from abch import reporting
-from abch.complexes import NotAComplex, bidegrees, build_complex, conjugation_matrix
+from abch.complexes import NotAComplex, bidegrees, build_complex, conjugation_matrix, shifted
 from abch.covering import (
     NotASublattice,
     build_cover,
@@ -106,8 +106,8 @@ def cmd_check(args) -> int:
     comp = setting.ops
     n = comp.n
     failures: List[str] = []
-    conj_ok = all(conjugation_matrix(n, p + 1, q) @ comp.del_((p, q)).conj()
-                  == comp.delbar((q, p)) @ conjugation_matrix(n, p, q) for p, q in bidegrees(n))
+    conj_ok = all(conjugation_matrix(n, *shifted((p, q), "del")) @ comp.map("del", (p, q)).conj()
+                  == comp.map("delbar", (q, p)) @ conjugation_matrix(n, p, q) for p, q in bidegrees(n))
     if not conj_ok:
         failures.append("conjugation does not intertwine del and delbar")
     lines = [f"# check {name}", "", f"- complex identities: ok (certified during assembly)",

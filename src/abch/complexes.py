@@ -5,8 +5,9 @@ The space of (p,q)-forms has the monomial basis
     phi_{i1} ^ ... ^ phi_{ip} ^ phibar_{j1} ^ ... ^ phibar_{jq},
 
 with strictly increasing index sets, ordered lexicographically on the pair
-(hol, anti).  The exterior derivative splits as d = del + delbar with
-del raising p and delbar raising q.  Both are derivations, and each dg is a
+(hol, anti).  The exterior derivative splits as d = del + delbar; `SHIFTS`
+is the one table of the bidegree that del, delbar and del delbar raise, and
+`shifted(b, name)` applies it.  Both are derivations, and each dg is a
 2-form, so on a basis monomial m = g_1 ^ ... ^ g_k
 
     d m = sum_t (-1)^t dg_t ^ (m without g_t),   t = 0..k-1.
@@ -15,7 +16,8 @@ One builder, `bigraded_maps(n, column)`, makes every del and delbar matrix:
 `column` lists, for a basis monomial, the (terms, monomial, sign) triples
 whose wedges sum to its image, and `wedge_into` adds each one.  A model
 passes the Leibniz terms above; a Fourier mode of a covering passes its
-twist form wedged with the monomial itself.  `build_complex` certifies
+twist form wedged with the monomial itself.  Every map is named `(name, b)`:
+`BigradedComplex.map(name, b)` is its matrix.  `build_complex` certifies
 del^2 = delbar^2 = del delbar + delbar del = 0 exactly and rejects
 inconsistent structure constants.  `bidegrees(n)` and `grid(n, cell)` fix the
 order in which every report visits the (p,q) and the layout of its tables.
@@ -35,6 +37,15 @@ from abch.scalars import QQi, ZERO, ONE
 
 Bidegree = Tuple[int, int]
 Space = Tuple[Bidegree, ...]  # ordered direct sum of bidegree blocks
+
+# the bidegree each differential raises: the one table of the bigrading
+SHIFTS = {"del": (1, 0), "delbar": (0, 1), "deldbar": (1, 1)}
+
+
+def shifted(b: Bidegree, name: str, sign: int = 1) -> Bidegree:
+    """b raised by the map `name` (a key of SHIFTS), or lowered if sign = -1."""
+    s = SHIFTS[name]
+    return b[0] + sign * s[0], b[1] + sign * s[1]
 
 
 class NotAComplex(Exception):
@@ -238,68 +249,63 @@ class Memo:
 
 
 class BigradedComplex(Memo):
-    """Bases of every A^{p,q} plus exact matrices of del and delbar."""
+    """Bases of every A^{p,q} plus exact matrices of del and delbar, `maps[name][b]`."""
 
-    def __init__(self, n: int, del_mats: Dict[Bidegree, Mat], delbar_mats: Dict[Bidegree, Mat]):
+    def __init__(self, n: int, maps: Dict[str, Dict[Bidegree, Mat]]):
         super().__init__()
         self.n = n
-        self._del = del_mats
-        self._delbar = delbar_mats
+        self._maps = maps
 
     def dim(self, b: Bidegree) -> int:
         return dim_pq(self.n, *b)
 
-    def del_(self, b: Bidegree) -> Mat:
-        """Matrix of del: A^{p,q} -> A^{p+1,q} (zero matrix off-range)."""
-        m = self._del.get(b)
-        return m if m is not None else Mat.zeros(dim_pq(self.n, b[0] + 1, b[1]), dim_pq(self.n, *b))
-
-    def delbar(self, b: Bidegree) -> Mat:
-        m = self._delbar.get(b)
-        return m if m is not None else Mat.zeros(dim_pq(self.n, b[0], b[1] + 1), dim_pq(self.n, *b))
-
-    def deldbar(self, b: Bidegree) -> Mat:
-        """Matrix of del delbar: A^{p,q} -> A^{p+1,q+1}, multiplied once."""
-        return self.cached(("deldbar", b), lambda: self.del_((b[0], b[1] + 1)) @ self.delbar(b))
+    def map(self, name: str, b: Bidegree) -> Mat:
+        """Matrix of the map `name`: A^b -> A^{shifted(b, name)}, the zero
+        matrix off-range; del delbar is their product, multiplied once."""
+        if name == "deldbar":
+            return self.cached(("deldbar", b), lambda: self.map("del", shifted(b, "delbar")) @ self.map("delbar", b))
+        m = self._maps[name].get(b)
+        return m if m is not None else Mat.zeros(dim_pq(self.n, *shifted(b, name)), dim_pq(self.n, *b))
 
 
-# column(part, m) -> the (terms, monomial, sign) triples whose wedges
-# sign * terms ^ monomial sum to del m (part 0) or delbar m (part 1)
-Column = Callable[[int, Monomial], List[Tuple[Terms, Monomial, int]]]
+# column(name, m) -> the (terms, monomial, sign) triples whose wedges
+# sign * terms ^ monomial sum to the image of m under the map `name`
+Column = Callable[[str, Monomial], List[Tuple[Terms, Monomial, int]]]
 
 
-def bigraded_maps(n: int, column: Column) -> Tuple[Dict[Bidegree, Mat], Dict[Bidegree, Mat]]:
+def bigraded_maps(n: int, column: Column) -> Dict[str, Dict[Bidegree, Mat]]:
     """The del and delbar matrices at every bidegree, column by column: one
     `wedge_into` per triple that `column` gives for each basis monomial."""
-    mats: Tuple[Dict[Bidegree, Mat], Dict[Bidegree, Mat]] = ({}, {})
-    for p, q in bidegrees(n):
-        basis = monomial_basis(n, p, q)
-        for part, target in enumerate(((p + 1, q), (p, q + 1))):
+    maps: Dict[str, Dict[Bidegree, Mat]] = {"del": {}, "delbar": {}}
+    for b in bidegrees(n):
+        basis = monomial_basis(n, *b)
+        for name, mats in maps.items():
+            target = shifted(b, name)
             if max(target) > n:
                 continue
             idx = basis_index(n, *target)
             entries: Dict[Tuple[int, int], QQi] = {}
             for j, m in enumerate(basis):
-                for terms, rest, sign in column(part, m):
+                for terms, rest, sign in column(name, m):
                     wedge_into(entries, j, idx, terms, rest, sign)
-            mats[part][(p, q)] = Mat.from_entries(len(idx), len(basis), entries)
-    return mats
+            mats[b] = Mat.from_entries(len(idx), len(basis), entries)
+    return maps
 
 
-def _d_of_generator(model: ComplexModel, bar: bool, k: int) -> Tuple[Terms, Terms]:
+def _d_of_generator(model: ComplexModel, bar: bool, k: int) -> Dict[str, Terms]:
     """The del and delbar parts of d phi_k, or of d phibar_k if `bar`, as
     term lists; conjugate equations are generated, never stored."""
     d20, d11 = model.d20.get(k, {}), model.d11.get(k, {})
     if not bar:
-        return (
-            [(Monomial((i, j), ()), c) for (i, j), c in d20.items()],
-            [(Monomial((i,), (j,)), c) for (i, j), c in d11.items()],
-        )
+        return {
+            "del": [(Monomial((i, j), ()), c) for (i, j), c in d20.items()],
+            "delbar": [(Monomial((i,), (j,)), c) for (i, j), c in d11.items()],
+        }
     # d phibar_k = conj(d phi_k), and conj(phi_i ^ phibar_j) = -(phi_j ^ phibar_i)
-    return (
-        [(Monomial((j,), (i,)), -c.conj()) for (i, j), c in d11.items()],
-        [(Monomial((), (i, j)), c.conj()) for (i, j), c in d20.items()],
-    )
+    return {
+        "del": [(Monomial((j,), (i,)), -c.conj()) for (i, j), c in d11.items()],
+        "delbar": [(Monomial((), (i, j)), c.conj()) for (i, j), c in d20.items()],
+    }
 
 
 def _drop(m: Monomial, t: int) -> Monomial:
@@ -310,40 +316,36 @@ def _drop(m: Monomial, t: int) -> Monomial:
     return Monomial(m.hol, m.anti[: t - p] + m.anti[t - p + 1 :])
 
 
-def _differentials(model: ComplexModel) -> Tuple[Dict[Bidegree, Mat], Dict[Bidegree, Mat]]:
+def _differentials(model: ComplexModel) -> Dict[str, Dict[Bidegree, Mat]]:
     """The del and delbar matrices of `model`, not yet certified: the
     Leibniz terms of each basis monomial (module docstring)."""
     dgen = {(bar, k): _d_of_generator(model, bar, k) for bar in (False, True) for k in range(1, model.n + 1)}
 
-    def column(part: int, m: Monomial):
+    def column(name: str, m: Monomial):
         gens = [dgen[(False, k)] for k in m.hol] + [dgen[(True, k)] for k in m.anti]
-        return [(dg[part], _drop(m, t), -1 if t % 2 else 1) for t, dg in enumerate(gens) if dg[part]]
+        return [(dg[name], _drop(m, t), -1 if t % 2 else 1) for t, dg in enumerate(gens) if dg[name]]
 
     return bigraded_maps(model.n, column)
 
 
 def build_complex(model: ComplexModel) -> BigradedComplex:
     """Assemble del/delbar at every bidegree and certify the complex
-    identities exactly; raises NotAComplex otherwise."""
-    n = model.n
-    comp = BigradedComplex(n, *_differentials(model))
-    for b in bidegrees(n):
-        p, q = b
-        if p + 2 <= n and not (comp.del_((p + 1, q)) @ comp.del_(b)).is_zero():
-            raise NotAComplex(b, "del^2 = 0")
-        if q + 2 <= n and not (comp.delbar((p, q + 1)) @ comp.delbar(b)).is_zero():
-            raise NotAComplex(b, "delbar^2 = 0")
-        if p + 1 <= n and q + 1 <= n:
-            anti = comp.deldbar(b) + comp.delbar((p + 1, q)) @ comp.del_(b)
-            if not anti.is_zero():
-                raise NotAComplex(b, "del delbar + delbar del = 0")
+    identities exactly at each, off-range maps being zero-shaped; raises
+    NotAComplex otherwise."""
+    comp = BigradedComplex(model.n, _differentials(model))
+    for b in bidegrees(model.n):
+        for name in ("del", "delbar"):
+            if not (comp.map(name, shifted(b, name)) @ comp.map(name, b)).is_zero():
+                raise NotAComplex(b, f"{name}^2 = 0")
+        if not (comp.map("deldbar", b) + comp.map("delbar", shifted(b, "del")) @ comp.map("del", b)).is_zero():
+            raise NotAComplex(b, "del delbar + delbar del = 0")
     return comp
 
 
-def d_between(ops, src: Space, dst: Space) -> Op:
-    """d = del + delbar from the direct sum `src` to the direct sum `dst`,
-    keeping the blocks whose target bidegree lies in `dst`.  `ops` is any
-    source of differentials with `.dim(b)`, `.del_(b)` and `.delbar(b)`."""
+def d_between(ops: BigradedComplex, src: Space, dst: Space) -> Op:
+    """d = del + delbar from the direct sum `src` to the direct sum `dst`:
+    the block `ops.map(name, b)` for each b in `src` and each map `name`
+    whose target `shifted(b, name)` lies in `dst`."""
     row_off = {}
     nrows = 0
     for b in dst:
@@ -352,10 +354,9 @@ def d_between(ops, src: Space, dst: Space) -> Op:
     blocks = []
     col = 0
     for b in src:
-        p, q = b
-        for target, block_of in (((p + 1, q), ops.del_), ((p, q + 1), ops.delbar)):
-            if target in row_off:
-                blocks.append((row_off[target], col, block_of(b)))
+        for name in ("del", "delbar"):
+            if shifted(b, name) in row_off:
+                blocks.append((row_off[shifted(b, name)], col, ops.map(name, b)))
         col += ops.dim(b)
     return Op(src=src, dst=dst, mat=Mat.from_blocks(nrows, col, blocks))
 

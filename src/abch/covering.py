@@ -205,11 +205,11 @@ class ModeOps(BigradedComplex):
 
     def __init__(self, n: int, mode: Mode):
         # i mu^{1,0} and i mu^{0,1} as term lists
-        xi = (
-            [(Monomial((k,), ()), c) for k, c in enumerate(mode.c10, 1) if not c.is_zero()],
-            [(Monomial((), (k,)), c) for k, c in enumerate(mode.c01, 1) if not c.is_zero()],
-        )
-        super().__init__(n, *bigraded_maps(n, lambda part, m: [(xi[part], m, 1)]))
+        xi = {
+            "del": [(Monomial((k,), ()), c) for k, c in enumerate(mode.c10, 1) if not c.is_zero()],
+            "delbar": [(Monomial((), (k,)), c) for k, c in enumerate(mode.c01, 1) if not c.is_zero()],
+        }
+        super().__init__(n, bigraded_maps(n, lambda name, m: [(xi[name], m, 1)]))
         self.mode = mode
 
 

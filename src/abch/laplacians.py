@@ -133,14 +133,11 @@ def _term(setting, name: str, b, leaving: bool) -> Op:
     return setting.cached(("term", name, b, leaving), lambda: compose(*_pair(setting, name, b, leaving)))
 
 
-def _down(setting, names, b) -> Op:
-    """Sum of T* T over the maps T named `names` leaving A^b, memoised."""
-    return setting.cached(("down", names, b), lambda: add_ops(*[_term(setting, name, b, True) for name in names]))
-
-
-def _up(setting, names, b) -> Op:
-    """Sum of T T* over the maps T named `names` entering A^b, memoised."""
-    return setting.cached(("up", names, b), lambda: add_ops(*[_term(setting, name, b, False) for name in names]))
+def _sum(setting, names, b, leaving: bool) -> Op:
+    """Sum of T* T over the maps T named `names` leaving A^b, or of T T* over
+    those entering it; memoised under "down" or "up"."""
+    return setting.cached(("down" if leaving else "up", names, b),
+                          lambda: add_ops(*[_term(setting, name, b, leaving) for name in names]))
 
 
 def assemble(setting, kind: LaplacianKind, b: Bidegree) -> Op:
@@ -151,15 +148,15 @@ def assemble(setting, kind: LaplacianKind, b: Bidegree) -> Op:
     """
     if kind in (LaplacianKind.D, LaplacianKind.DEL, LaplacianKind.DELBAR):
         name, key = kind.value, _acts_on(kind, b)
-        return add_ops(_down(setting, (name,), key), _up(setting, (name,), key))
+        return add_ops(_sum(setting, (name,), key, True), _sum(setting, (name,), key, False))
     if kind not in BC_KINDS + A_KINDS:
         raise ValueError(f"unknown kind {kind}")
     # Aeppli is Bott-Chern with every T* T and T T* exchanged
-    lo, hi = (_down, _up) if kind in BC_KINDS else (_up, _down)
-    second = lo(setting, ("del", "delbar"), b)
+    leaving = kind in BC_KINDS
+    second = _sum(setting, ("del", "delbar"), b, leaving)
     if kind in (LaplacianKind.BC_TILDE, LaplacianKind.A_TILDE):
         return add_ops(fourth_order_part(setting, kind, b), second)
-    corner = hi(setting, ("deldbar",), b)
+    corner = _sum(setting, ("deldbar",), b, not leaving)
     return add_ops(corner, second if kind in (LaplacianKind.BC, LaplacianKind.A) else _sq(second))
 
 
@@ -171,8 +168,7 @@ def fourth_order_part(setting, kind: LaplacianKind, b: Bidegree) -> Op:
     if kind not in (LaplacianKind.BC_TILDE, LaplacianKind.A_TILDE):
         raise ValueError("fourth-order part is defined for the tilde kinds only")
     leaving = kind == LaplacianKind.BC_TILDE
-    lo, hi = (_down, _up) if leaving else (_up, _down)
-    terms = [hi(setting, ("deldbar",), b), lo(setting, ("deldbar",), b)]
+    terms = [_sum(setting, ("deldbar",), b, side) for side in (not leaving, leaving)]
     for x, y in (("del", "delbar"), ("delbar", "del")):
         x0, x1 = _pair(setting, x, b, leaving)
         y0, y1 = _pair(setting, y, x0.src[0], not leaving)  # x0 starts at the far end of x
@@ -232,8 +228,10 @@ def gram_symmetrize(L: np.ndarray, factor: Tuple[np.ndarray, np.ndarray]) -> np.
 
 
 def spectrum(L: np.ndarray, factor: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Sorted eigenvalues of the Gram-symmetrised operator, clamped at 0;
-    `factor` is the `cholesky_factor` of the Gram of L's space."""
+    """Sorted eigenvalues of the Gram-symmetrised operator, each of size below
+    the zero threshold set to 0; `factor` is the `cholesky_factor` of the Gram
+    of L's space.  A Laplacian is positive semidefinite, so an eigenvalue at
+    or below -threshold is a broken invariant (AssertionError)."""
     if L.shape[0] == 0:
         return np.zeros(0)
     try:
@@ -242,6 +240,8 @@ def spectrum(L: np.ndarray, factor: Tuple[np.ndarray, np.ndarray]) -> np.ndarray
         raise EigSolverFailure(str(exc)) from exc
     lam_max = float(ev[-1])
     thresh = TOL_ABS + tol_rel() * max(lam_max, 0.0)
+    if ev[0] <= -thresh:
+        raise AssertionError(f"Laplacian is not positive semidefinite: eigenvalue {ev[0]:.3g} <= -{thresh:.3g}")
     return np.where(np.abs(ev) < thresh, 0.0, ev)
 
 
@@ -328,5 +328,5 @@ def prestage_box_check(setting: ExactSetting, b: Bidegree) -> bool:
     box = add_ops(compose(adj(D2), D2), compose(D1, adj(D1)))
     lap_dbar_blocks = Mat.block_diag([laplacian(setting, LaplacianKind.DELBAR, c).mat for c in src])
     # del del* on A^{p,q-1} and delbar delbar* on A^{p-1,q}
-    extra = Mat.block_diag([_up(setting, ("del",), src[0]).mat, _up(setting, ("delbar",), src[1]).mat])
+    extra = Mat.block_diag([_sum(setting, (name,), c, False).mat for name, c in zip(("del", "delbar"), src)])
     return (box.mat - (lap_dbar_blocks + extra)).is_zero()

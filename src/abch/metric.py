@@ -214,9 +214,7 @@ def is_kahler(comp: BigradedComplex, metric: HermitianMetric) -> bool:
     """Exact test that the fundamental form is d-closed."""
     omega = metric.fundamental_form()
     v = list(omega.coeffs)
-    del_w = comp.del_((1, 1)).matvec(v)
-    dbar_w = comp.delbar((1, 1)).matvec(v)
-    return all(c.is_zero() for c in del_w) and all(c.is_zero() for c in dbar_w)
+    return all(c.is_zero() for name in ("del", "delbar") for c in comp.map(name, (1, 1)).matvec(v))
 
 
 # -- metric files -------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Operator providers shared by the Laplacian and cohomology engines.
 
-A *setting* bundles the bigraded differentials with a metric and exposes a
-uniform vocabulary: `del_op`, `delbar_op`, their composite `deldbar_op`,
-adjoints and total-degree d.  Engines name each differential by the way it
-crosses a space: `out(name, b)` is the map `name` leaving A^b and
-`into(name, b)` the one entering it, or with `star` its adjoint, where `name`
-is a key of `SHIFTS` (the bidegree the map raises) and `b` a bidegree, or a
-total degree for `d`.
+A *setting* bundles the bigraded differentials with a metric and names
+each one by the way it crosses a space: `out(name, b)` is the map `name`
+leaving A^b and `into(name, b)` the one entering it, or with `star` its
+adjoint, where `name` is a key of `complexes.SHIFTS` (the bidegree the map
+raises) and `b` a bidegree, or `d` and a total degree.  `into` lowers b by
+`shifted(b, name, -1)`, or the degree by 1, and reads `out` there.
 
 ExactSetting works over Q(i) matrices.  NumericSetting is the same class
 seen in floating point: it overrides only the conversion of each
@@ -37,14 +36,11 @@ from __future__ import annotations
 
 from typing import Union
 
-from abch.complexes import Bidegree, Memo, Op, Space, total_d
+from abch.complexes import Bidegree, Memo, Op, Space, shifted, total_d
 from abch.linalg import Mat, ShapeMismatch
 from abch.metric import HermitianMetric
 
-
-# the bidegree each differential raises; d is keyed by total degree
-SHIFTS = {"del": (1, 0), "delbar": (0, 1), "deldbar": (1, 1), "d": 1}
-Degree = Union[Bidegree, int]
+Degree = Union[Bidegree, int]  # a bidegree, or a total degree for d
 
 
 def compose(op2: Op, op1: Op) -> Op:
@@ -91,35 +87,24 @@ class ExactSetting(Memo):
         numeric setting turns it into floats."""
         return op
 
-    def del_op(self, b: Bidegree) -> Op:
-        p, q = b
-        return self.cached(
-            ("del", b), lambda: self._convert(Op(src=(b,), dst=((p + 1, q),), mat=self.ops.del_(b)))
-        )
-
-    def delbar_op(self, b: Bidegree) -> Op:
-        p, q = b
-        return self.cached(
-            ("delbar", b), lambda: self._convert(Op(src=(b,), dst=((p, q + 1),), mat=self.ops.delbar(b)))
-        )
-
     def deldbar_op(self, b: Bidegree) -> Op:
         """del delbar : A^{p,q} -> A^{p+1,q+1}, the complex's memoised product."""
-        p, q = b
-        return self.cached(("deldbar", b), lambda: Op(src=(b,), dst=((p + 1, q + 1),),
-                                                       mat=self.ops.deldbar(b)))
+        return self.cached(("deldbar", b), lambda: Op(src=(b,), dst=(shifted(b, "deldbar"),),
+                                                       mat=self.ops.map("deldbar", b)))
 
     def out(self, name: str, b: Degree, star: bool = False) -> Op:
         """The differential `name` leaving A^b, or with `star` its adjoint."""
         if star:
             return self.cached(("star", name, b), lambda: self.adjoint(self.out(name, b)))
-        return self.total_d(b) if name == "d" else getattr(self, f"{name}_op")(b)
+        if name in ("d", "deldbar"):
+            return self.total_d(b) if name == "d" else self.deldbar_op(b)
+        return self.cached((name, b), lambda: self._convert(Op(src=(b,), dst=(shifted(b, name),),
+                                                                mat=self.ops.map(name, b))))
 
     def into(self, name: str, b: Degree, star: bool = False) -> Op:
         """The differential `name` entering A^b (zero-column at the range
         ends), or with `star` its adjoint."""
-        s = SHIFTS[name]
-        return self.out(name, b - s if name == "d" else (b[0] - s[0], b[1] - s[1]), star)
+        return self.out(name, b - 1 if name == "d" else shifted(b, name, -1), star)
 
     def ker(self, name: str, b: Bidegree, star: bool = False) -> Mat:
         """ker T in A^b: T the map `name` leaving A^b, or with `star` the
@@ -159,8 +144,8 @@ class NumericSetting(ExactSetting):
         return Op(src=op.src, dst=op.dst, mat=op.mat.to_numpy() * self.scale)
 
     def deldbar_op(self, b: Bidegree) -> Op:
-        p, q = b
-        return self.cached(("deldbar", b), lambda: compose(self.del_op((p, q + 1)), self.delbar_op(b)))
+        return self.cached(("deldbar", b), lambda: compose(self.out("del", shifted(b, "delbar")),
+                                                           self.out("delbar", b)))
 
     def total_d(self, k: int) -> Op:
         return self.cached(("d", k), lambda: self._convert(self.exact.total_d(k)))

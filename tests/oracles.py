@@ -25,8 +25,8 @@ from abch.laplacians import (
     BC_KINDS,
     DEFAULT_SEED,
     LaplacianKind,
-    _down,
     _sq,
+    _sum,
     assemble,
     gram_norms,
     harmonic_characterization,
@@ -196,7 +196,7 @@ def kahler_identities(setting: ExactSetting) -> Dict[str, bool]:
                 ok_anti = False
             lap_dbar = assemble(setting, LaplacianKind.DELBAR, b)
             tilde = assemble(setting, LaplacianKind.BC_TILDE, b)
-            concise = add_ops(_sq(lap_dbar), _down(setting, ("del", "delbar"), b))
+            concise = add_ops(_sq(lap_dbar), _sum(setting, ("del", "delbar"), b, True))
             if not (tilde.mat - concise.mat).is_zero():
                 ok_tilde = False
             kernels = [harmonic_space(setting, kind, b) for kind in ALL_KINDS if kind is not LaplacianKind.D]
@@ -216,7 +216,7 @@ def box_kernel_intersection(setting: ExactSetting, b: Bidegree) -> bool:
     """ker box_BC equals ker(delbar* del*) ∩ ker(del* del + delbar* delbar):
     the kernel of a sum of P_j* P_j is the intersection of the ker P_j."""
     P1 = setting.into("deldbar", b, True)
-    P2 = _down(setting, ("del", "delbar"), b)
+    P2 = _sum(setting, ("del", "delbar"), b, True)
     box = assemble(setting, LaplacianKind.BC_BOX, b)
     lhs = box.mat.nullspace()
     rhs = intersect_many([P1.mat.nullspace(), P2.mat.nullspace()])

@@ -78,11 +78,12 @@ def test_criterion_1_complex_identities():
         n = comp.n
         for p, q in bidegrees(n):
             b = (p, q)
-            if not (comp.del_((p + 1, q)) @ comp.del_(b)).is_zero():
+            if not (comp.map("del", (p + 1, q)) @ comp.map("del", b)).is_zero():
                 failures.append(f"{name} del^2 at {b}")
-            if not (comp.delbar((p, q + 1)) @ comp.delbar(b)).is_zero():
+            if not (comp.map("delbar", (p, q + 1)) @ comp.map("delbar", b)).is_zero():
                 failures.append(f"{name} delbar^2 at {b}")
-            anti = comp.del_((p, q + 1)) @ comp.delbar(b) + comp.delbar((p + 1, q)) @ comp.del_(b)
+            anti = (comp.map("del", (p, q + 1)) @ comp.map("delbar", b)
+                    + comp.map("delbar", (p + 1, q)) @ comp.map("del", b))
             if not anti.is_zero():
                 failures.append(f"{name} anticommutator at {b}")
     conclude(1, "complex identities exactly zero on all fixtures", failures)

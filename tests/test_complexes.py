@@ -136,21 +136,21 @@ def test_torus_differentials_vanish():
     comp = build_complex(TORUS2)
     for p in range(3):
         for q in range(3):
-            assert comp.del_((p, q)).is_zero()
-            assert comp.delbar((p, q)).is_zero()
+            assert comp.map("del", (p, q)).is_zero()
+            assert comp.map("delbar", (p, q)).is_zero()
 
 
 def test_iwasawa_del_rank_one(iwasawa):
-    m = iwasawa.del_((1, 0))
+    m = iwasawa.map("del", (1, 0))
     # columns phi1, phi2, phi3 -> rows (1,2),(1,3),(2,3) of A^{2,0}
     expected = Mat.from_entries(3, 3, {(0, 2): QQi(-1)})
     assert m == expected
     assert m.rank() == 1
-    assert iwasawa.delbar((1, 0)).is_zero()
+    assert iwasawa.map("delbar", (1, 0)).is_zero()
 
 
 def test_kt_delbar_rank_one(kt):
-    m = kt.delbar((1, 0))
+    m = kt.map("delbar", (1, 0))
     # phi2 maps to phi1 ^ phibar1
     col = m.col(1)
     assert col[monomial_index(2, (1,), (1,))] == QQi(1)
@@ -164,9 +164,10 @@ def test_complex_identities_all_fixtures():
         for p in range(n + 1):
             for q in range(n + 1):
                 b = (p, q)
-                assert (comp.del_((p + 1, q)) @ comp.del_(b)).is_zero()
-                assert (comp.delbar((p, q + 1)) @ comp.delbar(b)).is_zero()
-                anti = comp.del_((p, q + 1)) @ comp.delbar(b) + comp.delbar((p + 1, q)) @ comp.del_(b)
+                assert (comp.map("del", (p + 1, q)) @ comp.map("del", b)).is_zero()
+                assert (comp.map("delbar", (p, q + 1)) @ comp.map("delbar", b)).is_zero()
+                anti = (comp.map("del", (p, q + 1)) @ comp.map("delbar", b)
+                        + comp.map("delbar", (p + 1, q)) @ comp.map("del", b))
                 assert anti.is_zero()
 
 
@@ -182,8 +183,8 @@ def test_conjugation_intertwines(iwasawa, kt):
         n = comp.n
         for p in range(n + 1):
             for q in range(n + 1):
-                lhs = conjugation_matrix(n, p + 1, q) @ comp.del_((p, q)).conj()
-                rhs = comp.delbar((q, p)) @ conjugation_matrix(n, p, q)
+                lhs = conjugation_matrix(n, p + 1, q) @ comp.map("del", (p, q)).conj()
+                rhs = comp.map("delbar", (q, p)) @ conjugation_matrix(n, p, q)
                 assert lhs == rhs
 
 
@@ -257,11 +258,11 @@ def _assert_matches_oracle(model):
     (random structure constants need not satisfy d^2 = 0)."""
     n = model.n
     mats = _differentials(model)
-    for part, which in enumerate(("del", "delbar")):
-        for (p, q), M in mats[part].items():
+    for which in ("del", "delbar"):
+        for (p, q), M in mats[which].items():
             for j, m in enumerate(monomial_basis(n, p, q)):
                 assert tuple(M.col(j)) == _oracle_leibniz_column(model, m, which).coeffs, (which, m)
-    assert len(mats[0]) == n * (n + 1) and len(mats[1]) == n * (n + 1)
+    assert len(mats["del"]) == n * (n + 1) and len(mats["delbar"]) == n * (n + 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -77,8 +77,8 @@ def test_trivial_cover_is_base_complex():
     st = fc.settings[0]
     for p in range(2):
         for q in range(2):
-            assert st.del_op((p, q)).mat.is_zero()
-            assert st.delbar_op((p, q)).mat.is_zero()
+            assert st.out("del", (p, q)).mat.is_zero()
+            assert st.out("delbar", (p, q)).mat.is_zero()
 
 
 def test_mode_complex_identities(cover2):
@@ -87,9 +87,10 @@ def test_mode_complex_identities(cover2):
         for p in range(2):
             for q in range(2):
                 b = (p, q)
-                assert (ops.del_((p + 1, q)) @ ops.del_(b)).is_zero()
-                assert (ops.delbar((p, q + 1)) @ ops.delbar(b)).is_zero()
-                anti = ops.del_((p, q + 1)) @ ops.delbar(b) + ops.delbar((p + 1, q)) @ ops.del_(b)
+                assert (ops.map("del", (p + 1, q)) @ ops.map("del", b)).is_zero()
+                assert (ops.map("delbar", (p, q + 1)) @ ops.map("delbar", b)).is_zero()
+                anti = (ops.map("del", (p, q + 1)) @ ops.map("delbar", b)
+                        + ops.map("delbar", (p + 1, q)) @ ops.map("del", b))
                 assert anti.is_zero()
 
 
@@ -97,7 +98,7 @@ def test_twist_matches_frequency(cover2):
     # the (0,0) -> (1,0) reduced matrix is multiplication by i mu^{1,0}
     for md, st in zip(cover2.modes, cover2.settings):
         a, b = md.mu
-        m = st.del_op((0, 0)).mat
+        m = st.out("del", (0, 0)).mat
         assert m.rows[0][0] == QQi(Fraction(b, 2), Fraction(a, 2))
 
 
@@ -108,7 +109,7 @@ def _assert_twists_are_wedges(ops):
     xis = (FormVector(n, (1, 0), ops.mode.c10), FormVector(n, (0, 1), ops.mode.c01))
     for p in range(n + 1):
         for q in range(n + 1):
-            for M, xi in zip((ops.del_((p, q)), ops.delbar((p, q))), xis):
+            for M, xi in zip((ops.map("del", (p, q)), ops.map("delbar", (p, q))), xis):
                 for j, m in enumerate(monomial_basis(n, p, q)):
                     try:
                         want = wedge(xi, FormVector.monomial(n, m)).coeffs
@@ -425,7 +426,7 @@ def test_the_zero_mode_index(cover, metric):
     assert fc.modes[fc.zero].is_zero and 0 < fc.zero < fc.mode_count() - 1
     # the untwisted mode: its differentials are those of the flat torus, zero
     st = fc.settings[fc.zero]
-    assert all(st.del_op(b).mat.is_zero() and st.delbar_op(b).mat.is_zero() for b in [(0, 0), (0, 1), (1, 0)])
+    assert all(st.out("del", b).mat.is_zero() and st.out("delbar", b).mat.is_zero() for b in [(0, 0), (0, 1), (1, 0)])
     assert fc.zero_mode_kernel(LaplacianKind.BC, (0, 0)) is fc.mode_kernels(LaplacianKind.BC, (0, 0))[fc.zero]
 
 

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from abch.complexes import Memo, build_complex, total_bidegrees
+from abch.complexes import Memo, Op, build_complex, total_bidegrees
 from abch.linalg import Mat, subspace_eq
 from abch.metric import HermitianMetric, NumericMetric, cholesky_factor, diagonal_metric, identity_metric, parse_metric
 from abch.model import parse_model
@@ -29,8 +29,7 @@ from abch.laplacians import (
     prestage_box_check,
     spectral_gap,
     spectrum,
-    _down,
-    _up,
+    _sum,
 )
 from oracles import (
     box_kernel_intersection,
@@ -136,7 +135,7 @@ def test_a_family_reads_one_memoised_second_order_sum_and_corner(monkeypatch, fa
     s = settings_for(IWASAWA)
     if backend == "numeric":
         s = NumericSetting(s)
-    kinds, lo, hi = (BC_KINDS, _down, _up) if family == "bc" else (A_KINDS, _up, _down)
+    kinds, leaving = (BC_KINDS, True) if family == "bc" else (A_KINDS, False)
     b = (1, 1)
     read = {}
     compose, add_ops = abch.laplacians.compose, abch.laplacians.add_ops
@@ -152,7 +151,7 @@ def test_a_family_reads_one_memoised_second_order_sum_and_corner(monkeypatch, fa
     for kind in kinds:
         read[kind] = []
         assemble(s, kind, b)
-    second, corner = lo(s, ("del", "delbar"), b), hi(s, ("deldbar",), b)
+    second, corner = _sum(s, ("del", "delbar"), b, leaving), _sum(s, ("deldbar",), b, not leaving)
     for kind in kinds:
         assert any(op is second for op in read[kind]), kind
         assert any(op is corner for op in read[kind]), kind
@@ -190,6 +189,30 @@ def test_non_hermitian_symmetrisation_is_a_verification_failure(monkeypatch, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert "verification failure: Gram-symmetrised operator is not Hermitian" in err
+
+
+def test_a_negative_eigenvalue_is_a_verification_failure(monkeypatch, capsys):
+    # a Laplacian is positive semidefinite: an eigenvalue at or below minus
+    # the zero threshold raises, where it would otherwise be left out of the
+    # zero multiplicity and the gap; a rounding-size one is still a zero
+    with pytest.raises(AssertionError, match="not positive semidefinite: eigenvalue -2"):
+        spectrum(-np.diag([1.0, 2.0, 0.0]), cholesky_factor(np.eye(3)))
+    assert list(spectrum(np.diag([-1e-13, 1.0]), cholesky_factor(np.eye(2)))) == [0.0, 1.0]
+    # every float Laplacian negated: still Gram-self-adjoint, with the exact
+    # kernel's zero multiplicity, so only this check sees it (exit 1)
+    real = abch.laplacians.assemble
+
+    def negated(setting, kind, b):
+        op = real(setting, kind, b)
+        return Op(op.src, op.dst, -op.mat) if isinstance(setting, NumericSetting) else op
+
+    monkeypatch.setattr(abch.laplacians, "assemble", negated)
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "kodaira_thurston.cplx")
+    assert main(["spectra", path, "--pq", "1,1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line.split(":")[0] for line in err.splitlines()] == ["verification failure"]
+    assert "Laplacian is not positive semidefinite" in err
 
 
 

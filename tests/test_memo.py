@@ -29,7 +29,7 @@ def _cover():
 
 # read -> (a fresh object, the Memo that owns the entry, one read of it)
 READS = {
-    "BigradedComplex.deldbar": (_iwasawa_dense3, lambda s: s.ops, lambda s: s.ops.deldbar((1, 0))),
+    "BigradedComplex.map": (_iwasawa_dense3, lambda s: s.ops, lambda s: s.ops.map("deldbar", (1, 0))),
     "HermitianMetric.gram_space": (_iwasawa_dense3, lambda s: s.metric, lambda s: s.metric.gram_space(SPACE)),
     "HermitianMetric.gram_inv_space": (_iwasawa_dense3, lambda s: s.metric,
                                        lambda s: s.metric.gram_inv_space(SPACE)),

@@ -207,7 +207,7 @@ def test_adjoint_property_random_forms():
     s = ExactSetting(comp, m)
     rng = np.random.default_rng(23)
     for b in [(1, 0), (1, 1), (2, 1)]:
-        for op in (s.del_op(b), s.delbar_op(b), s.deldbar_op(b)):
+        for op in (s.out("del", b), s.out("delbar", b), s.deldbar_op(b)):
             adj = s.adjoint(op)
             G_src = s.gram(op.src)
             G_dst = s.gram(op.dst)
@@ -227,23 +227,23 @@ def test_star_formula_for_adjoints():
         n = 3
         for p in range(n + 1):
             for q in range(n + 1):
-                dl = s.del_op((p, q))
+                dl = s.out("del", (p, q))
                 # -*delbar*: A^{p+1,q} -> A^{n-q,n-p-1} -> A^{n-q,n-p} -> A^{p,q}
                 s1 = m.star((p + 1, q))
-                mid = comp.delbar((n - q, n - p - 1))
+                mid = comp.map("delbar", (n - q, n - p - 1))
                 s2 = m.star((n - q, n - p))
                 via_star = (s2.mat @ (mid @ s1.mat)).scale(QQi(-1))
                 assert via_star == s.adjoint(dl).mat
-                db = s.delbar_op((p, q))
+                db = s.out("delbar", (p, q))
                 t1 = m.star((p, q + 1))
-                tmid = comp.del_((n - q - 1, n - p))
+                tmid = comp.map("del", (n - q - 1, n - p))
                 t2 = m.star((n - q, n - p))
                 via_star2 = (t2.mat @ (tmid @ t1.mat)).scale(QQi(-1))
                 assert via_star2 == s.adjoint(db).mat
                 # adjoint of the corner composition
                 corner = s.deldbar_op((p, q))
                 lhs = s.adjoint(corner).mat
-                rhs = s.adjoint(s.delbar_op((p, q))).mat @ s.adjoint(s.del_op((p, q + 1))).mat
+                rhs = s.adjoint(s.out("delbar", (p, q))).mat @ s.adjoint(s.out("del", (p, q + 1))).mat
                 assert lhs == rhs
 
 
@@ -280,7 +280,7 @@ def test_iwasawa_delbar_star_hand_value():
     # matching the Gram adjoint of delbar: A^{0,1} -> A^{0,2}
     comp = build_complex(IWASAWA)
     s = ExactSetting(comp, identity_metric(3))
-    adj = s.adjoint(s.delbar_op((0, 1)))
+    adj = s.adjoint(s.out("delbar", (0, 1)))
     from abch.complexes import basis_index, Monomial as Mono
 
     src_idx = basis_index(3, 0, 2)[Mono((), (1, 2))]
@@ -298,11 +298,11 @@ def test_numeric_star_adjoint_residual():
     n = 3
     for p in range(n + 1):
         for q in range(n + 1):
-            dl = ns.del_op((p, q))
+            dl = ns.out("del", (p, q))
             if dl.mat.size == 0:
                 continue
             s1 = em.star((p + 1, q)).mat.to_numpy()
-            mid = comp.delbar((n - q, n - p - 1)).to_numpy()
+            mid = comp.map("delbar", (n - q, n - p - 1)).to_numpy()
             s2 = em.star((n - q, n - p)).mat.to_numpy()
             via_star = -(s2 @ mid @ s1)
             adj = ns.adjoint(dl).mat
@@ -394,7 +394,7 @@ def test_memoised_adjoints_match_uncached_formula():
         assert s.out(name, b, True) is adj
         assert adj == s.adjoint(op)
     # a composite is not memoised, but has the same adjoint
-    corner = compose(s.del_op((0, 1)), s.delbar_op((0, 0)))
+    corner = compose(s.out("del", (0, 1)), s.out("delbar", (0, 0)))
     assert s.adjoint(corner) is not s.adjoint(corner)
     assert s.adjoint(corner).mat == s.adjoint(s.deldbar_op((0, 0))).mat
 
@@ -433,11 +433,11 @@ def test_del_delbar_is_multiplied_once_per_complex():
         for q in range(4):
             b = (p, q)
             op = s.deldbar_op(b)
-            assert op.mat is comp.deldbar(b)
+            assert op.mat is comp.map("deldbar", b)
             assert (op.src, op.dst) == ((b,), ((p + 1, q + 1),))
-            assert op.mat == compose(s.del_op((p, q + 1)), s.delbar_op(b)).mat
+            assert op.mat == compose(s.out("del", (p, q + 1)), s.out("delbar", b)).mat
             nop = ns.deldbar_op(b)
-            assert np.array_equal(nop.mat, ns.del_op((p, q + 1)).mat @ ns.delbar_op(b).mat)
+            assert np.array_equal(nop.mat, ns.out("del", (p, q + 1)).mat @ ns.out("delbar", b).mat)
             assert np.allclose(nop.mat, 9.0 * op.mat.to_numpy(), rtol=0, atol=1e-12)
 
 

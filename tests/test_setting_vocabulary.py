@@ -8,11 +8,11 @@ import os
 import numpy as np
 import pytest
 
-from abch.complexes import build_complex
+from abch.complexes import SHIFTS, Op, build_complex
 from abch.laplacians import ALL_KINDS, assemble
 from abch.metric import HermitianMetric, NumericMetric, load_metric, parse_metric
 from abch.model import load_model
-from abch.setting import SHIFTS, ExactSetting, NumericSetting
+from abch.setting import ExactSetting, NumericSetting
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 BIGRADED = ("del", "delbar", "deldbar")
@@ -32,16 +32,21 @@ def setting(request):
 
 
 def old_out(s, name, b):
-    return {"del": s.del_op, "delbar": s.delbar_op, "deldbar": s.deldbar_op}[name](b)
+    # the complex's matrix with its target written out, converted as the
+    # setting converts (a numeric one scales floats); del delbar is the
+    # product of its two factors, in the setting's own arithmetic
+    p, q = b
+    if name == "deldbar":
+        return Op(src=(b,), dst=((p + 1, q + 1),),
+                  mat=old_out(s, "del", (p, q + 1)).mat @ old_out(s, "delbar", b).mat)
+    mat = s.ops.map(name, b)
+    return Op(src=(b,), dst=((p + 1, q) if name == "del" else (p, q + 1),),
+              mat=mat.to_numpy() * s.scale if isinstance(s, NumericSetting) else mat)
 
 
 def old_into(s, name, b):
     p, q = b
-    if name == "del":
-        return s.del_op((p - 1, q))
-    if name == "delbar":
-        return s.delbar_op((p, q - 1))
-    return s.deldbar_op((p - 1, q - 1))
+    return old_out(s, name, {"del": (p - 1, q), "delbar": (p, q - 1), "deldbar": (p - 1, q - 1)}[name])
 
 
 def bidegrees(n):
@@ -53,7 +58,7 @@ def same_op(a, b):
 
 
 def test_shifts_are_the_raised_bidegrees(setting):
-    assert SHIFTS == {"del": (1, 0), "delbar": (0, 1), "deldbar": (1, 1), "d": 1}
+    assert SHIFTS == {"del": (1, 0), "delbar": (0, 1), "deldbar": (1, 1)}
     for name in BIGRADED:
         for p, q in bidegrees(setting.n):
             s = SHIFTS[name]
