@@ -12,11 +12,12 @@ cross-check to `cohomology`; `spectra` always runs and cross-checks both
 backends, and every other command ignores the option.  Options may come
 anywhere on the line, as `--opt value` or `--opt=value`, abbreviated to any
 unique prefix; a repeated option keeps its last value.  Exit code 0 means
-all requested verifications passed, 1 a verification failure or a fault in
-abch, 2 an input error, including a malformed command line.
-Output is byte-identical across runs for a fixed configuration; the sampling
-seed defaults to 271828 and `ABCH_TOL_REL` overrides the relative zero
-tolerance (default 1e-9).
+every check passed; 1 a failed check, named in the report's `failures` (in
+md, its `failure:` lines) or on stderr, or a fault in abch; 2 an input
+error, including a malformed command line, a negative `--seed` and a
+`--samples` outside 0..10000.  Output is byte-identical across runs for a
+fixed configuration; the sampling seed defaults to 271828 and
+`ABCH_TOL_REL` overrides the relative zero tolerance (default 1e-9).
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from abch.covering import (
     load_cover,
     metric_independence_check,
 )
-from abch.laplacians import ALL_KINDS, DEFAULT_SAMPLES, DEFAULT_SEED, EigSolverFailure, LaplacianBundle
+from abch.laplacians import ALL_KINDS, DEFAULT_SAMPLES, DEFAULT_SEED, MAX_SAMPLES, EigSolverFailure, LaplacianBundle
 from abch.linalg import Mat
 from abch.metric import HermitianMetric, NotHermitian, NotPositiveDefinite, load_metric
-from abch.model import ModelError, load_model
+from abch.model import InputTooLarge, ModelError, load_model
 from abch.scalars import QQi
 from abch.setting import ExactSetting, NumericSetting
 from abch import cohomology as coh
@@ -79,7 +80,12 @@ def _load_setting(args) -> Tuple[ExactSetting, str]:
     return ExactSetting(comp, metric), model.name or args.path
 
 
-def _emit(args, lines: List[str], payload: dict, failures: List[str]) -> int:
+def _emit(args, lines: List[str], payload: dict, checks: Dict[str, bool]) -> int:
+    """Write the report and return its exit code.  `checks` maps the failure
+    line of each verification, in report order, to whether it holds; the
+    lines of those that fail are the JSON `failures` and the md `failure:`
+    lines after `RESULT`, and any of them makes the exit code 1."""
+    failures = [line for line, ok in checks.items() if not ok]
     if args.format == "json":
         payload = dict(payload)
         payload["schema"] = reporting.REPORT_SCHEMA
@@ -88,10 +94,7 @@ def _emit(args, lines: List[str], payload: dict, failures: List[str]) -> int:
     elif args.format == "csv":
         text = "\n".join(lines) + "\n"
     else:
-        body = list(lines)
-        body.append("RESULT: " + ("PASS" if not failures else "FAIL"))
-        for f in failures:
-            body.append(f"failure: {f}")
+        body = lines + ["RESULT: " + ("FAIL" if failures else "PASS")] + [f"failure: {f}" for f in failures]
         text = "\n".join(body) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -105,15 +108,12 @@ def cmd_check(args) -> int:
     setting, name = _load_setting(args)
     comp = setting.ops
     n = comp.n
-    failures: List[str] = []
     conj_ok = all(conjugation_matrix(n, *shifted((p, q), "del")) @ comp.map("del", (p, q)).conj()
                   == comp.map("delbar", (q, p)) @ conjugation_matrix(n, p, q) for p, q in bidegrees(n))
-    if not conj_ok:
-        failures.append("conjugation does not intertwine del and delbar")
     lines = [f"# check {name}", "", f"- complex identities: ok (certified during assembly)",
              f"- conjugation intertwines del/delbar: {'ok' if conj_ok else 'FAIL'}", ""]
     payload = {"command": "check", "model": name, "conjugation_ok": conj_ok}
-    return _emit(args, lines, payload, failures)
+    return _emit(args, lines, payload, {"conjugation does not intertwine del and delbar": conj_ok})
 
 
 def cmd_cohomology(args) -> int:
@@ -121,17 +121,13 @@ def cmd_cohomology(args) -> int:
     n = setting.n
     tables = coh.all_tables(setting)
     sym = coh.table_symmetries(tables, n)
-    failures: List[str] = []
     hodge_ok = coh.harmonic_dims(setting) == tables
-    if not hodge_ok:
-        failures.append("harmonic dimensions differ from rank-nullity dimensions")
-    for k, v in sym.items():
-        if not v:
-            failures.append(f"table symmetry violated: {k}")
+    checks = {"harmonic dimensions differ from rank-nullity dimensions": hodge_ok,
+              **{f"table symmetry violated: {k}": v for k, v in sym.items()}}
     if args.backend == "both":
         numeric = NumericSetting(setting)
         for b in bidegrees(n):
-            failures.extend(LaplacianBundle.build(setting, numeric, b).crosscheck())
+            checks.update(dict.fromkeys(LaplacianBundle.build(setting, numeric, b).crosscheck(), False))
     lines = [f"# cohomology {name}", ""]
     for t in ("bc", "a", "del", "delbar"):
         lines += reporting.grid_md(f"h_{t}", tables[t])
@@ -151,7 +147,7 @@ def cmd_cohomology(args) -> int:
         for t in ("bc", "a", "del", "delbar"):
             lines += reporting.render_csv_grid(f"h_{t}", tables[t])
         lines += reporting.render_csv_grid("betti", [tables["deRham"]])
-    return _emit(args, lines, payload, failures)
+    return _emit(args, lines, payload, checks)
 
 
 def cmd_spectra(args) -> int:
@@ -160,12 +156,12 @@ def cmd_spectra(args) -> int:
     numeric = NumericSetting(setting)
     pq = _parse_pq(args.pq, n)
     targets = [pq] if pq else bidegrees(n)
-    failures: List[str] = []
+    checks: Dict[str, bool] = {}
     lines = [f"# spectra {name}", ""]
     spectra_payload: Dict[str, dict] = {}
     for b in targets:
         bundle = LaplacianBundle.build(setting, numeric, b)
-        failures.extend(bundle.crosscheck())
+        checks.update(dict.fromkeys(bundle.crosscheck(), False))
         entry = {}
         for kind in ALL_KINDS:
             ev = [format(x, ".12g") for x in bundle.spectra[kind]]
@@ -188,7 +184,7 @@ def cmd_spectra(args) -> int:
         "metric_hash": reporting.metric_hash(setting.metric.H),
         "spectra": spectra_payload,
     }
-    return _emit(args, lines, payload, failures)
+    return _emit(args, lines, payload, checks)
 
 
 def cmd_diagram(args) -> int:
@@ -196,13 +192,12 @@ def cmd_diagram(args) -> int:
     n = setting.n
     pq = _parse_pq(args.pq, n)
     degrees = [pq[0] + pq[1]] if pq else list(range(2 * n + 1))
-    failures: List[str] = []
+    checks: Dict[str, bool] = {}
     lines = [f"# diagram {name}", ""]
     payload_arrows: Dict[str, dict] = {}
     for k in degrees:
         rep = coh.diagram_maps(setting, k)
-        if not rep.commutes:
-            failures.append(f"diagram does not commute at degree {k}")
+        checks[f"diagram does not commute at degree {k}"] = rep.commutes
         entry = {}
         for arrow_name, arrow in rep.arrows.items():
             entry[arrow_name] = {"injective": arrow.injective, "surjective": arrow.surjective}
@@ -213,13 +208,12 @@ def cmd_diagram(args) -> int:
                                   "all_isomorphisms": rep.all_isomorphisms}
     lines.append("")
     payload = {"command": "diagram", "model": name, "degrees": payload_arrows}
-    return _emit(args, lines, payload, failures)
+    return _emit(args, lines, payload, checks)
 
 
 def cmd_ddbar(args) -> int:
     setting, name = _load_setting(args)
     rep = coh.ddbar_conditions(setting)
-    failures: List[str] = []
     lines = [f"# ddbar {name}", ""]
     for cond in coh.CONDITION_NAMES:
         lines.append(f"- condition {cond}: {rep['holds'][cond]}")
@@ -228,7 +222,7 @@ def cmd_ddbar(args) -> int:
         lines.append(f"- witness for {cond} at {w['bidegree']}: [{', '.join(w['form'])}]")
     lines.append("")
     payload = {"command": "ddbar", "model": name, **rep}
-    return _emit(args, lines, payload, failures)
+    return _emit(args, lines, payload, {"the del-delbar conditions disagree": rep["all_agree"]})
 
 
 def cmd_inequality(args) -> int:
@@ -236,19 +230,15 @@ def cmd_inequality(args) -> int:
     grids = coh.abc_subspaces(setting)
     seqs = coh.exact_sequence_reports(setting)
     rep = coh.inequality_report(setting)
-    failures: List[str] = []
-    if not grids.routes_agree:
-        failures.append("intersection and quotient dimensions disagree")
-    if not grids.conjugation_ok:
-        failures.append("conjugation symmetry of subspace grids fails")
-    if not seqs["all_exact"]:
-        failures.append("an exact sequence fails")
-    if not rep.identity_holds:
-        failures.append("h_bc + h_a != h_del + h_delbar + a + f somewhere")
-    if not rep.criterion_consistent:
-        failures.append("equality criterion mismatch")
-    if any(rk < tb for (_, _, rk), tb in zip(rep.degree_sums, rep.twice_betti)):
-        failures.append("sum of h_bc + h_a < 2 b_k at some degree k")
+    checks = {
+        "intersection and quotient dimensions disagree": grids.routes_agree,
+        "conjugation symmetry of subspace grids fails": grids.conjugation_ok,
+        "an exact sequence fails": seqs["all_exact"],
+        "h_bc + h_a != h_del + h_delbar + a + f somewhere": rep.identity_holds,
+        "equality criterion mismatch": rep.criterion_consistent,
+        "sum of h_bc + h_a < 2 b_k at some degree k":
+            all(rk >= tb for (_, _, rk), tb in zip(rep.degree_sums, rep.twice_betti)),
+    }
     lines = [f"# inequality {name}", ""]
     for x in "abcdef":
         lines += reporting.grid_md(f"dim {x}", grids.dims[x])
@@ -277,7 +267,7 @@ def cmd_inequality(args) -> int:
         for x in "abcdef":
             lines += reporting.render_csv_grid(f"dim_{x}", grids.dims[x])
         lines += reporting.render_csv_grid("defect", rep.defect)
-    return _emit(args, lines, payload, failures)
+    return _emit(args, lines, payload, checks)
 
 
 def cmd_abc(args) -> int:
@@ -287,17 +277,15 @@ def cmd_abc(args) -> int:
     if pq is None:
         raise ModelError("`abc` needs --pq P,Q")
     fc = coh.full_abc_complex(setting, pq)
-    failures: List[str] = []
-    if fc.h != fc.harmonic_dims:
-        failures.append("node cohomology differs from harmonic dimension")
-    if fc.euler_spaces != fc.euler_h:
-        failures.append("Euler characteristics disagree")
     p, q = pq
-    if fc.node_bc is not None and fc.node_bc != coh._rank_nullity(setting, "bc", (p, q)):
-        failures.append("corner node does not reproduce the Bott-Chern dimension")
-    if (fc.node_a is not None and p >= 1 and q >= 1
-            and fc.node_a != coh._rank_nullity(setting, "a", (p - 1, q - 1))):
-        failures.append("pre-corner node does not reproduce the Aeppli dimension")
+    checks = {
+        "node cohomology differs from harmonic dimension": fc.h == fc.harmonic_dims,
+        "Euler characteristics disagree": fc.euler_spaces == fc.euler_h,
+        "corner node does not reproduce the Bott-Chern dimension":
+            fc.node_bc is None or fc.node_bc == coh._rank_nullity(setting, "bc", (p, q)),
+        "pre-corner node does not reproduce the Aeppli dimension": fc.node_a is None or p < 1 or q < 1
+            or fc.node_a == coh._rank_nullity(setting, "a", (p - 1, q - 1)),
+    }
     lines = [f"# abc {name} at {pq}", ""]
     lines.append("| k | space | dim | h^k | ker-laplacian |")
     lines.append("| --- | --- | --- | --- | --- |")
@@ -322,12 +310,14 @@ def cmd_abc(args) -> int:
         "node_bc": fc.node_bc,
         "node_a": fc.node_a,
     }
-    return _emit(args, lines, payload, failures)
+    return _emit(args, lines, payload, checks)
 
 
 def cmd_cover(args) -> int:
     if args.seed < 0 or args.samples < 0:
         raise ModelError("--seed and --samples must be non-negative")
+    if args.samples > MAX_SAMPLES:
+        raise InputTooLarge(f"--samples {args.samples} exceeds the limit {MAX_SAMPLES}")
     spec = load_cover(args.path)
     H = _metric_matrix(args, spec.n, "cover")
     fourier = build_cover(spec, H)
@@ -335,19 +325,15 @@ def cmd_cover(args) -> int:
     gap_rep = gap_and_closed_image(fourier, samples=args.samples, seed=args.seed)
     H2 = H.scale(QQi(2))
     mi = metric_independence_check(fourier, H2, samples=args.samples, seed=args.seed)
-    failures: List[str] = []
-    if not rep.inequality_ok:
-        failures.append("Gamma-dimension inequality fails")
-    if not rep.monotonicity_ok:
-        failures.append("Gamma-dimension monotonicity fails")
-    if not rep.harmonic_support_ok:
-        failures.append("a harmonic form lives outside the zero mode")
-    if not rep.kahler_gaps_ok:
-        failures.append("the del, delbar and d gaps break lap_del = lap_delbar = lap_d / 2")
-    if not gap_rep["all_ok"]:
-        failures.append("a spectral-gap bound fails")
-    if not (mi["gamma_dims_agree"] and mi["cross_projection_full_rank"] and mi["sampled_ratios_within_bound"]):
-        failures.append("metric independence fails")
+    checks = {
+        "Gamma-dimension inequality fails": rep.inequality_ok,
+        "Gamma-dimension monotonicity fails": rep.monotonicity_ok,
+        "a harmonic form lives outside the zero mode": rep.harmonic_support_ok,
+        "the del, delbar and d gaps break lap_del = lap_delbar = lap_d / 2": rep.kahler_gaps_ok,
+        "a spectral-gap bound fails": gap_rep["all_ok"],
+        "metric independence fails":
+            mi["gamma_dims_agree"] and mi["cross_projection_full_rank"] and mi["sampled_ratios_within_bound"],
+    }
     lines = [f"# cover {args.path}", "", f"- deck group order: {fourier.index}",
              f"- modes: {fourier.mode_count()}", ""]
     for t in ("bc", "a", "del", "delbar"):
@@ -379,7 +365,7 @@ def cmd_cover(args) -> int:
         "metric_independence": mi,
         "gap_report": gap_rep,
     }
-    return _emit(args, lines, payload, failures)
+    return _emit(args, lines, payload, checks)
 
 
 COMMANDS = {

@@ -55,6 +55,9 @@ HERMITIAN_TOL = 1e-9
 # the sampling seed and the sample count of each sampled check on a cover
 DEFAULT_SEED = 271828
 DEFAULT_SAMPLES = 200
+# 50x the default: a draw is 16 bytes x rows x samples, and a cover's spaces
+# have at most 9 rows (n <= 3), so one draw stays under 1.5 MB
+MAX_SAMPLES = 10_000
 
 
 def tol_rel() -> float:

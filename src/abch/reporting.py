@@ -9,11 +9,9 @@ output.
 dicts with `str` keys (written in sorted order), lists, tuples, `str`
 (escaped by `json`'s own C encoder), `int`, `bool`, `None` and `float` (its
 repr, with NaN and the infinities spelled `NaN`, `Infinity` and
-`-Infinity`).  Report objects are written as their JSON values: a `Fraction`
-or `QQi` as its canonical string, an `ndarray` as its nested list, an
-`np.integer` as an int, and a `Mat` as the `abch-matrix-1` object of
-`matrix_payload`.  Any other value, and any key that is not a `str`, raises
-`TypeError`.
+`-Infinity`).  A `Fraction` is written as its canonical string and a `Mat`
+as the `abch-matrix-1` object of `matrix_payload`.  Any other value, and
+any key that is not a `str`, raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -24,10 +22,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, inf
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from abch.linalg import Mat
-from abch.scalars import QQi, render_coeff
+from abch.scalars import render_coeff
 
 MATRIX_SCHEMA = "abch-matrix-1"
 REPORT_SCHEMA = "abch-report-1"
@@ -115,12 +111,6 @@ def _write(o, nl: str, out: List[str]) -> None:
         out.append(matrix_payload(o, nl))
     elif isinstance(o, Fraction):
         out.append(_quote(str(o)))
-    elif isinstance(o, QQi):
-        out.append(_quote(render_coeff(o)))
-    elif isinstance(o, np.ndarray):
-        _write(o.tolist(), nl, out)
-    elif isinstance(o, np.integer):
-        out.append(int.__repr__(int(o)))
     else:
         raise TypeError(f"{type(o).__name__} is not JSON serializable")
 

@@ -11,7 +11,7 @@ import pytest
 from abch import cli, cohomology
 from abch.cli import main
 from abch.complexes import Op
-from abch.laplacians import LaplacianBundle
+from abch.laplacians import MAX_SAMPLES, LaplacianBundle
 from abch.linalg import Mat
 from abch.scalars import ONE
 from abch.setting import ExactSetting
@@ -133,6 +133,11 @@ def test_cover_rejects_a_negative_seed_or_sample_count(capsys):
         assert code == 2
         assert out == ""
         assert "must be non-negative" in err
+    # the cap is checked before any cover is built or any sample drawn
+    code, out, err = run(capsys, "cover", fx("index2.cover"), "--samples", str(MAX_SAMPLES + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --samples {MAX_SAMPLES + 1} exceeds the limit {MAX_SAMPLES}\n"
 
 
 def test_a_ragged_or_wrong_size_lattice_exits_two(capsys, tmp_path):
@@ -260,6 +265,9 @@ REPORT_FAILURES = {
     "cohomology_symmetry": (
         ["cohomology", fx("torus2.cplx")], (cohomology, "table_symmetries"), _flip(star_duality=False),
         "table symmetry violated: star_duality"),
+    "ddbar_agreement": (
+        ["ddbar", fx("torus2.cplx")], (cohomology, "ddbar_conditions"), _flip(all_agree=False),
+        "the del-delbar conditions disagree"),
     "diagram_commutes": (
         ["diagram", fx("torus2.cplx"), "--pq", "1,1"], (cohomology, "diagram_maps"), _flip(commutes=False),
         "diagram does not commute at degree 2"),
@@ -322,6 +330,21 @@ def test_a_failed_check_in_a_report_fails_the_command(capsys, monkeypatch, case)
     code, out, _ = run(capsys, *argv)
     assert code == 1
     assert out.endswith(f"RESULT: FAIL\nfailure: {failure}\n")
+
+
+def test_two_failed_checks_are_reported_in_table_order(capsys, monkeypatch):
+    # the routes check comes before the identity in `inequality`'s table,
+    # whichever report fails first
+    real_grids, real_rep = cohomology.abc_subspaces, cohomology.inequality_report
+    monkeypatch.setattr(cohomology, "inequality_report", lambda s: _flip(identity_holds=False)(real_rep(s)))
+    monkeypatch.setattr(cohomology, "abc_subspaces", lambda s: _flip(routes_agree=False)(real_grids(s)))
+    expected = ["intersection and quotient dimensions disagree", "h_bc + h_a != h_del + h_delbar + a + f somewhere"]
+    code, out, _ = run(capsys, "inequality", fx("torus2.cplx"))
+    assert code == 1
+    assert out.endswith("RESULT: FAIL\n" + "".join(f"failure: {f}\n" for f in expected))
+    code, out, _ = run(capsys, "inequality", fx("torus2.cplx"), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["failures"] == expected
 
 
 @pytest.mark.parametrize("value", ["1", "a,b", "1,2,3"])

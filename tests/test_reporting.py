@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 import oracles
 from abch import reporting
@@ -34,14 +33,9 @@ def matrices(draw):
     return Mat(rows, ncols)
 
 
-arrays = hnp.arrays(
-    st.sampled_from([np.int64, np.float64, np.bool_]),
-    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
-)
 leaves = (
     text | st.integers(-(2**80), 2**80) | st.booleans() | st.none() | floats
-    | floats.map(np.float64) | fractions | qqis | st.integers(-(2**63), 2**63 - 1).map(np.int64)
-    | st.integers(0, 255).map(np.uint8) | arrays | matrices()
+    | floats.map(np.float64) | fractions | matrices()
 )
 payloads = st.recursive(
     leaves,
@@ -74,7 +68,9 @@ def test_every_entry_is_reduced_part_by_part():
 
 
 @pytest.mark.parametrize("payload", [{1: "a"}, {("a",): 1}, {"a": {None: 1}}, {"a": [object()]},
-                                     {"a": 1j}, {"a": np.float32(1.0)}, {"a": np.bool_(True)}, {"a": {1, 2}}])
+                                     {"a": 1j}, {"a": np.float32(1.0)}, {"a": np.bool_(True)}, {"a": {1, 2}},
+                                     {"a": QQi(1, 2)}, {"a": np.int64(3)}, {"a": np.uint8(3)},
+                                     {"a": np.zeros((2, 2))}, {"a": np.zeros(0)}])
 def test_anything_else_raises_type_error(payload):
     with pytest.raises(TypeError):
         reporting.render_json(payload)
