@@ -429,7 +429,6 @@ class AbcFullComplex:
     target: Bidegree
     spaces: List[Space]
     deltas: List[Op]
-    laplacians: List[Op]
     h: List[int]
     harmonic_dims: List[int]
     euler_spaces: int
@@ -463,7 +462,6 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
     # k and (delta* delta) to the order of the delta entering it, so both
     # terms have the same order
     stars = [setting.adjoint(delta) for delta in deltas]
-    laplacians: List[Op] = []
     hdims: List[int] = []
     for k in range(2 * n + 1):
         terms = []
@@ -473,9 +471,7 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
         if k < 2 * n:
             t = compose(stars[k], deltas[k])
             terms.append(compose(t, t) if k - 1 == corner else t)
-        lap = add_ops(*terms)  # n >= 1, so every node has a delta
-        laplacians.append(lap)
-        hdims.append(lap.mat.nullspace().ncols)
+        hdims.append(add_ops(*terms).mat.nullspace().ncols)  # n >= 1, so every node has a delta
     h = homology([delta.mat for delta in deltas])
 
     euler_spaces = sum((-1) ** k * setting.space_dim(spaces[k]) for k in range(2 * n + 1))
@@ -486,7 +482,6 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
         target=target,
         spaces=spaces,
         deltas=deltas,
-        laplacians=laplacians,
         h=h,
         harmonic_dims=hdims,
         euler_spaces=euler_spaces,

@@ -236,8 +236,8 @@ class Op:
 class Memo:
     """`cached(key, build)`: `build()`, stored under `key` on first request.
     A build that raises stores nothing, so a failed check fails again.  The
-    complex, the metric, its float view, the cover and each setting keep
-    what they derive in one `_memo`, each entry under a tag or a tagged tuple."""
+    complex, the metric, its float view and each setting keep what they
+    derive in one `_memo`, each entry under a tag or a tagged tuple."""
 
     def __init__(self) -> None:
         self._memo: Dict[Hashable, Any] = {}

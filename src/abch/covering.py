@@ -21,8 +21,9 @@ each mode block is the invariant Gram of the metric.  With this convention
 the Gamma-dimension (Atiyah) of a deck-invariant subspace V is dim(V)/|Gamma|:
 integrated over the base, each orthonormal vector of V contributes
 vol(base)/vol(cover) = 1/|Gamma| to the trace of the projection onto V.  The
-code checks that V is deck-invariant and returns dim(V)/|Gamma|; it does not
-evaluate the trace integral as a second, independent route.
+code takes V as one basis per mode block, on which Gamma acts by a scalar
+character, and returns dim(V)/|Gamma|; it does not evaluate the trace
+integral as a second, independent route.
 
 Every L2 harmonic form on the cover is Gamma-invariant, so it lives in the
 mode mu = 0, which always passes the radius test; `build_cover` records its
@@ -43,8 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from abch.complexes import (Bidegree, BigradedComplex, Memo, Monomial, Space, bidegrees, bigraded_maps, dim_pq, grid,
-                            total_bidegrees)
+from abch.complexes import Bidegree, BigradedComplex, Monomial, bidegrees, bigraded_maps, grid, total_bidegrees
 from abch.laplacians import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -71,10 +71,6 @@ TWO_PI = 2.0 * pi
 
 class NotASublattice(Exception):
     """sub columns do not generate a finite-index sublattice of base."""
-
-
-class NotGammaInvariant(Exception):
-    """A subspace handed to the Gamma-dimension is not deck-invariant."""
 
 
 # Limits on `.cover` input: the complex dimension of the torus, the
@@ -193,7 +189,6 @@ class Mode:
     c10: Tuple[QQi, ...]  # coefficients of i mu^{1,0} on phi_k
     c01: Tuple[QQi, ...]  # coefficients of i mu^{0,1} on phibar_k
     norm2: Fraction  # 4 h(mu^{1,0}, mu^{1,0})
-    char_key: Tuple[Fraction, ...]  # mu mod dual of the base lattice
 
     @property
     def is_zero(self) -> bool:
@@ -214,7 +209,7 @@ class ModeOps(BigradedComplex):
 
 
 @dataclass
-class FourierComplex(Memo):
+class FourierComplex:
     spec: CoveringSpec
     n: int
     index: int  # |Gamma|
@@ -223,33 +218,14 @@ class FourierComplex(Memo):
     settings: List[ExactSetting]  # reduced-scale exact, one per mode
     zero: int  # position of the mode mu = 0 in `modes`
     numeric: List[NumericSetting] = field(default_factory=list)  # true 2 pi scale
-    _memo: Dict = field(default_factory=dict, init=False, repr=False)
 
     def mode_count(self) -> int:
         return len(self.modes)
-
-    def width(self, space: Space) -> int:
-        """Dimension of one mode block of `space`."""
-        return sum(dim_pq(self.n, *b) for b in space)
-
-    def stack_modes(self, bases: Sequence[Mat], space: Space) -> Mat:
-        """One basis of `space` per mode, in mode order, placed side by side
-        in total coordinates (modes are the outer row blocks)."""
-        w = self.width(space)
-        if len(bases) != self.mode_count() or any(B.nrows != w for B in bases):
-            raise ShapeMismatch("stack_modes needs one basis of the space per mode")
-        return Mat.block_diag(bases)
 
     def mode_kernels(self, kind: LaplacianKind, b: Bidegree) -> List[Mat]:
         """Harmonic space of one Laplacian kind in each mode, in mode order
         (each memoised in its mode's setting)."""
         return [harmonic_space(st, kind, b) for st in self.settings]
-
-    def total_kernel(self, kind: LaplacianKind, b: Bidegree) -> Mat:
-        """The per-mode harmonic spaces stacked into one basis in total
-        coordinates; computed once per (kind, b)."""
-        space = total_bidegrees(self.n, sum(b)) if kind is LaplacianKind.D else (b,)
-        return self.cached(("kernel", kind, b), lambda: self.stack_modes(self.mode_kernels(kind, b), space))
 
     def zero_mode_kernel(self, kind: LaplacianKind, b: Bidegree) -> Optional[Mat]:
         """The zero mode's harmonic space of one kind, in that mode's
@@ -289,9 +265,8 @@ def build_cover(spec: CoveringSpec, H: Optional[Mat] = None) -> FourierComplex:
     if coset_count != index:
         raise AssertionError(f"coset count {coset_count} != index {index}")
 
-    # rows of S^{-T} and of B^T, as rationals
+    # rows of S^{-T}, as rationals
     SinvT = [[x.re for x in row] for row in S.inv().transpose().rows]
-    Bt = [[x.re for x in row] for row in B.transpose().rows]
 
     def mu_of(m: Sequence[int]) -> Tuple[Fraction, ...]:
         # mu = S^{-T} m
@@ -327,10 +302,7 @@ def build_cover(spec: CoveringSpec, H: Optional[Mat] = None) -> FourierComplex:
         q2 = sum((x * y * Qr[i][j] for i, x in nz for j, y in nz), Fraction(0))
         if q2 <= R2:
             c10, c01 = twist_coeffs(mu)
-            phases = tuple(
-                (sum(Bt[i][j] * mu[j] for j in range(two_n))) % 1 for i in range(two_n)
-            )
-            modes.append(Mode(m=tuple(m), mu=mu, c10=c10, c01=c01, norm2=q2, char_key=phases))
+            modes.append(Mode(m=tuple(m), mu=mu, c10=c10, c01=c01, norm2=q2))
     modes.sort(key=lambda md: md.m)
     mset = {md.m for md in modes}
     if any(tuple(-x for x in md.m) not in mset for md in modes):
@@ -347,33 +319,18 @@ def build_cover(spec: CoveringSpec, H: Optional[Mat] = None) -> FourierComplex:
 # -- Gamma-dimension ------------------------------------------------------------
 
 
-def _isotypic_classes(fourier: FourierComplex) -> Dict[Tuple, List[int]]:
-    classes: Dict[Tuple, List[int]] = {}
-    for i, md in enumerate(fourier.modes):
-        classes.setdefault(md.char_key, []).append(i)
-    return classes
-
-
-def gamma_dimension(fourier: FourierComplex, V: Mat, space: Space) -> Fraction:
-    """Von Neumann dimension dim(V)/|Gamma| of a deck-invariant subspace.
-
-    The deck group acts on the mode block of mu by the character of mu, so V
-    is invariant iff each character-isotypic part of V (V with the rows
-    outside that character's mode blocks zeroed) stays in V; otherwise
-    NotGammaInvariant is raised.  On an invariant V the Gamma-trace of the
-    orthogonal projection is rank(V)/|Gamma|, because the L2 product is
+def gamma_dimension(fourier: FourierComplex, bases: Sequence[Mat]) -> Fraction:
+    """Von Neumann dimension dim(V)/|Gamma| of the subspace V spanned by one
+    basis per mode, in mode order (each a `nullspace`, so its column count is
+    its rank).  V is deck-invariant by construction: the deck group acts on
+    the mode block of mu by the scalar character of mu, so it maps each
+    block's part of V onto itself.  The Gamma-trace of the orthogonal
+    projection onto V is rank(V)/|Gamma|, because the L2 product is
     normalised by the volume of the covering torus.
     """
-    w = fourier.width(space)
-    if V.nrows != fourier.mode_count() * w:
-        raise ShapeMismatch("basis does not live in the total coordinate layout")
-    rank_V = V.rank()
-    for idxs in _isotypic_classes(fourier).values():
-        keep = {r for i in idxs for r in range(i * w, (i + 1) * w)}
-        PV = V.take_rows([r if r in keep else None for r in range(V.nrows)])
-        if not PV.is_zero() and Mat.hstack([V, PV]).rank() != rank_V:
-            raise NotGammaInvariant("a character-isotypic projection leaves the subspace")
-    return Fraction(rank_V, fourier.index)
+    if len(bases) != fourier.mode_count():
+        raise ShapeMismatch("gamma_dimension needs one basis per mode")
+    return Fraction(sum(B.ncols for B in bases), fourier.index)
 
 
 # -- Gamma tables and verification reports -----------------------------------------
@@ -396,13 +353,13 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
     grids: Dict[str, object] = {}
     support_ok = True
     for name, kind in THEORY_KINDS.items():
-        grids[name] = grid(n, lambda b: gamma_dimension(fourier, fourier.total_kernel(kind, b), (b,)))
+        grids[name] = grid(n, lambda b: gamma_dimension(fourier, fourier.mode_kernels(kind, b)))
         support_ok = support_ok and all(fourier.zero_mode_kernel(kind, b) is not None for b in bidegrees(n))
     betti = []
     for k in range(2 * n + 1):
-        space = total_bidegrees(n, k)
-        betti.append(gamma_dimension(fourier, fourier.total_kernel(LaplacianKind.D, space[0]), space))
-        support_ok = support_ok and fourier.zero_mode_kernel(LaplacianKind.D, space[0]) is not None
+        b = total_bidegrees(n, k)[0]
+        betti.append(gamma_dimension(fourier, fourier.mode_kernels(LaplacianKind.D, b)))
+        support_ok = support_ok and fourier.zero_mode_kernel(LaplacianKind.D, b) is not None
     grids["deRham"] = betti
 
     sides = [(grids["del"][p][q] + grids["delbar"][p][q], grids["a"][p][q] + grids["bc"][p][q])
@@ -413,8 +370,7 @@ def gamma_tables(fourier: FourierComplex) -> GammaReport:
     # monotonicity on nested invariant pairs: the delbar harmonics (their grid) inside ker delbar
     mono_ok = True
     for b in bidegrees(n):
-        V = fourier.stack_modes([st.ker("delbar", b) for st in fourier.settings], (b,))
-        if grids["delbar"][b[0]][b[1]] > gamma_dimension(fourier, V, (b,)):
+        if grids["delbar"][b[0]][b[1]] > gamma_dimension(fourier, [st.ker("delbar", b) for st in fourier.settings]):
             mono_ok = False
 
     gaps, kahler_ok = gap_table(fourier)
@@ -489,9 +445,7 @@ def metric_independence_check(fc1: FourierComplex, H2: Mat, samples: int = DEFAU
     cross_full_rank = True
     for kind in (LaplacianKind.BC, LaplacianKind.A):
         for b in bidegrees(n):
-            d1 = gamma_dimension(fc1, fc1.total_kernel(kind, b), (b,))
-            d2 = gamma_dimension(fc2, fc2.total_kernel(kind, b), (b,))
-            if d1 != d2:
+            if gamma_dimension(fc1, fc1.mode_kernels(kind, b)) != gamma_dimension(fc2, fc2.mode_kernels(kind, b)):
                 agree = False
             # cross projection: harmonics live in the zero mode of both
             # complexes, so compare there with the second metric

@@ -44,7 +44,7 @@ from abch.linalg import (
     subspace_sum,
 )
 from abch.reporting import MATRIX_SCHEMA
-from abch.scalars import QQi, ZERO, render_coeff
+from abch.scalars import QQi, ZERO
 from abch.setting import ExactSetting, NumericSetting, add_ops, compose
 
 
@@ -291,12 +291,10 @@ def stack_identities(setting: ExactSetting) -> bool:
 
 
 def _encode(obj):
-    """JSON value of a report object that `json` cannot encode itself; a
-    matrix goes through its `QQi` entries."""
+    """JSON value of a report object that `json` cannot encode itself: a
+    Fraction, or a matrix through its `QQi` entries."""
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, QQi):
-        return render_coeff(obj)
     if isinstance(obj, Mat):
         return {
             "schema": MATRIX_SCHEMA,
@@ -308,10 +306,6 @@ def _encode(obj):
                 for x in row
             ],
         }
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.integer):
-        return int(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 

@@ -12,13 +12,12 @@ import pytest
 
 import abch.cli
 from abch.cli import main
-from abch.complexes import DegreeOverflow, FormVector, dim_pq, monomial_basis, total_bidegrees, wedge
+from abch.complexes import DegreeOverflow, FormVector, bidegrees, dim_pq, monomial_basis, total_bidegrees, wedge
 from abch.covering import (
     CoveringSpec,
     Mode,
     ModeOps,
     NotASublattice,
-    NotGammaInvariant,
     build_cover,
     gamma_dimension,
     gamma_tables,
@@ -30,10 +29,10 @@ from abch.covering import (
 )
 import abch.covering
 import abch.laplacians
-from abch.laplacians import LaplacianKind, assemble, spectrum
-from abch.linalg import Mat, subspace_eq
+from abch.laplacians import THEORY_KINDS, LaplacianKind, assemble, spectrum
+from abch.linalg import Mat, ShapeMismatch, subspace_eq
 from abch.metric import load_metric
-from abch.scalars import QQi, ONE
+from abch.scalars import QQi
 from abch.setting import NumericSetting
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -129,7 +128,7 @@ def test_twist_with_several_complex_coefficients_is_a_wedge():
     # the fixture modes have one nonzero coordinate each
     c = (QQi(Fraction(1, 2), 3), QQi(0, -1), QQi(Fraction(-2, 3), Fraction(1, 5)))
     zero = (Fraction(0),) * 6
-    mode = Mode(m=(0,) * 6, mu=zero, c10=c, c01=tuple(-x.conj() for x in c), norm2=Fraction(0), char_key=zero)
+    mode = Mode(m=(0,) * 6, mu=zero, c10=c, c01=tuple(-x.conj() for x in c), norm2=Fraction(0))
     _assert_twists_are_wedges(ModeOps(3, mode))
 
 
@@ -152,55 +151,50 @@ def test_mode_norm_is_the_metric_norm():
 
 
 def test_gamma_dimension_harmonics(cover2):
-    K = cover2.total_kernel(LaplacianKind.DELBAR, (0, 0))
-    assert K.ncols == 1  # zero mode only
-    assert gamma_dimension(cover2, K, ((0, 0),)) == Fraction(1, 2)
+    K = cover2.mode_kernels(LaplacianKind.DELBAR, (0, 0))
+    assert [B.ncols for B in K] == [int(i == cover2.zero) for i in range(cover2.mode_count())]  # zero mode only
+    assert gamma_dimension(cover2, K) == Fraction(1, 2)
 
 
 def test_gamma_dimension_trivial_group():
     spec = CoveringSpec(n=1, base=((1, 0), (0, 1)), sub=((1, 0), (0, 1)), radius=Fraction(1))
     fc = build_cover(spec)
-    V = fc.total_kernel(LaplacianKind.DELBAR, (0, 0))
-    assert gamma_dimension(fc, V, ((0, 0),)) == V.rank()
+    V = fc.mode_kernels(LaplacianKind.DELBAR, (0, 0))
+    assert gamma_dimension(fc, V) == Mat.block_diag(V).rank()
 
 
 def test_gamma_dimension_zero_iff_zero(cover2):
-    V = Mat.zeros(cover2.mode_count() * dim_pq(1, 0, 0), 0)
-    assert gamma_dimension(cover2, V, ((0, 0),)) == 0
-    W = cover2.total_kernel(LaplacianKind.DELBAR, (0, 0))
-    assert gamma_dimension(cover2, W, ((0, 0),)) > 0
+    assert gamma_dimension(cover2, [Mat.zeros(dim_pq(1, 0, 0), 0)] * cover2.mode_count()) == 0
+    assert gamma_dimension(cover2, cover2.mode_kernels(LaplacianKind.DELBAR, (0, 0))) > 0
 
 
 def test_gamma_dimension_additivity(cover2):
     # full mode blocks are invariant and mutually orthogonal
     w = dim_pq(1, 0, 0)
     none = [Mat.zeros(w, 0)] * (cover2.mode_count() - 1)
-    V = cover2.stack_modes([Mat.identity(w)] + none, ((0, 0),))
-    W = cover2.stack_modes(none[:1] + [Mat.identity(w)] + none[1:], ((0, 0),))
-    dv = gamma_dimension(cover2, V, ((0, 0),))
-    dw = gamma_dimension(cover2, W, ((0, 0),))
-    dvw = gamma_dimension(cover2, Mat.hstack([V, W]), ((0, 0),))
-    assert dvw == dv + dw
+    V = [Mat.identity(w)] + none
+    W = none[:1] + [Mat.identity(w)] + none[1:]
+    VW = [Mat.hstack([v, u]) for v, u in zip(V, W)]
+    assert gamma_dimension(cover2, VW) == gamma_dimension(cover2, V) + gamma_dimension(cover2, W)
 
 
-def test_not_gamma_invariant(cover2):
-    # mix two modes with different characters in a single line
-    w = dim_pq(1, 0, 0)
-    zero_idx = next(i for i, m in enumerate(cover2.modes) if m.is_zero)
-    half_idx = next(i for i, m in enumerate(cover2.modes) if m.mu == (Fraction(1, 2), Fraction(0)))
-    v = Mat.from_entries(cover2.mode_count() * dim_pq(1, 0, 0), 1, {(zero_idx * w, 0): ONE, (half_idx * w, 0): ONE})
-    with pytest.raises(NotGammaInvariant):
-        gamma_dimension(cover2, v, ((0, 0),))
-
-
-def test_integer_mu_modes_are_invariant(cover2):
-    # mu = (1,0) differs from mu = 0 by a base-dual vector: same character,
-    # so mixing those two blocks is allowed
-    w = dim_pq(1, 0, 0)
-    zero_idx = next(i for i, m in enumerate(cover2.modes) if m.is_zero)
-    one_idx = next(i for i, m in enumerate(cover2.modes) if m.mu == (Fraction(1), Fraction(0)))
-    v = Mat.from_entries(cover2.mode_count() * dim_pq(1, 0, 0), 1, {(zero_idx * w, 0): ONE, (one_idx * w, 0): ONE})
-    assert gamma_dimension(cover2, v, ((0, 0),)) == Fraction(1, 2)
+@pytest.mark.parametrize("cover, metric", [("index2.cover", None), ("index2_n2.cover", None),
+                                           ("index2.cover", "h3.herm")])
+def test_gamma_dimension_is_the_rank_of_the_block_diagonal_bases(cover, metric):
+    # the oracle places the per-mode bases in one block-diagonal matrix over
+    # every mode and takes its rank, the dimension of the subspace they span.
+    # The harmonic spaces lie in the zero mode; ker delbar, which the
+    # monotonicity check reads, spans the other modes too
+    fc = build_cover(load_cover(os.path.join(FIXTURES, cover)), _fixture_metric(metric) if metric else None)
+    cases = [(kind, b, fc.mode_kernels(kind, b)) for kind in THEORY_KINDS.values() for b in bidegrees(fc.n)]
+    cases += [(LaplacianKind.D, k, fc.mode_kernels(LaplacianKind.D, total_bidegrees(fc.n, k)[0]))
+              for k in range(2 * fc.n + 1)]
+    cases += [("ker delbar", b, [st.ker("delbar", b) for st in fc.settings]) for b in bidegrees(fc.n)]
+    for kind, b, bases in cases:
+        assert gamma_dimension(fc, bases) == Fraction(Mat.block_diag(bases).rank(), fc.index), (kind, b)
+    for wrong in (bases[1:], bases + bases[:1]):
+        with pytest.raises(ShapeMismatch):
+            gamma_dimension(fc, wrong)
 
 
 def test_gamma_tables(cover2):
@@ -413,8 +407,8 @@ def test_cover_builds_each_cover_once(monkeypatch, tmp_path):
     assert main(["cover", str(path), "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
     assert len(built) == 2
     # the kernels the report used are kept, not recomputed
-    K = built[0].total_kernel(LaplacianKind.BC, (1, 0))
-    assert built[0].total_kernel(LaplacianKind.BC, (1, 0)) is K
+    K = built[0].mode_kernels(LaplacianKind.BC, (1, 0))
+    assert all(a is b for a, b in zip(built[0].mode_kernels(LaplacianKind.BC, (1, 0)), K))
 
 
 @pytest.mark.parametrize("cover, metric", [("index2.cover", None), ("index2_n2.cover", None),

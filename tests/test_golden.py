@@ -119,6 +119,26 @@ def test_golden_report(argv, digest, tmp_path, monkeypatch):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# n = 5, 6: d phi_k = phi1 ^ phi_{k-1} for k = 3..n.  The models are written
+# into the test's own directory, not into fixtures/, which every report
+# sweep reads.
+CHAIN_GOLDEN = [
+    (5, "cohomology", "632397dfd99f656ec8ab1e8fd50cb2ba43a613db3d79da8c3f1443069e7637ba"),
+    (5, "ddbar", "c7cc728fbdfd13dfda97d800f5dbe52959ab9aac3e07c6645f9cc61f8b25411f"),
+    (6, "cohomology", "6c28be76b421bf58d56c164b2373177c6615ce4c6280efe0797aca1f4b5e3a8e"),
+    (6, "ddbar", "737d8e13aa8dbbcea294eb9ad2a5f629ac182974b31a8b74ea63c4e501922da4"),
+]
+
+
+@pytest.mark.parametrize("n,command,digest", CHAIN_GOLDEN, ids=[f"{c} n{n}_chain" for n, c, _ in CHAIN_GOLDEN])
+def test_golden_chain_report(n, command, digest, tmp_path, monkeypatch):
+    lines = [f"n = {n}", f"name = n{n}_chain", *(f"d phi{k} = phi1 ^ phi{k - 1}" for k in range(3, n + 1))]
+    (tmp_path / f"n{n}_chain.cplx").write_text("\n".join(lines) + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--format", "json", command, f"n{n}_chain.cplx", "--out", "report.json"]) == 0
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv,digest", [g for g in GOLDEN if g[0][0] == "abc"],
                          ids=[" ".join(a) for a, _ in GOLDEN if a[0] == "abc"])
 def test_abc_reads_only_the_two_cells_it_checks(argv, digest, tmp_path, monkeypatch):

@@ -7,8 +7,6 @@ import os
 import pytest
 
 from abch.complexes import build_complex
-from abch.covering import build_cover, load_cover
-from abch.laplacians import LaplacianKind
 from abch.linalg import Mat
 from abch.metric import HermitianMetric, diagonal_metric, load_metric
 from abch.model import load_model
@@ -23,10 +21,6 @@ def _iwasawa_dense3():
     return ExactSetting(build_complex(load_model(os.path.join(FIX, "iwasawa.cplx"))), HermitianMetric(n, H))
 
 
-def _cover():
-    return build_cover(load_cover(os.path.join(FIX, "index2.cover")))
-
-
 # read -> (a fresh object, the Memo that owns the entry, one read of it)
 READS = {
     "BigradedComplex.map": (_iwasawa_dense3, lambda s: s.ops, lambda s: s.ops.map("deldbar", (1, 0))),
@@ -36,7 +30,6 @@ READS = {
     "HermitianMetric.star": (_iwasawa_dense3, lambda s: s.metric, lambda s: s.metric.star((2, 1)).mat),
     "NumericMetric.gram_factor": (_iwasawa_dense3, lambda s: s.metric.numeric,
                                   lambda s: s.metric.numeric.gram_factor(SPACE)),
-    "FourierComplex.total_kernel": (_cover, lambda fc: fc, lambda fc: fc.total_kernel(LaplacianKind.BC, (1, 0))),
     "ExactSetting.out": (_iwasawa_dense3, lambda s: s, lambda s: s.out("deldbar", (1, 0), True)),
 }
 
