@@ -99,24 +99,14 @@ def table_symmetries(tables: Dict[str, list], n: int) -> Dict[str, bool]:
 # -- subspaces at a bidegree -----------------------------------------------------
 
 
-def _block_rows(setting, b: Bidegree) -> Tuple[int, int]:
-    """Offset and width of the A^{p,q} rows in degree-(p+q) coordinates."""
-    space = total_bidegrees(setting.n, b[0] + b[1])
-    return setting.space_dim(space[: space.index(b)]), setting.dim(b)
-
-
 def im_d_at(setting: ExactSetting, b: Bidegree) -> Mat:
-    """The subspace im(d) ∩ A^{p,q}: the A^{p,q} rows of d applied to the
-    kernel of its other rows, with d the degree-(p+q-1) differential."""
-
-    def build():
-        D = setting.total_d(b[0] + b[1] - 1).mat
-        off, w = _block_rows(setting, b)
-        D_other = D.take_rows([i for i in range(D.nrows) if not off <= i < off + w])
-        D_b = D.take_rows(range(off, off + w))
-        return span_basis(D_b @ D_other.nullspace())
-
-    return setting.cached(("im_d_at", b), build)
+    """The subspace im(d) ∩ A^{p,q}: the A^{p,q} rows of d from degree
+    p+q-1, applied to the kernel of its rows into the other bidegrees of
+    degree p+q (d's target is ordered with A^{p,q} first)."""
+    n, k, w = setting.n, b[0] + b[1], setting.dim(b)
+    dst = (b,) + tuple(c for c in total_bidegrees(n, k) if c != b)
+    D = d_between(setting.ops, total_bidegrees(n, k - 1), dst).mat
+    return span_basis(D.take_rows(range(w)) @ D.take_rows(range(w, D.nrows)).nullspace())
 
 
 def abcdef(setting: ExactSetting, b: Bidegree) -> Dict[str, Mat]:
@@ -458,19 +448,13 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
         if not comp.is_zero():
             raise AssertionError(f"delta^2 != 0 between nodes {k} and {k + 2}")
 
-    # at node k, (delta delta*) is raised to the order of the delta leaving
-    # k and (delta* delta) to the order of the delta entering it, so both
-    # terms have the same order
+    # the Laplacian delta delta* + delta* delta at each node k: a sum of
+    # Gram-PSD terms, so its kernel is the node's harmonic space
     stars = [setting.adjoint(delta) for delta in deltas]
     hdims: List[int] = []
     for k in range(2 * n + 1):
-        terms = []
-        if k >= 1:
-            t = compose(deltas[k - 1], stars[k - 1])
-            terms.append(compose(t, t) if k == corner else t)
-        if k < 2 * n:
-            t = compose(stars[k], deltas[k])
-            terms.append(compose(t, t) if k - 1 == corner else t)
+        terms = [compose(deltas[k - 1], stars[k - 1])] if k >= 1 else []
+        terms += [compose(stars[k], deltas[k])] if k < 2 * n else []
         hdims.append(add_ops(*terms).mat.nullspace().ncols)  # n >= 1, so every node has a delta
     h = homology([delta.mat for delta in deltas])
 

@@ -22,10 +22,16 @@ Aeppli is the dual of Bott-Chern: one code path assembles both families,
 and Aeppli exchanges the maps leaving A^{p,q} with those entering it, so
 every T* T with a T T*.
 
-All are Gram-self-adjoint and positive semidefinite.  Kernel dimensions are
-taken from the exact backend; the numeric backend computes spectra of the
-Gram-symmetrised operator and its zero-multiplicity is cross-checked against
-the exact kernel.
+All are Gram-self-adjoint and positive semidefinite, each a sum of Gram-PSD
+terms T* T (a square S^2 = S* S included), so its kernel is the common
+kernel of its factors T: that of the maps THEORY_OPS lists for its theory.
+So the three Bott-Chern kinds share one kernel, as do the three Aeppli
+kinds, and `harmonic_space` computes it once per theory, from the
+second-order Laplacian.  A matrix's row space is the annihilator of its
+kernel and its RREF is unique, so `Mat.nullspace` gives the same bits for
+every matrix with that kernel.  The numeric backend takes each kind's own
+spectrum, whose zero multiplicity is cross-checked against the theory's
+exact kernel.
 
 In finite dimension every operator is bounded with closed image, so the
 closed-image characterisation of a spectral gap holds automatically and only
@@ -101,6 +107,9 @@ THEORY_KINDS = {
     "bc": LaplacianKind.BC,
     "a": LaplacianKind.A,
 }
+
+# the theory of each kind: the cohomology its kernel is the harmonic space of
+THEORY_OF = {kind: "deRham" if kind is LaplacianKind.D else kind.value.split("_")[0] for kind in LaplacianKind}
 
 # the differentials leaving and entering A^{p,q} (A^k for de Rham) that
 # define each cohomology: ker of the leaving ones over im of the entering ones
@@ -189,9 +198,11 @@ def laplacian(setting, kind: LaplacianKind, b: Bidegree) -> Op:
 
 
 def harmonic_space(setting: ExactSetting, kind: LaplacianKind, b: Bidegree) -> Mat:
-    """Exact nullspace basis of the assembled Laplacian (columns), memoised
-    in the setting per kind and space."""
-    return setting.cached(("harmonic", kind, _acts_on(kind, b)), lambda: laplacian(setting, kind, b).mat.nullspace())
+    """Exact nullspace basis (columns) of the second-order Laplacian of the
+    theory of `kind`, the kernel of every kind of that theory (module
+    docstring), memoised in the setting per theory and space."""
+    base = THEORY_KINDS.get(THEORY_OF[kind], kind)  # lap_d is de Rham's own
+    return setting.cached(("harmonic", base, _acts_on(base, b)), lambda: laplacian(setting, base, b).mat.nullspace())
 
 
 def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bidegree) -> Mat:
@@ -203,9 +214,8 @@ def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bid
     A kinds:   ker (del delbar) ∩ ker del* ∩ ker delbar*
     second-order kinds: ker(outgoing) ∩ ker(adjoint of incoming).
     """
-    theory = "deRham" if kind is LaplacianKind.D else kind.value.split("_")[0]  # bc_box -> bc
     key = _acts_on(kind, b)
-    leaving, entering = THEORY_OPS[theory]
+    leaving, entering = THEORY_OPS[THEORY_OF[kind]]
     rows = [setting.out(name, key).mat for name in leaving]
     rows += [setting.into(name, key, True).mat for name in entering]
     return Mat.vstack(rows).nullspace()

@@ -20,9 +20,7 @@ import numpy as np
 
 from abch.complexes import Bidegree, BigradedComplex, Op, d_between, total_bidegrees
 from abch.laplacians import (
-    A_KINDS,
     ALL_KINDS,
-    BC_KINDS,
     DEFAULT_SEED,
     LaplacianKind,
     _sq,
@@ -38,6 +36,7 @@ from abch.laplacians import (
 from abch.linalg import (
     Mat,
     intersect_many,
+    span_basis,
     subspace_dim,
     subspace_eq,
     subspace_intersect,
@@ -147,14 +146,17 @@ def duality_residuals(setting, b: Bidegree) -> Dict[str, bool]:
 
 
 def kernel_coincidence(setting: ExactSetting, b: Bidegree) -> bool:
-    """ker lap_BC = ker tilde_BC = ker box_BC and the Aeppli triple, as exact
-    subspace equalities, including the triple-intersection characterisation."""
-    for kinds in (BC_KINDS, A_KINDS):
-        spaces = [harmonic_space(setting, k, b) for k in kinds]
-        char = harmonic_characterization(setting, kinds[0], b)
-        for s in spaces:
-            if not subspace_eq(s, char):
-                return False
+    """ker lap_BC = ker tilde_BC = ker box_BC and the Aeppli triple, and each
+    of the nine kinds' kernels is its theory's harmonic space: every kind's
+    own assembled Laplacian, not the shared `harmonic_space`, against the
+    theory's space and its THEORY_OPS characterisation, as exact subspace
+    equalities."""
+    for kind in ALL_KINDS:
+        own = span_basis(assemble(setting, kind, b).mat.nullspace())
+        if own != span_basis(harmonic_space(setting, kind, b)):
+            return False
+        if own != span_basis(harmonic_characterization(setting, kind, b)):
+            return False
     return True
 
 

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from abch import cohomology
-from abch.complexes import build_complex, dim_pq
+from abch.complexes import build_complex, d_between, dim_pq, total_bidegrees
 from abch.laplacians import LaplacianKind, assemble
 from abch.linalg import Mat, span_basis, subspace_intersect
 from abch.metric import diagonal_metric, identity_metric, HermitianMetric, load_metric
@@ -14,7 +14,6 @@ from abch.model import load_model, parse_model
 from abch.setting import ExactSetting
 from abch.scalars import ONE, QQi, ZERO
 from abch.cohomology import (
-    _block_rows,
     _coords_in,
     _witness,
     bigraded_arrow,
@@ -244,9 +243,7 @@ def test_conditions_d_and_f_have_one_right_hand_side():
     for p in range(5):
         for q in range(5):
             b = (p, q)
-            D = s.total_d(p + q).mat
-            off, w = _block_rows(s, b)  # the A^{p,q} coordinates of degree p + q
-            d_at_b = D @ Mat.identity(D.ncols).take_rows(range(off, off + w)).transpose()
+            d_at_b = d_between(s.ops, (b,), total_bidegrees(4, p + q + 1)).mat
             assert span_basis(d_at_b.nullspace()) == subspace_intersect(s.ker("del", b), s.ker("delbar", b))
     rep = ddbar_conditions(s)
     assert rep["holds"]["f"] == rep["holds"]["d"] is False
@@ -388,11 +385,11 @@ def test_full_abc_iwasawa_nodes(iw):
     "model, metric",
     [("kodaira_thurston", None), ("kodaira_thurston", "kt_complex"), ("iwasawa", None), ("iwasawa", "dense3")],
 )
-def test_full_abc_corner_laplacians_are_the_box_laplacians(monkeypatch, model, metric):
-    # the corner delta has order 2, so the Laplacians on either side of it are
-    # fourth order; they must be the Bott-Chern and Aeppli box Laplacians,
-    # which a power-1 assembly (second order there) is not.  Each node's
-    # Laplacian is the one sum of its terms, read here as it is built
+def test_full_abc_node_laplacians_are_second_order(monkeypatch, model, metric):
+    # the node Laplacians on either side of the order-2 corner delta are
+    # delta delta* + delta* delta, nothing squared: the Bott-Chern and Aeppli
+    # Laplacians, which a squared assembly (the box Laplacians there) is not.
+    # Each node's Laplacian is the one sum of its terms, read here as it is built
     comp = build_complex(load_model(os.path.join(FIXTURES, f"{model}.cplx")))
     H = load_metric(os.path.join(FIXTURES, f"{metric}.herm"))[1] if metric else Mat.identity(comp.n)
     s = ExactSetting(comp, HermitianMetric(comp.n, H))
@@ -406,9 +403,9 @@ def test_full_abc_corner_laplacians_are_the_box_laplacians(monkeypatch, model, m
             laps.clear()
             full_abc_complex(s, (p, q))
             assert len(laps) == 2 * n + 1
-            assert laps[p + q - 1].mat == assemble(s, LaplacianKind.BC_BOX, (p, q)).mat, (p, q)
+            assert laps[p + q - 1].mat == assemble(s, LaplacianKind.BC, (p, q)).mat, (p, q)
             if p >= 1 and q >= 1:
-                assert laps[p + q - 2].mat == assemble(s, LaplacianKind.A_BOX, (p - 1, q - 1)).mat, (p, q)
+                assert laps[p + q - 2].mat == assemble(s, LaplacianKind.A, (p - 1, q - 1)).mat, (p, q)
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from abch.complexes import Memo, Op, build_complex, total_bidegrees
-from abch.linalg import Mat, subspace_eq
-from abch.metric import HermitianMetric, NumericMetric, cholesky_factor, diagonal_metric, identity_metric, parse_metric
-from abch.model import parse_model
+from abch.linalg import Mat, span_basis
+from abch.metric import (HermitianMetric, NumericMetric, cholesky_factor, diagonal_metric, identity_metric, load_metric,
+                         parse_metric)
+from abch.model import load_model, parse_model
 from abch.scalars import QQi
 from abch.setting import ExactSetting, NumericSetting
 import abch.laplacians
@@ -52,6 +53,16 @@ def settings_for(model, metric=None):
     return ExactSetting(comp, metric)
 
 
+# the two fixture models under their complex metrics
+DENSE = (("iwasawa.cplx", "dense3.herm"), ("kodaira_thurston.cplx", "kt_complex.herm"))
+
+
+def fixture_setting(model, metric):
+    fx = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    n, H = load_metric(os.path.join(fx, metric))
+    return ExactSetting(build_complex(load_model(os.path.join(fx, model))), HermitianMetric(n, H))
+
+
 @pytest.fixture(scope="module")
 def iw():
     return settings_for(IWASAWA)
@@ -74,6 +85,10 @@ def test_harmonic_spaces_and_spectra_are_memoised_per_space(iw):
     assert numeric_spectrum(numeric, D, (1, 0)) is numeric_spectrum(numeric, D, (0, 1))
     BC = LaplacianKind.BC
     assert harmonic_space(iw, BC, (1, 0)) is not harmonic_space(iw, BC, (0, 1))
+    # the tilde and box kinds read their theory's one space
+    for kinds in (BC_KINDS, A_KINDS):
+        for kind in kinds:
+            assert harmonic_space(iw, kind, (1, 1)) is harmonic_space(iw, kinds[0], (1, 1)), kind
 
 
 def test_a_memoised_spectrum_reads_no_laplacian(monkeypatch):
@@ -107,6 +122,28 @@ def test_spectra_keeps_no_conjugated_gram_and_no_float_laplacian(monkeypatch, ca
         tags = {key if isinstance(key, str) else key[0] for key in owner._memo}
         assert "conj_view" not in tags
         assert "laplacian" not in tags or not isinstance(owner, NumericSetting)
+        # an exact setting builds each harmonic space from its theory's
+        # second-order Laplacian, and no tilde or box Laplacian
+        kinds = {key[1] for key in owner._memo if isinstance(key, tuple) and key[0] in ("laplacian", "harmonic")}
+        assert not kinds & set(BC_KINDS[1:] + A_KINDS[1:]), type(owner)
+
+
+def test_spectra_crosschecks_the_tilde_kinds_against_their_theory(monkeypatch, capsys):
+    # the tilde kinds lose their second-order part in both arithmetics: the
+    # float spectrum then has extra zeros, which the exact kernel of the
+    # Bott-Chern (Aeppli) theory, built from lap_bc (lap_a), does not share
+    real = abch.laplacians.assemble
+
+    def fourth_order_only(setting, kind, b):
+        if kind in (LaplacianKind.BC_TILDE, LaplacianKind.A_TILDE):
+            return fourth_order_part(setting, kind, b)
+        return real(setting, kind, b)
+
+    monkeypatch.setattr(abch.laplacians, "assemble", fourth_order_only)
+    fx = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    assert main(["spectra", os.path.join(fx, "iwasawa.cplx"), "--pq", "1,1"]) == 1
+    out, err = capsys.readouterr()
+    assert "bc_tilde at (1, 1): exact kernel" in out + err
 
 
 def test_bundles_assemble_each_laplacian_once(monkeypatch):
@@ -121,8 +158,11 @@ def test_bundles_assemble_each_laplacian_once(monkeypatch):
     monkeypatch.setattr(abch.laplacians, "assemble", counted)
     for b in all_bidegrees(3):
         LaplacianBundle.build(s, numeric, b)
-    # per setting: lap_d on the 7 total degrees, 8 kinds on the 16 bidegrees
-    assert len(calls) == 2 * (7 + 8 * 16)
+    # lap_d on the 7 total degrees, and on the 16 bidegrees all 8 other kinds
+    # in floats but only del, delbar, bc and a exactly: every exact harmonic
+    # space is its theory's
+    per_setting = Counter(key[0] for key in calls)
+    assert per_setting == {id(numeric): 7 + 8 * 16, id(s): 7 + 4 * 16}
     assert set(calls.values()) == {1}
 
 
@@ -276,12 +316,14 @@ def test_iwasawa_kernel_dims_at_1_0(iw):
 
 
 def test_kernels_match_characterisations(iw, kt):
-    for s in (iw, kt):
+    # each kind's own assembled Laplacian has its theory's kernel, as the
+    # very bits `harmonic_space` returns, and the characterisation's span
+    for s in [iw, kt] + [fixture_setting(*pair) for pair in DENSE]:
         for b in all_bidegrees(s.n):
             for kind in ALL_KINDS:
-                lhs = harmonic_space(s, kind, b)
-                rhs = harmonic_characterization(s, kind, b)
-                assert subspace_eq(lhs, rhs)
+                own = assemble(s, kind, b).mat.nullspace()
+                assert own == harmonic_space(s, kind, b), (kind, b)
+                assert span_basis(own) == span_basis(harmonic_characterization(s, kind, b)), (kind, b)
 
 
 def test_kernel_coincidence_both_metrics():
@@ -290,6 +332,10 @@ def test_kernel_coincidence_both_metrics():
             s = settings_for(model, metric)
             for b in all_bidegrees(s.n):
                 assert kernel_coincidence(s, b)
+    for pair in DENSE:
+        s = fixture_setting(*pair)
+        for b in all_bidegrees(s.n):
+            assert kernel_coincidence(s, b), (pair, b)
 
 
 def test_duality_relations():
