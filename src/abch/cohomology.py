@@ -32,8 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from abch.complexes import Bidegree, Op, Space, bidegrees, d_between, grid, total_bidegrees
 from abch.linalg import Mat, intersect_many, projection_coords, span_basis, subspace_intersect, subspace_sum
-from abch.laplacians import THEORY_KINDS, THEORY_OPS, LaplacianKind, harmonic_space
-from abch.setting import ExactSetting, add_ops, compose
+from abch.laplacians import THEORY_KINDS, THEORY_OPS, LaplacianKind, common_kernel, harmonic_space
+from abch.setting import ExactSetting
 
 
 class InvalidBidegree(Exception):
@@ -100,13 +100,13 @@ def table_symmetries(tables: Dict[str, list], n: int) -> Dict[str, bool]:
 
 
 def im_d_at(setting: ExactSetting, b: Bidegree) -> Mat:
-    """The subspace im(d) ∩ A^{p,q}: the A^{p,q} rows of d from degree
-    p+q-1, applied to the kernel of its rows into the other bidegrees of
-    degree p+q (d's target is ordered with A^{p,q} first)."""
-    n, k, w = setting.n, b[0] + b[1], setting.dim(b)
-    dst = (b,) + tuple(c for c in total_bidegrees(n, k) if c != b)
-    D = d_between(setting.ops, total_bidegrees(n, k - 1), dst).mat
-    return span_basis(D.take_rows(range(w)) @ D.take_rows(range(w, D.nrows)).nullspace())
+    """The subspace im(d) ∩ A^{p,q}: the A^{p,q} rows of the memoised d
+    from degree p+q-1, applied to the kernel of its rows into the other
+    bidegrees of degree p+q (d's target is ordered by increasing p)."""
+    D = setting.total_d(sum(b) - 1).mat
+    start = sum(setting.dim(c) for c in total_bidegrees(setting.n, sum(b)) if c[0] < b[0])
+    rows = range(start, start + setting.dim(b))
+    return span_basis(D.take_rows(rows) @ D.take_rows([i for i in range(D.nrows) if i not in rows]).nullspace())
 
 
 def abcdef(setting: ExactSetting, b: Bidegree) -> Dict[str, Mat]:
@@ -444,18 +444,13 @@ def full_abc_complex(setting: ExactSetting, target: Bidegree) -> AbcFullComplex:
     deltas = [Op(src=spaces[k], dst=spaces[k + 1], mat=setting.into("deldbar", target).mat) if k == corner
               else d_between(setting.ops, spaces[k], spaces[k + 1]) for k in range(2 * n)]
     for k in range(2 * n - 1):
-        comp = deltas[k + 1].mat @ deltas[k].mat
-        if not comp.is_zero():
+        if not (deltas[k + 1].mat @ deltas[k].mat).is_zero():
             raise AssertionError(f"delta^2 != 0 between nodes {k} and {k + 2}")
 
-    # the Laplacian delta delta* + delta* delta at each node k: a sum of
-    # Gram-PSD terms, so its kernel is the node's harmonic space
-    stars = [setting.adjoint(delta) for delta in deltas]
-    hdims: List[int] = []
-    for k in range(2 * n + 1):
-        terms = [compose(deltas[k - 1], stars[k - 1])] if k >= 1 else []
-        terms += [compose(stars[k], deltas[k])] if k < 2 * n else []
-        hdims.append(add_ops(*terms).mat.nullspace().ncols)  # n >= 1, so every node has a delta
+    # node k's harmonic space is ker delta_k ∩ ker delta_{k-1}* (n >= 1: each node has a delta)
+    hdims = [common_kernel([deltas[k].mat] if k < 2 * n else [],
+                           [deltas[k - 1].mat.column_space()] if k >= 1 else [],
+                           setting.gram(spaces[k])).ncols for k in range(2 * n + 1)]
     h = homology([delta.mat for delta in deltas])
 
     euler_spaces = sum((-1) ** k * setting.space_dim(spaces[k]) for k in range(2 * n + 1))

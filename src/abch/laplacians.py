@@ -24,13 +24,14 @@ every T* T with a T T*.
 
 All are Gram-self-adjoint and positive semidefinite, each a sum of Gram-PSD
 terms T* T (a square S^2 = S* S included), so its kernel is the common
-kernel of its factors T: that of the maps THEORY_OPS lists for its theory.
-So the three Bott-Chern kinds share one kernel, as do the three Aeppli
-kinds, and `harmonic_space` computes it once per theory, from the
-second-order Laplacian.  A matrix's row space is the annihilator of its
-kernel and its RREF is unique, so `Mat.nullspace` gives the same bits for
-every matrix with that kernel.  The numeric backend takes each kind's own
-spectrum, whose zero multiplicity is cross-checked against the theory's
+kernel of its factors T: that of the maps THEORY_OPS lists for its theory,
+those leaving the space and the adjoints of those entering it.  So the three
+Bott-Chern kinds share one kernel, as do the three Aeppli kinds, and
+`harmonic_space` takes it from those maps, once per theory, and assembles no
+Laplacian.  A matrix's row space is the annihilator of its kernel and its
+RREF is unique, so `Mat.nullspace` gives the same bits for every matrix with
+that kernel, each Laplacian included.  The numeric backend takes each kind's
+own spectrum, whose zero multiplicity is cross-checked against the theory's
 exact kernel.
 
 In finite dimension every operator is bounded with closed image, so the
@@ -126,10 +127,6 @@ def _acts_on(kind: LaplacianKind, b: Bidegree):
     return sum(b) if kind is LaplacianKind.D else b  # lap_d acts on the whole total degree
 
 
-def _sq(op: Op) -> Op:
-    return compose(op, op)
-
-
 def _pair(setting, name: str, b: Bidegree, leaving: bool) -> Tuple[Op, Op]:
     """The map T named `name` leaving A^b as (T*, T), the factors of T* T, or
     the one entering A^b as (T, T*), the factors of T T*."""
@@ -169,7 +166,7 @@ def assemble(setting, kind: LaplacianKind, b: Bidegree) -> Op:
     if kind in (LaplacianKind.BC_TILDE, LaplacianKind.A_TILDE):
         return add_ops(fourth_order_part(setting, kind, b), second)
     corner = _sum(setting, ("deldbar",), b, not leaving)
-    return add_ops(corner, second if kind in (LaplacianKind.BC, LaplacianKind.A) else _sq(second))
+    return add_ops(corner, second if kind in (LaplacianKind.BC, LaplacianKind.A) else compose(second, second))
 
 
 def fourth_order_part(setting, kind: LaplacianKind, b: Bidegree) -> Op:
@@ -198,17 +195,16 @@ def laplacian(setting, kind: LaplacianKind, b: Bidegree) -> Op:
 
 
 def harmonic_space(setting: ExactSetting, kind: LaplacianKind, b: Bidegree) -> Mat:
-    """Exact nullspace basis (columns) of the second-order Laplacian of the
-    theory of `kind`, the kernel of every kind of that theory (module
-    docstring), memoised in the setting per theory and space."""
-    base = THEORY_KINDS.get(THEORY_OF[kind], kind)  # lap_d is de Rham's own
-    return setting.cached(("harmonic", base, _acts_on(base, b)), lambda: laplacian(setting, base, b).mat.nullspace())
+    """Exact nullspace basis (columns) of every Laplacian of the theory of
+    `kind` (module docstring), memoised in the setting per theory and space."""
+    return setting.cached(("harmonic", THEORY_OF[kind], _acts_on(kind, b)),
+                          lambda: harmonic_characterization(setting, kind, b))
 
 
 def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bidegree) -> Mat:
-    """The independent kernel characterisation: the common kernel of the
-    maps leaving A^{p,q} and of the adjoints of the maps entering it, as
-    THEORY_OPS lists them for the theory of `kind`:
+    """The harmonic space of the theory of `kind` at A^{p,q} (A^{p+q} for
+    `d`), the `common_kernel` of the maps THEORY_OPS lists leaving it and of
+    the adjoints of those entering it:
 
     BC kinds:  ker del  ∩ ker delbar ∩ ker (del delbar)*
     A kinds:   ker (del delbar) ∩ ker del* ∩ ker delbar*
@@ -216,9 +212,18 @@ def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bid
     """
     key = _acts_on(kind, b)
     leaving, entering = THEORY_OPS[THEORY_OF[kind]]
-    rows = [setting.out(name, key).mat for name in leaving]
-    rows += [setting.into(name, key, True).mat for name in entering]
-    return Mat.vstack(rows).nullspace()
+    G = setting.gram(setting.out(leaving[0], key).src)
+    return common_kernel([setting.out(name, key).mat for name in leaving],
+                         [setting.im(name, key) for name in entering], G)
+
+
+def common_kernel(maps: List[Mat], images: List[Mat], G: Mat) -> Mat:
+    """Exact basis (columns) of ker T ∩ ker S* for each T in `maps` and each
+    S whose image has the basis C in `images`, under the Hermitian Gram G:
+    ker S* is cut out by the independent rows C^H conj(G).  S*'s own rows are
+    dependent unless S is onto, and those grow in `Mat.rref` under a complex
+    metric (`linalg` docstring): n4_chain's degree 4 then takes over 20 s."""
+    return Mat.vstack(maps + [C.conj_t() @ G.transpose() for C in images]).nullspace()
 
 
 # -- numeric spectra --------------------------------------------------------------

@@ -20,13 +20,13 @@ Each setting is a `complexes.Memo`: its one `cached(key, build)` memo holds
 every object derived from it under a name: the primitives under `(name, b)`
 and their adjoints under `("star", name, b)` (`out` and `into` return both),
 the exact subspaces `ker(name, b, star)` and `im(name, b, star)`, and what
-the engines build from them: each Laplacian term T* T or T T* and each sum
-of them, the assembled Laplacians (an exact setting those of the second
-order, whose kernels are the harmonic spaces, one per theory and space; a
-numeric setting assembles each inside its spectrum's build and keeps none),
-harmonic spaces, spectra, tables and subspace grids.  `adjoint(op)`
-memoises nothing: a composite's adjoint is built afresh on every call.
-Memoised objects are shared; no caller writes into one.
+the engines build from them: the harmonic spaces, one per theory and space,
+each Laplacian term T* T or T T*, each sum of them and the assembled
+Laplacians (an exact setting builds these only for a cover's Laplacian
+identities; a numeric setting assembles each inside its spectrum's build and
+keeps none), spectra, tables and subspace grids.  `adjoint(op)` memoises
+nothing: a composite's adjoint is built afresh on every call.  Memoised
+objects are shared; no caller writes into one.
 
 The operator source is a `BigradedComplex`: the invariant complex of a
 model, or one Fourier mode of a covering (`covering.ModeOps`), so both share

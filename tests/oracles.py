@@ -23,7 +23,6 @@ from abch.laplacians import (
     ALL_KINDS,
     DEFAULT_SEED,
     LaplacianKind,
-    _sq,
     _sum,
     assemble,
     gram_norms,
@@ -147,10 +146,12 @@ def duality_residuals(setting, b: Bidegree) -> Dict[str, bool]:
 
 def kernel_coincidence(setting: ExactSetting, b: Bidegree) -> bool:
     """ker lap_BC = ker tilde_BC = ker box_BC and the Aeppli triple, and each
-    of the nine kinds' kernels is its theory's harmonic space: every kind's
-    own assembled Laplacian, not the shared `harmonic_space`, against the
-    theory's space and its THEORY_OPS characterisation, as exact subspace
-    equalities."""
+    of the nine kinds' kernels is its theory's harmonic space, as exact
+    subspace equalities.  The independent side is the kernel of each kind's
+    own assembled Laplacian, which no command builds; the other is the
+    theory's memoised `harmonic_space` and a fresh
+    `harmonic_characterization`, both the common kernel of the THEORY_OPS
+    maps."""
     for kind in ALL_KINDS:
         own = span_basis(assemble(setting, kind, b).mat.nullspace())
         if own != span_basis(harmonic_space(setting, kind, b)):
@@ -198,7 +199,7 @@ def kahler_identities(setting: ExactSetting) -> Dict[str, bool]:
                 ok_anti = False
             lap_dbar = assemble(setting, LaplacianKind.DELBAR, b)
             tilde = assemble(setting, LaplacianKind.BC_TILDE, b)
-            concise = add_ops(_sq(lap_dbar), _sum(setting, ("del", "delbar"), b, True))
+            concise = add_ops(compose(lap_dbar, lap_dbar), _sum(setting, ("del", "delbar"), b, True))
             if not (tilde.mat - concise.mat).is_zero():
                 ok_tilde = False
             kernels = [harmonic_space(setting, kind, b) for kind in ALL_KINDS if kind is not LaplacianKind.D]

@@ -5,9 +5,8 @@ import os
 
 import pytest
 
-from abch import cohomology
-from abch.complexes import build_complex, d_between, dim_pq, total_bidegrees
-from abch.laplacians import LaplacianKind, assemble
+from abch.complexes import bidegrees, build_complex, d_between, dim_pq, total_bidegrees
+from abch.laplacians import LaplacianKind, harmonic_space
 from abch.linalg import Mat, span_basis, subspace_intersect
 from abch.metric import diagonal_metric, identity_metric, HermitianMetric, load_metric
 from abch.model import load_model, parse_model
@@ -385,27 +384,20 @@ def test_full_abc_iwasawa_nodes(iw):
     "model, metric",
     [("kodaira_thurston", None), ("kodaira_thurston", "kt_complex"), ("iwasawa", None), ("iwasawa", "dense3")],
 )
-def test_full_abc_node_laplacians_are_second_order(monkeypatch, model, metric):
-    # the node Laplacians on either side of the order-2 corner delta are
-    # delta delta* + delta* delta, nothing squared: the Bott-Chern and Aeppli
-    # Laplacians, which a squared assembly (the box Laplacians there) is not.
-    # Each node's Laplacian is the one sum of its terms, read here as it is built
+def test_full_abc_corner_nodes_are_bc_and_a_spaces(model, metric):
+    # the node after the order-2 corner delta is A^{p,q} between del delbar
+    # and (del, delbar), the one before it A^{p-1,q-1} between (del, delbar)
+    # and del delbar: their harmonic spaces are the Bott-Chern and Aeppli ones
     comp = build_complex(load_model(os.path.join(FIXTURES, f"{model}.cplx")))
     H = load_metric(os.path.join(FIXTURES, f"{metric}.herm"))[1] if metric else Mat.identity(comp.n)
     s = ExactSetting(comp, HermitianMetric(comp.n, H))
-    n = s.n
-    laps, add_ops = [], cohomology.add_ops
-    monkeypatch.setattr(cohomology, "add_ops", lambda *terms: laps.append(add_ops(*terms)) or laps[-1])
-    for p in range(n + 1):
-        for q in range(n + 1):
-            if p + q < 2:
-                continue
-            laps.clear()
-            full_abc_complex(s, (p, q))
-            assert len(laps) == 2 * n + 1
-            assert laps[p + q - 1].mat == assemble(s, LaplacianKind.BC, (p, q)).mat, (p, q)
-            if p >= 1 and q >= 1:
-                assert laps[p + q - 2].mat == assemble(s, LaplacianKind.A, (p - 1, q - 1)).mat, (p, q)
+    for p, q in bidegrees(s.n):
+        if p + q < 2:
+            continue
+        hdims = full_abc_complex(s, (p, q)).harmonic_dims
+        assert hdims[p + q - 1] == harmonic_space(s, LaplacianKind.BC, (p, q)).ncols, (p, q)
+        if p >= 1 and q >= 1:
+            assert hdims[p + q - 2] == harmonic_space(s, LaplacianKind.A, (p - 1, q - 1)).ncols, (p, q)
 
 
 @pytest.mark.parametrize(
@@ -413,16 +405,16 @@ def test_full_abc_node_laplacians_are_second_order(monkeypatch, model, metric):
     [("iwasawa", "dense3", (1, 1)), ("iwasawa", "dense3", (2, 1)), ("iwasawa", "dense3", (0, 2)),
      ("iwasawa", "dense3", (2, 0)), ("n4_chain", None, (2, 2))],
 )
-def test_full_abc_takes_each_adjoint_once(monkeypatch, model, metric, target):
-    # one Gram adjoint per map of the length-2n complex, read by the
-    # Laplacians at both of its ends
+def test_full_abc_takes_no_adjoint(monkeypatch, model, metric, target):
+    # each node's harmonic space is cut out by the map leaving it and by the
+    # Gram orthogonality to the image of the one entering it: no adjoint
     comp = build_complex(load_model(os.path.join(FIXTURES, f"{model}.cplx")))
     H = load_metric(os.path.join(FIXTURES, f"{metric}.herm"))[1] if metric else Mat.identity(comp.n)
     s = ExactSetting(comp, HermitianMetric(comp.n, H))
     calls, adjoint = [], HermitianMetric.adjoint
     monkeypatch.setattr(HermitianMetric, "adjoint", lambda self, op: calls.append(op) or adjoint(self, op))
     fc = full_abc_complex(s, target)
-    assert len(calls) == 2 * s.n
+    assert calls == []
     p, q = target
     if p == 0 or q == 0:
         # the corner map has no source: the del delbar product into A^{p,q}

@@ -513,8 +513,9 @@ def test_gap_report_reads_the_delbar_spectra_of_gamma_tables(monkeypatch):
 
 
 def test_cover_assembles_each_laplacian_once(monkeypatch, capsys):
-    # gamma_tables, gap_and_closed_image and prestage_box_check share one
-    # assembled Laplacian per (setting, kind, space)
+    # one assembled Laplacian per (setting, kind, space): each float spectrum
+    # its own, and gap_and_closed_image and prestage_box_check one exact
+    # lap_delbar per mode and bidegree; the harmonic spaces assemble none
     calls = Counter()
 
     def counted(setting, kind, b):
@@ -524,8 +525,8 @@ def test_cover_assembles_each_laplacian_once(monkeypatch, capsys):
     monkeypatch.setattr(abch.laplacians, "assemble", counted)
     assert main(["cover", os.path.join(FIXTURES, "index2.cover"), "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 262
-    assert sum(calls.values()) == 262
+    assert len(calls) == 133
+    assert sum(calls.values()) == 133
 
 
 def test_not_a_sublattice():

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from abch.complexes import Memo, Op, build_complex, total_bidegrees
-from abch.linalg import Mat, span_basis
+from abch.linalg import Mat
 from abch.metric import (HermitianMetric, NumericMetric, cholesky_factor, diagonal_metric, identity_metric, load_metric,
                          parse_metric)
 from abch.model import load_model, parse_model
 from abch.scalars import QQi
-from abch.setting import ExactSetting, NumericSetting
+from abch.setting import ExactSetting, NumericSetting, add_ops
 import abch.laplacians
 from abch.cli import main
 from abch.laplacians import (
@@ -22,6 +22,7 @@ from abch.laplacians import (
     EigSolverFailure,
     LaplacianBundle,
     LaplacianKind,
+    THEORY_OPS,
     assemble,
     fourth_order_part,
     harmonic_characterization,
@@ -122,16 +123,17 @@ def test_spectra_keeps_no_conjugated_gram_and_no_float_laplacian(monkeypatch, ca
         tags = {key if isinstance(key, str) else key[0] for key in owner._memo}
         assert "conj_view" not in tags
         assert "laplacian" not in tags or not isinstance(owner, NumericSetting)
-        # an exact setting builds each harmonic space from its theory's
-        # second-order Laplacian, and no tilde or box Laplacian
-        kinds = {key[1] for key in owner._memo if isinstance(key, tuple) and key[0] in ("laplacian", "harmonic")}
-        assert not kinds & set(BC_KINDS[1:] + A_KINDS[1:]), type(owner)
+        if type(owner) is ExactSetting:
+            # each harmonic space is its theory's, from the theory's maps:
+            # no Laplacian, and none of its terms or sums
+            assert not tags & {"laplacian", "term", "down", "up"}
+            assert {key[1] for key in owner._memo if isinstance(key, tuple) and key[0] == "harmonic"} == set(THEORY_OPS)
 
 
 def test_spectra_crosschecks_the_tilde_kinds_against_their_theory(monkeypatch, capsys):
     # the tilde kinds lose their second-order part in both arithmetics: the
     # float spectrum then has extra zeros, which the exact kernel of the
-    # Bott-Chern (Aeppli) theory, built from lap_bc (lap_a), does not share
+    # Bott-Chern (Aeppli) theory, built from its maps, does not share
     real = abch.laplacians.assemble
 
     def fourth_order_only(setting, kind, b):
@@ -146,6 +148,43 @@ def test_spectra_crosschecks_the_tilde_kinds_against_their_theory(monkeypatch, c
     assert "bc_tilde at (1, 1): exact kernel" in out + err
 
 
+def test_spectra_crosschecks_lap_bc_against_its_theory(monkeypatch, capsys):
+    # lap_bc without its delbar* delbar term in both arithmetics: its float
+    # kernel gains the del-closed forms that delbar does not kill, and the
+    # exact Bott-Chern kernel, which no Laplacian builds, stays right
+    real = abch.laplacians.assemble
+
+    def without_delbar_term(setting, kind, b):
+        if kind is LaplacianKind.BC:
+            return add_ops(_sum(setting, ("deldbar",), b, False), _sum(setting, ("del",), b, True))
+        return real(setting, kind, b)
+
+    monkeypatch.setattr(abch.laplacians, "assemble", without_delbar_term)
+    fx = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    assert main(["spectra", os.path.join(fx, "iwasawa.cplx")]) == 1
+    out, err = capsys.readouterr()
+    assert "bc at (0, 1): exact kernel 2 != numeric multiplicity 3" in out + err
+
+
+@pytest.mark.parametrize("argv", [["check"], ["cohomology", "--backend", "both"], ["spectra"], ["diagram"], ["ddbar"],
+                                  ["inequality"], ["abc", "--pq", "2,1"]],
+                         ids=["check", "cohomology_both", "spectra", "diagram", "ddbar", "inequality", "abc"])
+def test_no_model_command_assembles_an_exact_laplacian(monkeypatch, capsys, argv):
+    # only the float backend assembles Laplacians; every exact harmonic space
+    # is the common kernel of its theory's maps
+    real = abch.laplacians.assemble
+
+    def numeric_only(setting, kind, b):
+        assert isinstance(setting, NumericSetting), (kind, b)
+        return real(setting, kind, b)
+
+    monkeypatch.setattr(abch.laplacians, "assemble", numeric_only)
+    fx = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    path, metric = os.path.join(fx, "iwasawa.cplx"), os.path.join(fx, "dense3.herm")
+    assert main([argv[0], path] + argv[1:] + ["--metric", metric, "--format", "json"]) == 0
+    capsys.readouterr()
+
+
 def test_bundles_assemble_each_laplacian_once(monkeypatch):
     s = settings_for(IWASAWA)
     numeric = NumericSetting(s)
@@ -158,11 +197,10 @@ def test_bundles_assemble_each_laplacian_once(monkeypatch):
     monkeypatch.setattr(abch.laplacians, "assemble", counted)
     for b in all_bidegrees(3):
         LaplacianBundle.build(s, numeric, b)
-    # lap_d on the 7 total degrees, and on the 16 bidegrees all 8 other kinds
-    # in floats but only del, delbar, bc and a exactly: every exact harmonic
-    # space is its theory's
+    # lap_d on the 7 total degrees and the 8 other kinds on the 16 bidegrees,
+    # in floats only: every exact harmonic space is its theory's common kernel
     per_setting = Counter(key[0] for key in calls)
-    assert per_setting == {id(numeric): 7 + 8 * 16, id(s): 7 + 4 * 16}
+    assert per_setting == {id(numeric): 7 + 8 * 16}
     assert set(calls.values()) == {1}
 
 
@@ -316,14 +354,15 @@ def test_iwasawa_kernel_dims_at_1_0(iw):
 
 
 def test_kernels_match_characterisations(iw, kt):
-    # each kind's own assembled Laplacian has its theory's kernel, as the
-    # very bits `harmonic_space` returns, and the characterisation's span
+    # each kind's own assembled Laplacian, the independent side, has its
+    # theory's kernel, as the very bits that `harmonic_space` memoises from
+    # `harmonic_characterization`
     for s in [iw, kt] + [fixture_setting(*pair) for pair in DENSE]:
         for b in all_bidegrees(s.n):
             for kind in ALL_KINDS:
                 own = assemble(s, kind, b).mat.nullspace()
                 assert own == harmonic_space(s, kind, b), (kind, b)
-                assert span_basis(own) == span_basis(harmonic_characterization(s, kind, b)), (kind, b)
+                assert own == harmonic_characterization(s, kind, b), (kind, b)
 
 
 def test_kernel_coincidence_both_metrics():
