@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from abch.complexes import Bidegree, Op, Space, bidegrees, d_between, grid, total_bidegrees
-from abch.linalg import Mat, intersect_many, projection_coords, span_basis, subspace_intersect, subspace_sum
-from abch.laplacians import THEORY_KINDS, THEORY_OPS, LaplacianKind, common_kernel, harmonic_space
+from abch.linalg import (Mat, common_kernel, intersect_many, projection_coords, span_basis, subspace_intersect,
+                          subspace_sum)
+from abch.laplacians import THEORY_KINDS, THEORY_OPS, LaplacianKind, harmonic_space
 from abch.setting import ExactSetting
 
 

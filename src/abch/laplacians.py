@@ -27,12 +27,12 @@ terms T* T (a square S^2 = S* S included), so its kernel is the common
 kernel of its factors T: that of the maps THEORY_OPS lists for its theory,
 those leaving the space and the adjoints of those entering it.  So the three
 Bott-Chern kinds share one kernel, as do the three Aeppli kinds, and
-`harmonic_space` takes it from those maps, once per theory, and assembles no
-Laplacian.  A matrix's row space is the annihilator of its kernel and its
-RREF is unique, so `Mat.nullspace` gives the same bits for every matrix with
-that kernel, each Laplacian included.  The numeric backend takes each kind's
-own spectrum, whose zero multiplicity is cross-checked against the theory's
-exact kernel.
+`harmonic_space` cuts it out of those maps with `linalg.common_kernel`, once
+per theory, with no adjoint and no Laplacian.  A matrix's row space is the
+annihilator of its kernel and its RREF is unique, so `Mat.nullspace` gives
+the same bits for every matrix with that kernel, each Laplacian included.
+The numeric backend takes each kind's own spectrum, whose zero multiplicity
+is cross-checked against the theory's exact kernel.
 
 In finite dimension every operator is bounded with closed image, so the
 closed-image characterisation of a spectral gap holds automatically and only
@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from abch.complexes import Bidegree, Op, Space, d_between
-from abch.linalg import Mat
+from abch.linalg import Mat, common_kernel
 from abch.model import ModelError
 from abch.setting import ExactSetting, NumericSetting, add_ops, compose
 
@@ -215,15 +215,6 @@ def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bid
     G = setting.gram(setting.out(leaving[0], key).src)
     return common_kernel([setting.out(name, key).mat for name in leaving],
                          [setting.im(name, key) for name in entering], G)
-
-
-def common_kernel(maps: List[Mat], images: List[Mat], G: Mat) -> Mat:
-    """Exact basis (columns) of ker T ∩ ker S* for each T in `maps` and each
-    S whose image has the basis C in `images`, under the Hermitian Gram G:
-    ker S* is cut out by the independent rows C^H conj(G).  S*'s own rows are
-    dependent unless S is onto, and those grow in `Mat.rref` under a complex
-    metric (`linalg` docstring): n4_chain's degree 4 then takes over 20 s."""
-    return Mat.vstack(maps + [C.conj_t() @ G.transpose() for C in images]).nullspace()
 
 
 # -- numeric spectra --------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Exact linear algebra over Q(i): Gaussian elimination, ranks, nullspaces,
-subspace arithmetic and Gram-orthogonal projections.
+subspace arithmetic, Gram adjoints, complements and orthogonal projections.
 
 Storage.  A `Mat` holds one positive integer denominator `den` and sparse
 rows `{column: (re, im)}` of Python ints, so entry (i, j) is
@@ -620,6 +620,14 @@ def gram_adjoint(T: Mat, G_src_inv: Mat, G_dst: Mat) -> Mat:
     be Hermitian, so that each conjugate is the transpose, which builds no
     new entries."""
     return G_src_inv.transpose() @ T.conj_t() @ G_dst.transpose()
+
+
+def common_kernel(maps: List[Mat], images: List[Mat], G: Mat) -> Mat:
+    """Exact basis (columns) of ker T ∩ ker S* for each T in `maps` and each
+    S with image basis C in `images`, under the Hermitian Gram G: ker S* =
+    (im S)^⊥ (or im T* = (ker T)^⊥ with C a basis of ker T) is cut out by the
+    rows C^H conj(G), independent unlike S*'s own, which grow in `Mat.rref`."""
+    return Mat.vstack(maps + [C.conj_t() @ G.transpose() for C in images]).nullspace()
 
 
 def basis_gram(B: Mat, G: Mat) -> Mat:

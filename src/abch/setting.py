@@ -22,11 +22,11 @@ and their adjoints under `("star", name, b)` (`out` and `into` return both),
 the exact subspaces `ker(name, b, star)` and `im(name, b, star)`, and what
 the engines build from them: the harmonic spaces, one per theory and space,
 each Laplacian term T* T or T T*, each sum of them and the assembled
-Laplacians (an exact setting builds these only for a cover's Laplacian
-identities; a numeric setting assembles each inside its spectrum's build and
-keeps none), spectra, tables and subspace grids.  `adjoint(op)` memoises
-nothing: a composite's adjoint is built afresh on every call.  Memoised
-objects are shared; no caller writes into one.
+Laplacians, spectra, tables and subspace grids.  An exact setting builds
+adjoints and Laplacians only for a cover's Laplacian identities; a numeric
+one assembles each Laplacian inside its spectrum's build and keeps none.
+`adjoint(op)` memoises nothing: a composite's adjoint is built afresh on
+every call.  Memoised objects are shared; no caller writes into one.
 
 The operator source is a `BigradedComplex`: the invariant complex of a
 model, or one Fourier mode of a covering (`covering.ModeOps`), so both share
@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Union
 
 from abch.complexes import Bidegree, Memo, Op, Space, shifted, total_d
-from abch.linalg import Mat, ShapeMismatch
+from abch.linalg import Mat, ShapeMismatch, common_kernel
 from abch.metric import HermitianMetric
 
 Degree = Union[Bidegree, int]  # a bidegree, or a total degree for d
@@ -109,15 +109,15 @@ class ExactSetting(Memo):
 
     def ker(self, name: str, b: Bidegree, star: bool = False) -> Mat:
         """ker T in A^b: T the map `name` leaving A^b, or with `star` the
-        adjoint of the one entering it."""
-        T = self.into(name, b, True) if star else self.out(name, b)
-        return self.cached(("ker", name, b, star), T.mat.nullspace)
+        adjoint S* of the map S entering it, the Gram complement of im S."""
+        return self.cached(("ker", name, b, star), (lambda: common_kernel([], [self.im(name, b)], self.gram((b,))))
+                           if star else self.out(name, b).mat.nullspace)
 
     def im(self, name: str, b: Bidegree, star: bool = False) -> Mat:
         """im T in A^b: T the map `name` entering A^b, or with `star` the
-        adjoint of the one leaving it."""
-        T = self.out(name, b, True) if star else self.into(name, b)
-        return self.cached(("im", name, b, star), T.mat.column_space)
+        adjoint T* of the map T leaving it, the Gram complement of ker T."""
+        return self.cached(("im", name, b, star), (lambda: common_kernel([], [self.ker(name, b)], self.gram((b,))))
+                           if star else self.into(name, b).mat.column_space)
 
     def adjoint(self, op: Op) -> Op:
         """The Gram adjoint of any operator, built afresh on every call."""

@@ -214,10 +214,10 @@ def test_broken_invariant_exits_one(capsys, monkeypatch):
 def test_wrong_gram_inverse_exits_one(capsys, monkeypatch):
     # an inversion that returns its input makes H^{-1} come back as H, so
     # the inverse factors are H's own and fail their one-time check; the
-    # adjoints of `inequality`'s exact sequences read them (`abc`,
-    # `cohomology` and `diagram` take no adjoint, so no inverse)
+    # float adjoints of `spectra`'s Laplacians read them (`abc`, `cohomology`,
+    # `diagram` and `inequality` take no adjoint, so no inverse)
     monkeypatch.setattr(Mat, "inv", lambda self: self)
-    code, out, err = run(capsys, "inequality", fx("kodaira_thurston.cplx"), "--metric", fx("diag21.herm"))
+    code, out, err = run(capsys, "spectra", fx("kodaira_thurston.cplx"), "--metric", fx("diag21.herm"))
     assert code == 1
     assert out == ""
     assert err.startswith("verification failure: Gram inverse check failed")

@@ -170,15 +170,20 @@ def test_spectra_crosschecks_lap_bc_against_its_theory(monkeypatch, capsys):
                                   ["inequality"], ["abc", "--pq", "2,1"]],
                          ids=["check", "cohomology_both", "spectra", "diagram", "ddbar", "inequality", "abc"])
 def test_no_model_command_assembles_an_exact_laplacian(monkeypatch, capsys, argv):
-    # only the float backend assembles Laplacians; every exact harmonic space
-    # is the common kernel of its theory's maps
+    # only the float backend assembles Laplacians or forms adjoints; every
+    # exact harmonic space, and every kernel or image of an exact adjoint, is
+    # a Gram complement cut out by `common_kernel`
     real = abch.laplacians.assemble
 
     def numeric_only(setting, kind, b):
         assert isinstance(setting, NumericSetting), (kind, b)
         return real(setting, kind, b)
 
+    def no_exact_adjoint(metric, op):
+        raise AssertionError(f"exact adjoint of {op.src} -> {op.dst}")
+
     monkeypatch.setattr(abch.laplacians, "assemble", numeric_only)
+    monkeypatch.setattr(HermitianMetric, "adjoint", no_exact_adjoint)
     fx = os.path.join(os.path.dirname(__file__), "..", "fixtures")
     path, metric = os.path.join(fx, "iwasawa.cplx"), os.path.join(fx, "dense3.herm")
     assert main([argv[0], path] + argv[1:] + ["--metric", metric, "--format", "json"]) == 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from abch.linalg import (
     Mat,
     ShapeMismatch,
+    common_kernel,
     gram_adjoint,
     kron,
     project,
@@ -117,6 +118,21 @@ def test_gram_adjoint_property(U, T):
             lhs = ip(T.matvec(u), v, Gd)
             rhs = ip(u, S.matvec(v), Gs)
             assert lhs == rhs
+
+
+@settings(max_examples=30, deadline=None)
+@given(mats(2, 4), mats(4, 2))
+def test_common_kernel_is_killed_and_gram_orthogonal(T, C):
+    # ker T ∩ (span C)^⊥ under a Gram with nonreal entries; without T it is
+    # the whole Gram complement of span C
+    G = _pd_gram(4)
+    K, complement = common_kernel([T], [C], G), common_kernel([], [C], G)
+    assert (T @ K).is_zero()
+    assert complement.ncols == 4 - C.rank()
+    for X in (K, complement):
+        for k in range(X.ncols):
+            for c in range(C.ncols):
+                assert ip(X.col(k), C.col(c), G) == QQi(0)
 
 
 def test_projection_is_orthogonal():
