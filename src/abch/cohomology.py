@@ -221,7 +221,9 @@ def ddbar_conditions(setting: ExactSetting) -> dict:
     are reported independently; a model where they disagree is flagged.
 
     At each (p,q), with kk = ker del ∩ ker delbar (the bidegree part of
-    ker d) and im_d the bidegree part of im d:
+    ker d, one nullspace of del and delbar stacked; every side below
+    canonicalises its result, so any basis of kk gives the same bytes) and
+    im_d the bidegree part of im d:
 
       a) im del delbar = kk ∩ im_d
       b) im del delbar = ker del ∩ im delbar
@@ -237,7 +239,7 @@ def ddbar_conditions(setting: ExactSetting) -> dict:
     holds = {name: True for name in CONDITION_NAMES}
     witnesses: Dict[str, dict] = {}
     for b in bidegrees(n):
-        kk = subspace_intersect(ker("del", b), ker("delbar", b))
+        kk = Mat.vstack([setting.out("del", b).mat, setting.out("delbar", b).mat]).nullspace()
         sums = subspace_sum(im("del", b), im("delbar", b))
         im_dd, ker_dd = span_basis(im("deldbar", b)), span_basis(ker("deldbar", b))
         rhs = {

@@ -12,11 +12,19 @@ is the one table of the bidegree that del, delbar and del delbar raise, and
 
     d m = sum_t (-1)^t dg_t ^ (m without g_t),   t = 0..k-1.
 
-One builder, `bigraded_maps(n, column)`, makes every del and delbar matrix:
-`column` lists, for a basis monomial, the (terms, monomial, sign) triples
-whose wedges sum to its image, and `wedge_into` adds each one.  A model
-passes the Leibniz terms above; a Fourier mode of a covering passes its
-twist form wedged with the monomial itself.  Every map is named `(name, b)`:
+One builder, `bigraded_maps(n, forms, column)`, makes every del and delbar
+matrix straight in `Mat`'s integer storage.  A monomial is a bitmask, phi_k
+at bit k - 1 and phibar_k at bit n + k - 1, so its factors are its bits in
+ascending order, and the sign of a wedge t ^ r of disjoint monomials is the
+parity of the pairs (x in t, y in r) with x above y: one popcount against
+a mask of t.  The coefficients of `forms` are put over one common
+denominator once per call; `column` lists, for a basis monomial, the
+(parity, form, rest) triples whose wedges sum to its image, and each term
+adds its signed integer parts to the row of its wedge, found by one dict
+lookup.  A model passes the Leibniz terms above, the factor g of m with the
+parity of the factors before it; a Fourier mode of a covering passes its
+twist form wedged with the monomial itself.  Conjugations are signed
+permutations, stored as such.  Every map is named `(name, b)`:
 `BigradedComplex.map(name, b)` is its matrix.  `build_complex` certifies
 del^2 = delbar^2 = del delbar + delbar del = 0 exactly and rejects
 inconsistent structure constants.  `bidegrees(n)` and `grid(n, cell)` fix the
@@ -28,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Any, Callable, Dict, Hashable, List, NamedTuple, Tuple
 
 from abch.linalg import Mat, ShapeMismatch
@@ -184,28 +192,14 @@ def wedge(a: FormVector, b: FormVector) -> FormVector:
     return FormVector(n, (p, q), tuple(out))
 
 
-Terms = List[Tuple[Monomial, QQi]]  # a form as (monomial, coefficient) pairs
-
-
-def wedge_into(out: Dict[Tuple[int, int], QQi], j: int, idx: Dict[Monomial, int], terms: Terms, m: Monomial,
-               sign: int) -> None:
-    """Add sign * (sum of c * mono over `terms`) ^ m into column j of the
-    matrix entries `out` ((row, column) -> value), whose rows are the
-    monomials numbered by `idx`."""
-    for mono, c in terms:
-        s, w = wedge_monomials(mono, m)
-        if s:
-            key = (idx[w], j)
-            out[key] = out.get(key, ZERO) + (c if s == sign else -c)
-
-
 @lru_cache(maxsize=None)
 def conjugation_perm(n: int, p: int, q: int) -> Tuple[Tuple[int, ...], int]:
     """Complex conjugation A^{p,q} -> A^{q,p} on basis monomials: the
     (q,p)-index of the conjugate of each (p,q)-monomial, and the common sign
     (-1)^{pq} of reordering it."""
-    idx = basis_index(n, q, p)
-    perm = tuple(idx[Monomial(m.anti, m.hol)] for m in monomial_basis(n, p, q))
+    idx, low = _mask_index(n, q, p), (1 << n) - 1
+    # the conjugate of a monomial swaps its hol and anti bits
+    perm = tuple(idx[(m & low) << n | m >> n] for m in _mask_index(n, p, q))
     return perm, -1 if (p * q) % 2 else 1
 
 
@@ -220,7 +214,10 @@ def conjugation_matrix(n: int, p: int, q: int) -> Mat:
     """Signed permutation C with conj(v) = C @ entrywise-conj(v),
     mapping (p,q)-coordinates to (q,p)-coordinates."""
     perm, sign = conjugation_perm(n, p, q)
-    return Mat.from_entries(len(perm), len(perm), {(i, j): ONE if sign == 1 else -ONE for j, i in enumerate(perm)})
+    rows = [{} for _ in perm]
+    for j, i in enumerate(perm):
+        rows[i] = {j: (sign, 0)}
+    return Mat.from_parts(rows, 1, len(perm))
 
 
 @dataclass(frozen=True)
@@ -268,27 +265,69 @@ class BigradedComplex(Memo):
         return m if m is not None else Mat.zeros(dim_pq(self.n, *shifted(b, name)), dim_pq(self.n, *b))
 
 
-# column(name, m) -> the (terms, monomial, sign) triples whose wedges
-# sign * terms ^ monomial sum to the image of m under the map `name`
-Column = Callable[[str, Monomial], List[Tuple[Terms, Monomial, int]]]
+def _mask(n: int, m: Monomial) -> int:
+    """m as a bitmask: phi_k is bit k - 1 and phibar_k bit n + k - 1, so
+    the factors of m are its bits in ascending order."""
+    return sum(1 << (k - 1) for k in m.hol) | sum(1 << (n + k - 1) for k in m.anti)
 
 
-def bigraded_maps(n: int, column: Column) -> Dict[str, Dict[Bidegree, Mat]]:
-    """The del and delbar matrices at every bidegree, column by column: one
-    `wedge_into` per triple that `column` gives for each basis monomial."""
+@lru_cache(maxsize=None)
+def _mask_index(n: int, p: int, q: int) -> Dict[int, int]:
+    """The (p,q) basis as bitmasks, numbered in basis order."""
+    bits = [1 << i for i in range(n)]
+    anti = [sum(a) << n for a in combinations(bits, q)]
+    return {sum(h) | a: i for i, (h, a) in enumerate(product(combinations(bits, p), anti))}
+
+
+def _below(t: int) -> int:
+    """The xor over the factors x of t of the bits below x: for a monomial
+    r disjoint from t, popcount(r & _below(t)) has the parity of the pairs
+    (x in t, y in r) with x above y, the transpositions that sort the
+    factors of the wedge t ^ r."""
+    out = 0
+    while t:
+        low = t & -t
+        out ^= low - 1
+        t ^= low
+    return out
+
+
+Terms = List[Tuple[Monomial, QQi]]  # a form as (monomial, coefficient) pairs
+# column(name, m) -> the (parity, form key, rest) triples whose wedges
+# (-1)^parity * forms[key] ^ rest sum to the image of the basis bitmask m
+# under the map `name`, rest a bitmask too
+Column = Callable[[str, int], List[Tuple[int, Hashable, int]]]
+
+
+def bigraded_maps(n: int, forms: Dict[Hashable, Terms], column: Column) -> Dict[str, Dict[Bidegree, Mat]]:
+    """The del and delbar matrices at every bidegree, column by column.
+    The coefficients of `forms` are put over one common denominator once;
+    each term t of a triple (parity, key, rest) disjoint from rest then adds
+    its integer parts, with sign (-1)^(parity + popcount(rest & _below(t))),
+    to row t | rest."""
+    den = math.lcm(1, *(x.denominator for terms in forms.values() for _, c in terms for x in (c.re, c.im)))
+    parts = {key: [(_mask(n, t), _below(_mask(n, t)), c.re.numerator * (den // c.re.denominator),
+                    c.im.numerator * (den // c.im.denominator)) for t, c in terms] for key, terms in forms.items()}
     maps: Dict[str, Dict[Bidegree, Mat]] = {"del": {}, "delbar": {}}
     for b in bidegrees(n):
-        basis = monomial_basis(n, *b)
+        basis = _mask_index(n, *b)
         for name, mats in maps.items():
             target = shifted(b, name)
             if max(target) > n:
                 continue
-            idx = basis_index(n, *target)
-            entries: Dict[Tuple[int, int], QQi] = {}
+            idx = _mask_index(n, *target)
+            rows: List[Dict[int, Tuple[int, int]]] = [{} for _ in idx]
             for j, m in enumerate(basis):
-                for terms, rest, sign in column(name, m):
-                    wedge_into(entries, j, idx, terms, rest, sign)
-            mats[b] = Mat.from_entries(len(idx), len(basis), entries)
+                for parity, key, rest in column(name, m):
+                    for t, below, re, im in parts[key]:
+                        if t & rest:
+                            continue
+                        if (parity + (rest & below).bit_count()) & 1:
+                            re, im = -re, -im
+                        row = rows[idx[t | rest]]
+                        v = row.get(j)
+                        row[j] = (re, im) if v is None else (v[0] + re, v[1] + im)
+            mats[b] = Mat.from_parts(rows, den, len(basis))
     return maps
 
 
@@ -308,24 +347,27 @@ def _d_of_generator(model: ComplexModel, bar: bool, k: int) -> Dict[str, Terms]:
     }
 
 
-def _drop(m: Monomial, t: int) -> Monomial:
-    """m without its t-th factor, counting the hol factors first."""
-    p = len(m.hol)
-    if t < p:
-        return Monomial(m.hol[:t] + m.hol[t + 1 :], m.anti)
-    return Monomial(m.hol, m.anti[: t - p] + m.anti[t - p + 1 :])
-
-
 def _differentials(model: ComplexModel) -> Dict[str, Dict[Bidegree, Mat]]:
     """The del and delbar matrices of `model`, not yet certified: the
-    Leibniz terms of each basis monomial (module docstring)."""
-    dgen = {(bar, k): _d_of_generator(model, bar, k) for bar in (False, True) for k in range(1, model.n + 1)}
+    Leibniz terms of each basis monomial (module docstring), the factor g of
+    m contributing with parity the number of factors before it."""
+    n = model.n
+    # keyed by (bitmask of the generator g, map name)
+    forms = {(1 << (k - 1 + n * bar), name): terms for bar in (False, True) for k in range(1, n + 1)
+             for name, terms in _d_of_generator(model, bar, k).items()}
+    # the generators whose d has a part of each type
+    active = {name: sum(g for (g, nm), terms in forms.items() if nm == name and terms) for name in ("del", "delbar")}
 
-    def column(name: str, m: Monomial):
-        gens = [dgen[(False, k)] for k in m.hol] + [dgen[(True, k)] for k in m.anti]
-        return [(dg[name], _drop(m, t), -1 if t % 2 else 1) for t, dg in enumerate(gens) if dg[name]]
+    def column(name: str, m: int):
+        out = []
+        gens = m & active[name]
+        while gens:
+            g = gens & -gens
+            gens ^= g
+            out.append(((m & (g - 1)).bit_count(), (g, name), m ^ g))
+        return out
 
-    return bigraded_maps(model.n, column)
+    return bigraded_maps(n, forms, column)
 
 
 def build_complex(model: ComplexModel) -> BigradedComplex:

@@ -84,6 +84,8 @@ _RADIUS_RE = re.compile(r"^[0-9]+(?:/[0-9]+|\.[0-9]+)?$")
 # `[[a, b], [c, d]]`: one bracketed list of non-empty bracketed integer rows
 _ROW = r"\[\s*[+-]?[0-9]+(?:\s*,\s*[+-]?[0-9]+)*\s*\]"
 _MATRIX_RE = re.compile(rf"\[\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\]")
+# the body of each innermost bracketed row
+_ROW_RE = re.compile(r"\[([^\[\]]*)\]")
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def parse_cover(text: str) -> CoveringSpec:
         elif lhs in ("base", "sub"):
             if not _MATRIX_RE.fullmatch(rhs):
                 raise ModelSyntaxError(f"bad {lhs} matrix {rhs[:20]!r}", lineno, 1)
-            rows = re.findall(r"\[([^\[\]]*)\]", rhs)
+            rows = _ROW_RE.findall(rhs)
             mats[lhs] = tuple(tuple(parse_int(x, lineno, 1) for x in row.split(",")) for row in rows)
         elif lhs == "radius":
             radius = _parse_radius(rhs, lineno)
@@ -204,7 +206,7 @@ class ModeOps(BigradedComplex):
             "del": [(Monomial((k,), ()), c) for k, c in enumerate(mode.c10, 1) if not c.is_zero()],
             "delbar": [(Monomial((), (k,)), c) for k, c in enumerate(mode.c01, 1) if not c.is_zero()],
         }
-        super().__init__(n, bigraded_maps(n, lambda name, m: [(xi[name], m, 1)]))
+        super().__init__(n, bigraded_maps(n, xi, lambda name, m: [(0, name, m)]))
         self.mode = mode
 
 

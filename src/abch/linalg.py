@@ -16,8 +16,10 @@ with no row work: the zero matrix, the other operand (or its negation), or
 the zero echelon form.  `QQi` values
 appear only at the edges: the constructors fed by the parsers
 (`Mat(rows)`, `Mat.from_entries`), `m[i, j]`, `col`, `rows` and `matvec`,
-which rendering and witnesses read.  Row dicts are never changed in place
-once a `Mat` holds them, so results may share rows with their operands.
+which rendering and witnesses read.  `Mat.from_parts` takes integer rows
+over a denominator directly, as the differentials and conjugations are
+built.  Row dicts are never changed in place once a `Mat` holds them, so
+results may share rows with their operands.
 
 Every rank, nullspace, image and solve goes through `Mat.rref`, which
 eliminates over the Gaussian integers Z[i] starting from the stored rows,
@@ -35,7 +37,8 @@ denominator.  The pivot is the first nonzero entry, scanning rows top-down,
 in the leftmost unfinished column.  The reduced row echelon form of a
 matrix is unique, so every rank, echelon form and nullspace basis is
 bit-reproducible and independent of how the elimination is carried out.
-`det` and `compound` use Bareiss's exact-division elimination over Z[i].
+`det`, `compound` and `leading_minors` use Bareiss's exact-division
+elimination over Z[i].
 
 `to_numpy` gives the same floats as converting each entry through
 `Fraction`: `float(Fraction)` divides the reduced numerator by the reduced
@@ -145,16 +148,21 @@ def _mul_rows(A: "Mat", B: "Mat") -> List[Row]:
     return out
 
 
-def _det(rows: List[Row], n: int) -> Tuple[int, int]:
-    """Determinant of an n x n Z[i] matrix by Bareiss's fraction-free
-    elimination: every division by the previous pivot is exact."""
+def _bareiss(rows: List[Row], n: int, exchange: bool = True) -> Tuple[int, List[Tuple[int, int]]]:
+    """Bareiss's fraction-free elimination of an n x n Z[i] matrix, every
+    division by the previous pivot exact: the sign of its row exchanges and
+    its pivots, as many as it finds before a column has none.  A full list's
+    last pivot times the sign is the determinant.  Without `exchange` no row
+    moves, so the k-th pivot is the leading k x k minor, and the list stops
+    before the first zero one."""
     rows = list(rows)
     sign = 1
+    pivots: List[Tuple[int, int]] = []
     qa, qb = 1, 0  # previous pivot
     for c in range(n):
-        pr = next((i for i in range(c, n) if c in rows[i]), None)
+        pr = next((i for i in range(c, n if exchange else c + 1) if c in rows[i]), None)
         if pr is None:
-            return 0, 0
+            break
         if pr != c:
             rows[c], rows[pr] = rows[pr], rows[c]
             sign = -sign
@@ -174,7 +182,17 @@ def _det(rows: List[Row], n: int) -> Tuple[int, int]:
                 new = {j: ((x * qa + y * qb) // qn, (y * qa - x * qb) // qn) for j, (x, y) in new.items()}
             rows[i] = {j: v for j, v in new.items() if v[0] or v[1]}
         qa, qb = pa, pb
-    return sign * qa, sign * qb
+        pivots.append((pa, pb))
+    return sign, pivots
+
+
+def _det(rows: List[Row], n: int) -> Tuple[int, int]:
+    """Determinant of an n x n Z[i] matrix, by `_bareiss`."""
+    sign, pivots = _bareiss(rows, n)
+    if len(pivots) < n:
+        return 0, 0
+    a, b = pivots[-1] if pivots else (1, 0)
+    return sign * a, sign * b
 
 
 class Mat:
@@ -217,6 +235,13 @@ class Mat:
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise ShapeMismatch(f"entry ({i}, {j}) outside {nrows}x{ncols}")
         return _from_qqi(nrows, ncols, ((i, j, x) for (i, j), x in entries.items()))
+
+    @staticmethod
+    def from_parts(rows: Sequence[Mapping[int, Tuple[int, int]]], den: int, ncols: int) -> "Mat":
+        """The matrix with entry (i, j) = (re + im i) / den for each
+        rows[i][j] = (re, im) of Python ints, every column below ncols, and
+        zeros elsewhere; den must be positive."""
+        return _canon([{j: v for j, v in row.items() if v[0] or v[1]} for row in rows], den, ncols)
 
     @staticmethod
     def from_blocks(nrows: int, ncols: int, blocks: Iterable[Tuple[int, int, "Mat"]]) -> "Mat":
@@ -542,6 +567,16 @@ def compound(M: Mat, k: int) -> Mat:
                 row[c] = (a, b)
         rows.append(row)
     return _canon(rows, M._d ** k, len(csets))
+
+
+def leading_minors(M: Mat) -> List[QQi]:
+    """det M[:k, :k] for k = 1..n of a square M: the pivots of `_bareiss`
+    without row exchanges, up to and including the first zero minor."""
+    if M.nrows != M.ncols:
+        raise ShapeMismatch("leading minors of non-square")
+    _, pivots = _bareiss(M._r, M.nrows, exchange=False)
+    minors = [_qqi(a, b, M._d ** k) for k, (a, b) in enumerate(pivots, 1)]
+    return minors if len(minors) == M.nrows else minors + [ZERO]
 
 
 def kron(A: Mat, B: Mat) -> Mat:

@@ -2,8 +2,12 @@
 the C-linear Hodge star and Gram adjoints.
 
 The metric is given by a positive-definite Hermitian matrix H with
-H[j][k] = h(phi_j, phi_k) on the (1,0)-coframe.  On monomials the inner
-product is the product of two minor determinants,
+H[j][k] = h(phi_j, phi_k) on the (1,0)-coframe.  Construction certifies it
+from the n leading principal minors, the pivots of one fraction-free
+elimination (`linalg.leading_minors`), and builds nothing else: the
+compound factors below and (conj H)^{-1} are made on first use, so a
+command that reads no Gram, star or fundamental form makes none.  On
+monomials the inner product is the product of two minor determinants,
 
     h(phi_I ^ phibar_J, phi_K ^ phibar_L) = det(H[I,K]) * det(conj(H)[J,L]),
 
@@ -20,9 +24,10 @@ conj C_q(H^{-1})) = I (x) I.  Gram adjoints use the inverse block diagonals.
 
 The fundamental form lives on the vector side,
 omega = i * sum_jk ((conj H)^{-1})_jk phi_j ^ phibar_k, and
-vol = omega^n / n! fixes vol_coeff = i^n (-1)^{n(n-1)/2} / det(H) on the
-canonical top monomial.  (conj H)^{-1} is the one exact inversion a metric
-makes; its conjugate is H^{-1}.
+vol = omega^n / n! fixes vol_coeff = i^n (-1)^{n(n-1)/2} / det(H)
+= i^{n^2} / det(H) on the canonical top monomial, det(H) being the last
+leading minor.  (conj H)^{-1} is the one exact inversion a metric makes;
+its conjugate is H^{-1}.
 
 The star on A^{a,b} -> A^{n-b,n-a} is solved column-by-column from its
 defining equation  alpha ^ *(conj beta) = h(alpha, beta) vol; the wedge
@@ -61,7 +66,7 @@ from abch.complexes import (
     monomial_basis,
     wedge_monomials,
 )
-from abch.linalg import Mat, ShapeMismatch, compound, gram_adjoint, kron
+from abch.linalg import Mat, ShapeMismatch, compound, gram_adjoint, kron, leading_minors
 from abch.model import ModelSyntaxError, parse_coeff, parse_dimension, parse_int, record_once, statements
 from abch.scalars import QQi, ONE, ZERO, I
 
@@ -114,18 +119,21 @@ class HermitianMetric(Memo):
             raise NotHermitian("H is not equal to its conjugate transpose")
         self.n = n
         self.H = H
-        for k in range(n + 1):
-            # entry [0][0] of the compound C_k(H) is the leading k x k minor
-            mk = self._factor(k, False)[0][0, 0]
+        minors = leading_minors(H)
+        for k, mk in enumerate(minors, 1):
             if not mk.is_real() or mk.re <= 0:
                 raise NotPositiveDefinite(f"leading minor {k} is {mk}")
-        # the fundamental form lives on the vector side: its coefficient
-        # matrix is the inverse of the conjugated coframe Gram, and
-        # vol = omega^n / n! picks up 1/det(H)
-        self.omega_matrix = H.conj().inv()
-        i_pow = [ONE, I, -ONE, -I][n % 4]
-        sign = -ONE if (n * (n - 1) // 2) % 2 == 1 else ONE
-        self.vol_coeff: QQi = i_pow * sign / self._factor(n, False)[0][0, 0]
+        # vol = omega^n / n! picks up 1/det(H), the last leading minor, and
+        # i^n (-1)^{n(n-1)/2} = i^{n^2}, which is i for odd n and 1 for even
+        inv_det = 1 / minors[-1].re if n else 1
+        self.vol_coeff: QQi = QQi(0, inv_det) if n % 2 else QQi(inv_det)
+
+    @property
+    def omega_matrix(self) -> Mat:
+        """The fundamental form lives on the vector side: its coefficient
+        matrix is the inverse of the conjugated coframe Gram, built on first
+        use."""
+        return self.cached("omega", lambda: self.H.conj().inv())
 
     @property
     def numeric(self) -> "NumericMetric":

@@ -82,6 +82,8 @@ _GEN_RE = re.compile(r"^(phibar|phi)([0-9]+)$")
 _NAT_RE = re.compile(r"^[0-9]+$")
 _RAT_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 _IMAG_RE = re.compile(r"^(-?)(?:([0-9]+(?:/[0-9]+)?)\s*)?i$")
+# `(a/b + c/d i)` inside its parentheses: the real part, the sign, the imaginary part
+_COMPLEX_RE = re.compile(r"^(.*?)\s*([+-])\s*((?:[0-9]+(?:/[0-9]+)?\s*)?i)$")
 
 
 def parse_int(text: str, line: int = 0, col: int = 0) -> int:
@@ -143,7 +145,7 @@ def parse_coeff(text: str, line: int = 0, col: int = 0) -> QQi:
     t = text.strip()
     if t.startswith("(") and t.endswith(")"):
         inner = t[1:-1].strip()
-        m = re.match(r"^(.*?)\s*([+-])\s*((?:[0-9]+(?:/[0-9]+)?\s*)?i)$", inner)
+        m = _COMPLEX_RE.match(inner)
         if not m:
             raise ModelSyntaxError(f"bad complex coefficient {text!r}", line, col)
         re_part = _parse_rational(m.group(1).strip(), line, col)

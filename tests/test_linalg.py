@@ -11,6 +11,7 @@ from abch.linalg import (
     common_kernel,
     gram_adjoint,
     kron,
+    leading_minors,
     project,
     projection_coords,
     span_basis,
@@ -169,3 +170,23 @@ def test_subspace_eq_needs_one_ambient_space():
     # also when the ranks differ, so no rank decides it first
     with pytest.raises(ShapeMismatch):
         subspace_eq(Mat.identity(2), Mat.zeros(3, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: mats(n, n)))
+def test_leading_minors_are_the_leading_determinants(A):
+    # scaled by a Gaussian rational, so the storage has a denominator
+    for M in (A, A.scale(QQi(Fraction(1, 6), Fraction(1, 4)))):
+        # every minor up to the first zero one, that one included
+        expected = []
+        for k in range(1, M.nrows + 1):
+            expected.append(Mat([row[:k] for row in M.rows[:k]], ncols=k).det())
+            if expected[-1].is_zero():
+                break
+        assert leading_minors(M) == expected
+
+
+def test_from_parts_is_canonical():
+    # zero parts are dropped and the common factor 2 of den and parts cancels
+    M = Mat.from_parts([{0: (6, -4), 1: (0, 0)}, {}, {1: (0, 2)}], 2, 2)
+    assert M == Mat([[QQi(3, -2), ZERO], [ZERO, ZERO], [ZERO, QQi(0, 1)]], ncols=2)

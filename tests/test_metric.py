@@ -112,6 +112,8 @@ def test_vol_coeff_small_dimensions():
             fact *= k
         top = power.coeffs[0] / fact
         assert top == m.vol_coeff
+    # n = 0: the empty determinant is 1
+    assert identity_metric(0).vol_coeff == ONE
     assert identity_metric(1).vol_coeff == I
     assert identity_metric(2).vol_coeff == ONE
     assert identity_metric(3).vol_coeff == I
@@ -264,6 +266,40 @@ def test_metric_validation():
     neg = Mat([[QQi(-1), QQi(0)], [QQi(0), QQi(1)]], ncols=2)
     with pytest.raises(NotPositiveDefinite):
         HermitianMetric(2, neg)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[-2, 0, 0], [0, 1, 0], [0, 0, 1]], "leading minor 1 is -2"),
+    ([[1, 2, 0], [2, 1, 0], [0, 0, 1]], "leading minor 2 is -3"),
+    ([[2, I, 0], [-I, 1, 1], [0, 1, Fraction(1, 2)]], "leading minor 3 is -3/2"),
+    ([[0, 1], [1, 0]], "leading minor 1 is 0"),
+    ([[1, I, 0], [-I, 1, 0], [0, 0, -1]], "leading minor 2 is 0"),
+], ids=["k1", "k2", "k3", "zero_k1", "zero_k2"])
+def test_positivity_names_the_first_non_positive_leading_minor(rows, message):
+    H = Mat([[QQi.of(x) for x in row] for row in rows], ncols=len(rows))
+    with pytest.raises(NotPositiveDefinite) as err:
+        HermitianMetric(len(rows), H)
+    assert str(err.value) == message
+
+
+def test_a_metric_builds_no_compound_before_its_first_gram(monkeypatch, capsys):
+    import abch.metric
+    from abch.cli import main
+
+    calls = []
+    real = abch.metric.compound
+    monkeypatch.setattr(abch.metric, "compound", lambda M, k: calls.append(k) or real(M, k))
+    metric = HermitianMetric(3, random_rational_hermitian(3))
+    assert calls == [] and metric._memo == {}
+    metric.gram((1, 1))
+    assert sorted(set(calls)) == [1]
+    # neither command reads a Gram, so neither builds a compound
+    calls.clear()
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    for command in ("check", "ddbar"):
+        assert main([command, os.path.join(fixtures, "iwasawa.cplx"), "--metric", os.path.join(fixtures, "dense3.herm")]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_parse_herm():

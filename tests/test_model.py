@@ -1,5 +1,6 @@
 """Structure-equation parser: canonical forms, errors, round trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from abch.model import (
     ModelError,
     ModelSyntaxError,
     UnknownGenerator,
+    parse_coeff,
     parse_model,
     render_model,
 )
@@ -156,6 +158,20 @@ def test_a_malformed_lattice_matrix_is_a_syntax_error_at_its_line(base):
     assert parse_cover(f"n = 1\nradius = 1\nbase = [ [1,0] ,[ 0 , 1 ] ]\nsub = [[2, 0], [0, 1]]\n").base == ((1, 0), (0, 1))
 
 
+def test_parsing_compiles_no_regular_expression(monkeypatch):
+    # every pattern is compiled at import: a module-level `re` call would
+    # compile (or look up) its pattern at parse time
+    def refuse(*args, **kwargs):
+        raise AssertionError("a regular expression compiled at parse time")
+
+    for name in ("compile", "match", "fullmatch", "search", "findall"):
+        monkeypatch.setattr(re, name, refuse)
+    assert parse_coeff("(1/2 + 1/3 i)") == QQi(Fraction(1, 2), Fraction(1, 3))
+    assert parse_model("n = 2\nd phi2 = (1/2 - i) * phi1 ^ phibar1\n").d11 == {2: {(1, 1): QQi(Fraction(1, 2), -1)}}
+    cover = parse_cover("n = 1\nbase = [[1, 0], [0, 1]]\nsub = [[2, 0], [0, 1]]\nradius = 1/2\n")
+    assert cover == CoveringSpec(n=1, base=((1, 0), (0, 1)), sub=((2, 0), (0, 1)), radius=Fraction(1, 2))
+
+
 small = st.integers(min_value=-3, max_value=3)
 coeffs = st.builds(
     lambda a, b, c, d: QQi(Fraction(a, 1 + abs(c)), Fraction(b, 1 + abs(d))),
@@ -164,8 +180,10 @@ coeffs = st.builds(
 
 
 @st.composite
-def models(draw):
-    n = draw(st.integers(min_value=1, max_value=3))
+def models(draw, max_n=3):
+    """A random model on n <= max_n generators; its structure constants
+    need not satisfy d^2 = 0."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
     d20, d11 = {}, {}
     for k in range(1, n + 1):
         if draw(st.booleans()):

@@ -15,7 +15,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 @pytest.mark.parametrize("script, args, keys", [
     ("zero_work_counts.py", [], {"per_pass", "cholesky_calls"}),
-    ("metric_timing.py", ["--repeat", "1"], {"dense4_all_grams_ms"}),
+    ("metric_timing.py", ["--repeat", "1"], {"dense4_all_grams_ms", "identity4_all_grams_ms"}),
     ("memo_census.py", [os.path.join(ROOT, "fixtures", "kodaira_thurston.cplx")], {"memos", "totals"}),
 ])
 def test_tool_runs_and_ends_with_json(script, args, keys):

@@ -6,9 +6,10 @@ For `dense4` (the dense complex n = 4 metric of ROADMAP's Baseline), and
 with `--dense6` also for a dense complex n = 6 metric, the script makes a
 fresh `HermitianMetric` and builds every Gram and inverse Gram
 (`gram_space`, `gram_inv_space`) of every bidegree and every total degree,
-and reports the wall time of that, construction included.  It also times
-the construction of the identity metric `HermitianMetric(4, I)`, which
-builds no inverse Gram.  Each figure is the median of `--repeat` runs
+and reports the wall time of that, construction included.  It times the
+same work for the identity metric `HermitianMetric(4, I)`: construction
+alone builds no compound, so only construction plus every Gram compares
+across versions.  Each figure is the median of `--repeat` runs
 (`--dense6` runs once: it takes minutes on code that checks the inverse at
 full size).  `--root` names the checkout whose `src/` is used (by default
 the one holding this script).  The last line of output is one JSON object.
@@ -49,8 +50,9 @@ def dense6() -> str:
     return "\n".join(lines) + "\n"
 
 
-def time_all_grams(metric_mod, complexes, text: str) -> float:
-    n, H = metric_mod.parse_metric(text)
+def time_all_grams(metric_mod, complexes, n: int, H) -> float:
+    """Seconds to construct HermitianMetric(n, H) and build every Gram and
+    inverse Gram of every bidegree and total degree."""
     t0 = time.perf_counter()
     m = metric_mod.HermitianMetric(n, H)
     spaces = [((p, q),) for p in range(n + 1) for q in range(n + 1)]
@@ -73,18 +75,14 @@ def main() -> None:
 
     out = {
         "dense4_all_grams_ms": 1e3 * statistics.median(
-            time_all_grams(metric, complexes, DENSE4) for _ in range(args.repeat)
+            time_all_grams(metric, complexes, *metric.parse_metric(DENSE4)) for _ in range(args.repeat)
         ),
     }
-    identity = []
-    for _ in range(args.repeat):
-        t0 = time.perf_counter()
-        for _ in range(100):
-            metric.HermitianMetric(4, Mat.identity(4))
-        identity.append((time.perf_counter() - t0) / 100)
-    out["identity4_init_us"] = 1e6 * statistics.median(identity)
+    out["identity4_all_grams_ms"] = 1e3 * statistics.median(
+        time_all_grams(metric, complexes, 4, Mat.identity(4)) for _ in range(args.repeat)
+    )
     if args.dense6:
-        out["dense6_all_grams_s"] = time_all_grams(metric, complexes, dense6())
+        out["dense6_all_grams_s"] = time_all_grams(metric, complexes, *metric.parse_metric(dense6()))
     for key, value in out.items():
         print(f"{key:22s} {value:.3f}")
     print(json.dumps(out, sort_keys=True))
