@@ -51,12 +51,10 @@ from abch.laplacians import (
     THEORY_KINDS,
     LaplacianKind,
     fourth_order_part,
-    gram_norms,
     harmonic_space,
     laplacian,
     numeric_spectrum,
     prestage_box_check,
-    project_off_kernel,
     spectral_gap,
     tol_rel,
 )
@@ -488,14 +486,20 @@ def _samples(rng: random.Random, rows: int, cols: int) -> np.ndarray:
     return x[0] + 1j * x[1]
 
 
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of each column of X."""
+    return np.linalg.norm(X, axis=0) ** 2
+
+
 def gap_and_closed_image(fourier: FourierComplex, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> dict:
     """Quantitative closed-image bounds on the cover.
 
     Per bidegree: gap(lap_delbar) > 0 on the nonzero modes; the bound
     C |theta|^2 <= |del delbar theta|^2 with C = gap(tilde_A fourth-order
-    part) = gap(lap_delbar)^2, sampled over theta in
-    im((del delbar out)* adjoint); and the two-operator bound of the
-    spectral-gap characterisation for the Dolbeault complex.  Also checks
+    part) = gap(lap_delbar)^2, sampled over theta in im((del delbar)*); and
+    the two-operator bound of the spectral-gap characterisation for the
+    Dolbeault complex.  Both are sampled in each mode's orthonormal
+    coordinates (`NumericSetting`), where the norms are Euclidean.  Also checks
     the exact matrix identities tilde_BC_4 = tilde_A_4 = lap_delbar^2
     (reduced scale; both sides are fourth order so the scale cancels).
     """
@@ -525,28 +529,27 @@ def gap_and_closed_image(fourier: FourierComplex, samples: int = DEFAULT_SAMPLES
         quantitative_ok = True
         two_op_ok = True
         kernels = fourier.mode_kernels(LaplacianKind.DELBAR, b)
-        for st, nst, K in zip(fourier.settings, fourier.numeric, kernels):
-            # lap_delbar per mode: its spectral gap, and the Gram of its space
+        for nst, K in zip(fourier.numeric, kernels):
+            # lap_delbar per mode, in orthonormal coordinates: its spectral gap
             g = spectral_gap(numeric_spectrum(nst, LaplacianKind.DELBAR, b))
             if g is None:
                 continue
-            C, G = g * g, nst.gram((b,))
-            # theta samples in im((del delbar out)* adjoint)
-            corner_out = nst.out("deldbar", b)
-            Simg = st.im("deldbar", b, star=True).to_numpy()
-            if Simg.shape[1]:
-                theta = Simg @ _samples(rng, Simg.shape[1], samples)
-                lhs = gram_norms(theta, G)
-                rhs = gram_norms(corner_out.mat @ theta, nst.gram(corner_out.dst))
-                if not np.all(C * lhs <= rhs + 1e-9 * np.maximum(rhs, 1.0)):
+            # theta = T^H y samples im((del delbar)*), T the del delbar leaving b
+            T = nst.out("deldbar", b).mat
+            if T.shape[0]:
+                theta = T.conj().T @ _samples(rng, T.shape[0], samples)
+                lhs, rhs = _sq_norms(theta), _sq_norms(T @ theta)
+                if not np.all(g * g * lhs <= rhs + 1e-9 * np.maximum(rhs, 1.0)):
                     quantitative_ok = False
-            # two-operator bound: C|x|^2 <= |P^t x|^2 + |Q x|^2 on (ker)^perp
-            Padj = nst.into("delbar", b, True)
-            Qop = nst.out("delbar", b)
-            dim = Qop.mat.shape[1]
-            X = project_off_kernel(_samples(rng, dim, samples), K.to_numpy(), G)
-            norm2 = gram_norms(X, G)
-            val = gram_norms(Padj.mat @ X, nst.gram(Padj.dst)) + gram_norms(Qop.mat @ X, nst.gram(Qop.dst))
+            # two-operator bound: g|x|^2 <= |P* x|^2 + |Q x|^2 on (ker)^perp,
+            # x projected off the whitened kernel by an orthonormal basis of it
+            P_adj, Q = nst.into("delbar", b, True).mat, nst.out("delbar", b).mat
+            X = _samples(rng, Q.shape[1], samples)
+            if K.ncols:
+                basis = np.linalg.qr(nst.metric.gram_factor((b,))[0] @ K.to_numpy())[0]
+                X = X - basis @ (basis.conj().T @ X)
+            norm2 = _sq_norms(X)
+            val = _sq_norms(P_adj @ X) + _sq_norms(Q @ X)
             keep = norm2 > 1e-18
             if not np.all(g * norm2[keep] <= val[keep] + 1e-9 * np.maximum(val[keep], 1.0)):
                 two_op_ok = False

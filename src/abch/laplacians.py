@@ -31,8 +31,11 @@ Bott-Chern kinds share one kernel, as do the three Aeppli kinds, and
 per theory, with no adjoint and no Laplacian.  A matrix's row space is the
 annihilator of its kernel and its RREF is unique, so `Mat.nullspace` gives
 the same bits for every matrix with that kernel, each Laplacian included.
-The numeric backend takes each kind's own spectrum, whose zero multiplicity
-is cross-checked against the theory's exact kernel.
+The numeric backend assembles each kind from the maps written in
+orthonormal coordinates (`setting.NumericSetting`), where every adjoint is a
+conjugate transpose and so every Laplacian is Hermitian by construction, and
+takes its spectrum with `eigvalsh`; the zero multiplicity is cross-checked
+against the theory's exact kernel.
 
 In finite dimension every operator is bounded with closed image, so the
 closed-image characterisation of a spectral gap holds automatically and only
@@ -52,13 +55,12 @@ import numpy as np
 
 from abch.complexes import Bidegree, Op, Space, d_between
 from abch.linalg import Mat, common_kernel
+from abch.metric import HERMITIAN_TOL
 from abch.model import ModelError
 from abch.setting import ExactSetting, NumericSetting, add_ops, compose
 
 TOL_ABS = 1e-12
 TOL_REL = 1e-9
-# bound on ||S - S^H||_F / ||S||_F for a Gram-symmetrised operator S
-HERMITIAN_TOL = 1e-9
 # the sampling seed and the sample count of each sampled check on a cover
 DEFAULT_SEED = 271828
 DEFAULT_SAMPLES = 200
@@ -81,7 +83,7 @@ def tol_rel() -> float:
 
 
 class EigSolverFailure(Exception):
-    """LAPACK failed to diagonalise a Gram-symmetrised operator."""
+    """LAPACK failed to diagonalise a whitened Laplacian."""
 
 
 class LaplacianKind(str, Enum):
@@ -220,31 +222,21 @@ def harmonic_characterization(setting: ExactSetting, kind: LaplacianKind, b: Bid
 # -- numeric spectra --------------------------------------------------------------
 
 
-def gram_symmetrize(L: np.ndarray, factor: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """A L A^{-1} for the factor pair (A, A^{-1}) = (C^H, (C^H)^{-1}) of the
-    Cholesky factor conj(G) = C C^H (`metric.cholesky_factor`).  With
-    <u,v> = u^T G conj(v), a Gram-self-adjoint L makes conj(G) L Hermitian,
-    so the result S is Hermitian up to rounding; a relative residual
-    ||S - S^H||_F above HERMITIAN_TOL is a broken invariant (AssertionError),
-    and below it S is averaged with S^H."""
-    A, A_inv = factor
-    S = A @ L @ A_inv
-    residual, size = np.linalg.norm(S - S.conj().T), np.linalg.norm(S)
-    if residual > HERMITIAN_TOL * size:
-        raise AssertionError(f"Gram-symmetrised operator is not Hermitian: ||S - S^H|| = {residual:.3g}, "
-                             f"||S|| = {size:.3g}")
-    return 0.5 * (S + S.conj().T)
-
-
-def spectrum(L: np.ndarray, factor: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Sorted eigenvalues of the Gram-symmetrised operator, each of size below
-    the zero threshold set to 0; `factor` is the `cholesky_factor` of the Gram
-    of L's space.  A Laplacian is positive semidefinite, so an eigenvalue at
-    or below -threshold is a broken invariant (AssertionError)."""
+def spectrum(L: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of a Laplacian L in orthonormal coordinates, each of
+    size below the zero threshold set to 0.  L is a sum of products T^H T
+    and T T^H, Hermitian by construction, so a relative residual
+    ||L - L^H||_F above HERMITIAN_TOL is a broken assembly, and a Laplacian
+    is positive semidefinite, so an eigenvalue at or below -threshold is a
+    broken invariant (AssertionError either way)."""
     if L.shape[0] == 0:
         return np.zeros(0)
+    residual, size = np.linalg.norm(L - L.conj().T), np.linalg.norm(L)
+    if residual > HERMITIAN_TOL * size:
+        raise AssertionError(f"assembled Laplacian is not Hermitian: ||L - L^H|| = {residual:.3g}, "
+                             f"||L|| = {size:.3g}")
     try:
-        ev = np.linalg.eigvalsh(gram_symmetrize(L, factor))
+        ev = np.linalg.eigvalsh(L)
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
     lam_max = float(ev[-1])
@@ -267,10 +259,7 @@ def spectral_gap(ev: np.ndarray) -> Optional[float]:
 def numeric_spectrum(numeric: NumericSetting, kind: LaplacianKind, b: Bidegree) -> np.ndarray:
     """The spectrum of the float Laplacian of one kind, memoised per kind and
     space; the Laplacian is assembled inside that entry's build, and not kept."""
-    def build() -> np.ndarray:
-        op = assemble(numeric, kind, b)
-        return spectrum(op.mat, numeric.metric.gram_factor(op.src))
-    return numeric.cached(("spectrum", kind, _acts_on(kind, b)), build)
+    return numeric.cached(("spectrum", kind, _acts_on(kind, b)), lambda: spectrum(assemble(numeric, kind, b).mat))
 
 
 @dataclass
@@ -302,21 +291,6 @@ class LaplacianBundle:
                     f"{kind.value} at {self.bidegree}: exact kernel {exact_dim} != numeric multiplicity {numeric_dim}"
                 )
         return problems
-
-
-def project_off_kernel(X: np.ndarray, K: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """The columns of X minus their Gram projections onto the span of the
-    columns of K, i.e. onto the orthogonal complement of that span."""
-    if not K.shape[1]:
-        return X
-    B = K.T @ G @ np.conj(K)  # B[l,j] = <k_l, k_j>, with <u,v> = u^T G conj(v)
-    rhs = (X.T @ G @ np.conj(K)).T  # rhs[j, sample] = <x, k_j>
-    return X - K @ np.linalg.solve(B.T, rhs)
-
-
-def gram_norms(X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Re <x, x> = Re x^T G conj(x) for each column x of X."""
-    return np.real(np.einsum("ij,ij->j", X, G @ np.conj(X)))
 
 
 # -- structural identity checks -------------------------------------------------

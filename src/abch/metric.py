@@ -38,10 +38,11 @@ rather than trusted.
 
 NumericMetric is the float view used for spectra, made once per metric as
 `metric.numeric` and shared by every setting over it (every mode of a
-cover): to_numpy() of these same cached Grams and inverse Grams, so the
-numeric adjoint is the exact formula evaluated in floating point, with no
-float Gram, determinant or inversion.  Each space's Gram is converted and
-Cholesky-factored once, and the float adjoint conjugates its whole product.
+cover): to_numpy() of these same cached Grams, each factored once per
+non-empty space as A^H A = conj(G), with A checked to HERMITIAN_TOL.  A
+numeric setting writes each map T in orthonormal coordinates, A_dst T
+A_src^{-1}, so the float adjoint is the conjugate transpose, with no float
+inverse Gram, determinant or adjoint product.
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ from abch.complexes import (
 from abch.linalg import Mat, ShapeMismatch, compound, gram_adjoint, kron, leading_minors
 from abch.model import ModelSyntaxError, parse_coeff, parse_dimension, parse_int, record_once, statements
 from abch.scalars import QQi, ONE, ZERO, I
+
+# bound on ||A^H A - conj(G)|| / ||G|| for the whitening factor A of a float
+# Gram G, and on ||L - L^H|| / ||L|| for a whitened Laplacian L (Frobenius)
+HERMITIAN_TOL = 1e-9
 
 
 class NotHermitian(Exception):
@@ -272,16 +277,21 @@ def load_metric(path: str) -> Tuple[int, Mat]:
 
 def cholesky_factor(G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(A, A^{-1}) for A = C^H and the Cholesky factor conj(G) = C C^H of a
-    positive-definite Hermitian Gram G: the transposed Cholesky factor of G."""
+    positive-definite Hermitian Gram G: the transposed Cholesky factor of G.
+    A residual A^H A - conj(G) above HERMITIAN_TOL is a broken invariant
+    (AssertionError, exit 1 in the CLI)."""
     A = np.linalg.cholesky(G).T
+    residual, size = np.linalg.norm(A.conj().T @ A - G.conj()), np.linalg.norm(G)
+    if residual > HERMITIAN_TOL * size:
+        raise AssertionError(f"Gram whitening factor is wrong: ||A^H A - conj(G)|| = {residual:.3g}, ||G|| = {size:.3g}")
     return A, np.linalg.inv(A)
 
 
 class NumericMetric(Memo):
     """Float view of a HermitianMetric, made once per metric as
-    `metric.numeric`: its exact Grams and inverse Grams, each converted to
-    numpy once and never conjugated, and each Gram's `cholesky_factor`, taken
-    once per space.  No Gram is built or inverted in floating point, and H
+    `metric.numeric`: its exact Grams, each converted to numpy once and never
+    conjugated, and each Gram's checked `cholesky_factor`, taken once per
+    non-empty space.  No Gram is built or inverted in floating point, and H
     needs no float checks: it was certified exactly when it was made."""
 
     def __init__(self, metric: HermitianMetric):
@@ -289,24 +299,29 @@ class NumericMetric(Memo):
         self.exact = metric
         self.n = metric.n
 
-    def _view(self, space: Space, inverse: bool) -> np.ndarray:
-        """to_numpy() of gram_space(space), or of gram_inv_space(space) if inverse."""
-        return self.cached(("view", space, inverse), lambda: (
-            self.exact.gram_inv_space(space) if inverse else self.exact.gram_space(space)).to_numpy())
+    def _view(self, space: Space) -> np.ndarray:
+        """to_numpy() of gram_space(space)."""
+        return self.cached(("view", space), lambda: self.exact.gram_space(space).to_numpy())
 
     def gram(self, b: Bidegree) -> np.ndarray:
-        return self._view((b,), False)
+        return self._view((b,))
 
     def gram_space(self, space: Space) -> np.ndarray:
-        return self._view(space, False)
+        return self._view(space)
 
     def gram_factor(self, space: Space) -> Tuple[np.ndarray, np.ndarray]:
-        """`cholesky_factor` of the Gram of `space`, computed once."""
-        return self.cached(("cholesky", space), lambda: cholesky_factor(self._view(space, False)))
+        """The whitening pair (A, A^{-1}) of `space`, the `cholesky_factor` of
+        its Gram, computed once; the empty spaces at the range ends keep
+        their 0 x 0 Gram as both, unfactored."""
+        def build() -> Tuple[np.ndarray, np.ndarray]:
+            G = self._view(space)
+            return cholesky_factor(G) if G.size else (G, G)
+        return self.cached(("cholesky", space), build)
 
     def adjoint(self, op: Op) -> Op:
         return Op(src=op.dst, dst=op.src, mat=self.adjoint_mat(op.mat, op.src, op.dst))
 
     def adjoint_mat(self, T: np.ndarray, src: Space, dst: Space) -> np.ndarray:
-        """conj(G_src)^{-1} T^H conj(G_dst) as gram_adjoint computes it, conjugated as a whole."""
-        return (self._view(src, True) @ T.T @ self._view(dst, False)).conj()
+        """The adjoint of a map T: src -> dst written in orthonormal
+        coordinates (`NumericSetting`), its conjugate transpose."""
+        return T.conj().T

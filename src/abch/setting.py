@@ -8,13 +8,14 @@ raises) and `b` a bidegree, or `d` and a total degree.  `into` lowers b by
 `shifted(b, name, -1)`, or the degree by 1, and reads `out` there.
 
 ExactSetting works over Q(i) matrices.  NumericSetting is the same class
-seen in floating point: it overrides only the conversion of each
-differential (to_numpy(), optionally rescaled, used by the Fourier covering
-models where the true twist carries a factor 2*pi), the total d (converted
-from the exact setting's memo) and del delbar (the product of its two scaled
-float factors, where the exact setting reads the complex's memoised product).
-Its metric, and so its adjoint, is the one float view `metric.numeric` that
-every numeric setting over the metric shares.
+seen in floating point and orthonormal coordinates: it overrides only the
+conversion of each differential (to_numpy(), optionally rescaled for the
+Fourier covering models' 2*pi, then whitened by `NumericMetric.gram_factor`),
+the total d (converted from the exact setting's memo) and del delbar (the
+product of its two float factors, where the exact setting reads the
+complex's memoised product).  Its metric is the one float view
+`metric.numeric` shared by every numeric setting over the metric, and its
+adjoint, the conjugate transpose, makes each Laplacian Hermitian.
 
 Each setting is a `complexes.Memo`: its one `cached(key, build)` memo holds
 every object derived from it under a name: the primitives under `(name, b)`
@@ -131,9 +132,10 @@ class NumericSetting(ExactSetting):
     """Float view of an ExactSetting, sharing its memo scheme.
 
     Each primitive is the float conversion of the exact one, times `scale`
-    (not the metric); covering models use it to restore the 2*pi factor
-    carried by Fourier twists.  `deldbar_op` stays the product of the two
-    scaled float factors, so it carries scale**2.
+    (not the metric), as A_dst T A_src^{-1}; covering models use `scale` to
+    restore the 2*pi factor carried by Fourier twists.  `deldbar_op` stays
+    the product of the two float factors, so it carries scale**2.  `gram`
+    is still the Gram of the original coordinates.
     """
 
     def __init__(self, exact: ExactSetting, scale: float = 1.0):
@@ -142,7 +144,8 @@ class NumericSetting(ExactSetting):
         self.scale = scale
 
     def _convert(self, op: Op) -> Op:
-        return Op(src=op.src, dst=op.dst, mat=op.mat.to_numpy() * self.scale)
+        A_dst, A_src_inv = self.metric.gram_factor(op.dst)[0], self.metric.gram_factor(op.src)[1]
+        return Op(src=op.src, dst=op.dst, mat=A_dst @ (op.mat.to_numpy() * self.scale) @ A_src_inv)
 
     def deldbar_op(self, b: Bidegree) -> Op:
         return self.cached(("deldbar", b), lambda: compose(self.out("del", shifted(b, "delbar")),

@@ -4,12 +4,13 @@ Each function is an exact (or, for `verify_gap_inequality`, sampled)
 statement of the theory that no CLI command needs: the Laplacian duality
 under the Hodge star, kernel coincidences, the Kahler identities, the
 three-part Hodge decompositions, the stacked-vs-separate kernel and image
-identities, the stacked `d` map of one bidegree and the Gram inner product
-of two coefficient vectors.  `render_json` is the reference JSON report:
-`json.dumps` with a `default` that maps each report object to its JSON
-value.  They live here, not in `src/abch`, so the
-package holds only what its commands reach; the tests import them from
-this module.
+identities, the stacked `d` map of one bidegree, the Gram inner product
+of two coefficient vectors and the Gram norms and projections that the
+sampled Rayleigh bound reads in the original coordinates.  `render_json`
+is the reference JSON report: `json.dumps` with a `default` that maps each
+report object to its JSON value.  They live here, not in `src/abch`, so
+the package holds only what its commands reach; the tests import them
+from this module.
 """
 
 import json
@@ -25,11 +26,9 @@ from abch.laplacians import (
     LaplacianKind,
     _sum,
     assemble,
-    gram_norms,
     harmonic_characterization,
     harmonic_space,
     numeric_spectrum,
-    project_off_kernel,
     spectral_gap,
 )
 from abch.linalg import (
@@ -68,6 +67,21 @@ def d_operator(comp: BigradedComplex, b: Bidegree) -> Op:
 # -- spectral-gap Rayleigh bound (laplacians) ---------------------------------
 
 
+def project_off_kernel(X: np.ndarray, K: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The columns of X minus their Gram projections onto the span of the
+    columns of K, i.e. onto the orthogonal complement of that span."""
+    if not K.shape[1]:
+        return X
+    B = K.T @ G @ np.conj(K)  # B[l,j] = <k_l, k_j>, with <u,v> = u^T G conj(v)
+    rhs = (X.T @ G @ np.conj(K)).T  # rhs[j, sample] = <x, k_j>
+    return X - K @ np.linalg.solve(B.T, rhs)
+
+
+def gram_norms(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Re <x, x> = Re x^T G conj(x) for each column x of X."""
+    return np.real(np.einsum("ij,ij->j", X, G @ np.conj(X)))
+
+
 def rayleigh_check(
     L: np.ndarray,
     G: np.ndarray,
@@ -99,14 +113,17 @@ def verify_gap_inequality(
     samples: int = 1000,
     seed: int = DEFAULT_SEED,
 ) -> dict:
-    """Spectral-gap Rayleigh bound on (ker)^perp for one operator."""
-    op, ev = assemble(numeric, kind, b), numeric_spectrum(numeric, kind, b)
-    G = numeric.gram(op.src)
-    gap = spectral_gap(ev)
+    """Spectral-gap Rayleigh bound on (ker)^perp for one operator: the gap of
+    the numeric spectrum, taken in orthonormal coordinates, against Rayleigh
+    quotients of the exact Laplacian in the original coordinates, with the
+    exact Gram, so that a wrong whitening factor shows."""
+    gap = spectral_gap(numeric_spectrum(numeric, kind, b))
     if gap is None:
         return {"kind": kind.value, "bidegree": b, "gap": None, "vacuous": True, "ok": True}
+    op = assemble(setting, kind, b)
     kernel = harmonic_space(setting, kind, b).to_numpy()
-    mn, ok = rayleigh_check(op.mat, G, kernel, gap, samples=samples, seed=seed)
+    mn, ok = rayleigh_check(op.mat.to_numpy(), setting.gram(op.src).to_numpy(), kernel, gap,
+                            samples=samples, seed=seed)
     return {
         "kind": kind.value,
         "bidegree": b,

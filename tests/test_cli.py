@@ -13,6 +13,7 @@ from abch.cli import main
 from abch.complexes import Op
 from abch.laplacians import MAX_SAMPLES, LaplacianBundle
 from abch.linalg import Mat
+from abch.metric import HermitianMetric
 from abch.scalars import ONE
 from abch.setting import ExactSetting
 
@@ -214,13 +215,25 @@ def test_broken_invariant_exits_one(capsys, monkeypatch):
 def test_wrong_gram_inverse_exits_one(capsys, monkeypatch):
     # an inversion that returns its input makes H^{-1} come back as H, so
     # the inverse factors are H's own and fail their one-time check; the
-    # float adjoints of `spectra`'s Laplacians read them (`abc`, `cohomology`,
-    # `diagram` and `inequality` take no adjoint, so no inverse)
+    # exact adjoints of a cover's Laplacian identities read them (no model
+    # command reads an inverse Gram)
     monkeypatch.setattr(Mat, "inv", lambda self: self)
-    code, out, err = run(capsys, "spectra", fx("kodaira_thurston.cplx"), "--metric", fx("diag21.herm"))
+    code, out, err = run(capsys, "cover", fx("index2.cover"), "--metric", fx("h3.herm"))
     assert code == 1
     assert out == ""
-    assert err.startswith("verification failure: Gram inverse check failed")
+    assert err.startswith("verification failure: Gram inverse check failed at compound degree 1")
+
+
+def test_spectra_reads_no_inverse_gram(capsys, monkeypatch):
+    # spectra writes each float map in orthonormal coordinates, so under a
+    # dense complex metric it neither reads an inverse Gram nor inverts H
+    def refuse(*args):
+        raise AssertionError("an inverse was taken")
+
+    monkeypatch.setattr(HermitianMetric, "gram_inv_space", refuse)
+    monkeypatch.setattr(Mat, "inv", refuse)
+    code, _, err = run(capsys, "spectra", fx("iwasawa.cplx"), "--metric", fx("dense3.herm"))
+    assert code == 0, err
 
 
 def test_a_degree_sum_below_twice_betti_is_a_failure(capsys, monkeypatch):

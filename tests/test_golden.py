@@ -91,7 +91,7 @@ GOLDEN = [
     (("cover", "fixtures/index2.cover"),
      "162d5e004d530b3784b1e9d500f32d4e9ed37238356ccd937891a2d9e200998f"),
     (("cover", "fixtures/index2.cover", "--metric", "fixtures/h3.herm"),
-     "15aaa9c32edc763f9845b449226cf3d1ae2ce961b78fae4f676996417d0c788f"),
+     "93e7046b6adc9e79a9661b40e22289b3260969ac31a503ef0e45c8107c608b6f"),
     (("cover", "fixtures/index2_n2.cover"),  # n = 2: 4-dimensional lattices
      "a00600bfc5e30685ed8c917b6d2307d4d546b3f054c151db5292ecf931bbcced"),
     # the text reports

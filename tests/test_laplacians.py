@@ -8,8 +8,7 @@ import pytest
 
 from abch.complexes import Memo, Op, build_complex, total_bidegrees
 from abch.linalg import Mat
-from abch.metric import (HermitianMetric, NumericMetric, cholesky_factor, diagonal_metric, identity_metric, load_metric,
-                         parse_metric)
+from abch.metric import HermitianMetric, NumericMetric, diagonal_metric, identity_metric, load_metric, parse_metric
 from abch.model import load_model, parse_model
 from abch.scalars import QQi
 from abch.setting import ExactSetting, NumericSetting, add_ops
@@ -263,7 +262,8 @@ def test_spectra_factors_each_gram_once(monkeypatch, capsys):
 @pytest.mark.parametrize("model, metric", [("iwasawa.cplx", "dense3.herm"), ("kodaira_thurston.cplx", "kt_complex.herm")])
 def test_non_hermitian_symmetrisation_is_a_verification_failure(monkeypatch, capsys, model, metric):
     # re-inject the Cholesky factor of conj(G) in place of G's: under a metric
-    # with complex entries the symmetrised operator is then far from Hermitian
+    # with complex entries the whitening factor A then has A^H A = G, far from
+    # conj(G), and its one-time check fails before any spectrum is taken
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda A: cholesky(A.conj()))
     fx = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -271,7 +271,7 @@ def test_non_hermitian_symmetrisation_is_a_verification_failure(monkeypatch, cap
     assert main(argv + ["--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "verification failure: Gram-symmetrised operator is not Hermitian" in err
+    assert "verification failure: Gram whitening factor is wrong" in err
 
 
 def test_a_negative_eigenvalue_is_a_verification_failure(monkeypatch, capsys):
@@ -279,9 +279,9 @@ def test_a_negative_eigenvalue_is_a_verification_failure(monkeypatch, capsys):
     # the zero threshold raises, where it would otherwise be left out of the
     # zero multiplicity and the gap; a rounding-size one is still a zero
     with pytest.raises(AssertionError, match="not positive semidefinite: eigenvalue -2"):
-        spectrum(-np.diag([1.0, 2.0, 0.0]), cholesky_factor(np.eye(3)))
-    assert list(spectrum(np.diag([-1e-13, 1.0]), cholesky_factor(np.eye(2)))) == [0.0, 1.0]
-    # every float Laplacian negated: still Gram-self-adjoint, with the exact
+        spectrum(-np.diag([1.0, 2.0, 0.0]))
+    assert list(spectrum(np.diag([-1e-13, 1.0]))) == [0.0, 1.0]
+    # every float Laplacian negated: still Hermitian, with the exact
     # kernel's zero multiplicity, so only this check sees it (exit 1)
     real = abch.laplacians.assemble
 
@@ -308,17 +308,16 @@ def test_eigensolver_failure_is_an_input_error(monkeypatch, capsys):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     with pytest.raises(EigSolverFailure, match="did not converge"):
-        spectrum(np.eye(2), cholesky_factor(np.eye(2)))
+        spectrum(np.eye(2))
     fx = os.path.join(os.path.dirname(__file__), "..", "fixtures")
     argv = ["spectra", os.path.join(fx, "kodaira_thurston.cplx"), "--backend", "both"]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: EigSolverFailure: Eigenvalues did not converge")
-    # not Gram-self-adjoint: the Hermiticity check raises before any eigensolve
-    # (the CLI's exit 1 for it is test_non_hermitian_symmetrisation_is_a_verification_failure)
+    # not Hermitian: the assembly check raises before any eigensolve
     with pytest.raises(AssertionError, match="not Hermitian"):
-        spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]), cholesky_factor(np.eye(2)))
+        spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_torus_laplacians_vanish():
@@ -456,19 +455,22 @@ def test_numeric_crosscheck_and_gaps(iw, kt):
 
 
 def test_rayleigh_gap_property(kt):
-    numeric = NumericSetting(kt)
-    for b in all_bidegrees(kt.n):
-        for kind in (LaplacianKind.DELBAR, LaplacianKind.BC, LaplacianKind.A_BOX):
-            rep = verify_gap_inequality(kt, numeric, kind, b, samples=200)
-            assert rep["ok"], rep
-    # the oracle assembles its own float Laplacian and leaves none in the memo
-    assert not [key for key in numeric._memo if (key if isinstance(key, str) else key[0]).startswith("laplacian")]
+    # at the identity metric whitening is the identity; under kt_complex a
+    # wrong whitening factor moves the float gap off the exact Laplacian's
+    for s in (kt, fixture_setting("kodaira_thurston.cplx", "kt_complex.herm")):
+        numeric = NumericSetting(s)
+        for b in all_bidegrees(s.n):
+            for kind in (LaplacianKind.DELBAR, LaplacianKind.BC, LaplacianKind.A_BOX):
+                rep = verify_gap_inequality(s, numeric, kind, b, samples=200)
+                assert rep["ok"], rep
+        # the oracle assembles an exact Laplacian and leaves no float one in the memo
+        assert not [key for key in numeric._memo if (key if isinstance(key, str) else key[0]).startswith("laplacian")]
 
 
 def test_spectrum_zero_padding():
     s = settings_for(TORUS2)
     numeric = NumericSetting(s)
     op = assemble(numeric, LaplacianKind.DELBAR, (1, 1))
-    ev = spectrum(op.mat, numeric.metric.gram_factor(op.src))
+    ev = spectrum(op.mat)
     assert np.all(ev == 0)
     assert spectral_gap(ev) is None

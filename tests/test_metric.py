@@ -326,8 +326,9 @@ def test_iwasawa_delbar_star_hand_value():
 
 
 def test_numeric_star_adjoint_residual():
-    # numeric backend: -*delbar* (the exact star converted to floats) agrees
-    # with the numeric setting's adjoint of del to a relative 1e-10
+    # numeric backend: -*delbar* (the exact star converted to floats), written
+    # in orthonormal coordinates by the whitening factors of its two spaces,
+    # agrees with the numeric setting's adjoint of del to a relative 1e-10
     comp = build_complex(IWASAWA)
     em = HermitianMetric(3, random_rational_hermitian(3, seed=31))
     ns = NumericSetting(ExactSetting(comp, em))
@@ -340,7 +341,8 @@ def test_numeric_star_adjoint_residual():
             s1 = em.star((p + 1, q)).mat.to_numpy()
             mid = comp.map("delbar", (n - q, n - p - 1)).to_numpy()
             s2 = em.star((n - q, n - p)).mat.to_numpy()
-            via_star = -(s2 @ mid @ s1)
+            A_src, A_dst_inv = ns.metric.gram_factor(dl.src)[0], ns.metric.gram_factor(dl.dst)[1]
+            via_star = A_src @ -(s2 @ mid @ s1) @ A_dst_inv
             adj = ns.adjoint(dl).mat
             norm = np.linalg.norm(dl.mat)
             if norm == 0:
@@ -437,9 +439,10 @@ def test_memoised_adjoints_match_uncached_formula():
 
 def test_numeric_setting_is_a_float_view_of_the_exact_one():
     # under a dense complex metric: the numeric Grams are the exact ones
-    # converted, each numeric primitive's adjoint is memoised, it is the
-    # unmemoised float adjoint bit for bit, and it is the exact adjoint
-    # converted, to a relative 1e-12
+    # converted, each numeric primitive is the exact one converted and
+    # whitened, A_dst T A_src^{-1}, its adjoint is memoised, it is the
+    # unmemoised float adjoint bit for bit, and taken back to the original
+    # coordinates it is the exact adjoint converted, to a relative 1e-12
     em = HermitianMetric(*DENSE3)
     s = ExactSetting(build_complex(IWASAWA), em)
     ns = NumericSetting(s)
@@ -449,19 +452,26 @@ def test_numeric_setting_is_a_float_view_of_the_exact_one():
             assert np.array_equal(ns.gram((b,)), em.gram_space((b,)).to_numpy())
             for name, k in (("del", b), ("delbar", b), ("deldbar", b), ("d", p + q)):
                 nop, op = ns.out(name, k), s.out(name, k)
+                (A_src, A_src_inv), (A_dst, A_dst_inv) = ns.metric.gram_factor(op.src), ns.metric.gram_factor(op.dst)
+                whitened = A_dst @ op.mat.to_numpy() @ A_src_inv
+                if name == "deldbar":  # the product of its two whitened factors
+                    assert np.linalg.norm(nop.mat - whitened) <= 1e-12 * max(np.linalg.norm(whitened), 1.0)
+                else:
+                    assert np.array_equal(nop.mat, whitened)
                 adj = ns.out(name, k, True)
                 assert ns.out(name, k, True) is adj
                 assert (adj.src, adj.dst) == (op.dst, op.src)
                 assert np.array_equal(adj.mat, ns.adjoint(nop).mat)
                 expected = s.adjoint(op).mat.to_numpy()
-                assert adj.mat.shape == expected.shape
-                assert np.linalg.norm(adj.mat - expected) <= 1e-12 * np.linalg.norm(expected)
+                back = A_src_inv @ adj.mat @ A_dst
+                assert back.shape == expected.shape
+                assert np.linalg.norm(back - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_del_delbar_is_multiplied_once_per_complex():
     # build_complex's anticommutator check and the exact setting read one
     # memoised del delbar per bidegree; a numeric setting composes its own
-    # two scaled float factors, so its corner carries scale**2
+    # two scaled whitened float factors, so its corner carries scale**2
     comp = build_complex(IWASAWA)
     s = ExactSetting(comp, HermitianMetric(*DENSE3))
     ns = NumericSetting(s, scale=3.0)
@@ -474,28 +484,31 @@ def test_del_delbar_is_multiplied_once_per_complex():
             assert op.mat == compose(s.out("del", (p, q + 1)), s.out("delbar", b)).mat
             nop = ns.deldbar_op(b)
             assert np.array_equal(nop.mat, ns.out("del", (p, q + 1)).mat @ ns.out("delbar", b).mat)
-            assert np.allclose(nop.mat, 9.0 * op.mat.to_numpy(), rtol=0, atol=1e-12)
+            A_dst, A_src_inv = ns.metric.gram_factor(op.dst)[0], ns.metric.gram_factor(op.src)[1]
+            assert np.allclose(nop.mat, 9.0 * A_dst @ op.mat.to_numpy() @ A_src_inv, rtol=0, atol=1e-12)
 
 
-def test_numeric_adjoints_reuse_the_conjugated_grams():
-    # adjoint_mat gives the same result on every call, and it is the product
-    # with freshly conjugated Grams, bit for bit
+def test_numeric_adjoints_are_conjugate_transposes():
+    # in orthonormal coordinates adjoint_mat is the conjugate transpose, bit
+    # for bit, on every call, and it reads no Gram and no factor
     nm = HermitianMetric(*DENSE3).numeric
     src, dst = ((1, 1),), ((2, 1),)
     T = np.arange(81, dtype=complex).reshape(9, 9) * (1 - 0.5j)
     first = nm.adjoint_mat(T, src, dst)
     assert np.array_equal(nm.adjoint_mat(T, src, dst), first)
-    G_inv, G = nm.exact.gram_inv_space(src).to_numpy(), nm.exact.gram_space(dst).to_numpy()
-    assert np.array_equal(first, G_inv.conj() @ T.conj().T @ G.conj())
+    assert np.array_equal(first, T.conj().T)
+    assert not nm._memo
 
 
 @pytest.mark.parametrize("model, metric", [("iwasawa.cplx", "dense3.herm"), ("kodaira_thurston.cplx", "kt_complex.herm")])
 def test_float_adjoints_and_cholesky_factors_conjugate_once_at_the_end(model, metric):
-    # conjugating every input of a float product, sum or factorisation
-    # conjugates its result exactly, so adjoint_mat and cholesky_factor,
-    # which conjugate once at the end, give bit for bit what conjugating
-    # every Gram first gives: over every float primitive of the numeric
-    # setting, and every bidegree and total-degree space
+    # conjugating every input of a float product or factorisation conjugates
+    # its result exactly, so cholesky_factor, which conjugates once at the
+    # end, gives bit for bit what conjugating the Gram first gives, on every
+    # bidegree and total-degree space; and every float primitive's adjoint,
+    # in orthonormal coordinates, is its conjugate transpose bit for bit
+    # (test_numeric_setting_is_a_float_view_of_the_exact_one takes it back
+    # to the exact adjoint)
     ns = NumericSetting(ExactSetting(build_complex(load_model(os.path.join(FIXTURES, model))),
                                      HermitianMetric(*load_metric(os.path.join(FIXTURES, metric)))))
     nm, n = ns.metric, ns.n
@@ -503,8 +516,7 @@ def test_float_adjoints_and_cholesky_factors_conjugate_once_at_the_end(model, me
     named += [("d", k) for k in range(2 * n + 1)]
     for name, b in named:
         op = ns.out(name, b)
-        G_inv, G = nm.exact.gram_inv_space(op.src).to_numpy(), nm.exact.gram_space(op.dst).to_numpy()
-        assert np.array_equal(nm.adjoint_mat(op.mat, op.src, op.dst), G_inv.conj() @ op.mat.conj().T @ G.conj())
+        assert np.array_equal(nm.adjoint_mat(op.mat, op.src, op.dst), op.mat.conj().T)
     spaces = [((p, q),) for p in range(n + 1) for q in range(n + 1)]
     for space in spaces + [total_bidegrees(n, k) for k in range(2 * n + 1)]:
         G = nm.gram_space(space)

@@ -34,15 +34,17 @@ def setting(request):
 
 def old_out(s, name, b):
     # the complex's matrix with its target written out, converted as the
-    # setting converts (a numeric one scales floats); del delbar is the
-    # product of its two factors, in the setting's own arithmetic
+    # setting converts (a numeric one scales floats and whitens them by the
+    # factors of their two spaces); del delbar is the product of its two
+    # factors, in the setting's own arithmetic
     p, q = b
     if name == "deldbar":
         return Op(src=(b,), dst=((p + 1, q + 1),),
                   mat=old_out(s, "del", (p, q + 1)).mat @ old_out(s, "delbar", b).mat)
-    mat = s.ops.map(name, b)
-    return Op(src=(b,), dst=((p + 1, q) if name == "del" else (p, q + 1),),
-              mat=mat.to_numpy() * s.scale if isinstance(s, NumericSetting) else mat)
+    src, dst, mat = (b,), ((p + 1, q) if name == "del" else (p, q + 1),), s.ops.map(name, b)
+    if isinstance(s, NumericSetting):
+        mat = s.metric.gram_factor(dst)[0] @ (mat.to_numpy() * s.scale) @ s.metric.gram_factor(src)[1]
+    return Op(src=src, dst=dst, mat=mat)
 
 
 def old_into(s, name, b):
@@ -101,7 +103,9 @@ def test_numeric_setting_inherits_the_vocabulary(setting):
                 assert new.src == old.src and new.dst == old.dst
                 assert np.array_equal(new.mat, old.mat)
     for k in range(2 * setting.n + 1):
-        assert np.array_equal(numeric.into("d", k).mat, setting.total_d(k - 1).mat.to_numpy())
+        d = setting.total_d(k - 1)
+        whitened = numeric.metric.gram_factor(d.dst)[0] @ d.mat.to_numpy() @ numeric.metric.gram_factor(d.src)[1]
+        assert np.array_equal(numeric.into("d", k).mat, whitened)
 
 
 def test_subspace_lib_matches_explicit_bidegrees(setting):

@@ -28,6 +28,8 @@ def test_tool_runs_and_ends_with_json(script, args, keys):
         # the complex, the exact and float metric and both settings memoise
         assert {"BigradedComplex", "HermitianMetric", "NumericMetric", "ExactSetting",
                 "NumericSetting"} <= set(last["memos"]) and last["exit"] == 0
+        # spectra works in orthonormal coordinates, so the metric inverts nothing
+        assert "omega" not in last["memos"]["HermitianMetric"]
         # one total per field, over every class and tag
         rows = [row for tags in last["memos"].values() for row in tags.values()]
         assert last["totals"] == {f: sum(row[f] for row in rows) for f in ("mat_parts", "ndarray_bytes")}
