@@ -14,8 +14,11 @@ Tables, grids and subspaces are memoised in the setting
 (`Memo.cached`), so every report that needs one shares it.  Every grid[p][q]
 comes from `complexes.grid` and every walk over the bidegrees from
 `complexes.bidegrees`, so all reports visit (p, q) in one p-major order.
-Harmonic-space dimensions (`harmonic_dims`) give a second, independent
-route to the same numbers (finite-dimensional Hodge theory).  Both routes
+Harmonic-space dimensions (`harmonic_dims`) give a second route to the
+same numbers (finite-dimensional Hodge theory), not an independent one: a
+harmonic space is ker T cut by the Gram complement of im S, of dimension
+dim ker T - rank S, so it checks the `common_kernel`/`rref` plumbing
+(ROADMAP item 14 has an independent route).  Both routes
 and the cover's Gamma-dimensions (`GammaReport.grids`) share one table
 shape of plain lists, {theory: grid[p][q], "deRham": betti[k]}, so
 `abch cohomology` checks the Hodge isomorphism as one `==` of two tables.
@@ -82,7 +85,8 @@ def all_tables(setting: ExactSetting) -> Dict[str, list]:
 
 
 def harmonic_dims(setting: ExactSetting) -> Dict[str, list]:
-    """Harmonic-space dimensions per theory: the independent Hodge route."""
+    """Harmonic-space dimensions per theory: the Hodge route, dim ker T -
+    rank S in effect (module docstring)."""
     n = setting.n
     betti = [harmonic_space(setting, LaplacianKind.D, total_bidegrees(n, k)[0]).ncols for k in range(2 * n + 1)]
     return {"deRham": betti, **{t: grid(n, lambda b: harmonic_space(setting, kind, b).ncols)
@@ -100,13 +104,17 @@ def table_symmetries(tables: Dict[str, list], n: int) -> Dict[str, bool]:
 # -- subspaces at a bidegree -----------------------------------------------------
 
 
+def _rows_at(setting: ExactSetting, b: Bidegree) -> range:
+    """The rows of A^{p,q} in the degree-(p+q) space, ordered by increasing p."""
+    start = sum(setting.dim(c) for c in total_bidegrees(setting.n, sum(b)) if c[0] < b[0])
+    return range(start, start + setting.dim(b))
+
+
 def im_d_at(setting: ExactSetting, b: Bidegree) -> Mat:
     """The subspace im(d) ∩ A^{p,q}: the A^{p,q} rows of the memoised d
     from degree p+q-1, applied to the kernel of its rows into the other
-    bidegrees of degree p+q (d's target is ordered by increasing p)."""
-    D = setting.total_d(sum(b) - 1).mat
-    start = sum(setting.dim(c) for c in total_bidegrees(setting.n, sum(b)) if c[0] < b[0])
-    rows = range(start, start + setting.dim(b))
+    bidegrees of degree p+q."""
+    D, rows = setting.total_d(sum(b) - 1).mat, _rows_at(setting, b)
     return span_basis(D.take_rows(rows) @ D.take_rows([i for i in range(D.nrows) if i not in rows]).nullspace())
 
 
@@ -215,46 +223,77 @@ def _witness(b: Bidegree, small: Mat, big: Mat) -> Optional[dict]:
     return None if j is None else {"bidegree": b, "form": [str(x) for x in big.col(j)]}
 
 
+def condition_dims(setting: ExactSetting, b: Bidegree, ranks: dict) -> Dict[str, Tuple[int, int]]:
+    """The dimensions (left, right) of the two sides of conditions a..e at
+    b = (p,q), from ranks alone (`ddbar_conditions`); `ranks` holds the rank
+    of each map (name, c) leaving c already taken, and takes the new ones."""
+    def r(name, c) -> int:
+        if (name, c) not in ranks:
+            ranks[name, c] = setting.out(name, c).mat.rank()
+        return ranks[name, c]
+
+    (p, q), N = b, setting.dim(b)
+    D, rows = setting.total_d(p + q - 1).mat, _rows_at(setting, b)
+    im_d = r("d", p + q - 1) - D.take_rows([i for i in range(D.nrows) if i not in rows]).rank()
+    sums = Mat.hstack([setting.into("del", b).mat, setting.into("delbar", b).mat]).rank()
+    kk = N - Mat.vstack([setting.out("del", b).mat, setting.out("delbar", b).mat]).rank()
+    b_dim = r("delbar", (p, q - 1)) - r("deldbar", (p, q - 1))
+    c_dim = sums - r("deldbar", (p, q - 1)) - r("deldbar", (p - 1, q))
+    im_dd, ker_dd = r("deldbar", (p - 1, q - 1)), N - r("deldbar", b)
+    return {"a": (im_dd, im_d), "b": (im_dd, b_dim), "c": (im_dd, c_dim), "d": (ker_dd, sums + kk - c_dim),
+            "e": (ker_dd, N - r("del", b) + r("delbar", (p, q - 1)) - b_dim)}
+
+
 def ddbar_conditions(setting: ExactSetting) -> dict:
-    """The six comparison conditions, each an exact subspace equality at
-    every bidegree (the canonical bases of both sides are `==`).  Conditions
-    are reported independently; a model where they disagree is flagged.
+    """The six comparison conditions, each an equality of subspaces at every
+    bidegree.  Conditions are reported independently; a model where they
+    disagree is flagged.
 
-    At each (p,q), with kk = ker del ∩ ker delbar (the bidegree part of
-    ker d, one nullspace of del and delbar stacked; every side below
-    canonicalises its result, so any basis of kk gives the same bytes) and
-    im_d the bidegree part of im d:
+    At each b = (p,q), with kk = ker del ∩ ker delbar (the bidegree part of
+    ker d), im_d = im d ∩ A^{p,q}, N = dim A^{p,q}, r(T) the rank of a map
+    T and "in"/"out" the maps entering/leaving b, each condition and the
+    dimension of its right side:
 
-      a) im del delbar = kk ∩ im_d
-      b) im del delbar = ker del ∩ im delbar
-      c) im del delbar = kk ∩ (im del + im delbar)
-      d) ker del delbar = im del + im delbar + kk
-      e) ker del delbar = ker del + im delbar
+      a) im del delbar = kk ∩ im_d: r(D) - r(D without its A^{p,q} rows),
+         D the d from degree p+q-1 (im_d ⊆ kk, as d^2 = 0)
+      b) im del delbar = ker del ∩ im delbar: r(delbar in) - r(del delbar
+         out of (p,q-1)), as delbar maps ker del delbar there onto it
+      c) im del delbar = kk ∩ (im del + im delbar): r([del in | delbar in])
+         - r(del delbar out of (p,q-1)) - r(del delbar out of (p-1,q))
+      d) ker del delbar = im del + im delbar + kk: r([del in | delbar in])
+         + dim kk - (c), with dim kk = N - r([del; delbar] out)
+      e) ker del delbar = ker del + im delbar: N - r(del out) + r(delbar in) - (b)
       f) ker del delbar = im del + im delbar + kk   (kk in place of ker d)
 
-    At one bidegree ker d ∩ A^{p,q} = ker del ∩ ker delbar = kk, so f's
-    right-hand side is d's, and f takes d's verdict and witness.
+    As del^2 = delbar^2 = del delbar + delbar del = 0 (`build_complex`
+    certifies it), im del delbar, of dimension r(del delbar in), lies in
+    the right sides of a..c, and those of d and e lie in ker del delbar, of
+    dimension N - r(del delbar out); so each condition holds where the two
+    dimensions agree (`condition_dims`, each rank taken once).  Bases are
+    built only at a condition's first failing bidegree, for its witness; a
+    failure with no witness is a broken invariant (AssertionError).
+    At one bidegree ker d ∩ A^{p,q} = kk, so f's right-hand side is d's,
+    and f takes d's verdict and witness.
     """
-    n, ker, im = setting.n, setting.ker, setting.im
+    ker, im = setting.ker, setting.im
     holds = {name: True for name in CONDITION_NAMES}
     witnesses: Dict[str, dict] = {}
-    for b in bidegrees(n):
-        kk = Mat.vstack([setting.out("del", b).mat, setting.out("delbar", b).mat]).nullspace()
-        sums = subspace_sum(im("del", b), im("delbar", b))
-        im_dd, ker_dd = span_basis(im("deldbar", b)), span_basis(ker("deldbar", b))
-        rhs = {
-            "a": subspace_intersect(kk, im_d_at(setting, b)),
-            "b": subspace_intersect(ker("del", b), im("delbar", b)),
-            "c": subspace_intersect(kk, sums),
-            "d": subspace_sum(sums, kk),
-            "e": subspace_sum(ker("del", b), im("delbar", b)),
-        }
-        for name, side in rhs.items():
-            if side != (im_dd if name in "abc" else ker_dd):
-                holds[name] = False
-                small_big = (im_dd, side) if name in "abc" else (side, ker("deldbar", b))
-                if name not in witnesses and (w := _witness(b, *small_big)):
-                    witnesses[name] = w
+    ranks: dict = {}
+    for b in bidegrees(setting.n):
+        for name, (lhs, rhs) in condition_dims(setting, b, ranks).items():
+            if lhs == rhs or not holds[name]:
+                continue
+            holds[name] = False
+            kk = Mat.vstack([setting.out("del", b).mat, setting.out("delbar", b).mat]).nullspace()
+            sums = lambda: subspace_sum(im("del", b), im("delbar", b))
+            side = {"a": lambda: subspace_intersect(kk, im_d_at(setting, b)),
+                    "b": lambda: subspace_intersect(ker("del", b), im("delbar", b)),
+                    "c": lambda: subspace_intersect(kk, sums()), "d": lambda: subspace_sum(sums(), kk),
+                    "e": lambda: subspace_sum(ker("del", b), im("delbar", b))}[name]()
+            small_big = (span_basis(im("deldbar", b)), side) if name in "abc" else (side, ker("deldbar", b))
+            if (w := _witness(b, *small_big)) is None:
+                raise AssertionError(f"condition {name} at {b}: the dimensions differ but the subspaces are equal")
+            witnesses[name] = w
     holds["f"] = holds["d"]
     if "d" in witnesses:
         witnesses["f"] = witnesses["d"]

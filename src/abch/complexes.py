@@ -258,11 +258,13 @@ class BigradedComplex(Memo):
 
     def map(self, name: str, b: Bidegree) -> Mat:
         """Matrix of the map `name`: A^b -> A^{shifted(b, name)}, the zero
-        matrix off-range; del delbar is their product, multiplied once."""
+        matrix off-range (one per (name, b), memoised); del delbar is their
+        product, multiplied once."""
         if name == "deldbar":
             return self.cached(("deldbar", b), lambda: self.map("del", shifted(b, "delbar")) @ self.map("delbar", b))
         m = self._maps[name].get(b)
-        return m if m is not None else Mat.zeros(dim_pq(self.n, *shifted(b, name)), dim_pq(self.n, *b))
+        return m if m is not None else self.cached(
+            ("zeros", name, b), lambda: Mat.zeros(dim_pq(self.n, *shifted(b, name)), dim_pq(self.n, *b)))
 
 
 def _mask(n: int, m: Monomial) -> int:

@@ -33,12 +33,14 @@ dense complex metric `dense5` of ROADMAP's Baseline, degree-2 rows reach
 632,850-bit parts.  ROADMAP item 3 is the fix (exact division by the
 previous pivot, or a certified modular elimination).  Only at the end is
 each pivot row divided by its pivot, and the rows are put over one common
-denominator.  The pivot is the first nonzero entry, scanning rows top-down,
-in the leftmost unfinished column.  The reduced row echelon form of a
-matrix is unique, so every rank, echelon form and nullspace basis is
-bit-reproducible and independent of how the elimination is carried out.
-`det`, `compound` and `leading_minors` use Bareiss's exact-division
-elimination over Z[i].
+denominator.  Each unfinished row is filed under its leading column: the
+pivot column is the smallest one filed and the pivot row the lowest-index
+row filed there, and column c is eliminated only from the rows filed under
+c (then refiled) and from the finished rows that an index of their columns
+names.  The reduced row echelon form of a matrix is unique, so every rank,
+echelon form and nullspace basis is bit-reproducible and independent of how
+the elimination is carried out.  `det`, `compound` and `leading_minors`
+use Bareiss's exact-division elimination over Z[i].
 
 `to_numpy` gives the same floats as converting each entry through
 `Fraction`: `float(Fraction)` divides the reduced numerator by the reduced
@@ -53,7 +55,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -432,24 +434,21 @@ class Mat:
         the parts are not kept small (module docstring)."""
         if not any(self._r):
             return Mat.zeros(self.nrows, self.ncols), []
-        rows = [_primitive(r) for r in self._r]
-        nrows = len(rows)
+        # each unfinished nonzero row, filed under its leading column
+        buckets: Dict[int, Dict[int, Row]] = {}
+        for i, row in enumerate(self._r):
+            if row:
+                buckets.setdefault(min(row), {})[i] = _primitive(row)
+        rows: List[Row] = []  # the finished pivot rows, by pivot column
+        holders: Dict[int, Set[int]] = {}  # column -> finished rows that may hold it
         pivots: List[int] = []
-        r = 0
-        for c in range(self.ncols):
-            if r >= nrows:
-                break
-            # first nonzero entry scanning rows top-down
-            pr = next((i for i in range(r, nrows) if c in rows[i]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            prow = rows[r]
+        while buckets:
+            c = min(buckets)
+            others = buckets.pop(c)
+            prow = others.pop(min(others))  # the lowest-index row
             pa, pb = prow[c]
-            for i in range(nrows):
-                row = rows[i]
-                if i == r or c not in row:
-                    continue
+
+            def eliminate(row: Row) -> Row:
                 # row <- pv * row - f * prow, so the entry in column c cancels
                 fa, fb = row[c]
                 new = {j: (pa * a - pb * b, pa * b + pb * a) for j, (a, b) in row.items() if j != c}
@@ -463,9 +462,21 @@ class Mat:
                         new[j] = (x, y)
                     else:
                         del new[j]
-                rows[i] = _primitive(new)
+                return _primitive(new)
+
+            for i, row in others.items():
+                # nothing is left of c, so the leading column moves right
+                if row := eliminate(row):
+                    buckets.setdefault(min(row), {})[i] = row
+            rows.append(prow)
             pivots.append(c)
-            r += 1
+            for k in holders.pop(c, ()):
+                if c in rows[k]:  # the index may hold rows that lost c
+                    rows[k] = eliminate(rows[k])
+                    for j in rows[k]:
+                        holders.setdefault(j, set()).add(k)
+            for j in prow:
+                holders.setdefault(j, set()).add(len(rows) - 1)
         # divide each pivot row by its pivot: row * conj(pv) / |pv|^2 (each
         # row is primitive, so a real pivot leaves nothing to cancel)
         out: List[Row] = []
@@ -487,7 +498,7 @@ class Mat:
         den = lcm(*dens)
         out = [row if dr == den else {j: (a * (den // dr), b * (den // dr)) for j, (a, b) in row.items()}
                for row, dr in zip(out, dens)]
-        out.extend({} for _ in range(nrows - r))
+        out.extend({} for _ in range(self.nrows - len(out)))
         return _new(out, den, self.ncols), pivots
 
     def rank(self) -> int:

@@ -4,7 +4,9 @@ Each function is an exact (or, for `verify_gap_inequality`, sampled)
 statement of the theory that no CLI command needs: the Laplacian duality
 under the Hodge star, kernel coincidences, the Kahler identities, the
 three-part Hodge decompositions, the stacked-vs-separate kernel and image
-identities, the stacked `d` map of one bidegree, the Gram inner product
+identities, the del-delbar conditions as equalities of subspaces (the route
+`cohomology.ddbar_conditions` took before it counted ranks), the stacked
+`d` map of one bidegree, the Gram inner product
 of two coefficient vectors and the Gram norms and projections that the
 sampled Rayleigh bound reads in the original coordinates.  `render_json`
 is the reference JSON report: `json.dumps` with a `default` that maps each
@@ -19,7 +21,8 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from abch.complexes import Bidegree, BigradedComplex, Op, d_between, total_bidegrees
+from abch.cohomology import CONDITION_NAMES, _witness
+from abch.complexes import Bidegree, BigradedComplex, Op, bidegrees, d_between, total_bidegrees
 from abch.laplacians import (
     ALL_KINDS,
     DEFAULT_SEED,
@@ -41,7 +44,7 @@ from abch.linalg import (
     subspace_sum,
 )
 from abch.reporting import MATRIX_SCHEMA
-from abch.scalars import QQi, ZERO
+from abch.scalars import ONE, QQi, ZERO
 from abch.setting import ExactSetting, NumericSetting, add_ops, compose
 
 
@@ -305,6 +308,59 @@ def stack_identities(setting: ExactSetting) -> bool:
             if not subspace_eq(joined.column_space(), subspace_sum(im("del", b), im("delbar", b))):
                 return False
     return True
+
+
+# -- the del-delbar conditions as subspace equalities (cohomology) -------------
+
+
+def ddbar_sides(setting: ExactSetting, b: Bidegree) -> Dict[str, Tuple[Mat, Mat]]:
+    """The two sides (left, right) of conditions a..e at b as canonical
+    bases: im del delbar against kk ∩ im_d, ker del ∩ im delbar and
+    kk ∩ (im del + im delbar), ker del delbar against im del + im delbar + kk
+    and ker del + im delbar, with kk = ker del ∩ ker delbar (one nullspace
+    of del and delbar stacked) and im_d = im d ∩ A^{p,q}."""
+    ker, im = setting.ker, setting.im
+    kk = Mat.vstack([setting.out("del", b).mat, setting.out("delbar", b).mat]).nullspace()
+    sums = subspace_sum(im("del", b), im("delbar", b))
+    im_dd, ker_dd = span_basis(im("deldbar", b)), span_basis(ker("deldbar", b))
+    # im d ∩ A^{p,q}: the image of d into degree p+q met with the coordinate
+    # subspace of A^{p,q}, which sits in d's target in total_bidegrees order
+    space = total_bidegrees(setting.n, sum(b))
+    start, N = sum(setting.dim(c) for c in space[: space.index(b)]), setting.dim(b)
+    D = d_between(setting.ops, total_bidegrees(setting.n, sum(b) - 1), space).mat
+    E = Mat.from_entries(D.nrows, N, {(start + i, i): ONE for i in range(N)})
+    im_d = span_basis(subspace_intersect(D.column_space(), E).take_rows(range(start, start + N)))
+    return {
+        "a": (im_dd, subspace_intersect(kk, im_d)),
+        "b": (im_dd, subspace_intersect(ker("del", b), im("delbar", b))),
+        "c": (im_dd, subspace_intersect(kk, sums)),
+        "d": (ker_dd, subspace_sum(sums, kk)),
+        "e": (ker_dd, subspace_sum(ker("del", b), im("delbar", b))),
+    }
+
+
+def ddbar_by_subspaces(setting: ExactSetting) -> dict:
+    """`cohomology.ddbar_conditions` by subspace equality: each condition is
+    tested by comparing the canonical bases of its two sides at every
+    bidegree, with the witness of the first failure taken as
+    `_witness(b, small, big)`, small inside big.  Also returns
+    `dims[b][name] = (dim left, dim right)`."""
+    holds = {name: True for name in CONDITION_NAMES}
+    witnesses: Dict[str, dict] = {}
+    dims = {}
+    for b in bidegrees(setting.n):
+        sides = ddbar_sides(setting, b)
+        dims[b] = {name: (lhs.ncols, rhs.ncols) for name, (lhs, rhs) in sides.items()}
+        for name, (lhs, rhs) in sides.items():
+            if lhs != rhs:
+                holds[name] = False
+                small_big = (lhs, rhs) if name in "abc" else (rhs, setting.ker("deldbar", b))
+                if name not in witnesses and (w := _witness(b, *small_big)):
+                    witnesses[name] = w
+    holds["f"] = holds["d"]
+    if "d" in witnesses:
+        witnesses["f"] = witnesses["d"]
+    return {"holds": holds, "all_agree": len(set(holds.values())) == 1, "witnesses": witnesses, "dims": dims}
 
 
 # -- the reference JSON report (reporting) -------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from abch.complexes import bidegrees, build_complex, d_between, dim_pq, total_bidegrees
 from abch.laplacians import LaplacianKind, harmonic_space
-from abch.linalg import Mat, span_basis, subspace_intersect
+from abch.linalg import Mat, span_basis, subspace_contains, subspace_intersect
 from abch.metric import diagonal_metric, identity_metric, HermitianMetric, load_metric
 from abch.model import load_model, parse_model
 from abch.setting import ExactSetting
@@ -16,6 +16,8 @@ from abch.cohomology import (
     _coords_in,
     _witness,
     bigraded_arrow,
+    condition_dims,
+    im_d_at,
     InvalidBidegree,
     abc_subspaces,
     all_tables,
@@ -28,6 +30,8 @@ from abch.cohomology import (
     inequality_report,
     table_symmetries,
 )
+import oracles
+from abch import cohomology
 from oracles import stack_identities, verify_hodge_decomposition
 
 TORUS2 = parse_model("n=2\nname = torus2")
@@ -247,6 +251,39 @@ def test_conditions_d_and_f_have_one_right_hand_side():
     rep = ddbar_conditions(s)
     assert rep["holds"]["f"] == rep["holds"]["d"] is False
     assert rep["witnesses"]["f"] == rep["witnesses"]["d"] == {"bidegree": (0, 1), "form": ["0", "0", "1", "0"]}
+
+
+N5_CHAIN = "n=5\nname = n5_chain\nd phi3 = phi1 ^ phi2\nd phi4 = phi1 ^ phi3\nd phi5 = phi1 ^ phi4"
+CPLX = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".cplx") and f != "bad.cplx")  # bad fails d^2 = 0
+
+
+@pytest.mark.parametrize("model", CPLX + ["n5_chain"])
+def test_rank_counts_match_the_subspace_route(model):
+    # each condition's two sides have the dimensions the rank formulas give,
+    # one side lies in the other, and the report (witnesses included) is the
+    # one the subspace-equality route gives
+    m = parse_model(N5_CHAIN) if model == "n5_chain" else load_model(os.path.join(FIXTURES, model))
+    s = ExactSetting(build_complex(m), identity_metric(m.n))
+    want = oracles.ddbar_by_subspaces(s)
+    for b in bidegrees(m.n):
+        sides = oracles.ddbar_sides(s, b)
+        for name, (lhs, rhs) in sides.items():
+            small, big = (lhs, rhs) if name in "abc" else (rhs, lhs)
+            assert subspace_contains(big, small), (model, b, name)
+        kk = subspace_intersect(s.ker("del", b), s.ker("delbar", b))
+        assert subspace_contains(kk, im_d_at(s, b)), (model, b)
+        assert condition_dims(s, b, {}) == want["dims"][b], (model, b)
+    del want["dims"]
+    assert ddbar_conditions(s) == want
+
+
+def test_a_failure_without_a_witness_is_a_broken_invariant(monkeypatch, torus):
+    # every condition holds on the torus, so a count that says b fails at
+    # (0,0) finds no form of the larger side outside the smaller one there
+    real = cohomology.condition_dims
+    monkeypatch.setattr(cohomology, "condition_dims", lambda s, b, ranks: {**real(s, b, ranks), "b": (0, 1)})
+    with pytest.raises(AssertionError, match=r"condition b at \(0, 0\): the dimensions differ"):
+        ddbar_conditions(torus)
 
 
 def test_a_vector_outside_the_subspace_is_a_broken_invariant():

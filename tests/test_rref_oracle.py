@@ -16,7 +16,7 @@ from typing import List
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dense_linalg as dense
 import oracles
@@ -337,3 +337,51 @@ def test_sparse_constructors_match_dense_placement(A, B, picks, x):
     want = [[ZERO] * 4 for _ in range(3)]
     want[0][1], want[2][3] = x, A[2, 3]
     assert made == Mat(want, ncols=4)
+
+
+@st.composite
+def sparse_mats(draw):
+    """Matrices up to 12 x 12 with at least 80 % zero entries: a few nonzero
+    cells, then rows copied (repeated, or scaled) and rows given the leading
+    column of another, so that several rows share a pivot column and
+    eliminating one moves another's leading column to the right."""
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = draw(st.sets(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+                         min_size=1, max_size=max(1, nrows * ncols // 6)))
+    rows = [[ZERO] * ncols for _ in range(nrows)]
+    for i, j in cells:
+        rows[i][j] = draw(nonzero)
+    for _ in range(draw(st.integers(0, 4))):
+        src, dst, how = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1)), draw(st.integers(0, 2))
+        lead = next((j for j, x in enumerate(rows[src]) if not x.is_zero()), None)
+        if how == 0:  # a repeated row
+            rows[dst] = list(rows[src])
+        elif how == 1:  # a multiple of a row
+            rows[dst] = [x * QQi(0, 2) for x in rows[src]]
+        elif lead is not None:  # the leading column of src, beside dst's own entries right of it
+            rows[dst] = [ZERO] * lead + [draw(nonzero)] + rows[dst][lead + 1:]
+    zeros = sum(x.is_zero() for row in rows for x in row)
+    assume(5 * zeros >= 4 * nrows * ncols)
+    return Mat(rows, ncols=ncols)
+
+
+# eliminating column 0 from row 1 cancels column 1 too and leaves its
+# leading entry in column 4, past the empty columns 2 and 3, beside row 2's;
+# column 4 then leaves row 0, a finished pivot row: the RREF has rows
+# [1, 2, 0, 0, 0, 0], e_4 and e_5, with pivots [0, 4, 5]
+JUMP = Mat([[q(1), q(2), ZERO, ZERO, q(1), ZERO],
+            [q(2), q(4), ZERO, ZERO, q(3), ZERO],
+            [ZERO, ZERO, ZERO, ZERO, q(5), q(1)]], ncols=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_mats())
+@example(JUMP)
+def test_sparse_rref_matches_oracle(A):
+    R, pivots = A.rref()
+    assert_canonical(R)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense.Mat, "rref", oracle_rref)
+        want = to_dense(A).rref()
+    assert plain((R, pivots)) == plain(want)
+
